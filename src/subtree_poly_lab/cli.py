@@ -26,6 +26,7 @@ import mpmath as mp
 from . import __version__
 from .counting import (
     DEFAULT_ENUMERATION_CAP,
+    MAX_BITMASK_VERTICES,
     check_ratio_inequalities,
     complete_graph_counts,
     spanning_tree_count,
@@ -137,7 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_ENUMERATION_CAP,
-        help=f"vertex cap for exact counting (default {DEFAULT_ENUMERATION_CAP})",
+        help=f"vertex cap for exact counting (default {DEFAULT_ENUMERATION_CAP}; "
+        f"at most {MAX_BITMASK_VERTICES}, the width of the subset bitmasks)",
     )
 
     p = sub.add_parser("counts", parents=[graph_args, common, caps], help="exact subtree-count vector")
@@ -368,11 +370,12 @@ def _cmd_verify(args) -> tuple[str, int]:
     profile = degree_profile(graph)
     identity = verify_weight_identity(graph, cap=args.tree_cap)
     inequalities = check_ratio_inequalities(counts, profile.alpha, profile.min_degree)
+    matrix_tree = spanning_tree_count(graph)
     base_checks = {
         "s_1_equals_n": counts.s(1) == graph.n,
         "s_2_equals_m": counts.s(2) == graph.m,
-        "s_n_equals_matrix_tree": counts.s(counts.n) == spanning_tree_count(graph),
-        "tree_count_matches_matrix_tree": identity.tree_count == spanning_tree_count(graph),
+        "s_n_equals_matrix_tree": counts.s(counts.n) == matrix_tree,
+        "tree_count_matches_matrix_tree": identity.tree_count == matrix_tree,
     }
     ok = identity.equal and inequalities.all_passed and all(base_checks.values())
     result = {

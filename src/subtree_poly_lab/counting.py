@@ -5,11 +5,23 @@ vertex support, so
 
     s_k(G) = sum over connected k-subsets W of t(G[W]),
 
-where t(.) is the spanning-tree count. Connected subsets are streamed
-duplicate-free by canonical expansion (anchored minimum vertex, frontier
-of higher-id neighbors); t(.) is an integer Laplacian cofactor evaluated
-by fraction-free Bareiss elimination. Everything here is exact integer or
-rational arithmetic; the independent oracles (closed form for complete
+where t(.) is the spanning-tree count. The production route works one
+subset size at a time:
+
+1. Levels. The connected k-subsets are held as one sorted int64 array of
+   bitmasks. Level k+1 is every level-k subset grown by one vertex of its
+   neighbourhood bitmask, sorted and deduplicated.
+2. Modular elimination. t(G[W]) is a reduced-Laplacian cofactor. The
+   (k-1)x(k-1) minors of a chunk of subsets are stacked and eliminated
+   together modulo 31-bit primes, and their residues summed per k.
+3. CRT. G[W] is a subgraph of K_k, so t(G[W]) <= k^(k-2) and
+   s_k(G) <= C(n,k) k^(k-2). The fewest primes whose product exceeds that
+   bound determine s_k exactly by Chinese remaindering: the prime count
+   is proven, not guessed.
+
+Every count is an exact integer. Fraction-free Bareiss elimination on one
+minor (`spanning_tree_count`, `subset_spanning_tree_count`) is kept as the
+exact oracle, and the independent oracles (closed form for complete
 graphs, edge-subset brute force) live alongside the production path so
 they can disagree loudly.
 """
@@ -23,11 +35,24 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
+import numpy as np
+
 from .errors import CapacityError, ValidationError
 from .graphs import Graph, generate
 
 DEFAULT_ENUMERATION_CAP = 24
 BRUTE_FORCE_GUARD = 10**8
+# subsets are int64 bitmasks, with the sign bit and bit 62 kept clear
+MAX_BITMASK_VERTICES = 62
+# The twelve largest primes below 2^31. Residues stay below 2^31, so
+# a*b - c*d fits in int64; the product (> 2^371) exceeds C(n,k) k^(k-2)
+# for every n <= MAX_BITMASK_VERTICES (at most 2^358).
+_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+)
+# int64 entries in one stacked elimination tensor (all primes of a chunk)
+_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -129,46 +154,172 @@ def subset_spanning_tree_count(g: Graph, vertices: list[int]) -> int:
     return _bareiss_determinant(_laplacian_minor(g, vertices))
 
 
+def _require_bitmask_width(g: Graph) -> None:
+    if g.n > MAX_BITMASK_VERTICES:
+        raise CapacityError(
+            f"exact counting on n={g.n} exceeds the {MAX_BITMASK_VERTICES}-vertex "
+            "limit of int64 subset bitmasks"
+        )
+
+
+def _connected_levels(g: Graph) -> Iterator[np.ndarray]:
+    """Yield the connected k-subsets as sorted int64 bitmasks, k = 1, 2, ...
+
+    Stops after the last nonempty level (the largest component size).
+    """
+    adj = np.array(g.adjacency_bits, dtype=np.int64)
+    bits = np.left_shift(1, np.arange(g.n, dtype=np.int64))
+    masks = bits
+    while masks.size:
+        yield masks
+        masks = _grow_level(masks, adj, bits)
+
+
+def _grow_level(masks: np.ndarray, adj: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Connected (k+1)-subsets from the sorted connected k-subsets `masks`."""
+    # the neighbourhood of each subset, less the subset itself
+    frontier = np.zeros_like(masks)
+    for bit, row in zip(bits, adj):
+        frontier[(masks & bit) != 0] |= row
+    frontier &= ~masks
+    # Each grown subset arises once per removable vertex. Filling one
+    # preallocated array and deduplicating it in place keeps the peak
+    # memory at one copy of the duplicates.
+    hits = [(frontier & bit) != 0 for bit in bits]
+    grown = np.empty(sum(int(np.count_nonzero(hit)) for hit in hits), dtype=np.int64)
+    end = 0
+    for bit, hit in zip(bits, hits):
+        part = masks[hit]
+        grown[end:end + part.size] = part | bit
+        end += part.size
+    del frontier, hits
+    grown.sort()
+    first = np.empty(grown.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(grown[1:], grown[:-1], out=first[1:])
+    return grown[first]
+
+
+def _bit_matrix(masks: np.ndarray, n: int) -> np.ndarray:
+    """(B, n) 0/1 array: bit v of masks[b] at [b, v]."""
+    return (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
+
+
+def _mask_vertices(masks: np.ndarray, k: int, n: int) -> np.ndarray:
+    """(B, k) array of the ascending vertex ids of k-bit masks."""
+    return np.nonzero(_bit_matrix(masks, n))[1].reshape(-1, k)
+
+
 def enumerate_connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """Stream every vertex subset W with |W| = k and g[W] connected, once each.
 
-    Canonical expansion: a subset is grown only from its minimum vertex
-    (the anchor), adding higher-id vertices from an extension frontier
-    that excludes anything already adjacent to the subset. Deterministic
-    order, no seen-set.
+    Subsets come as ascending vertex tuples, ordered by bitmask value.
     """
     if not 1 <= k <= g.n:
         raise ValidationError(f"subset size {k} out of range [1, {g.n}]")
-    if k == 1:
-        for v in range(g.n):
-            yield (v,)
-        return
-    adj = g.adjacency_bits
-
-    def extend(sub: tuple[int, ...], ext_bits: int, closed: int, above: int):
-        if len(sub) == k - 1:
-            ext = ext_bits
-            while ext:
-                low = ext & -ext
-                ext ^= low
-                yield sub + (low.bit_length() - 1,)
+    _require_bitmask_width(g)
+    for size, masks in enumerate(_connected_levels(g), start=1):
+        if size == k:
+            chunk = max(1, _CHUNK_ELEMENTS // g.n)
+            for lo in range(0, masks.size, chunk):
+                yield from map(tuple, _mask_vertices(masks[lo:lo + chunk], k, g.n).tolist())
             return
-        ext = ext_bits
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            w = low.bit_length() - 1
-            grown = ext | (adj[w] & above & ~closed)
-            yield from extend(sub + (w,), grown, closed | adj[w] | low, above)
 
-    for anchor in range(g.n):
-        above = -1 << (anchor + 1)
-        yield from extend(
-            (anchor,),
-            adj[anchor] & above,
-            adj[anchor] | (1 << anchor),
-            above,
-        )
+
+def _laplacian_minors(adj: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """(B, k-1, k-1) Laplacians of g[W], row and column of min(W) deleted.
+
+    `adj` is the dense 0/1 adjacency matrix, `vertices` the (B, k) subsets.
+    """
+    sub = adj[vertices[:, :, None], vertices[:, None, :]]
+    minors = -sub[:, 1:, 1:]
+    diag = np.arange(vertices.shape[1] - 1)
+    minors[:, diag, diag] = sub[:, 1:].sum(axis=2)
+    return minors
+
+
+def _pow_mod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Elementwise base^exp mod p by square-and-multiply; operands below 2^31."""
+    result = np.ones_like(base)
+    for bit in range(int(exp.max()).bit_length()):
+        result = np.where((exp >> bit) & 1 == 1, result * base % p, result)
+        base = base * base % p
+    return result
+
+
+def _determinants_mod(minors: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
+    """det(minors[b]) mod p for every prime p, as a (len(primes), B) array.
+
+    Division-free elimination: row_i <- pivot*row_i - a_ic*row_c scales the
+    determinant by the pivot once per row below it, so with prefix_c the
+    product of the first c+1 pivots,
+
+        det = sign * prefix_(m-1) / (prefix_0 * ... * prefix_(m-2)),
+
+    and one Fermat inverse per matrix clears the denominator. A column with
+    no nonzero pivot leaves a zero pivot, and 0 is the correct residue.
+    """
+    count, (batch, m, _) = len(primes), minors.shape
+    p_each = np.asarray(primes, dtype=np.int64)
+    mat = (minors[None] % p_each[:, None, None, None]).reshape(count * batch, m, m)
+    p = np.repeat(p_each, batch)
+    p_block = p[:, None, None]
+    sign = np.ones_like(p)
+    prefix = np.ones_like(p)
+    denominator = np.ones_like(p)
+    for c in range(m):
+        offset = np.argmax(mat[:, c:, c] != 0, axis=1)
+        swap = np.flatnonzero(offset)
+        if swap.size:
+            other = offset[swap] + c
+            row = mat[swap, c].copy()
+            mat[swap, c] = mat[swap, other]
+            mat[swap, other] = row
+            sign[swap] = -sign[swap]
+        pivot = mat[:, c, c]
+        prefix = prefix * pivot % p
+        if c == m - 1:
+            break
+        denominator = denominator * prefix % p
+        block = mat[:, c + 1:, c + 1:]
+        block *= pivot[:, None, None]
+        block -= mat[:, c + 1:, c, None] * mat[:, c, None, c + 1:]
+        block %= p_block
+    det = prefix * _pow_mod(denominator, p - 2, p) % p
+    det = np.where(sign < 0, (p - det) % p, det)
+    return det.reshape(count, batch)
+
+
+def _primes_for(bound: int) -> tuple[int, ...]:
+    """The fewest leading _PRIMES whose product exceeds `bound`."""
+    product = 1
+    for count, p in enumerate(_PRIMES, start=1):
+        product *= p
+        if product > bound:
+            return _PRIMES[:count]
+    raise CapacityError(f"no {len(_PRIMES)}-prime product exceeds {bound}")
+
+
+def _crt(residues: list[int], primes: tuple[int, ...]) -> int:
+    """The x in [0, prod(primes)) with x = residues[i] mod primes[i] (Garner)."""
+    value, modulus = 0, 1
+    for r, p in zip(residues, primes):
+        value += modulus * ((r - value) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return value
+
+
+def _level_tree_total(adj: np.ndarray, masks: np.ndarray, k: int) -> int:
+    """Exact sum of t(G[W]) over the connected k-subsets W in `masks`, k >= 2."""
+    n = adj.shape[0]
+    primes = _primes_for(math.comb(n, k) * k ** (k - 2))
+    chunk = max(1, _CHUNK_ELEMENTS // (len(primes) * (k - 1) ** 2))
+    residues = [0] * len(primes)
+    for lo in range(0, masks.size, chunk):
+        vertices = _mask_vertices(masks[lo:lo + chunk], k, n)
+        sums = _determinants_mod(_laplacian_minors(adj, vertices), primes).sum(axis=1)
+        residues = [(r + int(s)) % p for r, s, p in zip(residues, sums, primes)]
+    return _crt(residues, primes)
 
 
 def subtree_counts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> SubtreeCountVector:
@@ -178,13 +329,11 @@ def subtree_counts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> SubtreeCount
             f"subtree_counts on n={g.n} exceeds the enumeration cap {cap}; "
             "raise the cap explicitly if you really want the exponential walk"
         )
+    _require_bitmask_width(g)
+    adj = _bit_matrix(np.array(g.adjacency_bits, dtype=np.int64), g.n)
     counts = [0] * g.n
-    counts[0] = g.n
-    for k in range(2, g.n + 1):
-        total = 0
-        for subset in enumerate_connected_subsets(g, k):
-            total += subset_spanning_tree_count(g, list(subset))
-        counts[k - 1] = total
+    for k, masks in enumerate(_connected_levels(g), start=1):
+        counts[k - 1] = masks.size if k == 1 else _level_tree_total(adj, masks, k)
     return SubtreeCountVector(n=g.n, counts=tuple(counts), fingerprint=g.fingerprint())
 
 

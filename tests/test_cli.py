@@ -1,11 +1,16 @@
 """CLI contract: commands, exit codes, formats, determinism."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import subtree_poly_lab
+from subtree_poly_lab import generate
 from subtree_poly_lab.cli import run
 
 
@@ -210,6 +215,23 @@ def test_capacity_exit_code(capsys):
     assert "cap" in err
 
 
+def test_capacity_exit_code_names_bitmask_width(capsys):
+    status, _, err = invoke(capsys, "counts", "--graph", "cycle(63)", "--cap", "100")
+    assert status == 2
+    assert "62-vertex" in err
+
+
+def test_counts_edge_list_golden_bytes(tmp_path, monkeypatch, capsys):
+    # the spec echoes the edge-list path, so run from tmp_path with a fixed name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gnp14.txt").write_text(generate("gnp(14,0.5)", seed=3).to_edge_list())
+    status, out, _ = invoke(capsys, "counts", "--edge-list", "gnp14.txt")
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "47a2dc2eecad1a17c1d50ade43d295ebacff5ebecacc9fcfd24c5807f0ef86ce"
+    )
+
+
 def test_complete_family_routes_through_closed_form(capsys):
     # complete -graph requests use the closed form, so the enumeration cap
     # does not apply to them
@@ -240,10 +262,16 @@ def test_thread_count_does_not_change_bytes(capsys):
 
 def test_console_entry_point():
     # the installed script must behave like the in-process runner
+    # the child finds the package where this process imported it from, so the
+    # test also runs from a checkout without an install
+    package_root = str(Path(subtree_poly_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "subtree_poly_lab.cli", "counts", "--graph", "complete(4)"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["counts"] == ["4", "6", "12", "16"]

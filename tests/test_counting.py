@@ -1,9 +1,11 @@
 """Exact counting: oracle equivalence, invariants, inequality checks."""
 
 import json
+import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,16 @@ from subtree_poly_lab import (
     generate_connected,
     spanning_tree_count,
     subtree_counts,
+)
+from subtree_poly_lab.counting import (
+    MAX_BITMASK_VERTICES,
+    _PRIMES,
+    _bareiss_determinant,
+    _crt,
+    _determinants_mod,
+    _laplacian_minor,
+    _primes_for,
+    subset_spanning_tree_count,
 )
 
 
@@ -146,6 +158,66 @@ def test_counts_positive_when_connected():
 def test_enumeration_cap():
     with pytest.raises(CapacityError):
         subtree_counts(generate("path(6)"), cap=5)
+
+
+def test_bitmask_width_guard():
+    wide = generate(f"cycle({MAX_BITMASK_VERTICES + 1})")
+    with pytest.raises(CapacityError, match=f"{MAX_BITMASK_VERTICES}-vertex"):
+        subtree_counts(wide, cap=100)
+    with pytest.raises(CapacityError, match=f"{MAX_BITMASK_VERTICES}-vertex"):
+        list(enumerate_connected_subsets(wide, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 11), p=st.floats(0.1, 0.95), seed=st.integers(0, 10**6))
+def test_subtree_counts_match_per_subset_oracle(n, p, seed):
+    # per-subset Bareiss over the filter oracle's subsets, independent of the
+    # bitmask levels and the modular elimination
+    g = generate(f"gnp({n},{p})", seed=seed)
+    expected = tuple(
+        sum(subset_spanning_tree_count(g, list(w)) for w in _connected_filter_oracle(g, k))
+        for k in range(1, n + 1)
+    )
+    assert subtree_counts(g).counts == expected
+
+
+def test_modular_determinant_crt_matches_bareiss():
+    k24 = _laplacian_minor(generate("complete(24)"), list(range(24)))
+    exact = _bareiss_determinant([row[:] for row in k24])
+    assert exact == 24**22
+    primes = _primes_for(24**22)
+    assert len(primes) == 4
+    residues = _determinants_mod(np.array(k24, dtype=np.int64)[None], primes)[:, 0]
+    assert _crt([int(r) for r in residues], primes) == exact
+
+
+def test_modular_determinant_pivot_paths():
+    # 125 = 0 mod 5: the K_5 minor is all 4s mod 5 and its second column
+    # has no nonzero pivot
+    k5 = np.array(_laplacian_minor(generate("complete(5)"), list(range(5))), dtype=np.int64)
+    assert _determinants_mod(k5[None], (5,)).tolist() == [[0]]
+    assert _determinants_mod(k5[None], (7,)).tolist() == [[125 % 7]]
+    # a zero leading entry forces a row swap in one matrix of the batch only
+    batch = [[[0, 1, 2], [3, 4, 5], [6, 7, 9]], [[2, 0, 0], [0, 3, 0], [0, 0, 4]]]
+    exact = [_bareiss_determinant([row[:] for row in mat]) for mat in batch]
+    assert exact == [-3, 24]
+    got = _determinants_mod(np.array(batch, dtype=np.int64), (7, 11))
+    assert got.tolist() == [[d % p for d in exact] for p in (7, 11)]
+
+
+def test_prime_table_covers_every_bitmask_width():
+    for p in _PRIMES:
+        assert p < 2**31 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    n = MAX_BITMASK_VERTICES
+    worst = max(math.comb(n, k) * k ** (k - 2) for k in range(2, n + 1))
+    assert math.prod(_primes_for(worst)) > worst
+
+
+def test_disconnected_and_single_vertex_vectors():
+    assert subtree_counts(Graph.from_edges(1, [])).counts == (1,)
+    assert subtree_counts(generate("gnp(6,0.0)")).counts == (6, 0, 0, 0, 0, 0)
+    forest = Graph.from_edges(7, [(0, 1), (1, 2), (3, 4), (5, 6), (4, 5)])
+    assert subtree_counts(forest).counts == (7, 5, 3, 1, 0, 0, 0)
 
 
 def test_complete_graph_counts_closed_form():
