@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -53,6 +54,7 @@ from .spanning import (
 )
 
 THREADS_ENV = "SUBTREE_POLY_LAB_THREADS"
+WORST_ITERATES_SHOWN = 5
 
 _EPILOG = """\
 graph sources:
@@ -483,7 +485,9 @@ def _cmd_sweep(args) -> tuple[str, int]:
         try:
             rows.append(_sweep_row(args, n))
         except SubtreeLabError as err:
-            raise type(err)(f"sweep aborted at n={n}: {err}")
+            # same object, so a certification failure keeps its iterates
+            err.args = (f"sweep aborted at n={n}: {err}",)
+            raise
     return _csv_table(spec, headers[args.inner], rows), 0
 
 
@@ -549,7 +553,25 @@ def run(argv=None) -> int:
         return 2
     except CertificationError as err:
         print(f"certification failure: {err}", file=sys.stderr)
+        for line in _worst_iterates(err):
+            print(line, file=sys.stderr)
         return 3
+
+
+def _worst_iterates(err: CertificationError) -> list[str]:
+    """The largest residuals (NaN first) with their indices and iterates."""
+    residuals = err.residuals
+    ranked = sorted(
+        range(len(residuals)), key=lambda i: (not math.isnan(residuals[i]), -residuals[i])
+    )[:WORST_ITERATES_SHOWN]
+    lines = [f"worst {len(ranked)} of {len(residuals)} residuals:"]
+    for i in ranked:
+        z = mp.mpc(err.roots[i])
+        lines.append(
+            f"  index {i}  residual {residuals[i]:.3e}  "
+            f"iterate ({_mp_str(z.real)}, {_mp_str(z.imag)})"
+        )
+    return lines
 
 
 def main() -> None:

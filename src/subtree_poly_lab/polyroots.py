@@ -1,16 +1,21 @@
 """Subtree polynomial: construction, certified roots, and diagnostics.
 
 The polynomial S(x) = sum_{k=1}^n s_k x^k always has the simple forced
-root x = 0. The remaining n-1 roots are found on the reversed series
+root x = 0. The remaining n-1 roots are started on the reversed series
 
     F(y) = sum_{k=0}^{n-1} (s_{n-k}/s_n) y^k,      S(x) = s_n x^n F(1/x),
 
 whose coefficients are well scaled for dense graphs (they decay roughly
-like beta^k/k!), by an Aberth-Ehrlich simultaneous sweep started from a
-scaled circle. Each root is then mapped back to x = 1/y and polished
-with Newton steps on the exact integer coefficients under extended
-precision, and certified by scale-normalized residuals plus a Vieta
-product check. Certification failures raise; they are never silent.
+like beta^k/k!). The start is a vectorised complex128 Aberth-Ehrlich
+iteration on F(2^e u), with e taken from the bit lengths of s_1 and s_n
+so that the coefficients stay in double range; each root freezes once
+|F| is at the level of rounding error. The roots are mapped back to
+x = 1/y and polished by Gauss-Seidel Aberth corrections on the exact
+integer coefficients of S(x)/x at the working precision, again with a
+rounding-level stop; the simultaneous correction keeps two iterates from
+settling on one root. They are certified by scale-normalized residuals
+plus a Vieta product check. Certification failures raise; they are never
+silent. The design follows MPSolve (Bini and Robol, 2014).
 
 Also here: the Rouche margin |F(y) - e^{beta y}| / |e^{beta y}| sampled
 on the circle |y| = alpha log(n) / C, the factorial-normalized deviation
@@ -19,13 +24,13 @@ diagnostics for the Poisson law, and the contrast checks for tree hosts.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
+import numpy as np
 
 from .counting import SubtreeCountVector, subtree_counts
 from .errors import CertificationError, ValidationError
@@ -37,6 +42,8 @@ RESIDUAL_THRESHOLD = 1e-20
 VIETA_RELATIVE_TOLERANCE = 1e-8
 CLUSTER_TOLERANCE = 1e-7
 TREE_ROOT_BOUND = 1.0 + 3.0 ** (1.0 / 3.0)
+MAX_START_SWEEPS = 500  # complex128 Aberth sweeps before the polish takes over
+MAX_POLISH_SWEEPS = 60  # Aberth sweeps at the working precision
 
 
 @dataclass(frozen=True)
@@ -79,48 +86,6 @@ class ReversedSeries:
         return ReversedSeries(ratios=ratios, beta=exact_beta(counts))
 
 
-def _aberth(coeffs: list, tol: float, max_sweeps: int):
-    """Simultaneous root iteration; works for complex or mpc coefficients."""
-    d = len(coeffs) - 1
-    lead = coeffs[d]
-    radius = abs(coeffs[0] / lead) ** (1.0 / d)
-    if radius == 0 or not math.isfinite(float(radius)):
-        radius = 1.0
-    z = [
-        radius * cmath.exp(2j * math.pi * (j + 0.35) / d) * (1 + 0j)
-        for j in range(d)
-    ]
-    if not isinstance(lead, complex):  # mpc path keeps everything in mpmath
-        z = [mp.mpc(v.real, v.imag) for v in z]
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        worst = 0.0
-        for j in range(d):
-            zj = z[j]
-            p = coeffs[d]
-            dp = 0 * zj
-            for k in range(d - 1, -1, -1):
-                dp = dp * zj + p
-                p = p * zj + coeffs[k]
-            if p == 0:
-                continue
-            newton = p / dp if dp != 0 else p
-            repulse = 0 * zj
-            for k in range(d):
-                if k != j:
-                    dz = zj - z[k]
-                    if dz != 0:
-                        repulse += 1 / dz
-            denom = 1 - newton * repulse
-            step = newton / denom if denom != 0 else newton
-            z[j] = zj - step
-            rel = float(abs(step)) / max(float(abs(z[j])), 1e-300)
-            worst = max(worst, rel)
-        if worst < tol:
-            break
-    return z, sweeps
-
-
 @dataclass(frozen=True)
 class RootAnalysis:
     roots: tuple  # mpc values, n entries, forced 0 first
@@ -149,21 +114,112 @@ class RootAnalysis:
         }
 
 
-def _horner_pair(coeffs: Sequence, x):
-    """(p(x), p'(x)) with coefficients in ascending order."""
+def _horner(coeffs: Sequence, x):
+    """p(x) with coefficients in ascending order.
+
+    The one evaluator of this module: it serves complex128 arrays of
+    points as well as single mpmath values, and p'(x) is the same loop
+    over the coefficients k a_k.
+    """
     p = coeffs[-1]
-    dp = 0 * x
     for k in range(len(coeffs) - 2, -1, -1):
-        dp = dp * x + p
         p = p * x + coeffs[k]
-    return p, dp
+    return p
+
+
+def _scaled_ratio(num: int, den: int, shift: int) -> float:
+    """num * 2^shift / den rounded once to a double; inf past its range."""
+    if shift >= 0:
+        num <<= shift
+    else:
+        den <<= -shift
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
+def _float_start(s: Sequence[int]) -> tuple[np.ndarray, int, int]:
+    """Roots u of F(2^e u) by a vectorised complex128 Aberth iteration.
+
+    Returns (u, e, sweeps); the roots of F are y = 2^e u. The exponent
+    makes the geometric mean of the root moduli, (s_n/s_1)^(1/d), about 1,
+    so the scaled coefficients neither underflow nor overflow a double.
+    A root freezes once |F| <= 4 d 2^-52 sum |a_k| |u|^k, where the
+    computed value is rounding noise and further steps cannot help.
+    """
+    n = len(s)
+    d = n - 1
+    e = round((s[-1].bit_length() - s[0].bit_length()) / d)
+    coeffs = np.array([_scaled_ratio(s[n - 1 - k], s[-1], e * k) for k in range(n)])
+    dcoeffs = coeffs[1:] * np.arange(1, n)
+    angles = 2 * np.pi * (np.arange(d) + 0.35) / d
+    if not np.isfinite(coeffs).all():
+        return np.exp(1j * angles), e, 0  # out of double range: the polish starts cold
+    z0 = abs(coeffs[0] / coeffs[d]) ** (1.0 / d) * np.exp(1j * angles)
+    z = z0.copy()
+    active = np.arange(d)
+    tiny = 4 * d * 2.0**-52
+    sweeps = 0
+    with np.errstate(all="ignore"):
+        while active.size and sweeps < MAX_START_SWEEPS:
+            sweeps += 1
+            za = z[active]
+            p = _horner(coeffs, za)
+            dp = _horner(dcoeffs, za)
+            scale = _horner(coeffs, np.abs(za))  # the coefficients are >= 0
+            diff = za[:, None] - z[None, :]
+            diff[diff == 0] = np.inf  # itself (and an exact duplicate) repels nothing
+            newton = p / dp
+            step = newton / (1 - newton * (1 / diff).sum(axis=1))
+            moving = (np.abs(p) > tiny * scale) & np.isfinite(step)
+            z[active[moving]] = za[moving] - step[moving]
+            active = active[moving]
+    bad = ~np.isfinite(z)
+    z[bad] = z0[bad]
+    return z, e, sweeps
+
+
+def _polish(q: list, dq: list, x: list, work_bits: int) -> int:
+    """Gauss-Seidel Aberth corrections on Q (derivative dq); returns their number.
+
+    Updates x in place, in the caller's mpmath precision of work_bits,
+    each correction using the roots already corrected. A root freezes
+    when |Q(x)| <= 4 d 2^-work_bits Q(|x|) (rounding level; Q has
+    nonnegative coefficients) or its step falls below 2^-(work_bits-16)|x|.
+    Frozen roots still repel the others.
+    """
+    d = len(x)
+    tiny = 4 * d * mp.mpf(2) ** -work_bits
+    stop = mp.mpf(2) ** -(work_bits - 16)
+    active = list(range(d))
+    corrections = 0
+    for _ in range(MAX_POLISH_SWEEPS):
+        if not active:
+            break
+        still = []
+        for j in active:
+            xj = x[j]
+            val = _horner(q, xj)
+            dval = _horner(dq, xj)
+            scale = _horner(q, abs(xj))
+            if abs(val) <= tiny * scale or dval == 0:
+                continue
+            newton = val / dval
+            repulse = mp.fsum(1 / (xj - xk) for xk in x if xk != xj)
+            denom = 1 - newton * repulse
+            step = newton / denom if denom != 0 else newton
+            x[j] = xj - step
+            corrections += 1
+            if abs(step) > stop * abs(x[j]):
+                still.append(j)
+        active = still
+    return corrections
 
 
 def find_roots(
     p: SubtreePolynomial,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    max_sweeps: int = 500,
-    newton_steps: int = 60,
 ) -> RootAnalysis:
     """All roots of S(x), certified; the count equals the true degree.
 
@@ -195,45 +251,19 @@ def find_roots(
             clusters=((0j, 1),),
         )
     sn = s[-1]
-    ratios = [Fraction(s[n - 1 - k], sn) for k in range(n)]  # F(y) coefficients
-    try:
-        cs = [float(r) for r in ratios]
-        finite = all(math.isfinite(c) for c in cs)
-    except OverflowError:
-        finite = False
-    if finite:
-        y, sweeps = _aberth([complex(c) for c in cs], 1e-13, max_sweeps)
-    else:
-        with mp.workprec(work_bits):
-            y, sweeps = _aberth([mp.mpc(mp.mpf(r.numerator) / r.denominator) for r in ratios], 1e-30, max_sweeps)
-
-    iterations = sweeps
-    roots = [mp.mpc(0)]
-    residuals = [0.0]
+    u, e, sweeps = _float_start(s)
     with mp.workprec(work_bits):
         q_coeffs = [mp.mpf(c) for c in s]  # Q(x) = S(x)/x, exact at work_bits
-        stop = mp.mpf(2) ** (-(work_bits - 16))
-        for yy in y:
-            yv = mp.mpc(yy)
-            if yv == 0:
-                x = mp.mpc(1)  # degenerate iterate; let Newton sort it out
-            else:
-                x = 1 / yv
-            for _ in range(newton_steps):
-                val, dval = _horner_pair(q_coeffs, x)
-                if dval == 0 or val == 0:
-                    break
-                step = val / dval
-                x = x - step
-                iterations += 1
-                if abs(step) <= abs(x) * stop:
-                    break
-            roots.append(x)
+        dq_coeffs = [mp.mpf(k * c) for k, c in enumerate(s) if k]
+        xs = [1 / (mp.mpc(complex(uj)) * mp.mpf(2) ** e) for uj in u]  # x = 1/y
+        iterations = sweeps + _polish(q_coeffs, dq_coeffs, xs, work_bits)
+        roots = [mp.mpc(0)] + xs
+        residuals = [0.0]
         # scale-normalized residuals: |S(x)| / S(|x|), cancellation-free scale
         for x in roots[1:]:
-            val, _ = _horner_pair(q_coeffs, x)
+            val = _horner(q_coeffs, x)
             s_val = abs(x) * abs(val)
-            scale, _ = _horner_pair(q_coeffs, abs(x))
+            scale = _horner(q_coeffs, abs(x))
             scale = abs(x) * scale
             residuals.append(float(s_val / scale) if scale > 0 else float(s_val))
         vieta_product = mp.mpf(1)
@@ -245,13 +275,7 @@ def find_roots(
             zip(roots[1:], residuals[1:]), key=lambda t: (t[0].real, t[0].imag)
         )
         max_modulus = float(max(abs(x) for x in roots))
-    if any(r > RESIDUAL_THRESHOLD for r in residuals) or vieta_rel > VIETA_RELATIVE_TOLERANCE:
-        raise CertificationError(
-            f"root certification failed: max residual {max(residuals):.3e}, "
-            f"Vieta relative error {vieta_rel:.3e}",
-            roots=roots,
-            residuals=residuals,
-        )
+    _require_certified(roots, residuals, vieta_rel)
     ordered = [roots[0]] + [x for x, _ in pairs]
     ordered_residuals = (0.0,) + tuple(r for _, r in pairs)
     return RootAnalysis(
@@ -265,6 +289,23 @@ def find_roots(
         vieta_relative_error=vieta_rel,
         clusters=_cluster(ordered),
     )
+
+
+def _require_certified(roots: list, residuals: list[float], vieta_rel: float) -> None:
+    """Raise unless every residual and the Vieta error are within tolerance.
+
+    Written as "not (value <= bound)" so that a NaN fails.
+    """
+    if not all(r <= RESIDUAL_THRESHOLD for r in residuals) or not (
+        vieta_rel <= VIETA_RELATIVE_TOLERANCE
+    ):
+        worst = max(residuals, key=lambda r: (math.isnan(r), r))
+        raise CertificationError(
+            f"root certification failed: max residual {worst:.3e}, "
+            f"Vieta relative error {vieta_rel:.3e}",
+            roots=roots,
+            residuals=residuals,
+        )
 
 
 def _cluster(roots) -> tuple[tuple[complex, int], ...]:
@@ -372,9 +413,7 @@ def rouche_margin(
         max_index = 0
         witness_ok = True
         for idx, yv in enumerate(points):
-            f = coeffs[-1]
-            for k in range(n - 2, -1, -1):
-                f = f * yv + coeffs[k]
+            f = _horner(coeffs, yv)
             e = mp.exp(beta_mp * yv)
             mag = abs(e)
             if mag < floor * slack:

@@ -2,15 +2,18 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import subtree_poly_lab
-from subtree_poly_lab import generate
+from subtree_poly_lab import CertificationError, generate
+from subtree_poly_lab import cli
 from subtree_poly_lab.cli import run
 
 
@@ -112,6 +115,37 @@ def test_rouche_command(capsys):
     doc = json.loads(out)
     assert doc["result"]["witness_ok"] is True
     assert 0 <= doc["result"]["max_margin"] < 1
+
+
+def test_rouche_golden_bytes(capsys):
+    # rouche evaluates F through the shared Horner helper; the hash was
+    # taken when it still ran its own loop
+    status, out, _ = invoke(capsys, "rouche", "--graph", "complete(25)")
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "488fd76338d6a233925ce94710d03c7e5b9c536136f28db9fc257036015ef411"
+    )
+
+
+def test_certification_failure_lists_worst_iterates(monkeypatch, capsys):
+    roots = [mp.mpc(0)] + [mp.mpc(-k / 8, k / 4) for k in range(1, 8)]
+    residuals = [0.0, 1e-30, 4e-6, math.nan, 2e-21, 1e-25, 3e-3, 1e-22]
+
+    def failing(*args, **kwargs):
+        raise CertificationError("root certification failed: test", roots=roots, residuals=residuals)
+
+    monkeypatch.setattr(cli, "find_roots", failing)
+    status, out, err = invoke(capsys, "roots", "--graph", "complete(8)")
+    assert status == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0] == "certification failure: root certification failed: test"
+    assert lines[1] == "worst 5 of 8 residuals:"
+    # NaN ranks first, then by residual, largest first
+    indices = [int(line.split()[1]) for line in lines[2:]]
+    assert indices == [3, 6, 2, 4, 7]
+    assert "residual 3.000e-03" in lines[3]
+    assert lines[3].endswith("iterate (-0.75, 1.5)")
 
 
 def test_tree_check_command(capsys):

@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 from subtree_poly_lab import (
+    CertificationError,
     Graph,
     ReversedSeries,
     SubtreePolynomial,
@@ -22,7 +23,7 @@ from subtree_poly_lab import (
     subtree_counts,
     tree_root_check,
 )
-from subtree_poly_lab.polyroots import TREE_ROOT_BOUND
+from subtree_poly_lab.polyroots import TREE_ROOT_BOUND, _require_certified
 
 
 def star(n):
@@ -135,17 +136,63 @@ def test_precision_floor_enforced():
         find_roots(SubtreePolynomial(coefficients=(3, 2, 1)), precision_bits=64)
 
 
-def test_aberth_extended_precision_path():
-    # the in-mpmath sweep (used when ratios overflow doubles) must agree
-    # with the closed form too: 3 + 2y + y^2 has roots -1 +/- i sqrt(2)
-    from subtree_poly_lab.polyroots import _aberth
+def test_extended_range_closed_form():
+    # 3 + 2v + v^2 has roots v = -1 +/- i sqrt(2); with y = 2^600 v the
+    # reversed series has the ratio s_1/s_3 = 2^-1200/3, far below double
+    # range, and the roots x = 1/y must still come out to 25 digits
+    scale = 2**600
+    analysis = find_roots(SubtreePolynomial(coefficients=(1, 2 * scale, 3 * scale**2)))
+    with mp.workprec(256):
+        v = [1 / (r * scale) for r in analysis.roots[1:]]
+        for target in (mp.mpc(-1, mp.sqrt(2)), mp.mpc(-1, -mp.sqrt(2))):
+            assert min(abs(r - target) for r in v) < mp.mpf(10) ** -25
 
-    with mp.workprec(192):
-        roots, sweeps = _aberth([mp.mpc(3), mp.mpc(2), mp.mpc(1)], 1e-30, 300)
-        target = mp.mpc(-1, mp.sqrt(2))
-        best = min(abs(r - target) for r in roots)
-        assert best < mp.mpf(10) ** -25
-        assert sweeps < 300
+
+def _quadratic_roots(c, b, a):
+    # the two roots of a x^2 + b x + c (b >= 0), by the quadratic formula
+    # in its cancellation-free form q = -(b + sqrt(b^2 - 4ac))/2: q/a, c/q
+    with mp.workprec(4096):
+        q = -(b + mp.sqrt(mp.mpc(b * b - 4 * a * c))) / 2
+        return [q / a, c / q]
+
+
+@pytest.mark.parametrize(
+    "coefficients", [(1, 1, 2**1100), (2**1100, 1, 1), (1, 2**3000, 1)]
+)
+def test_quadratic_roots_past_double_range(coefficients):
+    # s_1/s_n rounds to 0 or overflows in doubles; the scaled start must not,
+    # and where no power of two brings the ratios into range (roots 2^-3000
+    # and 2^3000 apart) the polish must still get there from a cold start
+    analysis = find_roots(SubtreePolynomial(coefficients=coefficients))
+    assert analysis.vieta_relative_error <= 1e-8
+    with mp.workprec(256):
+        for target in _quadratic_roots(*coefficients):
+            assert min(abs(r - target) for r in analysis.roots[1:]) < abs(target) * mp.mpf(10) ** -40
+
+
+def test_k80_certifies_and_meets_vieta():
+    # K_80 once let two Newton iterates settle on one root (Vieta error 38)
+    counts = complete_graph_counts(80)
+    analysis = find_roots(build_polynomial(counts))
+    assert len(analysis.roots) == 80
+    assert max(analysis.residuals) <= 1e-20
+    s = counts.counts
+    with mp.workprec(256):
+        nonzero = analysis.roots[1:]
+        product = mp.fprod(abs(r) for r in nonzero)
+        assert abs(product / (mp.mpf(s[0]) / s[-1]) - 1) < 1e-8
+        total = mp.fsum(nonzero)
+        target = -mp.mpf(s[-2]) / s[-1]
+        assert abs(total - target) < 1e-8 * abs(target)
+
+
+def test_nan_residual_or_vieta_error_fails_certification():
+    roots = [mp.mpc(0), mp.mpc(-1)]
+    with pytest.raises(CertificationError):
+        _require_certified(roots, [0.0, math.nan], 0.0)
+    with pytest.raises(CertificationError):
+        _require_certified(roots, [0.0, 0.0], math.nan)
+    _require_certified(roots, [0.0, 1e-30], 1e-12)
 
 
 # -------------------------------------------------------------- root bound
