@@ -48,6 +48,7 @@ from .rng import DOMAIN_SAMPLE, stream
 from .spanning import (
     estimate_beta,
     exact_beta,
+    leaf_weight,
     verify_weight_identity,
     weight_experiment,
     wilson_sample,
@@ -271,8 +272,6 @@ def _cmd_sample(args) -> tuple[str, int]:
     if args.samples < 1:
         raise ValidationError("--samples must be positive")
     spec = ExperimentSpec("sample", source, args.seed, args.format, {"samples": args.samples})
-    from .spanning import leaf_weight
-
     trees = []
     for i in range(args.samples):
         tree = wilson_sample(graph, stream(args.seed, i, domain=DOMAIN_SAMPLE))

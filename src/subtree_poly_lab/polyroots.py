@@ -88,7 +88,7 @@ class ReversedSeries:
 
 @dataclass(frozen=True)
 class RootAnalysis:
-    roots: tuple  # mpc values, n entries, forced 0 first
+    roots: tuple  # mpc values, n entries, forced 0 first, then by real part; see _root_key
     residuals: tuple[float, ...]
     max_modulus: float
     iterations: int
@@ -271,9 +271,8 @@ def find_roots(
             vieta_product *= abs(x)
         vieta_target = mp.mpf(s[0]) / mp.mpf(sn)
         vieta_rel = float(abs(vieta_product - vieta_target) / vieta_target)
-        pairs = sorted(
-            zip(roots[1:], residuals[1:]), key=lambda t: (t[0].real, t[0].imag)
-        )
+        half_bits = work_bits // 2
+        pairs = sorted(zip(roots[1:], residuals[1:]), key=lambda t: _root_key(t[0], half_bits))
         max_modulus = float(max(abs(x) for x in roots))
     _require_certified(roots, residuals, vieta_rel)
     ordered = [roots[0]] + [x for x, _ in pairs]
@@ -289,6 +288,16 @@ def find_roots(
         vieta_relative_error=vieta_rel,
         clusters=_cluster(ordered),
     )
+
+
+def _root_key(x, half_bits: int) -> tuple:
+    """Sort key of a nonzero root: real part on a grid of |x| 2^-half_bits, then imag.
+
+    The real parts of a conjugate pair agree only up to rounding noise;
+    on the grid they tie, so the pair lists its negative imaginary part
+    first whatever the noise.
+    """
+    return int(mp.nint(mp.ldexp(x.real / abs(x), half_bits))), x.imag
 
 
 def _require_certified(roots: list, residuals: list[float], vieta_rel: float) -> None:

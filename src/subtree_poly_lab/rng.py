@@ -6,8 +6,10 @@ the stream index the high 64 bits. Independent logical streams (one per
 Monte Carlo sample, one per generated graph) therefore never share state,
 and results do not depend on how samples are distributed over workers.
 
-Bounded draws use mask rejection on raw 64-bit words, so ``randint`` is
-exactly uniform, not approximately so via floats.
+Words come straight from the bit generator's ``random_raw``, the same
+words ``Generator.integers(0, 2**64, dtype=uint64)`` returns. Bounded
+draws use mask rejection on them, so ``randint`` is exactly uniform, not
+approximately so via floats.
 """
 
 from __future__ import annotations
@@ -21,22 +23,19 @@ _BLOCK = 128
 class RandomStream:
     """Buffered uniform draws from a single bit generator."""
 
-    __slots__ = ("_gen", "_buf", "_pos")
+    __slots__ = ("_gen", "_raw", "_words")
 
     def __init__(self, generator: np.random.Generator):
         self._gen = generator
-        self._buf: list[int] = []
-        self._pos = 0
+        self._raw = generator.bit_generator.random_raw
+        self._words = iter(())
 
     def next_u64(self) -> int:
-        if self._pos >= len(self._buf):
-            self._buf = self._gen.integers(
-                0, 1 << 64, size=_BLOCK, dtype=np.uint64
-            ).tolist()
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value
+        try:
+            return next(self._words)
+        except StopIteration:
+            self._words = iter(self._raw(_BLOCK).tolist())
+            return next(self._words)
 
     def randint(self, n: int) -> int:
         """Exactly uniform integer in [0, n)."""
@@ -59,10 +58,40 @@ DOMAIN_GRAPH = 0
 DOMAIN_SAMPLE = 1
 
 
-def stream(seed: int, index: int = 0, domain: int = DOMAIN_GRAPH) -> RandomStream:
-    """Stream `index` of the family keyed by (seed, domain)."""
+def _key_high(index: int, domain: int) -> int:
     if not 0 <= index < 1 << 56:
         raise ValueError("stream index out of range")
-    high = (domain << 56) | index
-    key = (seed & _MASK64) | ((high & _MASK64) << 64)
+    return ((domain << 56) | index) & _MASK64
+
+
+def stream(seed: int, index: int = 0, domain: int = DOMAIN_GRAPH) -> RandomStream:
+    """Stream `index` of the family keyed by (seed, domain)."""
+    key = (seed & _MASK64) | (_key_high(index, domain) << 64)
     return RandomStream(np.random.Generator(np.random.Philox(key=key)))
+
+
+class StreamFamily:
+    """The streams of one (seed, domain) family, served one at a time.
+
+    ``at(index)`` draws the same words as ``stream(seed, index, domain)``
+    but re-keys one Philox through its state setter instead of building a
+    bit generator and a Generator per stream, and fills the first block
+    with `first_block` words, sized by the caller to a typical stream's
+    use. The returned stream is reused: it is valid until the next call.
+    """
+
+    def __init__(self, seed: int, domain: int, first_block: int):
+        bit_generator = np.random.Philox(key=seed & _MASK64)
+        self._bit_generator = bit_generator
+        self._state = bit_generator.state  # counter 0, empty buffer
+        self._key = self._state["state"]["key"]
+        self._domain = domain
+        self._first_block = first_block
+        self._stream = RandomStream(np.random.Generator(bit_generator))
+
+    def at(self, index: int) -> RandomStream:
+        self._key[1] = _key_high(index, self._domain)
+        self._bit_generator.state = self._state
+        rs = self._stream
+        rs._words = iter(rs._raw(self._first_block).tolist())
+        return rs

@@ -8,25 +8,38 @@ with d(v) the degree of v in the HOST graph. Averaged over uniform
 spanning trees this equals s_{n-1}/s_n exactly, which is what the
 double-counting identity check below verifies by full enumeration.
 
+Both hot paths reduce a tree to the integer pair (W, leaves), where
+W = sum over leaves v of L/d(v) and L = lcm of the host degrees, so that
+w(T) = W/L exactly and no rational is built per tree.
+
 Sampling is Wilson's algorithm (loop-erased random walks), which is
 exactly uniform. Each Monte Carlo sample runs on its own counter-keyed
 stream, so estimates are bit-identical no matter how samples are split
-across worker processes. Weights are accumulated as exact rationals;
+across worker processes. A run keeps a histogram of its (W, leaves)
+pairs, which take few distinct values (at most n on a regular host);
+moments, extremes, bound checks and tails are read from it once per
+distinct pair, and workers merge by adding histograms. Rationals and
 floats appear only in final reports.
+
+Enumeration includes and excludes edges with the tree degrees kept in
+step, so the identity check sums W per tree directly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .counting import SubtreeCountVector, spanning_tree_count, subset_spanning_tree_count
 from .errors import CapacityError, ValidationError
 from .graphs import Graph, is_connected
-from .rng import DOMAIN_SAMPLE, RandomStream, stream
+from .rng import DOMAIN_SAMPLE, RandomStream, StreamFamily
 
 DEFAULT_SPANNING_TREE_CAP = 10**6
 _CHUNKS_PER_WORKER = 4
@@ -36,8 +49,6 @@ _CHUNKS_PER_WORKER = 4
 class SpanningTree:
     n: int
     edges: frozenset[tuple[int, int]]
-    parent: tuple[int, ...]  # parent[root] = -1
-    root: int
     leaf_set: frozenset[int]
 
     @staticmethod
@@ -45,30 +56,19 @@ class SpanningTree:
         edge_set = frozenset((min(u, v), max(u, v)) for u, v in edges)
         if len(edge_set) != n - 1:
             raise ValidationError(f"a spanning tree on {n} vertices needs {n - 1} edges")
-        adjacency = [[] for _ in range(n)]
-        for u, v in edge_set:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        parent = [-2] * n
-        parent[0] = -1
-        queue = [0]
-        seen = 1
-        while queue:
-            x = queue.pop()
-            for y in adjacency[x]:
-                if parent[y] == -2:
-                    parent[y] = x
-                    seen += 1
-                    queue.append(y)
-        if seen != n:
+        forest = Graph.from_edges(n, edge_set)
+        if not is_connected(forest):
             raise ValidationError("edge set is not connected, not a spanning tree")
-        leaves = frozenset(v for v in range(n) if len(adjacency[v]) == 1)
-        return SpanningTree(
-            n=n, edges=edge_set, parent=tuple(parent), root=0, leaf_set=leaves
-        )
+        return _tree(n, edge_set, forest.degrees)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for u, w in self.edges if v in (u, w))
+
+def _tree(n: int, edges, tree_degree: Sequence[int]) -> SpanningTree:
+    """A SpanningTree from edges already known to form one."""
+    return SpanningTree(
+        n=n,
+        edges=frozenset((min(u, v), max(u, v)) for u, v in edges),
+        leaf_set=frozenset(v for v, d in enumerate(tree_degree) if d == 1),
+    )
 
 
 @dataclass(frozen=True)
@@ -100,17 +100,43 @@ class BetaEstimate:
         }
 
 
+def _leaf_scales(g: Graph) -> tuple[int, list[int]]:
+    """L = lcm of the host degrees, and L/d(v) per vertex (0 if isolated)."""
+    degrees = g.degrees
+    lcm = math.lcm(*(d for d in degrees if d))
+    return lcm, [lcm // d if d else 0 for d in degrees]
+
+
+def _leaf_form(tree_degree: Sequence[int], scale: Sequence[int]) -> tuple[int, int]:
+    """(W, leaves) of a tree: W = sum of L/d(v) over its leaves, w(T) = W/L."""
+    w = leaves = 0
+    for d, s in zip(tree_degree, scale):
+        if d == 1:
+            w += s
+            leaves += 1
+    return w, leaves
+
+
+def _parent_degrees(parent: list[int]) -> list[int]:
+    """Tree degrees of a parent array rooted at 0 (parent[0] = -1)."""
+    degree = [1] * len(parent)
+    degree[0] = 0
+    for v in range(1, len(parent)):
+        degree[parent[v]] += 1
+    return degree
+
+
 def wilson_sample(g: Graph, rng: RandomStream) -> SpanningTree:
     """One exactly-uniform spanning tree via loop-erased random walks."""
+    if not is_connected(g):
+        raise ValidationError("Wilson sampling needs a connected host graph")
     parent = _wilson_parents(g, rng)
-    edges = [(v, parent[v]) for v in range(g.n) if parent[v] >= 0]
-    return SpanningTree.from_edges(g.n, edges)
+    return _tree(g.n, [(v, parent[v]) for v in range(1, g.n)], _parent_degrees(parent))
 
 
 def _wilson_parents(g: Graph, rng: RandomStream) -> list[int]:
+    """Wilson's walks from each vertex into the tree grown from root 0."""
     n = g.n
-    if not is_connected(g):
-        raise ValidationError("Wilson sampling needs a connected host graph")
     parent = [-1] * n
     in_tree = [False] * n
     in_tree[0] = True
@@ -135,13 +161,15 @@ def leaf_weight(t: SpanningTree, g: Graph) -> WeightSample:
     """Exact rational w(T); leaf degrees taken in the host graph."""
     if t.n != g.n:
         raise ValidationError("tree and host disagree on vertex count")
+    tree_degree = [0] * t.n
     for u, v in t.edges:
         if not g.has_edge(u, v):
             raise ValidationError(f"tree edge ({u}, {v}) is not a host edge")
-    weight = Fraction(0)
-    for v in t.leaf_set:
-        weight += Fraction(1, g.degree(v))
-    return WeightSample(weight=weight, leaf_count=len(t.leaf_set))
+        tree_degree[u] += 1
+        tree_degree[v] += 1
+    lcm, scale = _leaf_scales(g)
+    w, leaves = _leaf_form(tree_degree, scale)
+    return WeightSample(weight=Fraction(w, lcm), leaf_count=leaves)
 
 
 def exact_beta(counts: SubtreeCountVector) -> Fraction:
@@ -151,131 +179,97 @@ def exact_beta(counts: SubtreeCountVector) -> Fraction:
     return Fraction(counts.s(counts.n - 1), counts.s(counts.n))
 
 
-def _sample_weight(g: Graph, rng: RandomStream) -> tuple[Fraction, int]:
-    """(w(T), |leaf set|) of one Wilson sample, skipping tree construction."""
-    parent = _wilson_parents(g, rng)
-    tree_degree = [0] * g.n
-    for v in range(g.n):
-        p = parent[v]
-        if p >= 0:
-            tree_degree[v] += 1
-            tree_degree[p] += 1
-    by_host_degree: dict[int, int] = {}
-    leaf_count = 0
-    for v in range(g.n):
-        if tree_degree[v] == 1:
-            leaf_count += 1
-            d = len(g.neighbors[v])
-            by_host_degree[d] = by_host_degree.get(d, 0) + 1
-    weight = Fraction(0)
-    for d, c in by_host_degree.items():
-        weight += Fraction(c, d)
-    return weight, leaf_count
+def _expected_draws(g: Graph) -> int:
+    """About the words one Wilson sample on connected g draws on average.
 
-
-def _weight_chunk(args) -> dict:
-    """Worker: exact partial sums over a contiguous block of sample indices."""
-    g, seed, lo, hi, keep_weights = args
-    num = 0
-    total = Fraction(0)
-    total_sq = Fraction(0)
-    min_w = None
-    max_w = None
-    leaf_hist: dict[int, int] = {}
-    violations = 0
-    weights: list[tuple[Fraction, int]] = []
+    The walks take sum_v d(v) R(v, 0) steps on average (Wilson 1996), R
+    the effective resistance: the diagonal of the inverse Laplacian
+    grounded at 0. A step at degree d draws 2^ceil(log2 d)/d words; the
+    worst degree is taken.
+    """
     n = g.n
-    delta = min(len(nb) for nb in g.neighbors)
-    upper = Fraction(n, delta) if delta > 0 else None  # 1/alpha
+    if n < 2:
+        return 1
+    adjacency = [[(bits >> u) & 1 for u in range(n)] for bits in g.adjacency_bits]
+    grounded = (np.diag(g.degrees) - np.array(adjacency, dtype=float))[1:, 1:]
+    resistance = np.diag(np.linalg.inv(grounded))
+    steps = float(np.dot(g.degrees[1:], resistance))
+    draws_per_step = max((1 << (d - 1).bit_length()) / d for d in g.degrees)
+    return math.ceil(steps * draws_per_step)
+
+
+def _weight_chunk(args) -> Counter:
+    """Worker: the (W, leaves) histogram of a contiguous block of sample indices."""
+    g, seed, lo, hi, first_block = args
+    _, scale = _leaf_scales(g)
+    streams = StreamFamily(seed, DOMAIN_SAMPLE, first_block)
+    hist: Counter = Counter()
     for i in range(lo, hi):
-        w, leaves = _sample_weight(g, stream(seed, i, domain=DOMAIN_SAMPLE))
-        num += 1
-        total += w
-        total_sq += w * w
-        if min_w is None or w < min_w:
-            min_w = w
-        if max_w is None or w > max_w:
-            max_w = w
-        leaf_hist[leaves] = leaf_hist.get(leaves, 0) + 1
-        if w < Fraction(leaves, n) or (upper is not None and w > upper):
-            violations += 1
-        if keep_weights:
-            weights.append((w, leaves))
-    return {
-        "num": num,
-        "total": total,
-        "total_sq": total_sq,
-        "min": min_w,
-        "max": max_w,
-        "leaf_hist": leaf_hist,
-        "violations": violations,
-        "weights": weights,
-    }
+        parent = _wilson_parents(g, streams.at(i))
+        hist[_leaf_form(_parent_degrees(parent), scale)] += 1
+    return hist
 
 
-def _run_weight_samples(
-    g: Graph, samples: int, seed: int, threads: int = 1, keep_weights: bool = False
-) -> dict:
+class _WeightHistogram:
+    """The samples of one run on g: how often each (W, leaves) pair occurred."""
+
+    def __init__(self, g: Graph, counts: Counter):
+        lcm, _ = _leaf_scales(g)
+        n, delta = g.n, min(g.degrees)
+        self.g, self.counts, self.lcm = g, counts, lcm
+        self.num = sum(counts.values())
+        self.total = sum(w * c for (w, _), c in counts.items())
+        self.mean = Fraction(self.total, lcm * self.num)
+        # samples outside |l(T)|/n <= w(T) <= 1/alpha = n/delta
+        self.violations = sum(
+            c for (w, leaves), c in counts.items()
+            if w * n < leaves * lcm or (delta > 0 and w * delta > n * lcm)
+        )
+        leaf_hist: Counter = Counter()
+        for (_, leaves), c in counts.items():
+            leaf_hist[leaves] += c
+        self.leaf_histogram = tuple(sorted(leaf_hist.items()))
+
+    def standard_error(self) -> float:
+        num = self.num
+        if num < 2:
+            return 0.0
+        total_sq = sum(w * w * c for (w, _), c in self.counts.items())
+        # (sum w^2 - (sum w)^2 / num) / (num - 1) with w = W/L, never negative
+        variance = Fraction(total_sq * num - self.total**2, self.lcm**2 * num * (num - 1))
+        return math.sqrt(float(variance) / num)
+
+
+def _run_weight_samples(g: Graph, samples: int, seed: int, threads: int = 1) -> _WeightHistogram:
     if samples < 1:
         raise ValidationError("sample count must be positive")
     if not is_connected(g):
         raise ValidationError("sampling requires a connected host graph")
+    first_block = _expected_draws(g)
     threads = max(1, threads)
     if threads == 1 or samples < 2 * threads:
-        chunks = [(g, seed, 0, samples, keep_weights)]
-        parts = [_weight_chunk(c) for c in chunks]
+        parts = [_weight_chunk((g, seed, 0, samples, first_block))]
     else:
         pieces = min(samples, threads * _CHUNKS_PER_WORKER)
         step = -(-samples // pieces)
         chunks = [
-            (g, seed, lo, min(lo + step, samples), keep_weights)
+            (g, seed, lo, min(lo + step, samples), first_block)
             for lo in range(0, samples, step)
         ]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_weight_chunk, chunks))
-    merged = {
-        "num": 0,
-        "total": Fraction(0),
-        "total_sq": Fraction(0),
-        "min": None,
-        "max": None,
-        "leaf_hist": {},
-        "violations": 0,
-        "weights": [],
-    }
-    for part in parts:  # exact accumulators: merge order cannot change results
-        merged["num"] += part["num"]
-        merged["total"] += part["total"]
-        merged["total_sq"] += part["total_sq"]
-        if part["min"] is not None and (merged["min"] is None or part["min"] < merged["min"]):
-            merged["min"] = part["min"]
-        if part["max"] is not None and (merged["max"] is None or part["max"] > merged["max"]):
-            merged["max"] = part["max"]
-        for k, v in part["leaf_hist"].items():
-            merged["leaf_hist"][k] = merged["leaf_hist"].get(k, 0) + v
-        merged["violations"] += part["violations"]
-        merged["weights"].extend(part["weights"])
-    return merged
+    return _WeightHistogram(g, sum(parts, Counter()))
 
 
-def _standard_error(num: int, total: Fraction, total_sq: Fraction) -> float:
-    if num < 2:
-        return 0.0
-    variance = (total_sq - total * total / num) / (num - 1)
-    if variance < 0:  # exact arithmetic: only possible at 0 by cancellation
-        variance = Fraction(0)
-    return math.sqrt(float(variance) / num)
-
-
-def _beta_from_acc(acc: dict, seed: int) -> BetaEstimate:
+def _beta_report(h: _WeightHistogram, seed: int) -> BetaEstimate:
     return BetaEstimate(
-        mean=acc["total"] / acc["num"],
-        standard_error=_standard_error(acc["num"], acc["total"], acc["total_sq"]),
-        samples=acc["num"],
+        mean=h.mean,
+        standard_error=h.standard_error(),
+        samples=h.num,
         seed=seed,
-        min_weight=acc["min"],
-        max_weight=acc["max"],
-        bound_violations=acc["violations"],
+        min_weight=Fraction(min(w for w, _ in h.counts), h.lcm),
+        max_weight=Fraction(max(w for w, _ in h.counts), h.lcm),
+        bound_violations=h.violations,
     )
 
 
@@ -287,8 +281,7 @@ def estimate_beta(g: Graph, samples: int, seed: int, threads: int = 1) -> BetaEs
     """
     if g.n < 2:
         raise ValidationError("beta estimation needs n >= 2")
-    acc = _run_weight_samples(g, samples, seed, threads)
-    return _beta_from_acc(acc, seed)
+    return _beta_report(_run_weight_samples(g, samples, seed, threads), seed)
 
 
 @dataclass(frozen=True)
@@ -318,12 +311,12 @@ class LeafCountStats:
         }
 
 
-def _leaf_stats_from_acc(acc: dict, g: Graph, seed: int, epsilon: float) -> LeafCountStats:
-    hist = tuple(sorted(acc["leaf_hist"].items()))
-    num = acc["num"]
+def _leaf_stats_report(h: _WeightHistogram, seed: int, epsilon: float) -> LeafCountStats:
+    hist = h.leaf_histogram
+    num = h.num
     mean = Fraction(sum(k * v for k, v in hist), num)
     sq = Fraction(sum(k * k * v for k, v in hist), num)
-    threshold = (math.exp(-1) - epsilon) * g.n
+    threshold = (math.exp(-1) - epsilon) * h.g.n
     below = sum(v for k, v in hist if k < threshold)
     return LeafCountStats(
         samples=num,
@@ -334,7 +327,7 @@ def _leaf_stats_from_acc(acc: dict, g: Graph, seed: int, epsilon: float) -> Leaf
         epsilon=epsilon,
         threshold=threshold,
         below_threshold_probability=below / num,
-        bound_violations=acc["violations"],
+        bound_violations=h.violations,
     )
 
 
@@ -347,8 +340,7 @@ def leaf_count_stats(
     leaves, the quantity the few-leaves lemma bounds by epsilon for large
     dense graphs.
     """
-    acc = _run_weight_samples(g, samples, seed, threads)
-    return _leaf_stats_from_acc(acc, g, seed, epsilon)
+    return _leaf_stats_report(_run_weight_samples(g, samples, seed, threads), seed, epsilon)
 
 
 @dataclass(frozen=True)
@@ -410,14 +402,16 @@ def _tail_status(tail: float, bound: float, samples: int) -> str:
     return "violation"
 
 
-def _tails_from_acc(acc: dict, g: Graph, seed: int, b_grid: Sequence[float]) -> ConcentrationReport:
-    num = acc["num"]
-    mean = acc["total"] / num
+def _tails_report(h: _WeightHistogram, seed: int, b_grid: Sequence[float]) -> ConcentrationReport:
+    g, num = h.g, h.num
     delta = min(g.degrees)
     alpha = Fraction(delta, g.n)
     rows = []
     for b in b_grid:
-        tail_count = sum(1 for w, _ in acc["weights"] if abs(w - mean) >= b)
+        # |w(T) - mean| >= b, compared exactly
+        tail_count = sum(
+            c for (w, _), c in h.counts.items() if abs(Fraction(w, h.lcm) - h.mean) >= b
+        )
         tail = tail_count / num
         bound_delta = 2.0 * math.exp(-(delta**2) * b * b / (32.0 * g.n))
         bound_alpha = 2.0 * math.exp(-float(alpha) ** 2 * b * b * g.n / 32.0)
@@ -433,11 +427,7 @@ def _tails_from_acc(acc: dict, g: Graph, seed: int, b_grid: Sequence[float]) -> 
             )
         )
     return ConcentrationReport(
-        samples=num,
-        seed=seed,
-        mean=mean,
-        rows=tuple(rows),
-        bound_violations=acc["violations"],
+        samples=num, seed=seed, mean=h.mean, rows=tuple(rows), bound_violations=h.violations
     )
 
 
@@ -461,8 +451,7 @@ def concentration_profile(
     the alpha form 2 exp(-alpha^2 b^2 n / 32) follows from delta >= alpha n.
     """
     _check_b_grid(b_grid)
-    acc = _run_weight_samples(g, samples, seed, threads, keep_weights=True)
-    return _tails_from_acc(acc, g, seed, b_grid)
+    return _tails_report(_run_weight_samples(g, samples, seed, threads), seed, b_grid)
 
 
 def weight_experiment(
@@ -482,23 +471,24 @@ def weight_experiment(
     if g.n < 2:
         raise ValidationError("the sampling battery needs n >= 2")
     _check_b_grid(b_grid)
-    acc = _run_weight_samples(g, samples, seed, threads, keep_weights=True)
+    h = _run_weight_samples(g, samples, seed, threads)
     return (
-        _beta_from_acc(acc, seed),
-        _leaf_stats_from_acc(acc, g, seed, epsilon),
-        _tails_from_acc(acc, g, seed, b_grid),
+        _beta_report(h, seed),
+        _leaf_stats_report(h, seed, epsilon),
+        _tails_report(h, seed, b_grid),
     )
 
 
-def enumerate_spanning_trees(
-    g: Graph, cap: int = DEFAULT_SPANNING_TREE_CAP
-) -> Iterator[SpanningTree]:
-    """Yield each spanning tree exactly once.
+def _spanning_tree_walk(g: Graph, cap: int) -> Iterator[tuple[list, list[int]]]:
+    """Yield (edges, tree degrees) of each spanning tree exactly once.
 
-    Recursive edge inclusion/exclusion; an edge may be excluded only if
-    the remaining edges can still connect the contracted components, so
-    every leaf of the recursion is a tree. The matrix-tree count guards
-    the cap up front and is re-verifiable against the yield count.
+    Edge inclusion/exclusion in depth-first order. An edge is excluded
+    when it closes a cycle in the forest built so far, or when it is not
+    a bridge of that forest plus the edges not yet decided, so every
+    branch ends in a tree. The forest is kept as adjacency bitmasks and
+    tree degrees, rolled back in step. Both yielded lists are shared and
+    change at the next step. The matrix-tree count guards the cap up
+    front and is re-verifiable against the yield count.
     """
     if not is_connected(g):
         raise ValidationError("spanning-tree enumeration needs a connected graph")
@@ -506,70 +496,68 @@ def enumerate_spanning_trees(
     if total > cap:
         raise CapacityError(f"{total} spanning trees exceed the enumeration cap {cap}")
     n = g.n
-    if n == 1:
-        yield SpanningTree.from_edges(1, [])
-        return
     edges = g.edges()
-    m = len(edges)
-
-    parent = list(range(n))  # union by size, no path compression: rollback-able
-    size = [1] * n
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def can_complete(idx: int) -> bool:
-        roots = {find(v) for v in range(n)}
-        if len(roots) == 1:
-            return True
-        aux = {r: r for r in roots}
-
-        def afind(x: int) -> int:
-            while aux[x] != x:
-                aux[x] = aux[aux[x]]
-                x = aux[x]
-            return x
-
-        remaining = len(roots)
-        for u, v in edges[idx:]:
-            ru, rv = afind(find(u)), afind(find(v))
-            if ru != rv:
-                aux[ru] = rv
-                remaining -= 1
-                if remaining == 1:
-                    return True
-        return False
-
+    suffix = [[0] * n]  # suffix[i][v]: neighbours of v over edges[i:], as bits
+    for u, v in reversed(edges):
+        row = list(suffix[-1])
+        row[u] |= 1 << v
+        row[v] |= 1 << u
+        suffix.append(row)
+    suffix.reverse()
+    forest = [0] * n  # adjacency bitmasks of the included edges
+    tree_degree = [0] * n
     included: list[tuple[int, int]] = []
 
-    def rec(idx: int, components: int):
-        if components == 1:
-            yield SpanningTree.from_edges(n, tuple(included))
-            return
-        if idx == m:
-            return
-        u, v = edges[idx]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            yield from rec(idx + 1, components)  # cycle edge: forced exclude
-            return
-        # include
-        if size[ru] < size[rv]:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        size[ru] += size[rv]
-        included.append((u, v))
-        yield from rec(idx + 1, components - 1)
-        included.pop()
-        size[ru] -= size[rv]
-        parent[rv] = rv
-        # exclude, unless this edge is the last hope of connecting
-        if can_complete(idx + 1):
-            yield from rec(idx + 1, components)
+    def joined(u: int, v: int, rest: list[int]) -> bool:
+        """Whether the forest plus the edges in `rest` connects u to v."""
+        seen = frontier = 1 << u
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                w = low.bit_length() - 1
+                reach |= rest[w] | forest[w]
+                frontier ^= low
+            if (reach >> v) & 1:
+                return True
+            frontier = reach & ~seen
+            seen |= frontier
+        return False
 
-    yield from rec(0, n)
+    todo = [(0, n, False)]
+    while todo:
+        idx, components, undo = todo.pop()
+        if undo:  # back from including edges[idx]: undo, then exclude it unless a bridge
+            u, v = included.pop()
+            forest[u] ^= 1 << v
+            forest[v] ^= 1 << u
+            tree_degree[u] -= 1
+            tree_degree[v] -= 1
+            if joined(u, v, suffix[idx + 1]):
+                todo.append((idx + 1, components, False))
+            continue
+        if components == 1:
+            yield included, tree_degree
+            continue
+        u, v = edges[idx]
+        while joined(u, v, suffix[-1]):  # a cycle edge; a crossing edge remains, as the rest connects
+            idx += 1
+            u, v = edges[idx]
+        forest[u] |= 1 << v
+        forest[v] |= 1 << u
+        tree_degree[u] += 1
+        tree_degree[v] += 1
+        included.append((u, v))
+        todo.append((idx, components, True))
+        todo.append((idx + 1, components - 1, False))
+
+
+def enumerate_spanning_trees(
+    g: Graph, cap: int = DEFAULT_SPANNING_TREE_CAP
+) -> Iterator[SpanningTree]:
+    """Yield each spanning tree exactly once (see _spanning_tree_walk)."""
+    for edges, tree_degree in _spanning_tree_walk(g, cap):
+        yield _tree(g.n, edges, tree_degree)
 
 
 @dataclass(frozen=True)
@@ -593,22 +581,24 @@ class WeightIdentityReport:
 def verify_weight_identity(
     g: Graph, cap: int = DEFAULT_SPANNING_TREE_CAP
 ) -> WeightIdentityReport:
-    """Check sum_{T} w(T) = s_{n-1}(G) with exact rational arithmetic.
+    """Check sum_{T} w(T) = s_{n-1}(G) exactly.
 
-    The left side enumerates every spanning tree and adds its leaf
-    weight; the right side computes s_{n-1} as the sum of matrix-tree
-    counts of the vertex-deleted subgraphs, a fully independent route.
+    The left side enumerates every spanning tree and adds its scaled
+    leaf weight W, dividing by L once; the right side computes s_{n-1}
+    as the sum of matrix-tree counts of the vertex-deleted subgraphs, a
+    fully independent route.
     """
     n = g.n
     if n == 1:
         return WeightIdentityReport(
             n=1, tree_count=1, weight_sum=Fraction(0), s_n_minus_1=0, equal=True
         )
-    weight_sum = Fraction(0)
-    tree_count = 0
-    for tree in enumerate_spanning_trees(g, cap=cap):
-        weight_sum += leaf_weight(tree, g).weight
+    lcm, scale = _leaf_scales(g)
+    scaled_sum = tree_count = 0
+    for _, tree_degree in _spanning_tree_walk(g, cap):
+        scaled_sum += _leaf_form(tree_degree, scale)[0]
         tree_count += 1
+    weight_sum = Fraction(scaled_sum, lcm)
     s_n_minus_1 = 0
     for v in range(n):
         rest = [u for u in range(n) if u != v]

@@ -266,6 +266,32 @@ def test_counts_edge_list_golden_bytes(tmp_path, monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("experiment --graph complete(15) --samples 2000 --seed 1",
+         "9ac62bef041158fb09e199d4983abef73df6d0085f858620e7063eccbf8cc07c"),
+        # a non-regular host, where L = lcm of the degrees exceeds every degree
+        ("experiment --graph gnp(10,0.6) --samples 500 --seed 4",
+         "56ba22f645f961f72b48a8cfde159148ad8c6838de98b0e4c33f7df0cfa79164"),
+        ("experiment --graph complete(7) --samples 400 --seed 11 --threads 2",
+         "6cd86701344a9da0ccd2c37a8e26deae4e477a774228fecd5ce58cd49c61cb67"),
+        ("sample --graph complete(6) --samples 3 --seed 2",
+         "5fab09c10a527d810b820bc8d1911ea0c0fcabe998730dd60acb5e965aea587e"),
+        ("sample --graph gnp(8,0.6) --samples 3 --seed 5",
+         "d3bff28a4b88687ea5d925ec741e21da124ff28f3ba90c215080d4294be412b0"),
+        ("verify --graph complete_minus_perfect_matching(8)",
+         "bdda2990eed8a4caacc67219e7dd081e3a707e578f2bdac7d1f36c03a93d335e"),
+    ],
+)
+def test_spanning_commands_golden_bytes(capsys, argv, digest):
+    # hashes taken when weights were accumulated as per-sample Fractions on
+    # a fresh Generator per sample; the integer kernel must print the same bytes
+    status, out, _ = invoke(capsys, *argv.split())
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_complete_family_routes_through_closed_form(capsys):
     # complete -graph requests use the closed form, so the enumeration cap
     # does not apply to them

@@ -23,7 +23,7 @@ from subtree_poly_lab import (
     subtree_counts,
     tree_root_check,
 )
-from subtree_poly_lab.polyroots import TREE_ROOT_BOUND, _require_certified
+from subtree_poly_lab.polyroots import TREE_ROOT_BOUND, _require_certified, _root_key
 
 
 def star(n):
@@ -116,6 +116,31 @@ def test_conjugate_symmetry():
         pool = [complex(r) for r in analysis.roots]
         for r in pool:
             assert min(abs(r.conjugate() - q) for q in pool) < 1e-18
+
+
+def test_conjugate_pair_order_ignores_noise_in_real_parts():
+    # the two real parts of a pair agree only up to rounding noise; the
+    # order must not depend on which of them the noise makes larger
+    with mp.workprec(256):
+        re, im = mp.mpf("-0.1180347582202573965633483"), mp.mpf("0.37")
+        for noise in (mp.ldexp(re, -240), -mp.ldexp(re, -240)):
+            pair = [mp.mpc(re + noise, im), mp.mpc(re, -im)]
+            for candidates in (pair, pair[::-1]):
+                ordered = sorted(candidates, key=lambda x: _root_key(x, 128))
+                assert [x.imag for x in ordered] == [-im, im]
+
+
+def test_roots_list_each_pair_negative_imaginary_first():
+    for n in (12, 40):
+        roots = find_roots(build_polynomial(complete_graph_counts(n))).roots[1:]
+        i = 0
+        while i < len(roots):
+            x = roots[i]
+            if abs(x.imag) <= 1e-30 * abs(x):  # a real root
+                i += 1
+                continue
+            assert x.imag < 0 and abs(roots[i + 1] - mp.conj(x)) < 1e-12 * abs(x)
+            i += 2
 
 
 def test_vieta_product_value():

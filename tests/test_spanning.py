@@ -5,7 +5,10 @@ from fractions import Fraction
 from itertools import product
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subtree_poly_lab import (
     CapacityError,
@@ -27,7 +30,8 @@ from subtree_poly_lab import (
     weight_experiment,
     wilson_sample,
 )
-from subtree_poly_lab.rng import DOMAIN_SAMPLE, stream
+from subtree_poly_lab.rng import DOMAIN_SAMPLE, RandomStream, StreamFamily, stream
+from subtree_poly_lab.spanning import _expected_draws
 
 
 def chi2_sf(stat, df):
@@ -328,3 +332,135 @@ def test_weight_bounds_exact_on_samples():
             tree = wilson_sample(g, stream(seed, i, DOMAIN_SAMPLE))
             sample = leaf_weight(tree, g)
             assert Fraction(sample.leaf_count, g.n) <= sample.weight <= upper
+
+
+# ---------------------------------------------------------------- rng pins
+
+
+class _CountingStream(RandomStream):
+    __slots__ = ("steps", "draws")
+
+    def __init__(self, generator):
+        super().__init__(generator)
+        self.steps = 0
+        self.draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        return RandomStream.next_u64(self)
+
+    def randint(self, n):
+        self.steps += 1
+        return RandomStream.randint(self, n)
+
+
+def test_wilson_draw_counts_pinned():
+    # one randint per walk step, each through next_u64; counts of the
+    # Generator.integers fill, which random_raw must reproduce word for word
+    g = generate("complete(15)")
+    steps = draws = 0
+    for i in range(200):
+        rs = _CountingStream(stream(1, i, DOMAIN_SAMPLE)._gen)
+        wilson_sample(g, rs)
+        steps += rs.steps
+        draws += rs.draws
+    assert (steps, draws) == (4829, 5520)
+
+
+@pytest.mark.parametrize("seed, index", [(1, 0), (2**64 - 1, 12345), (7, 2**56 - 1)])
+def test_rekeyed_stream_matches_fresh_stream(seed, index):
+    family = StreamFamily(seed, DOMAIN_SAMPLE, first_block=7)  # refills inside 300 words
+    family.at(3).next_u64()  # the words left from a previous key are dropped
+    rekeyed = family.at(index)
+    fresh = stream(seed, index, DOMAIN_SAMPLE)
+    words = [rekeyed.next_u64() for _ in range(300)]
+    assert words == [fresh.next_u64() for _ in range(300)]
+    # the same words as the Generator.integers fill streams used before random_raw
+    key = seed | ((DOMAIN_SAMPLE << 56 | index) << 64)
+    reference = np.random.Generator(np.random.Philox(key=key))
+    assert words == reference.integers(0, 2**64, size=300, dtype=np.uint64).tolist()
+
+
+def test_stream_index_range_checked():
+    with pytest.raises(ValueError):
+        stream(1, 2**56, DOMAIN_SAMPLE)
+    with pytest.raises(ValueError):
+        StreamFamily(1, DOMAIN_SAMPLE, first_block=8).at(-1)
+
+
+# ------------------------------------------------------ the Fraction oracle
+
+
+def _fraction_oracle(g, samples, seed, b_grid):
+    """Per-sample exact rationals, accumulated the direct way."""
+    weights = [
+        leaf_weight(wilson_sample(g, stream(seed, i, DOMAIN_SAMPLE)), g) for i in range(samples)
+    ]
+    total = sum((s.weight for s in weights), Fraction(0))
+    total_sq = sum((s.weight * s.weight for s in weights), Fraction(0))
+    mean = total / samples
+    variance = (total_sq - total * total / samples) / (samples - 1)
+    upper = Fraction(g.n, min(g.degrees))
+    leaf_hist = {}
+    for s in weights:
+        leaf_hist[s.leaf_count] = leaf_hist.get(s.leaf_count, 0) + 1
+    return {
+        "mean": mean,
+        "standard_error": math.sqrt(float(variance) / samples),
+        "min": min(s.weight for s in weights),
+        "max": max(s.weight for s in weights),
+        "violations": sum(
+            1 for s in weights if s.weight < Fraction(s.leaf_count, g.n) or s.weight > upper
+        ),
+        "leaf_hist": tuple(sorted(leaf_hist.items())),
+        "tails": [sum(1 for s in weights if abs(s.weight - mean) >= b) for b in b_grid],
+    }
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    p=st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+    seed=st.integers(0, 10**6),
+)
+def test_integer_kernel_matches_fraction_oracle(n, p, seed):
+    g, _ = generate_connected(f"gnp({n},{p})", seed=seed)
+    identity = verify_weight_identity(g)
+    assert identity.weight_sum == sum(
+        (leaf_weight(t, g).weight for t in enumerate_spanning_trees(g)), Fraction(0)
+    )
+    assert identity.equal
+    b_grid = [0.05, 0.2, 0.5]
+    beta, leaves, tails = weight_experiment(g, 60, seed, b_grid)
+    oracle = _fraction_oracle(g, 60, seed, b_grid)
+    assert beta.mean == oracle["mean"] == tails.mean
+    assert beta.standard_error == oracle["standard_error"]
+    assert (beta.min_weight, beta.max_weight) == (oracle["min"], oracle["max"])
+    assert beta.bound_violations == oracle["violations"] == 0
+    assert leaves.histogram == oracle["leaf_hist"]
+    assert [row.tail_count for row in tails.rows] == oracle["tails"]
+
+
+def test_tail_count_includes_deviation_equal_to_b():
+    # on K_5 every w(T) = leaves/4 and the mean of 16 samples is dyadic, so
+    # a grid of the deviations themselves has |w - mean| == b exactly
+    g = generate("complete(5)")
+    weights = [
+        leaf_weight(wilson_sample(g, stream(3, i, DOMAIN_SAMPLE)), g).weight for i in range(16)
+    ]
+    mean = sum(weights, Fraction(0)) / 16
+    deviations = {abs(w - mean) for w in weights} - {0}
+    b_grid = sorted(float(d) for d in deviations)
+    assert b_grid and all(Fraction(b) in deviations for b in b_grid)
+    _, _, tails = weight_experiment(g, 16, 3, b_grid)
+    assert [row.tail_count for row in tails.rows] == _fraction_oracle(g, 16, 3, b_grid)["tails"]
+
+
+def test_expected_draws_closed_forms():
+    # Wilson's mean walk length sum_v d(v) R(v, 0): 2 (n-1)^2 / n on K_n,
+    # (n-1)^2 on a path rooted at an end; K_n draws 2^ceil(log2(n-1))/(n-1) words a step
+    for n in (5, 15):
+        words = 2 * (n - 1) ** 2 / n * (1 << (n - 2).bit_length()) / (n - 1)
+        assert abs(_expected_draws(generate(f"complete({n})")) - words) <= 1
+    assert abs(_expected_draws(generate("path(9)")) - 64) <= 1
+    assert _expected_draws(Graph.from_edges(1, [])) == 1
