@@ -6,6 +6,10 @@ spec and the artifact version, so a run is reproducible from its own
 output. Exit codes: 0 success, 1 validation error, 2 capacity error,
 3 certification/assertion failure.
 
+Commands are rows of two tables, `_COMMANDS` (graph commands) and
+`_SWEEP` (sweep rows); `_render` is the one place that writes either
+format, and the help text's CSV columns are read from the tables.
+
 The --threads flag caps module parallelism; it is an execution knob, not
 part of the experiment spec, and never changes results or output bytes.
 """
@@ -19,8 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
@@ -29,9 +31,9 @@ from .counting import (
     DEFAULT_ENUMERATION_CAP,
     MAX_BITMASK_VERTICES,
     check_ratio_inequalities,
-    complete_graph_counts,
+    closed_form_counts,
+    counts_for,
     spanning_tree_count,
-    subtree_counts,
 )
 from .errors import CapacityError, CertificationError, SubtreeLabError, ValidationError
 from .graphs import (
@@ -64,43 +66,13 @@ graph sources:
   edge-list format (header "n m", then m lines "u v", 0 <= u < v < n).
 
 CSV columns (fixed per command):
-  counts:     k,s_k
-  beta:       n,estimate,standard_error,samples,seed
-  sample:     index,weight,leaf_count,edges
-  roots:      index,re,im,residual,modulus
-  rouche:     n,C,radius,beta,max_margin,witness_ok
-  poisson:    k,dev,dev_exact
-  verify:     check,index,lhs,rhs,passed
-  tree-check: n,max_modulus,bound,within_bound,annulus_ok
-  experiment: b,tail_count,empirical_tail,bound_min_degree,bound_alpha_form,status
-  sweep:      per inner command, see --help of sweep
+{columns}  sweep:      per inner command, see --help of sweep
 
 environment:
   SUBTREE_POLY_LAB_THREADS sets the default --threads value.
 
 exit codes: 0 ok, 1 validation error, 2 capacity error, 3 assertion failure.
 """
-
-
-@dataclass
-class ExperimentSpec:
-    """Resolved run description, echoed verbatim into every output document."""
-
-    command: str
-    graph_source: str | None
-    seed: int
-    output_format: str
-    parameters: dict
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "command": self.command,
-            "graph": self.graph_source,
-            "seed": self.seed,
-            "format": self.output_format,
-        }
-        doc.update(self.parameters)
-        return doc
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -110,12 +82,25 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _thread_count(text: str) -> int:
+    """--threads, or its default from the environment: a positive integer."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise ValidationError(
+        f"--threads (default from {THREADS_ENV}) must be a positive integer, got {text!r}"
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    columns = "".join(f"  {name + ':':<12}{header}\n" for name, (_, header) in _COMMANDS.items())
     parser = _ArgumentParser(
         prog="subtree-poly-lab",
         description="Subtree-count vectors, spanning-tree experiments, and "
         "subtree-polynomial root diagnostics.",
-        epilog=_EPILOG,
+        epilog=_EPILOG.format(columns=columns),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"subtree-poly-lab {__version__}")
@@ -129,10 +114,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
+    # a string default goes through the type check only when the flag is absent
     common.add_argument(
         "--threads",
-        type=int,
-        default=int(os.environ.get(THREADS_ENV, "1")),
+        type=_thread_count,
+        default=os.environ.get(THREADS_ENV, "1"),
         help="cap on module parallelism (execution knob, results unchanged)",
     )
 
@@ -179,16 +165,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep",
         parents=[common, caps],
         help="one CSV row per n for a family template",
-        description="CSV columns: counts -> n,m,s_n,beta; beta -> n,estimate,"
-        "standard_error,samples,seed; roots -> n,max_modulus,vieta_relative_error,"
-        "iterations; rouche -> n,radius,beta,max_margin,witness_ok; "
-        "poisson -> n,dev_0..dev_kmax,max_abs_dev",
+        description="CSV columns: "
+        + "; ".join(f"{name} -> {header}" for name, (_, header) in _SWEEP.items()),
     )
     p.add_argument("--family", required=True, help="complete, cycle, path, random_tree, gnp")
     p.add_argument("--p", type=float, default=0.5, help="edge probability for gnp sweeps")
     p.add_argument("--n-list", required=True, help="comma-separated vertex counts, may be empty")
-    p.add_argument("--command", required=True, dest="inner",
-                   choices=("counts", "beta", "roots", "rouche", "poisson"))
+    p.add_argument("--command", required=True, dest="inner", choices=tuple(_SWEEP))
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--C", type=float, default=7.0)
     p.add_argument("--circle-points", type=int, default=256)
@@ -207,71 +190,65 @@ def _load_graph(args) -> tuple[Graph, FamilySpec | None, str]:
     raise ValidationError("a graph source is required: --graph or --edge-list")
 
 
-def _counts_for(graph: Graph, family: FamilySpec | None, cap: int):
-    # complete-family requests use the closed form: exact, and not limited
-    # by the enumeration cap (the two agree wherever both run)
-    if family is not None and family.name == "complete":
-        return complete_graph_counts(family.args[0])
-    return subtree_counts(graph, cap=cap)
+def _spec(args, source: str | None, output_format: str, params: dict) -> dict:
+    """Resolved run description, echoed verbatim into every output document."""
+    return {"command": args.command, "graph": source, "seed": args.seed,
+            "format": output_format, **params}
 
 
-def _document(spec: ExperimentSpec, result: dict) -> str:
-    doc = {
-        "artifact": "subtree-poly-lab",
-        "version": __version__,
-        "spec": spec.to_json_dict(),
-        "result": result,
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _csv_table(spec: ExperimentSpec, header: list[str], rows: list[list]) -> str:
+def _render(spec: dict, header: list[str], result: dict | None, rows: list[list]) -> str:
+    """The JSON document or the CSV table, whichever spec["format"] names."""
+    if spec["format"] == "json":
+        doc = {"artifact": "subtree-poly-lab", "version": __version__, "spec": spec, "result": result}
+        return json.dumps(doc, indent=2) + "\n"
     out = io.StringIO()
-    out.write(f"# subtree-poly-lab {__version__} spec={json.dumps(spec.to_json_dict())}\n")
+    out.write(f"# subtree-poly-lab {__version__} spec={json.dumps(spec)}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue()
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
+def _mp_str(x) -> str:
+    return mp.nstr(x, 20)
 
 
-def _cmd_counts(args) -> tuple[str, int]:
-    graph, family, source = _load_graph(args)
-    counts = _counts_for(graph, family, args.cap)
-    spec = ExperimentSpec("counts", source, args.seed, args.format, {"cap": args.cap})
-    if args.format == "csv":
-        rows = [[k, str(counts.s(k))] for k in range(1, counts.n + 1)]
-        return _csv_table(spec, ["k", "s_k"], rows), 0
+def _parse_list(text: str, convert, name: str, kind: str) -> list:
+    try:
+        return [convert(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValidationError(f"bad {name} {text!r}, expected comma-separated {kind}")
+
+
+def _cmd_counts(args, graph, family):
+    counts = counts_for(graph, family, args.cap)
     result = counts.to_json_dict()
     result["fingerprint"] = counts.fingerprint
     result["connected"] = counts.s(counts.n) > 0
-    return _document(spec, result), 0
+    rows = [[k, str(counts.s(k))] for k in range(1, counts.n + 1)]
+    return {"cap": args.cap}, result, rows
 
 
-def _cmd_beta(args) -> tuple[str, int]:
-    graph, family, source = _load_graph(args)
-    estimate = estimate_beta(graph, args.samples, args.seed, threads=args.threads)
-    spec = ExperimentSpec("beta", source, args.seed, args.format, {"samples": args.samples})
+def _estimate_beta(args, graph):
+    """The estimate and its CSV row, shared by `beta` and the beta sweep."""
+    est = estimate_beta(graph, args.samples, args.seed, threads=args.threads)
+    return est, [graph.n, repr(float(est.mean)), repr(est.standard_error), est.samples, est.seed]
+
+
+def _cmd_beta(args, graph, family):
+    estimate, row = _estimate_beta(args, graph)
     result = estimate.to_json_dict()
-    if family is not None and family.name == "complete":
-        exact = exact_beta(complete_graph_counts(family.args[0]))
+    closed = closed_form_counts(family)
+    if closed is not None:
+        exact = exact_beta(closed)
         result["exact"] = float(exact)
-        result["exact_fraction"] = _fraction_str(exact)
-    if args.format == "csv":
-        rows = [[graph.n, repr(float(estimate.mean)), repr(estimate.standard_error),
-                 estimate.samples, estimate.seed]]
-        return _csv_table(spec, ["n", "estimate", "standard_error", "samples", "seed"], rows), 0
-    return _document(spec, result), 0
+        result["exact_fraction"] = str(exact)
+    return {"samples": args.samples}, result, [row]
 
 
-def _cmd_sample(args) -> tuple[str, int]:
-    graph, _, source = _load_graph(args)
+def _cmd_sample(args, graph, family):
     if args.samples < 1:
         raise ValidationError("--samples must be positive")
-    spec = ExperimentSpec("sample", source, args.seed, args.format, {"samples": args.samples})
     trees = []
     for i in range(args.samples):
         tree = wilson_sample(graph, stream(args.seed, i, domain=DOMAIN_SAMPLE))
@@ -282,92 +259,61 @@ def _cmd_sample(args) -> tuple[str, int]:
                 "edges": [[u, v] for u, v in sorted(tree.edges)],
                 "leaf_set": sorted(tree.leaf_set),
                 "leaf_count": sample.leaf_count,
-                "weight": _fraction_str(sample.weight),
+                "weight": str(sample.weight),
             }
         )
-    if args.format == "csv":
-        rows = [
-            [t["index"], t["weight"], t["leaf_count"],
-             ";".join(f"{u}-{v}" for u, v in t["edges"])]
-            for t in trees
-        ]
-        return _csv_table(spec, ["index", "weight", "leaf_count", "edges"], rows), 0
-    return _document(spec, {"trees": trees}), 0
+    rows = [
+        [t["index"], t["weight"], t["leaf_count"], ";".join(f"{u}-{v}" for u, v in t["edges"])]
+        for t in trees
+    ]
+    return {"samples": args.samples}, {"trees": trees}, rows
 
 
-def _mp_str(x) -> str:
-    return mp.nstr(x, 20)
-
-
-def _cmd_roots(args) -> tuple[str, int]:
-    graph, family, source = _load_graph(args)
-    counts = _counts_for(graph, family, args.cap)
+def _cmd_roots(args, graph, family):
+    counts = counts_for(graph, family, args.cap)
     analysis = find_roots(build_polynomial(counts), precision_bits=args.precision_bits)
-    spec = ExperimentSpec(
-        "roots", source, args.seed, args.format,
-        {"cap": args.cap, "precision_bits": args.precision_bits},
-    )
-    if args.format == "csv":
-        rows = [
-            [i, _mp_str(r.real), _mp_str(r.imag), repr(res), _mp_str(abs(r))]
-            for i, (r, res) in enumerate(zip(analysis.roots, analysis.residuals))
-        ]
-        return _csv_table(spec, ["index", "re", "im", "residual", "modulus"], rows), 0
-    return _document(spec, analysis.to_json_dict()), 0
+    rows = [
+        [i, _mp_str(r.real), _mp_str(r.imag), repr(res), _mp_str(abs(r))]
+        for i, (r, res) in enumerate(zip(analysis.roots, analysis.residuals))
+    ]
+    params = {"cap": args.cap, "precision_bits": args.precision_bits}
+    return params, analysis.to_json_dict(), rows
 
 
-def _cmd_rouche(args) -> tuple[str, int]:
-    graph, family, source = _load_graph(args)
-    counts = _counts_for(graph, family, args.cap)
-    alpha = degree_profile(graph).alpha
+def _cmd_rouche(args, graph, family):
+    counts = counts_for(graph, family, args.cap)
     report = rouche_margin(
-        counts, alpha, C=args.C, circle_points=args.circle_points,
+        counts, degree_profile(graph).alpha, C=args.C, circle_points=args.circle_points,
         precision_bits=args.precision_bits,
     )
-    spec = ExperimentSpec(
-        "rouche", source, args.seed, args.format,
-        {"C": args.C, "circle_points": args.circle_points, "cap": args.cap,
-         "precision_bits": args.precision_bits},
-    )
-    status = 0 if report.witness_ok else 3
-    if args.format == "csv":
-        rows = [[report.n, repr(report.C), repr(report.radius), repr(float(report.beta)),
-                 repr(report.max_margin), report.witness_ok]]
-        return _csv_table(spec, ["n", "C", "radius", "beta", "max_margin", "witness_ok"], rows), status
-    return _document(spec, report.to_json_dict()), status
+    params = {"C": args.C, "circle_points": args.circle_points, "cap": args.cap,
+              "precision_bits": args.precision_bits}
+    rows = [[report.n, repr(report.C), repr(report.radius), repr(float(report.beta)),
+             repr(report.max_margin), report.witness_ok]]
+    return params, report.to_json_dict(), rows, 0 if report.witness_ok else 3
 
 
-def _cmd_poisson(args) -> tuple[str, int]:
-    graph, family, source = _load_graph(args)
-    counts = _counts_for(graph, family, args.cap)
+def _cmd_poisson(args, graph, family):
+    counts = counts_for(graph, family, args.cap)
     if args.k_max >= counts.n:
         raise ValidationError(f"--k-max must be below n = {counts.n}")
     devs = poisson_deviation(counts, args.k_max)
-    spec = ExperimentSpec(
-        "poisson", source, args.seed, args.format, {"k_max": args.k_max, "cap": args.cap}
-    )
-    if args.format == "csv":
-        rows = [[k, repr(float(d)), _fraction_str(d)] for k, d in enumerate(devs)]
-        return _csv_table(spec, ["k", "dev", "dev_exact"], rows), 0
     result = {
         "k_max": args.k_max,
         "deviations": [float(d) for d in devs],
-        "deviations_exact": [_fraction_str(d) for d in devs],
+        "deviations_exact": [str(d) for d in devs],
     }
-    return _document(spec, result), 0
+    rows = [[k, repr(float(d)), str(d)] for k, d in enumerate(devs)]
+    return {"k_max": args.k_max, "cap": args.cap}, result, rows
 
 
-def _cmd_verify(args) -> tuple[str, int]:
-    graph, family, source = _load_graph(args)
-    spec = ExperimentSpec("verify", source, args.seed, args.format,
-                          {"cap": args.cap, "tree_cap": args.tree_cap})
-    connected = is_connected(graph)
-    if not connected:
+def _cmd_verify(args, graph, family):
+    params = {"cap": args.cap, "tree_cap": args.tree_cap}
+    if not is_connected(graph):
         # the identities under test assume a connected host: flag and stop
-        result = {"connected": False, "checks_run": False}
         print("input graph is disconnected; verification checks skipped", file=sys.stderr)
-        return _document(spec, result), 1
-    counts = _counts_for(graph, family, args.cap)
+        return params, {"connected": False, "checks_run": False}, [], 1
+    counts = counts_for(graph, family, args.cap)
     profile = degree_profile(graph)
     identity = verify_weight_identity(graph, cap=args.tree_cap)
     inequalities = check_ratio_inequalities(counts, profile.alpha, profile.min_degree)
@@ -387,83 +333,105 @@ def _cmd_verify(args) -> tuple[str, int]:
         "base_checks": base_checks,
         "all_passed": ok,
     }
-    if args.format == "csv":
-        rows = [["weight_identity", "", str(identity.weight_sum), str(identity.s_n_minus_1), identity.equal]]
-        rows += [["base:" + name, "", "", "", passed] for name, passed in base_checks.items()]
-        rows += [
-            [c.kind, c.index, str(c.lhs), str(c.rhs), c.passed]
-            for c in inequalities.checks
-        ]
-        return _csv_table(spec, ["check", "index", "lhs", "rhs", "passed"], rows), 0 if ok else 3
-    return _document(spec, result), 0 if ok else 3
+    rows = [["weight_identity", "", str(identity.weight_sum), str(identity.s_n_minus_1), identity.equal]]
+    rows += [["base:" + name, "", "", "", passed] for name, passed in base_checks.items()]
+    rows += [[c.kind, c.index, str(c.lhs), str(c.rhs), c.passed] for c in inequalities.checks]
+    return params, result, rows, 0 if ok else 3
 
 
-def _cmd_tree_check(args) -> tuple[str, int]:
-    graph, _, source = _load_graph(args)
+def _cmd_tree_check(args, graph, family):
     report = tree_root_check(graph, tolerance=args.tolerance)
-    spec = ExperimentSpec("tree-check", source, args.seed, args.format,
-                          {"tolerance": args.tolerance})
-    status = 0 if report.within_bound else 3
-    if args.format == "csv":
-        rows = [[report.n, repr(report.max_modulus), repr(report.bound),
-                 report.within_bound, report.annulus_ok]]
-        return _csv_table(spec, ["n", "max_modulus", "bound", "within_bound", "annulus_ok"], rows), status
-    return _document(spec, report.to_json_dict()), status
+    rows = [[report.n, repr(report.max_modulus), repr(report.bound),
+             report.within_bound, report.annulus_ok]]
+    return {"tolerance": args.tolerance}, report.to_json_dict(), rows, 0 if report.within_bound else 3
 
 
-def _parse_grid(text: str) -> list[float]:
-    try:
-        grid = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise ValidationError(f"bad b-grid {text!r}, expected comma-separated reals")
-    if not grid:
+def _cmd_experiment(args, graph, family):
+    b_grid = _parse_list(args.b_grid, float, "b-grid", "reals")
+    if not b_grid:
         raise ValidationError("b-grid must be nonempty")
-    return grid
-
-
-def _cmd_experiment(args) -> tuple[str, int]:
-    graph, _, source = _load_graph(args)
-    b_grid = _parse_grid(args.b_grid)
     beta_report, leaf_report, tails = weight_experiment(
         graph, args.samples, args.seed, b_grid, args.epsilon, threads=args.threads
     )
-    spec = ExperimentSpec(
-        "experiment", source, args.seed, args.format,
-        {"samples": args.samples, "b_grid": b_grid, "epsilon": args.epsilon},
-    )
-    if args.format == "csv":
-        rows = [
-            [r.b, r.tail_count, repr(r.empirical_tail), repr(r.bound_min_degree),
-             repr(r.bound_alpha_form), r.status_min_degree]
-            for r in tails.rows
-        ]
-        return _csv_table(
-            spec,
-            ["b", "tail_count", "empirical_tail", "bound_min_degree",
-             "bound_alpha_form", "status"],
-            rows,
-        ), 0
     result = {
         "beta": beta_report.to_json_dict(),
         "leaf_counts": leaf_report.to_json_dict(),
         "concentration": tails.to_json_dict(),
     }
-    return _document(spec, result), 0
+    rows = [
+        [r.b, r.tail_count, repr(r.empirical_tail), repr(r.bound_min_degree),
+         repr(r.bound_alpha_form), r.status_min_degree]
+        for r in tails.rows
+    ]
+    params = {"samples": args.samples, "b_grid": b_grid, "epsilon": args.epsilon}
+    return params, result, rows
 
 
-def _sweep_instance(args, n: int):
-    if args.family == "complete":
-        return None, complete_graph_counts(n)
-    if args.family == "gnp":
-        spec = FamilySpec("gnp", (n, args.p))
-    else:
-        spec = FamilySpec(args.family, (n,))
-    graph = generate(spec, args.seed)
-    return graph, None
+# command -> (handler, CSV header); a handler takes (args, graph, family) and
+# returns (spec parameters, JSON result, CSV rows[, exit status])
+_COMMANDS = {
+    "counts": (_cmd_counts, "k,s_k"),
+    "beta": (_cmd_beta, "n,estimate,standard_error,samples,seed"),
+    "sample": (_cmd_sample, "index,weight,leaf_count,edges"),
+    "roots": (_cmd_roots, "index,re,im,residual,modulus"),
+    "rouche": (_cmd_rouche, "n,C,radius,beta,max_margin,witness_ok"),
+    "poisson": (_cmd_poisson, "k,dev,dev_exact"),
+    "verify": (_cmd_verify, "check,index,lhs,rhs,passed"),
+    "tree-check": (_cmd_tree_check, "n,max_modulus,bound,within_bound,annulus_ok"),
+    "experiment": (_cmd_experiment, "b,tail_count,empirical_tail,bound_min_degree,bound_alpha_form,status"),
+}
+
+
+def _run_graph_command(args) -> tuple[str, int]:
+    handler, header = _COMMANDS[args.command]
+    graph, family, source = _load_graph(args)
+    params, result, rows, *status = handler(args, graph, family)
+    output = _render(_spec(args, source, args.format, params), header.split(","), result, rows)
+    return output, status[0] if status else 0
+
+
+def _sweep_counts(args, graph, family) -> list:
+    n = graph.n
+    counts = counts_for(graph, family, args.cap)
+    beta = repr(float(exact_beta(counts))) if counts.s(n) else ""
+    return [n, str(counts.s(2)), str(counts.s(n)), beta]
+
+
+def _sweep_roots(args, graph, family) -> list:
+    analysis = find_roots(build_polynomial(counts_for(graph, family, args.cap)))
+    return [graph.n, repr(analysis.max_modulus), repr(analysis.vieta_relative_error),
+            analysis.iterations]
+
+
+def _sweep_rouche(args, graph, family) -> list:
+    counts = counts_for(graph, family, args.cap)
+    report = rouche_margin(counts, degree_profile(graph).alpha, C=args.C,
+                           circle_points=args.circle_points)
+    return [graph.n, repr(report.radius), repr(float(report.beta)),
+            repr(report.max_margin), report.witness_ok]
+
+
+def _sweep_poisson(args, graph, family) -> list:
+    n = graph.n
+    devs = poisson_deviation(counts_for(graph, family, args.cap), min(args.k_max, n - 1))
+    floats = [float(d) for d in devs] + [float("nan")] * (args.k_max + 1 - len(devs))
+    max_abs = max((abs(float(d)) for d in devs[1:]), default=0.0)
+    return [n] + [repr(v) for v in floats] + [repr(max_abs)]
+
+
+# inner command -> (function of (args, graph, family) to one CSV row, CSV
+# header); dev_0..dev_kmax stands for one column per k up to --k-max
+_SWEEP = {
+    "counts": (_sweep_counts, "n,m,s_n,beta"),
+    "beta": (lambda args, graph, family: _estimate_beta(args, graph)[1], _COMMANDS["beta"][1]),
+    "roots": (_sweep_roots, "n,max_modulus,vieta_relative_error,iterations"),
+    "rouche": (_sweep_rouche, "n,radius,beta,max_margin,witness_ok"),
+    "poisson": (_sweep_poisson, "n,dev_0..dev_kmax,max_abs_dev"),
+}
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
-    n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
+    n_list = _parse_list(args.n_list, int, "n-list", "integers")
     params = {
         "family": args.family, "n_list": n_list, "inner_command": args.inner,
         "cap": args.cap, "samples": args.samples, "C": args.C,
@@ -471,67 +439,20 @@ def _cmd_sweep(args) -> tuple[str, int]:
     }
     if args.family == "gnp":
         params["p"] = args.p
-    spec = ExperimentSpec("sweep", None, args.seed, "csv", params)
-    headers = {
-        "counts": ["n", "m", "s_n", "beta"],
-        "beta": ["n", "estimate", "standard_error", "samples", "seed"],
-        "roots": ["n", "max_modulus", "vieta_relative_error", "iterations"],
-        "rouche": ["n", "radius", "beta", "max_margin", "witness_ok"],
-        "poisson": ["n"] + [f"dev_{k}" for k in range(args.k_max + 1)] + ["max_abs_dev"],
-    }
+    row_for, header = _SWEEP[args.inner]
+    columns = header.split(",")
+    if args.inner == "poisson":
+        columns[1:2] = [f"dev_{k}" for k in range(args.k_max + 1)]
     rows = []
     for n in n_list:
+        family = FamilySpec(args.family, (n, args.p) if args.family == "gnp" else (n,))
         try:
-            rows.append(_sweep_row(args, n))
+            rows.append(row_for(args, generate(family, args.seed), family))
         except SubtreeLabError as err:
             # same object, so a certification failure keeps its iterates
             err.args = (f"sweep aborted at n={n}: {err}",)
             raise
-    return _csv_table(spec, headers[args.inner], rows), 0
-
-
-def _sweep_row(args, n: int) -> list:
-    graph, counts = _sweep_instance(args, n)
-    if args.inner == "beta":
-        if graph is None:
-            graph = generate(FamilySpec("complete", (n,)), args.seed)
-        est = estimate_beta(graph, args.samples, args.seed, threads=args.threads)
-        return [n, repr(float(est.mean)), repr(est.standard_error), est.samples, est.seed]
-    if counts is None:
-        counts = subtree_counts(graph, cap=args.cap)
-    if args.inner == "counts":
-        beta = exact_beta(counts) if counts.s(n) else None
-        return [n, str(counts.s(2)), str(counts.s(n)),
-                repr(float(beta)) if beta is not None else ""]
-    if args.inner == "roots":
-        analysis = find_roots(build_polynomial(counts))
-        return [n, repr(analysis.max_modulus), repr(analysis.vieta_relative_error),
-                analysis.iterations]
-    if args.inner == "rouche":
-        alpha = Fraction(n - 1, n) if graph is None else degree_profile(graph).alpha
-        report = rouche_margin(counts, alpha, C=args.C, circle_points=args.circle_points)
-        return [n, repr(report.radius), repr(float(report.beta)),
-                repr(report.max_margin), report.witness_ok]
-    if args.inner == "poisson":
-        devs = poisson_deviation(counts, min(args.k_max, n - 1))
-        floats = [float(d) for d in devs] + [float("nan")] * (args.k_max + 1 - len(devs))
-        max_abs = max((abs(float(d)) for d in devs[1:]), default=0.0)
-        return [n] + [repr(v) for v in floats] + [repr(max_abs)]
-    raise ValidationError(f"unknown sweep command {args.inner!r}")
-
-
-_DISPATCH = {
-    "counts": _cmd_counts,
-    "beta": _cmd_beta,
-    "sample": _cmd_sample,
-    "roots": _cmd_roots,
-    "rouche": _cmd_rouche,
-    "poisson": _cmd_poisson,
-    "verify": _cmd_verify,
-    "tree-check": _cmd_tree_check,
-    "experiment": _cmd_experiment,
-    "sweep": _cmd_sweep,
-}
+    return _render(_spec(args, None, "csv", params), columns, None, rows), 0
 
 
 def run(argv=None) -> int:
@@ -541,7 +462,7 @@ def run(argv=None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             raise ValidationError("a command is required")
-        output, status = _DISPATCH[args.command](args)
+        output, status = _cmd_sweep(args) if args.command == "sweep" else _run_graph_command(args)
         sys.stdout.write(output)
         return status
     except ValidationError as err:

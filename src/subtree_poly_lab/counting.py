@@ -19,6 +19,9 @@ subset size at a time:
    bound determine s_k exactly by Chinese remaindering: the prime count
    is proven, not guessed.
 
+`counts_for` dispatches: `closed_form_counts` where the host's family has
+one (complete graphs, exempt from the enumeration cap), else the above.
+
 Every count is an exact integer. Fraction-free Bareiss elimination on one
 minor (`spanning_tree_count`, `subset_spanning_tree_count`) is kept as the
 exact oracle, and the independent oracles (closed form for complete
@@ -38,7 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .graphs import Graph, generate
+from .graphs import FamilySpec, Graph, generate
 
 DEFAULT_ENUMERATION_CAP = 24
 BRUTE_FORCE_GUARD = 10**8
@@ -347,6 +350,19 @@ def complete_graph_counts(n: int) -> SubtreeCountVector:
     return SubtreeCountVector(
         n=n, counts=counts, fingerprint=generate(f"complete({n})").fingerprint()
     )
+
+
+def closed_form_counts(family: FamilySpec | None) -> SubtreeCountVector | None:
+    """The closed-form counts of `family` (only complete has one), else None."""
+    if family is not None and family.name == "complete":
+        return complete_graph_counts(family.args[0])
+    return None
+
+
+def counts_for(g: Graph, family: FamilySpec | None, cap: int) -> SubtreeCountVector:
+    """Exact s_1..s_n of g (generated from `family`, or None) by its cheapest route."""
+    closed = closed_form_counts(family)
+    return closed if closed is not None else subtree_counts(g, cap=cap)
 
 
 def brute_force_subtree_count(g: Graph, k: int) -> int:

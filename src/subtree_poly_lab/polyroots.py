@@ -403,8 +403,7 @@ def rouche_margin(
         raise ValidationError("Rouche margin needs n >= 2")
     if counts.s(n) == 0:
         raise ValidationError("Rouche margin undefined for disconnected source")
-    series = ReversedSeries.from_counts(counts)
-    beta = series.beta
+    beta = exact_beta(counts)
     work_bits = max(precision_bits, counts.s(n).bit_length() + 64)
     with mp.workprec(work_bits):
         sn = mp.mpf(counts.s(n))

@@ -60,6 +60,15 @@ def test_verify_disconnected_flagged(capsys):
     assert "disconnected" in err
 
 
+def test_verify_disconnected_csv_is_empty_table(capsys):
+    status, out, err = invoke(capsys, "verify", "--graph", "gnp(8,0.1)", "--seed", "1", "--format", "csv")
+    assert status == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("# subtree-poly-lab")
+    assert lines[1:] == ["check,index,lhs,rhs,passed"]
+    assert "disconnected" in err
+
+
 def test_roots_path3(capsys):
     status, out, _ = invoke(capsys, "roots", "--graph", "path(3)")
     assert status == 0
@@ -224,6 +233,32 @@ def test_sweep_aborts_with_failing_n(capsys):
     assert "n=2" in err
 
 
+def test_sweep_rejects_bad_n_list(capsys):
+    status, out, err = invoke(
+        capsys, "sweep", "--family", "complete", "--n-list", "4,a", "--command", "counts"
+    )
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: bad n-list '4,a'")
+
+
+@pytest.mark.parametrize("value", ["0", "-4", "x"])
+def test_threads_flag_must_be_positive(capsys, value):
+    status, out, err = invoke(capsys, "counts", "--graph", "complete(4)", "--threads", value)
+    assert status == 1
+    assert out == ""
+    assert "positive integer" in err
+
+
+@pytest.mark.parametrize("value", ["0", "x"])
+def test_threads_environment_default_must_be_positive(monkeypatch, capsys, value):
+    monkeypatch.setenv(cli.THREADS_ENV, value)
+    status, out, err = invoke(capsys, "counts", "--graph", "complete(4)")
+    assert status == 1
+    assert out == ""
+    assert cli.THREADS_ENV in err
+
+
 def test_edge_list_input(tmp_path, capsys):
     path = tmp_path / "triangle.txt"
     path.write_text("3 3\n0 1\n0 2\n1 2\n")
@@ -290,6 +325,112 @@ def test_spanning_commands_golden_bytes(capsys, argv, digest):
     status, out, _ = invoke(capsys, *argv.split())
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, status, digest",
+    [
+        ("counts --graph gnp(10,0.5) --seed 3", 0,
+         "057de6273ccbd33c8d381883c274a6b72c11b48d1d7a45901afe29c1d07c2fef"),
+        ("counts --graph gnp(10,0.5) --seed 3 --format csv", 0,
+         "b1ac7d484a24d83bb7ecc6bd626fa49d38f9bd50068aaaacfe2f9cd11efb8b50"),
+        ("counts --graph complete(12)", 0,
+         "a610b933b2b776ef46bacfbf346a9ed5134e0f7bc661163f23d4fc8232658c31"),
+        ("counts --graph complete(12) --format csv", 0,
+         "5cbfe58e0f1d6a8b8505843e1bea58c4783c59db400439a5aa9bf86407b18ad3"),
+        ("beta --graph complete(8) --samples 300 --seed 3", 0,
+         "04abb03428b48b8e300e9d5ba2854ed08e0ad4f0028bb3fbf766a8dd06209a90"),
+        ("beta --graph complete(8) --samples 300 --seed 3 --format csv", 0,
+         "b595ce14dfb10535da0a8d8d5811952a82ccc1d3b058eb9068bf5478cfd9dea7"),
+        ("beta --graph gnp(9,0.6) --samples 300 --seed 2", 0,
+         "69ca016c64a396b9d9bdebc8c5617da0eaa56ccb37a532a39c6ca8c5e51ce02d"),
+        ("sample --graph complete(5) --samples 3 --seed 4", 0,
+         "18a01482cbf54103b3344d5486eaf83f1b7dcc281d421e13a9f6f93068f3089a"),
+        ("sample --graph complete(5) --samples 3 --seed 4 --format csv", 0,
+         "ef87b17fc7883f77c3073aac24b8a95aa79836098a56950de534258e2fbf4de2"),
+        ("roots --graph cycle(8)", 0,
+         "e8452bae935895650b9779ce446b026893d3398165a40c4616d980184a344ff1"),
+        ("roots --graph cycle(8) --format csv", 0,
+         "da2bb0dd9c977914a74765586092685898f1bffbfda6c9478a684db7c3abeee9"),
+        ("roots --graph complete(10) --format csv", 0,
+         "19a440063520b13c2e784f88786f4f4d69741402e8322580bdfcf65a62e14c36"),
+        ("rouche --graph complete(12) --circle-points 64", 0,
+         "a49f5c103577b8e540f636ca70bc644c7dcc776b4008353dc62371416afab605"),
+        ("rouche --graph complete(12) --circle-points 64 --format csv", 0,
+         "e2f570d331f89b98a750ab05323af8a2fdd2a8f87e5c2282e9f3547e773c973c"),
+        ("rouche --graph gnp(10,0.7) --seed 1 --circle-points 32 --format csv", 0,
+         "480799a7bc0706682e6a82c35d7a951bacfae86131be88c166812ec0eaf3bfa9"),
+        ("poisson --graph complete(12) --k-max 3", 0,
+         "52bca718ce88d930461248db33f9bcffae16b30f68fb4a4e3a7739718c870daa"),
+        ("poisson --graph complete(12) --k-max 3 --format csv", 0,
+         "68eb52c149af5af7a7f557529b43857edf2c04a1bd196d187865f0b1aa35152e"),
+        ("poisson --graph cycle(9) --k-max 2 --format csv", 0,
+         "614ae606cdeabffd65f0f95169662203102d26d5cf85bf8522e9d39962b01193"),
+        ("verify --graph complete(6)", 0,
+         "fef52eb866a8d7552f20d0c2415230c9580313517742e501eba7102266d29d9d"),
+        ("verify --graph complete(6) --format csv", 0,
+         "5a5cb08c7d1f8b2e6ee749fbde168c2355409f74edbfdc79f1c7cc9a5d2e4ddc"),
+        ("verify --graph gnp(8,0.1) --seed 1", 1,
+         "83032b735ffca10547760a8092e606841608e747e0a29cddf182c62b3fe2bab7"),
+        # a disconnected host prints an empty table; before the shared
+        # renderer it printed the JSON document in CSV mode
+        ("verify --graph gnp(8,0.1) --seed 1 --format csv", 1,
+         "f758954e3ea0caad612a7df9a9fee97b5cba47b3a34ced320799d2e1c3482ade"),
+        ("tree-check --graph random_tree(9) --seed 5", 0,
+         "6416089efcb0c3eaebb70d28557d856eb99520c6917042b0fcbbb4a4fc45b670"),
+        ("tree-check --graph random_tree(9) --seed 5 --format csv", 0,
+         "449d381ab8cf7f5f2b875ae825c913d7133d067b04b0027ebf8e1d1210106f4c"),
+        ("experiment --graph complete(6) --samples 300 --seed 2 --b-grid 0.3,0.5", 0,
+         "5f2deb2a4cc3c77009d3c6cc1074a44b71ba8f8c3cb0adb89b38a74b6fd20e07"),
+        ("experiment --graph complete(6) --samples 300 --seed 2 --b-grid 0.3,0.5 --format csv", 0,
+         "d9575169f9838ccf4a810b1b527c57a33bd3732fa7a73a3a76444dd4bde49696"),
+        ("sweep --family complete --n-list 5,7 --command counts", 0,
+         "d591598763f45964de66666609007d8369a4a45c8aeedd495e3de6e334e7045b"),
+        ("sweep --family complete --n-list 5,7 --command beta --samples 200 --seed 3", 0,
+         "4487177470f0f2de0463f16fe41230e4c4cf9a754db1c10c72a1487c2e020a52"),
+        ("sweep --family complete --n-list 5,7 --command roots", 0,
+         "ec553f7cc3384ebdd29562516d4debce99c9f5b9273468de0f35ec435f8f27ee"),
+        ("sweep --family complete --n-list 5,7 --command rouche --circle-points 32", 0,
+         "d7d90ec477b88d7c5b486dcde5e97d3baf9a15abf13ebc74c54884010fbaa0f8"),
+        ("sweep --family complete --n-list 5,7 --command poisson --k-max 5", 0,
+         "4c7281fa47b149ce2e68f02cfef24410077ee469b9aebbf20bb05b3dd2f8e85d"),
+        ("sweep --family gnp --p 0.6 --n-list 5,7 --seed 2 --command counts", 0,
+         "9c98248b8ba73f8ebf7a032838b59255de25adc8715502183708b48a0ad99e0d"),
+        ("sweep --family cycle --n-list 5,7 --command beta --samples 200 --seed 3", 0,
+         "2c863f2f47b40eb82881245fb789f400f6686bb7ac9a6feb0ed8fb59d4b509a1"),
+        ("sweep --family gnp --p 0.6 --n-list 6,8 --seed 1 --command roots", 0,
+         "8cc55211f2089a4a75465354724df5679134b809ba7fbfcfa317d64e1f7e241c"),
+        ("sweep --family cycle --n-list 5,7 --command rouche --circle-points 32", 0,
+         "a4b6068bdccb2bdf0be794be03385616be5d572128e3331a705d7ad659085e68"),
+        ("sweep --family cycle --n-list 5,7 --command poisson --k-max 5", 0,
+         "9a1315b4e8f37c7c026eae25233f62eeb312fbed653aadf000a36c9aca99d770"),
+        # n = 1 pads the deviations past k = 0 with nan
+        ("sweep --family path --n-list 1,3 --command poisson", 0,
+         "2ab7778b4c654b2ecfd391004067219585c3012c110b7d6e00d0f0f7414619fc"),
+    ],
+)
+def test_command_golden_bytes(capsys, argv, status, digest):
+    # hashes taken while each command rendered its own JSON and CSV and the
+    # CLI routed complete hosts to the closed form in four places
+    code, out, _ = invoke(capsys, *argv.split())
+    assert code == status
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("--help", "45b6c68c767f805267f0b62e20543b23655c7983c2aba4f35c900f14074799e3"),
+        ("sweep --help", "d0c393e1c3b4cd6072b7271dece0d967b50903065ac9da76ee9864a45f38ddda"),
+    ],
+)
+def test_help_golden_bytes(monkeypatch, capsys, argv, digest):
+    # the CSV column lists in the help are generated from the command tables
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv.split())
+    assert exit_info.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_complete_family_routes_through_closed_form(capsys):

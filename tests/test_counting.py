@@ -22,6 +22,7 @@ from subtree_poly_lab import (
     enumerate_connected_subsets,
     generate,
     generate_connected,
+    parse_family,
     spanning_tree_count,
     subtree_counts,
 )
@@ -33,6 +34,8 @@ from subtree_poly_lab.counting import (
     _determinants_mod,
     _laplacian_minor,
     _primes_for,
+    closed_form_counts,
+    counts_for,
     subset_spanning_tree_count,
 )
 
@@ -224,6 +227,20 @@ def test_complete_graph_counts_closed_form():
     assert complete_graph_counts(4).counts == (4, 6, 12, 16)
     assert complete_graph_counts(3).counts == (3, 3, 3)
     assert complete_graph_counts(1).counts == (1,)
+
+
+def test_counts_for_takes_the_closed_form_only_for_complete():
+    family = parse_family("complete(7)")
+    g = generate(family)
+    # a cap below n leaves only the closed form able to answer
+    assert counts_for(g, family, cap=6) == complete_graph_counts(7)
+    # a graph without a family, as from an edge list, is enumerated
+    with pytest.raises(CapacityError):
+        counts_for(g, None, cap=6)
+    assert counts_for(g, None, cap=7) == complete_graph_counts(7)
+    cycle = parse_family("cycle(7)")
+    assert closed_form_counts(cycle) is None and closed_form_counts(None) is None
+    assert counts_for(generate(cycle), cycle, cap=7) == subtree_counts(generate(cycle))
 
 
 def test_complete_graph_counts_match_enumeration():
