@@ -37,7 +37,6 @@ from .graphs import (
     parse_family,
 )
 from .polyroots import (
-    ReversedSeries,
     RootAnalysis,
     SubtreePolynomial,
     build_polynomial,

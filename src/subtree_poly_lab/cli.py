@@ -113,7 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    # no default, so that sweep can tell a request for JSON from no request;
+    # every other command reads an absent --format as json
+    common.add_argument("--format", choices=("json", "csv"))
     # a string default goes through the type check only when the flag is absent
     common.add_argument(
         "--threads",
@@ -386,7 +388,7 @@ def _run_graph_command(args) -> tuple[str, int]:
     handler, header = _COMMANDS[args.command]
     graph, family, source = _load_graph(args)
     params, result, rows, *status = handler(args, graph, family)
-    output = _render(_spec(args, source, args.format, params), header.split(","), result, rows)
+    output = _render(_spec(args, source, args.format or "json", params), header.split(","), result, rows)
     return output, status[0] if status else 0
 
 
@@ -431,6 +433,8 @@ _SWEEP = {
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
+    if args.format == "json":
+        raise ValidationError("sweep writes CSV only")
     n_list = _parse_list(args.n_list, int, "n-list", "integers")
     params = {
         "family": args.family, "n_list": n_list, "inner_command": args.inner,

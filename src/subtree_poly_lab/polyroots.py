@@ -10,12 +10,17 @@ like beta^k/k!). The start is a vectorised complex128 Aberth-Ehrlich
 iteration on F(2^e u), with e taken from the bit lengths of s_1 and s_n
 so that the coefficients stay in double range; each root freezes once
 |F| is at the level of rounding error. The roots are mapped back to
-x = 1/y and polished by Gauss-Seidel Aberth corrections on the exact
-integer coefficients of S(x)/x at the working precision, again with a
-rounding-level stop; the simultaneous correction keeps two iterates from
-settling on one root. They are certified by scale-normalized residuals
-plus a Vieta product check. Certification failures raise; they are never
-silent. The design follows MPSolve (Bini and Robol, 2014).
+x = 1/y and polished by Gauss-Seidel Aberth corrections on a precision
+ladder: 128, 256, 512, ... bits, ending at exactly the working
+precision, each stage stopping every root at its rounding level. Each
+correction evaluates S(x)/x and its derivative in Gaussian fixed point
+on the exact integer coefficients (Python integers, no mpmath), and
+sums the Aberth repulsion in complex128; the simultaneous correction
+keeps two iterates from settling on one root. The roots are certified
+at the working precision by scale-normalized residuals plus a Vieta
+product check. Certification failures raise; they are never silent.
+The design follows MPSolve (Bini and Fiorentino, 2000; Bini and Robol,
+2014).
 
 Also here: the Rouche margin |F(y) - e^{beta y}| / |e^{beta y}| sampled
 on the circle |y| = alpha log(n) / C, the factorial-normalized deviation
@@ -24,6 +29,7 @@ diagnostics for the Poisson law, and the contrast checks for tree hosts.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,13 +43,15 @@ from .errors import CertificationError, ValidationError
 from .graphs import Graph, is_connected
 from .spanning import exact_beta
 
-DEFAULT_PRECISION_BITS = 192  # >= the 106-bit floor the polish step needs
+# the last polish stage and the certification run at work_bits, this or
+# the coefficient bits + 64 if larger; earlier stages start at 128 bits
+DEFAULT_PRECISION_BITS = 192
 RESIDUAL_THRESHOLD = 1e-20
 VIETA_RELATIVE_TOLERANCE = 1e-8
 CLUSTER_TOLERANCE = 1e-7
 TREE_ROOT_BOUND = 1.0 + 3.0 ** (1.0 / 3.0)
 MAX_START_SWEEPS = 500  # complex128 Aberth sweeps before the polish takes over
-MAX_POLISH_SWEEPS = 60  # Aberth sweeps at the working precision
+MAX_POLISH_SWEEPS = 60  # Aberth sweeps per polish stage
 
 
 @dataclass(frozen=True)
@@ -70,28 +78,11 @@ def build_polynomial(counts: SubtreeCountVector) -> SubtreePolynomial:
 
 
 @dataclass(frozen=True)
-class ReversedSeries:
-    """Exact ratios s_{n-k}/s_n for k = 0..n-1; the coefficients of F(y)."""
-
-    ratios: tuple[Fraction, ...]
-    beta: Fraction
-
-    @staticmethod
-    def from_counts(counts: SubtreeCountVector) -> "ReversedSeries":
-        n = counts.n
-        sn = counts.s(n)
-        if sn == 0:
-            raise ValidationError("reversed series undefined for disconnected source")
-        ratios = tuple(Fraction(counts.s(n - k), sn) for k in range(n))
-        return ReversedSeries(ratios=ratios, beta=exact_beta(counts))
-
-
-@dataclass(frozen=True)
 class RootAnalysis:
     roots: tuple  # mpc values, n entries, forced 0 first, then by real part; see _root_key
     residuals: tuple[float, ...]
     max_modulus: float
-    iterations: int
+    iterations: int  # complex128 start sweeps + polish corrections over all stages
     precision_bits: int
     vieta_product: float
     vieta_target: float
@@ -117,9 +108,10 @@ class RootAnalysis:
 def _horner(coeffs: Sequence, x):
     """p(x) with coefficients in ascending order.
 
-    The one evaluator of this module: it serves complex128 arrays of
-    points as well as single mpmath values, and p'(x) is the same loop
-    over the coefficients k a_k.
+    It serves complex128 arrays of points (the float start, where p'(x)
+    is the same loop over the coefficients k a_k) as well as single
+    mpmath values (the certification and the Rouche circle); the polish
+    evaluates on the integers instead, in _fixed_horner.
     """
     p = coeffs[-1]
     for k in range(len(coeffs) - 2, -1, -1):
@@ -180,41 +172,142 @@ def _float_start(s: Sequence[int]) -> tuple[np.ndarray, int, int]:
     return z, e, sweeps
 
 
-def _polish(q: list, dq: list, x: list, work_bits: int) -> int:
-    """Gauss-Seidel Aberth corrections on Q (derivative dq); returns their number.
+def _stages(work_bits: int) -> list[int]:
+    """Polish precisions: 128, 256, 512, ... bits below work_bits, then work_bits."""
+    stages = []
+    bits = 128
+    while bits < work_bits:
+        stages.append(bits)
+        bits *= 2
+    return stages + [work_bits]
 
-    Updates x in place, in the caller's mpmath precision of work_bits,
-    each correction using the roots already corrected. A root freezes
-    when |Q(x)| <= 4 d 2^-work_bits Q(|x|) (rounding level; Q has
-    nonnegative coefficients) or its step falls below 2^-(work_bits-16)|x|.
-    Frozen roots still repel the others.
+
+def _to_fixed(v: tuple, shift: int) -> int:
+    """An mpf value (given as its _mpf_ tuple) times 2^shift, truncated to an integer."""
+    sign, man, exp, _ = v
+    exp += shift
+    man = man << exp if exp >= 0 else man >> -exp
+    return -man if sign else man
+
+
+def _fixed_horner(s: Sequence[int], x, bits: int) -> tuple:
+    """Q(x), Q'(x) and Q(|x|) for Q(x) = sum_k s[k] x^k, in Gaussian fixed point.
+
+    One Horner pass over the exact integer coefficients, on Python
+    integers only. Returns (p_re, p_im, dp_re, dp_im, scale, G, m): p and
+    scale are Q(x) and Q(|x|) times 2^G, and dp is Q'(x) times 2^(G-m).
+
+    X = x 2^(F+m) is read off the mantissas and exponents of the mpc x,
+    with F = bits + guard bits and 1/4 < 2^m |x| < 1, so X keeps F bits
+    of x whatever |x| (for |x| < 1 the shift F + m is about
+    F + max(0, -log2|x|)). The partial sum still to be multiplied by x^k
+    is held at scale 2^(G - m k), so each step truncates by less than
+    3 units of 2^-G in Q(x) (of 2^-(G-m) in Q'(x)). G comes from a lower
+    bound on max_{k>=1} s_k |x|^k, which is below both Q(|x|) and
+    |x| Q'(|x|): the errors stay under 2^-(bits+guard) Q(|x|) and
+    d 2^-(bits+guard) Q'(|x|), the accuracy of mpmath's Horner at `bits`
+    and far below the stop test's threshold 4 d 2^-bits Q(|x|), with
+    integers no longer than the stage needs.
     """
-    d = len(x)
-    tiny = 4 * d * mp.mpf(2) ** -work_bits
-    stop = mp.mpf(2) ** -(work_bits - 16)
-    active = list(range(d))
-    corrections = 0
-    for _ in range(MAX_POLISH_SWEEPS):
-        if not active:
-            break
-        still = []
-        for j in active:
-            xj = x[j]
-            val = _horner(q, xj)
-            dval = _horner(dq, xj)
-            scale = _horner(q, abs(xj))
-            if abs(val) <= tiny * scale or dval == 0:
-                continue
-            newton = val / dval
-            repulse = mp.fsum(1 / (xj - xk) for xk in x if xk != xj)
-            denom = 1 - newton * repulse
-            step = newton / denom if denom != 0 else newton
-            x[j] = xj - step
-            corrections += 1
-            if abs(step) > stop * abs(x[j]):
-                still.append(j)
-        active = still
-    return corrections
+    d = len(s) - 1
+    re, im = x._mpc_
+    F = bits + 2 * (4 * len(s)).bit_length()
+    parts = [math.log2(man) + exp for _, man, exp, _ in (re, im) if man]
+    if parts and d:
+        lx = max(parts)  # lx <= log2|x| < lx + 1/2
+        m = -math.floor(lx + 0.5) - 1
+        # 2^low <= max_{k>=1} s_k |x|^k, which is at most Q(|x|) and |x| Q'(|x|)
+        low = max((c.bit_length() - 1 + k * lx for k, c in enumerate(s) if k and c), default=0)
+    else:
+        m = 0
+        low = s[0].bit_length() - 1
+    G = F + (3 * (d + 1)).bit_length() + 1 - math.floor(low)
+    xr = _to_fixed(re, F + m)
+    xi = _to_fixed(im, F + m)
+    xsum, xdif = xr + xi, xi - xr
+    a = math.isqrt(xr * xr + xi * xi)
+    shift = G - m * d
+    pr = scale = s[-1] << shift if shift >= 0 else s[-1] >> -shift
+    pi = dr = di = 0
+    for k in range(d - 1, -1, -1):
+        # complex products in three multiplications each
+        t = xr * (dr + di)
+        dr, di = ((t - di * xsum) >> F) + pr, ((t + dr * xdif) >> F) + pi
+        shift += m
+        c = s[k] << shift if shift >= 0 else s[k] >> -shift
+        t = xr * (pr + pi)
+        pr, pi = ((t - pi * xsum) >> F) + c, (t + pr * xdif) >> F
+        scale = ((scale * a) >> F) + c
+    return pr, pi, dr, di, scale, G, m
+
+
+def _scaled_copy(x, e: int) -> complex:
+    """x 2^e rounded to complex128 (inf or 0 where it leaves double range)."""
+    return complex(mp.ldexp(x.real, e), mp.ldexp(x.imag, e))
+
+
+def _repulsion(xs: list, scaled: np.ndarray, j: int, e: int):
+    """sum_{k != j} 1/(x_j - x_k), in complex128 on the copies x 2^e.
+
+    The sum only scales the Newton step, so double precision suffices.
+    A root whose copy left double range (or whose double sum is not
+    finite) takes the multiprecision sum instead.
+    """
+    cj = scaled[j]
+    if cj != 0 and cmath.isfinite(cj):
+        diff = cj - scaled
+        diff[diff == 0] = np.inf  # itself (and an exact duplicate) repels nothing
+        r = complex((1 / diff).sum())
+        if cmath.isfinite(r):
+            return mp.mpc(mp.ldexp(r.real, e), mp.ldexp(r.imag, e))
+    xj = xs[j]
+    return mp.fsum(1 / (xj - xk) for xk in xs if xk != xj)
+
+
+def _polish(s: Sequence[int], u: np.ndarray, e: int, work_bits: int) -> tuple[list, list[int]]:
+    """Gauss-Seidel Aberth corrections on Q(x) = S(x)/x from the start y = 2^e u.
+
+    Returns the roots x = 1/y polished to work_bits and the number of
+    corrections at each stage of _stages(work_bits). Each stage runs at
+    most MAX_POLISH_SWEEPS sweeps at its precision, each correction using
+    the roots already corrected. A root freezes for the stage when
+    |Q(x)| <= 4 d 2^-bits Q(|x|) (rounding level; Q has nonnegative
+    coefficients, and the test is exact on the integers of _fixed_horner)
+    or its step falls below 2^-(bits-16)|x|. Frozen roots still repel the
+    others.
+    """
+    d = len(s) - 1
+    stages = _stages(work_bits)
+    with mp.workprec(stages[0]):
+        xs = [1 / (mp.mpc(complex(uj)) * mp.ldexp(1, e)) for uj in u]
+    scaled = np.array([_scaled_copy(x, e) for x in xs])
+    corrections = []
+    for bits in stages:
+        count = 0
+        with mp.workprec(bits):
+            stop = mp.ldexp(1, -(bits - 16))
+            active = list(range(d))
+            for _ in range(MAX_POLISH_SWEEPS):
+                if not active:
+                    break
+                still = []
+                for j in active:
+                    pr, pi, dr, di, scale, _, m = _fixed_horner(s, xs[j], bits)
+                    if (pr * pr + pi * pi) << (2 * bits) <= (4 * d * scale) ** 2 or not (dr or di):
+                        continue
+                    # Q/Q' with both integers brought to one scale, which cancels
+                    up, down = max(0, -m), max(0, m)
+                    newton = mp.mpc(pr << up, pi << up) / mp.mpc(dr << down, di << down)
+                    denom = 1 - newton * _repulsion(xs, scaled, j, e)
+                    step = newton / denom if denom != 0 else newton
+                    xs[j] -= step
+                    scaled[j] = _scaled_copy(xs[j], e)
+                    count += 1
+                    if abs(step) > stop * abs(xs[j]):
+                        still.append(j)
+                active = still
+        corrections.append(count)
+    return xs, corrections
 
 
 def find_roots(
@@ -235,7 +328,7 @@ def find_roots(
     s = s[:n]
     if precision_bits < 106:
         raise ValidationError("precision_bits must be at least 106")
-    # keep the integer coefficients exactly representable during evaluation
+    # keep the integer coefficients exactly representable in the certification
     work_bits = max(precision_bits, max(c.bit_length() for c in s) + 64)
     if n == 1:
         zero = mp.mpc(0)
@@ -252,11 +345,10 @@ def find_roots(
         )
     sn = s[-1]
     u, e, sweeps = _float_start(s)
+    xs, corrections = _polish(s, u, e, work_bits)
+    iterations = sweeps + sum(corrections)
     with mp.workprec(work_bits):
         q_coeffs = [mp.mpf(c) for c in s]  # Q(x) = S(x)/x, exact at work_bits
-        dq_coeffs = [mp.mpf(k * c) for k, c in enumerate(s) if k]
-        xs = [1 / (mp.mpc(complex(uj)) * mp.mpf(2) ** e) for uj in u]  # x = 1/y
-        iterations = sweeps + _polish(q_coeffs, dq_coeffs, xs, work_bits)
         roots = [mp.mpc(0)] + xs
         residuals = [0.0]
         # scale-normalized residuals: |S(x)| / S(|x|), cancellation-free scale

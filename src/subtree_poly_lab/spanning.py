@@ -28,6 +28,7 @@ step, so the identity check sums W per tree directly.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -256,7 +257,10 @@ def _run_weight_samples(g: Graph, samples: int, seed: int, threads: int = 1) -> 
             (g, seed, lo, min(lo + step, samples), first_block)
             for lo in range(0, samples, step)
         ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # the chunk count above follows --threads, so stdout does not depend
+        # on the CPU count; only the number of worker processes is bounded
+        workers = min(threads, len(os.sched_getaffinity(0)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_weight_chunk, chunks))
     return _WeightHistogram(g, sum(parts, Counter()))
 

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subtree_poly_lab import (
     CertificationError,
     Graph,
-    ReversedSeries,
     SubtreePolynomial,
     ValidationError,
     build_polynomial,
@@ -17,13 +18,24 @@ from subtree_poly_lab import (
     exact_beta,
     find_roots,
     generate,
+    generate_connected,
     poisson_deviation,
     root_bound,
     rouche_margin,
     subtree_counts,
     tree_root_check,
 )
-from subtree_poly_lab.polyroots import TREE_ROOT_BOUND, _require_certified, _root_key
+from subtree_poly_lab.polyroots import (
+    DEFAULT_PRECISION_BITS,
+    TREE_ROOT_BOUND,
+    _fixed_horner,
+    _float_start,
+    _horner,
+    _polish,
+    _require_certified,
+    _root_key,
+    _stages,
+)
 
 
 def star(n):
@@ -51,11 +63,15 @@ def test_polynomial_validation():
 
 
 def test_reversed_series_invariants():
+    # the coefficients s_{n-k}/s_n of F(y) are what poisson_deviation
+    # normalizes: F = 1 + beta y + ..., with n of them
     counts = complete_graph_counts(9)
-    series = ReversedSeries.from_counts(counts)
-    assert series.ratios[0] == 1
-    assert series.ratios[1] == series.beta == exact_beta(counts)
-    assert len(series.ratios) == 9
+    beta = exact_beta(counts)
+    devs = poisson_deviation(counts, 8)
+    ratios = [(1 + dev) * beta**k / math.factorial(k) for k, dev in enumerate(devs)]
+    assert ratios == [Fraction(counts.s(9 - k), counts.s(9)) for k in range(9)]
+    assert ratios[0] == 1
+    assert ratios[1] == beta == Fraction(counts.s(8), counts.s(9))
 
 
 # ------------------------------------------------------------------- roots
@@ -211,6 +227,77 @@ def test_k80_certifies_and_meets_vieta():
         assert abs(total - target) < 1e-8 * abs(target)
 
 
+def test_polish_stages_double_from_128_and_end_at_work_bits():
+    assert _stages(106) == [106]
+    assert _stages(128) == [128]
+    assert _stages(192) == [128, 192]
+    assert _stages(558) == [128, 256, 512, 558]
+    assert _stages(1221) == [128, 256, 512, 1024, 1221]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.lists(st.integers(0, 2**1200), min_size=1, max_size=11).map(
+        lambda rest: [1 + rest[0]] + rest[1:]  # s_1 >= 1, as in every S(x)
+    ),
+    log_modulus=st.integers(-600, 600),
+    turn=st.integers(0, 359),
+    bits=st.sampled_from([128, 192, 256, 512]),
+)
+def test_fixed_horner_matches_mpmath_horner(s, log_modulus, turn, bits):
+    # Q, Q' and Q(|x|) from the integer evaluator against mpmath's Horner at
+    # the stage precision; both err by at most a few d 2^-bits of the scale
+    d = len(s) - 1
+    with mp.workprec(bits):
+        x = mp.expjpi(mp.mpf(turn) / 180) * mp.ldexp(1, log_modulus)
+        q = _horner([mp.mpf(c) for c in s], x)
+        dq = _horner([mp.mpf(k * c) for k, c in enumerate(s) if k] or [mp.mpf(0)], x)
+        scale = _horner([mp.mpf(c) for c in s], abs(x))
+    pr, pi, dr, di, fixed_scale, g, m = _fixed_horner(s, x, bits)
+    with mp.workprec(4 * bits + 600 * (d + 2) + 2500):
+        size = abs(x)
+        true_scale = mp.fsum(c * size**k for k, c in enumerate(s))
+        dscale = mp.fsum(k * c * size ** (k - 1) for k, c in enumerate(s) if k)
+        tol = 8 * (d + 1) * mp.ldexp(1, -bits)
+        assert abs(mp.mpc(pr, pi) * mp.ldexp(1, -g) - q) <= tol * true_scale
+        assert abs(mp.ldexp(fixed_scale, -g) - scale) <= tol * true_scale
+        assert abs(mp.mpc(dr, di) * mp.ldexp(1, m - g) - dq) <= tol * dscale
+
+
+def test_fixed_horner_at_zero():
+    pr, pi, dr, di, scale, g, m = _fixed_horner([5, 3, 7], mp.mpc(0), 128)
+    assert (pr, pi, scale) == (5 << g, 0, 5 << g)
+    assert (dr, di) == (3 << (g - m), 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 9), p=st.floats(0.2, 0.9), seed=st.integers(0, 10**6))
+def test_roots_match_mpmath_polyroots(n, p, seed):
+    # an independent root finder (Durand-Kerner at raised precision) gives
+    # the same multiset of roots
+    g, _ = generate_connected(f"gnp({n},{p})", seed)
+    counts = subtree_counts(g)
+    ours = list(find_roots(build_polynomial(counts)).roots)
+    s = counts.counts
+    with mp.workprec(256):
+        reference = [mp.mpc(0)] + list(mp.polyroots(s[::-1], maxsteps=200, extraprec=512))
+        for r in reference:
+            nearest = min(range(len(ours)), key=lambda i: abs(ours[i] - r))
+            assert abs(ours.pop(nearest) - r) < 1e-30 * max(1, abs(r))
+    assert not ours
+
+
+@pytest.mark.parametrize("n", [40, 60, 80])
+def test_final_polish_stage_corrects_each_root_at_most_once_on_average(n):
+    # the ladder leaves the full-precision stage at most d corrections
+    s = complete_graph_counts(n).counts
+    work_bits = max(DEFAULT_PRECISION_BITS, max(c.bit_length() for c in s) + 64)
+    u, e, _ = _float_start(s)
+    _, corrections = _polish(s, u, e, work_bits)
+    assert len(corrections) == len(_stages(work_bits)) >= 2
+    assert corrections[-1] <= n - 1
+
+
 def test_nan_residual_or_vieta_error_fails_certification():
     roots = [mp.mpc(0), mp.mpc(-1)]
     with pytest.raises(CertificationError):
@@ -269,12 +356,11 @@ def test_rouche_point_count_includes_axis():
 
 
 def test_reversed_series_at_zero_matches_exponential():
-    # F(0) = 1 = e^0: the pointwise margin vanishes at the origin
-    series = ReversedSeries.from_counts(complete_graph_counts(8))
-    f0 = Fraction(0)
-    for c in reversed(series.ratios):
-        f0 = f0 * 0 + c
-    assert f0 == 1
+    # F(0) = 1 = e^0: the pointwise margin vanishes at the origin; F(0) is
+    # 1 + dev_0, and F(0) = s_n/s_n agrees with S(x) = s_n x^n F(1/x)
+    counts = complete_graph_counts(8)
+    f0 = 1 + poisson_deviation(counts, 0)[0]
+    assert f0 == Fraction(counts.s(8), counts.s(8)) == 1
     assert abs(float(f0) - math.exp(0.0)) == 0.0
 
 

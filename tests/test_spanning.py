@@ -1,6 +1,7 @@
 """Wilson sampling, leaf weights, identity verification, concentration."""
 
 import math
+import os
 from fractions import Fraction
 from itertools import product
 
@@ -30,6 +31,7 @@ from subtree_poly_lab import (
     weight_experiment,
     wilson_sample,
 )
+from subtree_poly_lab import spanning
 from subtree_poly_lab.rng import DOMAIN_SAMPLE, RandomStream, StreamFamily, stream
 from subtree_poly_lab.spanning import _expected_draws
 
@@ -174,6 +176,34 @@ def test_estimate_thread_count_invariance():
     serial = estimate_beta(g, samples=600, seed=7, threads=1)
     parallel = estimate_beta(g, samples=600, seed=7, threads=3)
     assert serial == parallel
+
+
+def test_worker_pool_is_bounded_by_usable_cpus(monkeypatch):
+    # --threads far above the CPU count asks for no more processes than CPUs;
+    # the chunking, and so the result, still follows the thread count
+    seen = {}
+
+    class RecordingPool:  # runs the chunks in this process, starts none
+        def __init__(self, max_workers):
+            seen["max_workers"] = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            seen["chunks"] = len(chunks)
+            return map(fn, chunks)
+
+    monkeypatch.setattr(spanning, "ProcessPoolExecutor", RecordingPool)
+    g = generate("complete(4)")
+    wide = estimate_beta(g, samples=10000, seed=3, threads=5000)
+    assert seen["max_workers"] == min(5000, len(os.sched_getaffinity(0)))
+    assert seen["chunks"] == 10000
+    assert wide == estimate_beta(g, samples=10000, seed=3, threads=1)
 
 
 def test_weight_experiment_matches_components():
