@@ -20,7 +20,9 @@ subset size at a time:
    is proven, not guessed.
 
 `counts_for` dispatches: `closed_form_counts` where the host's family has
-one (complete graphs, exempt from the enumeration cap), else the above.
+one (complete graphs), the tree recursion of `_tree_counts` for a tree
+host (connected, m = n - 1, however it was given), else the above. Only
+the enumeration is bound by the cap.
 
 Every count is an exact integer. Fraction-free Bareiss elimination on one
 minor (`spanning_tree_count`, `subset_spanning_tree_count`) is kept as the
@@ -41,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .graphs import FamilySpec, Graph, generate
+from .graphs import FamilySpec, Graph, generate, is_connected
 
 DEFAULT_ENUMERATION_CAP = 24
 BRUTE_FORCE_GUARD = 10**8
@@ -359,10 +361,50 @@ def closed_form_counts(family: FamilySpec | None) -> SubtreeCountVector | None:
     return None
 
 
-def counts_for(g: Graph, family: FamilySpec | None, cap: int) -> SubtreeCountVector:
+def _tree_counts(g: Graph) -> SubtreeCountVector:
+    """Exact s_1..s_n of a tree (connected, m = n - 1) in O(n^2) integer operations.
+
+    Rooted at vertex 0, the subtrees whose vertex nearest the root is v
+    have the generating function f_v(x) = x prod over children c of
+    (1 + f_c(x)), and S(x) = sum_v f_v(x) (Szekely and Wang, 2005). A
+    child is multiplied into its parent in O(size_c size_p) operations,
+    which sum to O(n^2) over the tree.
+    """
+    parent = [-1] * g.n
+    order = [0]
+    for v in order:  # breadth-first; the list grows while it is read
+        for w in g.neighbors[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    f = [[0, 1] for _ in range(g.n)]  # f[v][k]: subtrees of k vertices topped at v
+    counts = [0] * (g.n + 1)
+    for v in reversed(order):
+        fv = f[v]
+        for k, c in enumerate(fv):
+            counts[k] += c
+        if v:
+            fp = f[parent[v]]
+            product = fp + [0] * (len(fv) - 1)  # f_p (1 + f_v), and f_v(0) = 0
+            for i, a in enumerate(fp):
+                if a:
+                    for j in range(1, len(fv)):
+                        product[i + j] += a * fv[j]
+            f[parent[v]] = product
+        f[v] = None
+    return SubtreeCountVector(n=g.n, counts=tuple(counts[1:]), fingerprint=g.fingerprint())
+
+
+def counts_for(
+    g: Graph, family: FamilySpec | None = None, cap: int = DEFAULT_ENUMERATION_CAP
+) -> SubtreeCountVector:
     """Exact s_1..s_n of g (generated from `family`, or None) by its cheapest route."""
     closed = closed_form_counts(family)
-    return closed if closed is not None else subtree_counts(g, cap=cap)
+    if closed is not None:
+        return closed
+    if g.m == g.n - 1 and is_connected(g):
+        return _tree_counts(g)
+    return subtree_counts(g, cap=cap)
 
 
 def brute_force_subtree_count(g: Graph, k: int) -> int:

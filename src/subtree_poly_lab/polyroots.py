@@ -17,14 +17,17 @@ correction evaluates S(x)/x and its derivative in Gaussian fixed point
 on the exact integer coefficients (Python integers, no mpmath), and
 sums the Aberth repulsion in complex128; the simultaneous correction
 keeps two iterates from settling on one root. The roots are certified
-at the working precision by scale-normalized residuals plus a Vieta
-product check. Certification failures raise; they are never silent.
-The design follows MPSolve (Bini and Fiorentino, 2000; Bini and Robol,
-2014).
+at the working precision by scale-normalized residuals |Q(x)| / Q(|x|),
+Q(x) = S(x)/x, taken from the same integer evaluator without its
+derivative, plus a Vieta product check in mpmath. Certification
+failures raise; they are never silent. The design follows MPSolve
+(Bini and Fiorentino, 2000; Bini and Robol, 2014).
 
 Also here: the Rouche margin |F(y) - e^{beta y}| / |e^{beta y}| sampled
-on the circle |y| = alpha log(n) / C, the factorial-normalized deviation
-diagnostics for the Poisson law, and the contrast checks for tree hosts.
+on the circle |y| = alpha log(n) / C, with F(y) from the integer
+evaluator on the exact reversed counts s_n, ..., s_1 and one division by
+s_n per point; the factorial-normalized deviation diagnostics for the
+Poisson law; and the contrast checks for tree hosts.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 
-from .counting import SubtreeCountVector, subtree_counts
+from .counting import SubtreeCountVector, counts_for
 from .errors import CertificationError, ValidationError
 from .graphs import Graph, is_connected
 from .spanning import exact_beta
@@ -106,12 +109,11 @@ class RootAnalysis:
 
 
 def _horner(coeffs: Sequence, x):
-    """p(x) with coefficients in ascending order.
+    """p(x) with coefficients in ascending order, on complex128 arrays of points.
 
-    It serves complex128 arrays of points (the float start, where p'(x)
-    is the same loop over the coefficients k a_k) as well as single
-    mpmath values (the certification and the Rouche circle); the polish
-    evaluates on the integers instead, in _fixed_horner.
+    It serves the float start only (where p'(x) is the same loop over the
+    coefficients k a_k); every multiprecision evaluation runs on the
+    integers, in _fixed_horner.
     """
     p = coeffs[-1]
     for k in range(len(coeffs) - 2, -1, -1):
@@ -190,12 +192,24 @@ def _to_fixed(v: tuple, shift: int) -> int:
     return -man if sign else man
 
 
-def _fixed_horner(s: Sequence[int], x, bits: int) -> tuple:
+def _top_bits(s: Sequence[int]) -> list[tuple[int, int]]:
+    """(k, bitlen(s[k]) - 1) for each nonzero s[k] with k >= 1, so 2^b <= s[k].
+
+    _fixed_horner bounds its scale from these; they depend on the
+    polynomial only, so each caller takes them once per polynomial.
+    """
+    return [(k, c.bit_length() - 1) for k, c in enumerate(s) if k and c]
+
+
+def _fixed_horner(s: Sequence[int], tops: list, x, bits: int, derivative: bool = True) -> tuple:
     """Q(x), Q'(x) and Q(|x|) for Q(x) = sum_k s[k] x^k, in Gaussian fixed point.
 
     One Horner pass over the exact integer coefficients, on Python
-    integers only. Returns (p_re, p_im, dp_re, dp_im, scale, G, m): p and
-    scale are Q(x) and Q(|x|) times 2^G, and dp is Q'(x) times 2^(G-m).
+    integers only; `tops` is _top_bits(s). Returns (p_re, p_im, dp_re,
+    dp_im, scale, G, m): p and scale are Q(x) and Q(|x|) times 2^G, and
+    dp is Q'(x) times 2^(G-m). With derivative=False the Q' recurrence
+    is skipped (four big-integer products per step instead of seven) and
+    dp_re, dp_im are None; p and scale are the same integers either way.
 
     X = x 2^(F+m) is read off the mantissas and exponents of the mpc x,
     with F = bits + guard bits and 1/4 < 2^m |x| < 1, so X keeps F bits
@@ -217,7 +231,7 @@ def _fixed_horner(s: Sequence[int], x, bits: int) -> tuple:
         lx = max(parts)  # lx <= log2|x| < lx + 1/2
         m = -math.floor(lx + 0.5) - 1
         # 2^low <= max_{k>=1} s_k |x|^k, which is at most Q(|x|) and |x| Q'(|x|)
-        low = max((c.bit_length() - 1 + k * lx for k, c in enumerate(s) if k and c), default=0)
+        low = max((b + k * lx for k, b in tops), default=0)
     else:
         m = 0
         low = s[0].bit_length() - 1
@@ -228,11 +242,13 @@ def _fixed_horner(s: Sequence[int], x, bits: int) -> tuple:
     a = math.isqrt(xr * xr + xi * xi)
     shift = G - m * d
     pr = scale = s[-1] << shift if shift >= 0 else s[-1] >> -shift
-    pi = dr = di = 0
+    pi = 0
+    dr = di = 0 if derivative else None
     for k in range(d - 1, -1, -1):
         # complex products in three multiplications each
-        t = xr * (dr + di)
-        dr, di = ((t - di * xsum) >> F) + pr, ((t + dr * xdif) >> F) + pi
+        if derivative:
+            t = xr * (dr + di)
+            dr, di = ((t - di * xsum) >> F) + pr, ((t + dr * xdif) >> F) + pi
         shift += m
         c = s[k] << shift if shift >= 0 else s[k] >> -shift
         t = xr * (pr + pi)
@@ -264,17 +280,19 @@ def _repulsion(xs: list, scaled: np.ndarray, j: int, e: int):
     return mp.fsum(1 / (xj - xk) for xk in xs if xk != xj)
 
 
-def _polish(s: Sequence[int], u: np.ndarray, e: int, work_bits: int) -> tuple[list, list[int]]:
+def _polish(
+    s: Sequence[int], tops: list, u: np.ndarray, e: int, work_bits: int
+) -> tuple[list, list[int]]:
     """Gauss-Seidel Aberth corrections on Q(x) = S(x)/x from the start y = 2^e u.
 
-    Returns the roots x = 1/y polished to work_bits and the number of
-    corrections at each stage of _stages(work_bits). Each stage runs at
-    most MAX_POLISH_SWEEPS sweeps at its precision, each correction using
-    the roots already corrected. A root freezes for the stage when
-    |Q(x)| <= 4 d 2^-bits Q(|x|) (rounding level; Q has nonnegative
-    coefficients, and the test is exact on the integers of _fixed_horner)
-    or its step falls below 2^-(bits-16)|x|. Frozen roots still repel the
-    others.
+    `tops` is _top_bits(s). Returns the roots x = 1/y polished to
+    work_bits and the number of corrections at each stage of
+    _stages(work_bits). Each stage runs at most MAX_POLISH_SWEEPS sweeps
+    at its precision, each correction using the roots already corrected.
+    A root freezes for the stage when |Q(x)| <= 4 d 2^-bits Q(|x|)
+    (rounding level; Q has nonnegative coefficients, and the test is exact
+    on the integers of _fixed_horner) or its step falls below
+    2^-(bits-16)|x|. Frozen roots still repel the others.
     """
     d = len(s) - 1
     stages = _stages(work_bits)
@@ -292,7 +310,7 @@ def _polish(s: Sequence[int], u: np.ndarray, e: int, work_bits: int) -> tuple[li
                     break
                 still = []
                 for j in active:
-                    pr, pi, dr, di, scale, _, m = _fixed_horner(s, xs[j], bits)
+                    pr, pi, dr, di, scale, _, m = _fixed_horner(s, tops, xs[j], bits)
                     if (pr * pr + pi * pi) << (2 * bits) <= (4 * d * scale) ** 2 or not (dr or di):
                         continue
                     # Q/Q' with both integers brought to one scale, which cancels
@@ -326,10 +344,7 @@ def find_roots(
     while n > 1 and s[n - 1] == 0:
         n -= 1
     s = s[:n]
-    if precision_bits < 106:
-        raise ValidationError("precision_bits must be at least 106")
-    # keep the integer coefficients exactly representable in the certification
-    work_bits = max(precision_bits, max(c.bit_length() for c in s) + 64)
+    work_bits = _work_bits(precision_bits, max(s))
     if n == 1:
         zero = mp.mpc(0)
         return RootAnalysis(
@@ -344,20 +359,19 @@ def find_roots(
             clusters=((0j, 1),),
         )
     sn = s[-1]
+    tops = _top_bits(s)
     u, e, sweeps = _float_start(s)
-    xs, corrections = _polish(s, u, e, work_bits)
+    xs, corrections = _polish(s, tops, u, e, work_bits)
     iterations = sweeps + sum(corrections)
     with mp.workprec(work_bits):
-        q_coeffs = [mp.mpf(c) for c in s]  # Q(x) = S(x)/x, exact at work_bits
         roots = [mp.mpc(0)] + xs
         residuals = [0.0]
-        # scale-normalized residuals: |S(x)| / S(|x|), cancellation-free scale
-        for x in roots[1:]:
-            val = _horner(q_coeffs, x)
-            s_val = abs(x) * abs(val)
-            scale = _horner(q_coeffs, abs(x))
-            scale = abs(x) * scale
-            residuals.append(float(s_val / scale) if scale > 0 else float(s_val))
+        # scale-normalized residuals |S(x)| / S(|x|) = |Q(x)| / Q(|x|), the
+        # |x| factors cancelling; the scale is free of cancellation and
+        # positive (Q has nonnegative coefficients and Q(0) = s_1 >= 1)
+        for x in xs:
+            pr, pi, _, _, scale, _, _ = _fixed_horner(s, tops, x, work_bits, derivative=False)
+            residuals.append(float(abs(mp.mpc(pr, pi)) / scale))
         vieta_product = mp.mpf(1)
         for x in roots[1:]:
             vieta_product *= abs(x)
@@ -380,6 +394,16 @@ def find_roots(
         vieta_relative_error=vieta_rel,
         clusters=_cluster(ordered),
     )
+
+
+def _work_bits(precision_bits: int, top: int) -> int:
+    """The working precision: precision_bits, raised to hold `top` with 64 bits to spare.
+
+    find_roots and rouche_margin share this check of the requested precision.
+    """
+    if precision_bits < 106:
+        raise ValidationError("precision_bits must be at least 106")
+    return max(precision_bits, top.bit_length() + 64)
 
 
 def _root_key(x, half_bits: int) -> tuple:
@@ -483,8 +507,10 @@ def rouche_margin(
 
     A finite sample is a falsifiable proxy for the full-circle statement,
     hence the "sampled supremum" label. The four axis points are always
-    included on top of the equally spaced ones. Also checks the pointwise
-    witness |e^{beta y}| >= n^(-1/C) that the comparison relies on.
+    included on top of the equally spaced ones. F(y) s_n comes from
+    _fixed_horner on the exact counts at the working precision, and
+    e^{beta y} from mpmath. Also checks the pointwise witness
+    |e^{beta y}| >= n^(-1/C) that the comparison relies on.
     """
     if C <= 6.0:
         raise ValidationError("the Rouche construction requires C > 6")
@@ -496,10 +522,11 @@ def rouche_margin(
     if counts.s(n) == 0:
         raise ValidationError("Rouche margin undefined for disconnected source")
     beta = exact_beta(counts)
-    work_bits = max(precision_bits, counts.s(n).bit_length() + 64)
+    work_bits = _work_bits(precision_bits, counts.s(n))
+    reversed_counts = counts.counts[::-1]  # s_n, ..., s_1: F(y) s_n = sum_k s_{n-k} y^k
+    tops = _top_bits(reversed_counts)
     with mp.workprec(work_bits):
         sn = mp.mpf(counts.s(n))
-        coeffs = [mp.mpf(counts.s(n - k)) / sn for k in range(n)]
         beta_mp = mp.mpf(beta.numerator) / beta.denominator
         radius = mp.mpf(alpha.numerator) / alpha.denominator * mp.log(n) / mp.mpf(C)
         floor = mp.exp(-mp.log(n) / mp.mpf(C))  # n^(-1/C)
@@ -509,19 +536,20 @@ def rouche_margin(
             for j in range(circle_points)
         ]
         points += [radius * u for u in (mp.mpc(1), mp.mpc(-1), mp.mpc(0, 1), mp.mpc(0, -1))]
-        max_margin = mp.mpf(-1)
-        max_index = 0
+        margins = []
         witness_ok = True
-        for idx, yv in enumerate(points):
-            f = _horner(coeffs, yv)
+        for yv in points:
+            pr, pi, _, _, _, G, _ = _fixed_horner(
+                reversed_counts, tops, yv, work_bits, derivative=False
+            )
+            f = mp.mpc(mp.ldexp(pr, -G), mp.ldexp(pi, -G)) / sn
             e = mp.exp(beta_mp * yv)
             mag = abs(e)
             if mag < floor * slack:
                 witness_ok = False
-            margin = abs(f - e) / mag
-            if margin > max_margin:
-                max_margin = margin
-                max_index = idx
+            margins.append(abs(f - e) / mag)
+        max_margin = max(margins)
+        max_index = _first_max_index(margins)
         report = RoucheReport(
             n=n,
             C=float(C),
@@ -536,6 +564,17 @@ def rouche_margin(
             precision_bits=work_bits,
         )
     return report
+
+
+def _first_max_index(margins: list) -> int:
+    """The first index whose margin rounds to the same double as the largest.
+
+    Margins at a conjugate pair of points, or at an axis point that
+    repeats a circle point, agree up to rounding noise, and the noise
+    alone would pick the member reported; the first one is reported.
+    """
+    top = float(max(margins))
+    return next(i for i, v in enumerate(margins) if float(v) == top)
 
 
 def poisson_deviation(counts: SubtreeCountVector, k_max: int) -> list[Fraction]:
@@ -594,7 +633,7 @@ def tree_root_check(tree: Graph, tolerance: float = 1e-9) -> TreeRootReport:
     """
     if tree.m != tree.n - 1 or not is_connected(tree):
         raise ValidationError("tree_root_check needs a tree (connected, m = n - 1)")
-    counts = subtree_counts(tree)
+    counts = counts_for(tree)
     analysis = find_roots(build_polynomial(counts))
     within = analysis.max_modulus <= TREE_ROOT_BOUND + tolerance
     n = tree.n

@@ -127,8 +127,8 @@ def test_rouche_command(capsys):
 
 
 def test_rouche_golden_bytes(capsys):
-    # rouche evaluates F through the shared Horner helper; the hash was
-    # taken when it still ran its own loop
+    # the hash was taken when rouche still ran its own mpmath Horner loop; it
+    # held through the shared mpmath Horner and through the integer evaluator
     status, out, _ = invoke(capsys, "rouche", "--graph", "complete(25)")
     assert status == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -162,6 +162,20 @@ def test_tree_check_command(capsys):
     assert status == 0
     doc = json.loads(out)
     assert doc["result"]["within_bound"] is True
+
+
+def test_tree_check_past_the_enumeration_cap(capsys):
+    # a tree host takes the O(n^2) tree route, which no cap bounds
+    status, out, _ = invoke(capsys, "tree-check", "--graph", "random_tree(60)", "--seed", "1")
+    assert status == 0
+    assert json.loads(out)["result"]["within_bound"] is True
+
+
+@pytest.mark.parametrize("command", ["roots", "rouche"])
+def test_precision_bits_floor_in_both_commands(capsys, command):
+    status, out, err = invoke(capsys, command, "--graph", "complete(5)", "--precision-bits", "10")
+    assert status == 1 and out == ""
+    assert "precision_bits must be at least 106" in err
 
 
 def test_tree_check_rejects_cycle(capsys):
@@ -366,11 +380,11 @@ def test_spanning_commands_golden_bytes(capsys, argv, digest):
         ("sample --graph complete(5) --samples 3 --seed 4 --format csv", 0,
          "ef87b17fc7883f77c3073aac24b8a95aa79836098a56950de534258e2fbf4de2"),
         ("roots --graph cycle(8)", 0,
-         "063bc3291630a8e0a99b0f49a0aa0dcacd3b52ce9a9db7d18a1971f64bd343ae"),
+         "2c261d162bf88a0c9e6882913c2017bffa040246018e3c0358ebe2f24cb41ae6"),
         ("roots --graph cycle(8) --format csv", 0,
-         "4762b903c3943e98923ab37eb2a1335c21c5aaad0618ad4ba8c8e38dc978233a"),
+         "bb20655973232ad3a36cbed02d5988571eded8c221c64f1b0a4edfb12ab6e5b3"),
         ("roots --graph complete(10) --format csv", 0,
-         "631068e1a3c3914c40ac3aa08bff4f03c3ff9c52a7257e24a2c4a3fae1abfbc2"),
+         "869fddc6822a4035a302004933c872474f1f950af2fbeb38d19635f7fbc328b1"),
         ("rouche --graph complete(12) --circle-points 64", 0,
          "a49f5c103577b8e540f636ca70bc644c7dcc776b4008353dc62371416afab605"),
         ("rouche --graph complete(12) --circle-points 64 --format csv", 0,
@@ -394,7 +408,7 @@ def test_spanning_commands_golden_bytes(capsys, argv, digest):
         ("verify --graph gnp(8,0.1) --seed 1 --format csv", 1,
          "f758954e3ea0caad612a7df9a9fee97b5cba47b3a34ced320799d2e1c3482ade"),
         ("tree-check --graph random_tree(9) --seed 5", 0,
-         "a2820f7af198bebbc523fed97815331ce0ee01dbe13d9e8e8dc0d01e02435690"),
+         "61352d2864872c8f8ab168f68ebcb077d595941bcd437561e71b40e5274c1646"),
         ("tree-check --graph random_tree(9) --seed 5 --format csv", 0,
          "449d381ab8cf7f5f2b875ae825c913d7133d067b04b0027ebf8e1d1210106f4c"),
         ("experiment --graph complete(6) --samples 300 --seed 2 --b-grid 0.3,0.5", 0,
@@ -431,7 +445,9 @@ def test_command_golden_bytes(capsys, argv, status, digest):
     # CLI routed complete hosts to the closed form in four places
     # (the JSON roots and tree-check documents, the two roots CSV tables and
     # the two roots sweeps were re-pinned when the polish moved to a
-    # precision ladder: iterations and rounding-noise digits changed)
+    # precision ladder: iterations and rounding-noise digits changed; the
+    # first four were re-pinned again when the residuals moved to the
+    # integer evaluator: only the noise-level residuals changed)
     code, out, _ = invoke(capsys, *argv.split())
     assert code == status
     assert hashlib.sha256(out.encode()).hexdigest() == digest

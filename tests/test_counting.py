@@ -243,6 +243,35 @@ def test_counts_for_takes_the_closed_form_only_for_complete():
     assert counts_for(generate(cycle), cycle, cap=7) == subtree_counts(generate(cycle))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 14),
+    data=st.data(),
+)
+def test_tree_route_matches_enumeration(n, data):
+    # a random labelled tree, given without a family as from an edge list;
+    # a cap of 1 leaves only the tree route able to answer
+    parents = [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
+    label = data.draw(st.permutations(range(n)))
+    g = Graph.from_edges(n, [(label[i], label[p]) for i, p in enumerate(parents, start=1)])
+    assert counts_for(g, None, cap=1) == subtree_counts(g)
+
+
+def test_disconnected_host_with_n_minus_one_edges_is_enumerated():
+    # a triangle and an isolated vertex have m = n - 1 but are no tree
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    assert counts_for(g, None).counts == (4, 3, 3, 0)
+
+
+def test_tree_route_matches_path_closed_form():
+    # s_k = n - k + 1 for the path, past the enumeration cap and up to the
+    # bitmask width
+    for n in range(1, MAX_BITMASK_VERTICES + 1):
+        family = parse_family(f"path({n})")
+        counts = counts_for(generate(family), family)
+        assert counts.counts == tuple(n - k + 1 for k in range(1, n + 1))
+
+
 def test_complete_graph_counts_match_enumeration():
     for n in range(1, 9):
         assert complete_graph_counts(n).counts == subtree_counts(generate(f"complete({n})")).counts

@@ -15,19 +15,25 @@ from subtree_poly_lab import (
     ValidationError,
     build_polynomial,
     complete_graph_counts,
+    degree_profile,
     exact_beta,
     find_roots,
     generate,
     generate_connected,
+    parse_family,
     poisson_deviation,
     root_bound,
     rouche_margin,
     subtree_counts,
     tree_root_check,
 )
+from subtree_poly_lab import polyroots
+from subtree_poly_lab.counting import counts_for
 from subtree_poly_lab.polyroots import (
     DEFAULT_PRECISION_BITS,
+    RESIDUAL_THRESHOLD,
     TREE_ROOT_BOUND,
+    _first_max_index,
     _fixed_horner,
     _float_start,
     _horner,
@@ -35,6 +41,7 @@ from subtree_poly_lab.polyroots import (
     _require_certified,
     _root_key,
     _stages,
+    _top_bits,
 )
 
 
@@ -173,8 +180,10 @@ def test_cluster_reporting_total_multiplicity():
 
 
 def test_precision_floor_enforced():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="at least 106"):
         find_roots(SubtreePolynomial(coefficients=(3, 2, 1)), precision_bits=64)
+    with pytest.raises(ValidationError, match="at least 106"):
+        rouche_margin(complete_graph_counts(5), Fraction(4, 5), precision_bits=10)
 
 
 def test_extended_range_closed_form():
@@ -246,14 +255,17 @@ def test_polish_stages_double_from_128_and_end_at_work_bits():
 )
 def test_fixed_horner_matches_mpmath_horner(s, log_modulus, turn, bits):
     # Q, Q' and Q(|x|) from the integer evaluator against mpmath's Horner at
-    # the stage precision; both err by at most a few d 2^-bits of the scale
+    # the stage precision; both err by at most a few d 2^-bits of the scale.
+    # Without the derivative, Q and Q(|x|) are the same integers.
     d = len(s) - 1
     with mp.workprec(bits):
         x = mp.expjpi(mp.mpf(turn) / 180) * mp.ldexp(1, log_modulus)
         q = _horner([mp.mpf(c) for c in s], x)
         dq = _horner([mp.mpf(k * c) for k, c in enumerate(s) if k] or [mp.mpf(0)], x)
         scale = _horner([mp.mpf(c) for c in s], abs(x))
-    pr, pi, dr, di, fixed_scale, g, m = _fixed_horner(s, x, bits)
+    pr, pi, dr, di, fixed_scale, g, m = _fixed_horner(s, _top_bits(s), x, bits)
+    value_only = _fixed_horner(s, _top_bits(s), x, bits, derivative=False)
+    assert value_only == (pr, pi, None, None, fixed_scale, g, m)
     with mp.workprec(4 * bits + 600 * (d + 2) + 2500):
         size = abs(x)
         true_scale = mp.fsum(c * size**k for k, c in enumerate(s))
@@ -265,7 +277,7 @@ def test_fixed_horner_matches_mpmath_horner(s, log_modulus, turn, bits):
 
 
 def test_fixed_horner_at_zero():
-    pr, pi, dr, di, scale, g, m = _fixed_horner([5, 3, 7], mp.mpc(0), 128)
+    pr, pi, dr, di, scale, g, m = _fixed_horner([5, 3, 7], _top_bits([5, 3, 7]), mp.mpc(0), 128)
     assert (pr, pi, scale) == (5 << g, 0, 5 << g)
     assert (dr, di) == (3 << (g - m), 0)
 
@@ -293,9 +305,113 @@ def test_final_polish_stage_corrects_each_root_at_most_once_on_average(n):
     s = complete_graph_counts(n).counts
     work_bits = max(DEFAULT_PRECISION_BITS, max(c.bit_length() for c in s) + 64)
     u, e, _ = _float_start(s)
-    _, corrections = _polish(s, u, e, work_bits)
+    _, corrections = _polish(s, _top_bits(s), u, e, work_bits)
     assert len(corrections) == len(_stages(work_bits)) >= 2
     assert corrections[-1] <= n - 1
+
+
+def _dense_hosts():
+    # (counts, alpha) of K_n for n <= 40, or of a connected gnp host, n <= 10
+    complete = st.integers(2, 40).map(
+        lambda n: (complete_graph_counts(n), Fraction(n - 1, n))
+    )
+
+    def gnp(args):
+        n, p, seed = args
+        g, _ = generate_connected(f"gnp({n},{p})", seed)
+        return subtree_counts(g), degree_profile(g).alpha
+
+    sparse = st.tuples(st.integers(2, 10), st.floats(0.2, 0.9), st.integers(0, 10**6)).map(gnp)
+    return st.one_of(complete, sparse)
+
+
+def _mpmath_residuals(s, roots, work_bits):
+    # the certification's residuals |S(x)| / S(|x|) by mpmath's Horner on
+    # the coefficients rounded at work_bits: the route the integer
+    # evaluator replaced
+    with mp.workprec(work_bits):
+        q = [mp.mpf(c) for c in s]
+        return [float(abs(x) * abs(_horner(q, x)) / (abs(x) * _horner(q, abs(x)))) for x in roots]
+
+
+@settings(max_examples=25, deadline=None)
+@given(host=_dense_hosts())
+def test_residuals_match_mpmath_horner(host):
+    counts, _ = host
+    analysis = find_roots(build_polynomial(counts))
+    s, work_bits = counts.counts, analysis.precision_bits
+    oracle = _mpmath_residuals(s, analysis.roots[1:], work_bits)
+    tolerance = 8 * (len(s) - 1) * 2.0**-work_bits
+    for ours, theirs in zip(analysis.residuals[1:], oracle):
+        assert ours <= RESIDUAL_THRESHOLD and theirs <= RESIDUAL_THRESHOLD
+        assert abs(ours - theirs) <= tolerance
+
+
+@pytest.mark.parametrize("family", ["complete(12)", "complete(40)", "cycle(9)", "gnp(9,0.6)"])
+def test_residuals_off_the_roots_match_mpmath_horner(monkeypatch, family):
+    # roots moved off by a relative 2^-20 fail certification; the residuals
+    # the error carries, far above the rounding noise now, match the
+    # mpmath route to its accuracy
+    polish = polyroots._polish
+
+    def nudged(*args):
+        xs, corrections = polish(*args)
+        return [x * (1 + mp.ldexp(1, -20)) for x in xs], corrections
+
+    monkeypatch.setattr(polyroots, "_polish", nudged)
+    spec = parse_family(family)
+    counts = counts_for(generate(spec, seed=1), spec)
+    with pytest.raises(CertificationError) as failure:
+        find_roots(build_polynomial(counts))
+    roots, residuals = failure.value.roots, failure.value.residuals
+    s = counts.counts
+    work_bits = max(DEFAULT_PRECISION_BITS, max(s).bit_length() + 64)
+    oracle = _mpmath_residuals(s, roots[1:], work_bits)
+    for ours, theirs in zip(residuals[1:], oracle, strict=True):
+        assert abs(ours - theirs) <= 1e-12 * theirs + 8 * (len(s) - 1) * 2.0**-work_bits
+    assert max(residuals) > RESIDUAL_THRESHOLD
+
+
+def test_first_max_index_ties_at_rounding_noise():
+    with mp.workprec(256):
+        top = mp.mpf(3)
+        assert _first_max_index([mp.mpf(1), top, mp.mpf(2)]) == 1
+        # the later value is larger only by noise far below double precision
+        assert _first_max_index([mp.mpf(1), top, top * (1 + mp.ldexp(1, -200))]) == 1
+        assert _first_max_index([mp.mpf(1), top, top * (1 + mp.ldexp(1, -20))]) == 2
+
+
+def _mpmath_rouche(counts, alpha, C, circle_points):
+    # (max margin, its index under the shared tie rule) with F from
+    # mpmath's Horner on the rounded ratios s_{n-k}/s_n: the route
+    # rouche_margin took before the integer evaluator, on the same points
+    n = counts.n
+    beta = exact_beta(counts)
+    with mp.workprec(max(DEFAULT_PRECISION_BITS, counts.s(n).bit_length() + 64)):
+        sn = mp.mpf(counts.s(n))
+        coeffs = [mp.mpf(counts.s(n - k)) / sn for k in range(n)]
+        beta_mp = mp.mpf(beta.numerator) / beta.denominator
+        radius = mp.mpf(alpha.numerator) / alpha.denominator * mp.log(n) / mp.mpf(C)
+        points = [
+            radius * mp.exp(2j * mp.pi * mp.mpf(j) / circle_points)
+            for j in range(circle_points)
+        ]
+        points += [radius * u for u in (mp.mpc(1), mp.mpc(-1), mp.mpc(0, 1), mp.mpc(0, -1))]
+        margins = []
+        for y in points:
+            e = mp.exp(beta_mp * y)
+            margins.append(abs(_horner(coeffs, y) - e) / abs(e))
+    return float(max(margins)), _first_max_index(margins)
+
+
+@settings(max_examples=30, deadline=None)
+@given(host=_dense_hosts(), circle_points=st.sampled_from([1, 3, 8, 32, 64, 256]))
+def test_rouche_margin_matches_mpmath_horner(host, circle_points):
+    counts, alpha = host
+    report = rouche_margin(counts, alpha, circle_points=circle_points)
+    assert (report.max_margin, report.max_margin_index) == _mpmath_rouche(
+        counts, alpha, 7.0, circle_points
+    )
 
 
 def test_nan_residual_or_vieta_error_fails_certification():
