@@ -94,6 +94,20 @@ def _thread_count(text: str) -> int:
     )
 
 
+def _nonnegative(flag: str):
+    """An argparse type for `flag`: a nonnegative integer."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= 0:
+                return int(text)
+        except ValueError:
+            pass
+        raise ValidationError(f"{flag} must be a nonnegative integer, got {text}")
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     columns = "".join(f"  {name + ':':<12}{header}\n" for name, (_, header) in _COMMANDS.items())
     parser = _ArgumentParser(
@@ -127,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     caps = argparse.ArgumentParser(add_help=False)
     caps.add_argument(
         "--cap",
-        type=int,
+        type=_nonnegative("--cap"),
         default=DEFAULT_ENUMERATION_CAP,
         help=f"vertex cap for exact counting (default {DEFAULT_ENUMERATION_CAP}; "
         f"at most {MAX_BITMASK_VERTICES}, the width of the subset bitmasks)",
@@ -153,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=3)
 
     p = sub.add_parser("verify", parents=[graph_args, common, caps], help="identity and inequality battery")
-    p.add_argument("--tree-cap", type=int, default=10**6)
+    p.add_argument("--tree-cap", type=_nonnegative("--tree-cap"), default=10**6)
 
     p = sub.add_parser("tree-check", parents=[graph_args, common], help="root bound diagnostics for a tree host")
     p.add_argument("--tolerance", type=float, default=1e-9)

@@ -12,8 +12,14 @@ subset size at a time:
    bitmasks. Level k+1 is every level-k subset grown by one vertex of its
    neighbourhood bitmask, sorted and deduplicated.
 2. Modular elimination. t(G[W]) is a reduced-Laplacian cofactor. The
-   (k-1)x(k-1) minors of a chunk of subsets are stacked and eliminated
-   together modulo 31-bit primes, and their residues summed per k.
+   (k-1)x(k-1) minors of a chunk of subsets are stacked in int8 with the
+   batch axis last, and eliminated together modulo one 31-bit prime at a
+   time: division-free, without row swaps, updating only the upper
+   triangle of each symmetric trailing block. One product-tree inverse
+   per chunk and prime clears the pivot products. A pivot that vanishes
+   mod p (p divides a leading principal minor of a positive definite
+   matrix) flags its subset, which then adds its exact Bareiss count
+   instead. The residues are summed per k.
 3. CRT. G[W] is a subgraph of K_k, so t(G[W]) <= k^(k-2) and
    s_k(G) <= C(n,k) k^(k-2). The fewest primes whose product exceeds that
    bound determine s_k exactly by Chinese remaindering: the prime count
@@ -56,8 +62,10 @@ _PRIMES = (
     2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
     2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
 )
-# int64 entries in one stacked elimination tensor (all primes of a chunk)
-_CHUNK_ELEMENTS = 1 << 15
+# int64 entries in one elimination tensor (one prime at a time)
+_CHUNK_ELEMENTS = 1 << 16
+# entries a strip of rows of the trailing block gathers into one numpy update
+_STRIP_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -205,14 +213,15 @@ def _grow_level(masks: np.ndarray, adj: np.ndarray, bits: np.ndarray) -> np.ndar
     return grown[first]
 
 
-def _bit_matrix(masks: np.ndarray, n: int) -> np.ndarray:
-    """(B, n) 0/1 array: bit v of masks[b] at [b, v]."""
-    return (masks[:, None] >> np.arange(n, dtype=np.int64)) & 1
-
-
-def _mask_vertices(masks: np.ndarray, k: int, n: int) -> np.ndarray:
-    """(B, k) array of the ascending vertex ids of k-bit masks."""
-    return np.nonzero(_bit_matrix(masks, n))[1].reshape(-1, k)
+def _mask_vertices(masks: np.ndarray, k: int) -> np.ndarray:
+    """(k, B) array: row i holds the i-th smallest vertex of every k-bit mask."""
+    rest = masks.copy()
+    vertices = np.empty((k, masks.size), dtype=np.int64)
+    for row in vertices:
+        low = rest & -rest
+        row[:] = np.bitwise_count(low - 1)
+        rest ^= low
+    return vertices
 
 
 def enumerate_connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
@@ -227,72 +236,104 @@ def enumerate_connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
         if size == k:
             chunk = max(1, _CHUNK_ELEMENTS // g.n)
             for lo in range(0, masks.size, chunk):
-                yield from map(tuple, _mask_vertices(masks[lo:lo + chunk], k, g.n).tolist())
+                yield from map(tuple, _mask_vertices(masks[lo:lo + chunk], k).T.tolist())
             return
 
 
 def _laplacian_minors(adj: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """(B, k-1, k-1) Laplacians of g[W], row and column of min(W) deleted.
+    """(k-1, k-1, B) int8 Laplacians of g[W], row and column of min(W) deleted.
 
-    `adj` is the dense 0/1 adjacency matrix, `vertices` the (B, k) subsets.
+    `adj` is the dense int8 0/1 adjacency matrix and `vertices` the (k, B)
+    ascending vertex ids of the subsets. The batch axis is last and
+    contiguous, so every step of the elimination works on rows of B entries.
+    int8 holds the -1/0/1 entries and every degree below MAX_BITMASK_VERTICES.
     """
-    sub = adj[vertices[:, :, None], vertices[:, None, :]]
-    minors = -sub[:, 1:, 1:]
-    diag = np.arange(vertices.shape[1] - 1)
-    minors[:, diag, diag] = sub[:, 1:].sum(axis=2)
+    k, batch = vertices.shape
+    flat, n = adj.ravel(), adj.shape[0]
+    minors = np.empty((k - 1, k - 1, batch), dtype=np.int8)
+    for i in range(1, k):
+        row = flat.take(vertices[i] * n + vertices)  # adj[W_i, W_j] for every j
+        np.negative(row[1:], out=minors[i - 1])
+        minors[i - 1, i - 1] = row.sum(axis=0, dtype=np.int8)
     return minors
 
 
-def _pow_mod(base: np.ndarray, exp: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Elementwise base^exp mod p by square-and-multiply; operands below 2^31."""
-    result = np.ones_like(base)
-    for bit in range(int(exp.max()).bit_length()):
-        result = np.where((exp >> bit) & 1 == 1, result * base % p, result)
-        base = base * base % p
-    return result
+def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a * b mod p for residues below p < 2^31; the product is below 2^62."""
+    x = a * b
+    x -= x // p * p
+    return x
 
 
-def _determinants_mod(minors: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
-    """det(minors[b]) mod p for every prime p, as a (len(primes), B) array.
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise inverse of nonzero residues mod p by a product tree.
 
-    Division-free elimination: row_i <- pivot*row_i - a_ic*row_c scales the
-    determinant by the pivot once per row below it, so with prefix_c the
-    product of the first c+1 pivots,
-
-        det = sign * prefix_(m-1) / (prefix_0 * ... * prefix_(m-2)),
-
-    and one Fermat inverse per matrix clears the denominator. A column with
-    no nonzero pivot leaves a zero pivot, and 0 is the correct residue.
+    Pairwise products up to the root, one modular inverse of the root, and
+    back down: each child's inverse is its parent's inverse times its
+    sibling, about three multiplications per element.
     """
-    count, (batch, m, _) = len(primes), minors.shape
-    p_each = np.asarray(primes, dtype=np.int64)
-    mat = (minors[None] % p_each[:, None, None, None]).reshape(count * batch, m, m)
-    p = np.repeat(p_each, batch)
-    p_block = p[:, None, None]
-    sign = np.ones_like(p)
-    prefix = np.ones_like(p)
-    denominator = np.ones_like(p)
-    for c in range(m):
-        offset = np.argmax(mat[:, c:, c] != 0, axis=1)
-        swap = np.flatnonzero(offset)
-        if swap.size:
-            other = offset[swap] + c
-            row = mat[swap, c].copy()
-            mat[swap, c] = mat[swap, other]
-            mat[swap, other] = row
-            sign[swap] = -sign[swap]
-        pivot = mat[:, c, c]
-        prefix = prefix * pivot % p
-        if c == m - 1:
-            break
-        denominator = denominator * prefix % p
-        block = mat[:, c + 1:, c + 1:]
-        block *= pivot[:, None, None]
-        block -= mat[:, c + 1:, c, None] * mat[:, c, None, c + 1:]
-        block %= p_block
-    det = prefix * _pow_mod(denominator, p - 2, p) % p
-    det = np.where(sign < 0, (p - det) % p, det)
-    return det.reshape(count, batch)
+    size, levels = x.size, []
+    while x.size > 1:
+        if x.size % 2:
+            x = np.append(x, 1)
+        levels.append(x)
+        x = _mul_mod(x[0::2], x[1::2], p)
+    inverse = np.array([pow(int(x[0]), -1, p)], dtype=np.int64)
+    for level in reversed(levels):
+        down = np.empty_like(level)
+        half = inverse[:level.size // 2]
+        down[0::2] = _mul_mod(half, level[1::2], p)
+        down[1::2] = _mul_mod(half, level[0::2], p)
+        inverse = down
+    return inverse[:size]
+
+
+def _determinants_mod(minors: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """det(minors[:, :, b]) mod p for a (m, m, B) stack of symmetric matrices.
+
+    Returns `(det, ok)`. Elimination is division-free and pivot-free: row
+    c+1.. of the trailing block takes a_ij <- a_cc a_ij - a_ic a_cj, which
+    keeps it symmetric, so only its upper triangle is updated (a_ic is read
+    as a_ci). Each row update scales the determinant by the pivot, so with
+    prefix_c the product of the first c+1 pivots,
+
+        det = prefix_(m-1) / (prefix_0 * ... * prefix_(m-2)),
+
+    and one batched inverse clears the denominators. Every operand is a
+    residue below p < 2^31, so each product is below 2^62 and a difference
+    of two fits in int64; `x - (x // p) p` reduces it with one scalar
+    divisor.
+
+    A pivot a_cc = 0 (c < m-1) flags its matrix: `ok` is False and its `det`
+    is meaningless. The reduced Laplacian of a connected graph is positive
+    definite, so this happens only when p divides one of its leading
+    principal minors; with no zero pivot the elimination is exact mod p.
+    """
+    m, batch = minors.shape[0], minors.shape[2]
+    a = minors.astype(np.int64)
+    np.remainder(a, p, out=a)
+    ok = np.ones(batch, dtype=bool)
+    prefix = np.ones(batch, dtype=np.int64)
+    denominator = np.ones(batch, dtype=np.int64)
+    for c in range(m - 1):
+        pivot = a[c, c]
+        ok &= pivot != 0
+        prefix = _mul_mod(prefix, pivot, p)
+        denominator = _mul_mod(denominator, prefix, p)
+        row = a[c]
+        i = c + 1
+        while i < m:
+            # rows i..j-1 from column i on: the upper triangle, plus the
+            # lower corner of the strip, which is never read
+            j = min(m, i + max(1, _STRIP_ELEMENTS // ((m - i) * batch)))
+            block = a[i:j, i:]
+            x = block * pivot
+            x -= row[i:j, None] * row[i:]
+            np.subtract(x, x // p * p, out=block)
+            i = j
+    prefix = _mul_mod(prefix, a[m - 1, m - 1], p)
+    denominator[~ok] = 1
+    return _mul_mod(prefix, _inverse_mod(denominator, p), p), ok
 
 
 def _primes_for(bound: int) -> tuple[int, ...]:
@@ -318,12 +359,17 @@ def _level_tree_total(adj: np.ndarray, masks: np.ndarray, k: int) -> int:
     """Exact sum of t(G[W]) over the connected k-subsets W in `masks`, k >= 2."""
     n = adj.shape[0]
     primes = _primes_for(math.comb(n, k) * k ** (k - 2))
-    chunk = max(1, _CHUNK_ELEMENTS // (len(primes) * (k - 1) ** 2))
+    chunk = max(1, _CHUNK_ELEMENTS // (k - 1) ** 2)
     residues = [0] * len(primes)
     for lo in range(0, masks.size, chunk):
-        vertices = _mask_vertices(masks[lo:lo + chunk], k, n)
-        sums = _determinants_mod(_laplacian_minors(adj, vertices), primes).sum(axis=1)
-        residues = [(r + int(s)) % p for r, s, p in zip(residues, sums, primes)]
+        minors = _laplacian_minors(adj, _mask_vertices(masks[lo:lo + chunk], k))
+        for i, p in enumerate(primes):
+            det, ok = _determinants_mod(minors, p)
+            # a flagged matrix takes its exact Bareiss determinant instead
+            total = int(det[ok].sum()) + sum(
+                _bareiss_determinant(minors[:, :, b].tolist()) for b in np.flatnonzero(~ok)
+            )
+            residues[i] = (residues[i] + total) % p
     return _crt(residues, primes)
 
 
@@ -335,7 +381,8 @@ def subtree_counts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> SubtreeCount
             "raise the cap explicitly if you really want the exponential walk"
         )
     _require_bitmask_width(g)
-    adj = _bit_matrix(np.array(g.adjacency_bits, dtype=np.int64), g.n)
+    bits = np.array(g.adjacency_bits, dtype=np.int64)
+    adj = ((bits[:, None] >> np.arange(g.n)) & 1).astype(np.int8)
     counts = [0] * g.n
     for k, masks in enumerate(_connected_levels(g), start=1):
         counts[k - 1] = masks.size if k == 1 else _level_tree_total(adj, masks, k)

@@ -290,6 +290,30 @@ def test_threads_environment_default_must_be_positive(monkeypatch, capsys, value
     assert cli.THREADS_ENV in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("counts", "--graph", "cycle(5)", "--cap", "-3"), "--cap", "-3"),
+        (("counts", "--graph", "cycle(5)", "--cap", "x"), "--cap", "x"),
+        (("verify", "--graph", "cycle(6)", "--tree-cap", "-1"), "--tree-cap", "-1"),
+    ],
+)
+def test_caps_must_be_nonnegative(capsys, argv, flag, value):
+    status, out, err = invoke(capsys, *argv)
+    assert status == 1
+    assert out == ""
+    assert f"error: {flag} must be a nonnegative integer, got {value}\n" in err
+
+
+def test_zero_cap_leaves_closed_form_and_tree_routes(capsys):
+    for graph in ("complete(6)", "path(6)"):
+        status, _, _ = invoke(capsys, "counts", "--graph", graph, "--cap", "0")
+        assert status == 0
+    status, _, err = invoke(capsys, "counts", "--graph", "cycle(5)", "--cap", "0")
+    assert status == 2
+    assert "enumeration cap 0" in err
+
+
 def test_edge_list_input(tmp_path, capsys):
     path = tmp_path / "triangle.txt"
     path.write_text("3 3\n0 1\n0 2\n1 2\n")

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subtree_poly_lab import (
@@ -26,6 +26,7 @@ from subtree_poly_lab import (
     spanning_tree_count,
     subtree_counts,
 )
+from subtree_poly_lab import counting
 from subtree_poly_lab.counting import (
     MAX_BITMASK_VERTICES,
     _PRIMES,
@@ -33,6 +34,7 @@ from subtree_poly_lab.counting import (
     _crt,
     _determinants_mod,
     _laplacian_minor,
+    _laplacian_minors,
     _primes_for,
     closed_form_counts,
     counts_for,
@@ -184,28 +186,88 @@ def test_subtree_counts_match_per_subset_oracle(n, p, seed):
     assert subtree_counts(g).counts == expected
 
 
+def _stacked_minors(g, subsets):
+    """(m, m, B) int8 stack of the list-built oracle minors of `subsets`."""
+    mats = [_laplacian_minor(g, list(w)) for w in subsets]
+    return np.array(mats, dtype=np.int8).transpose(1, 2, 0).copy()
+
+
 def test_modular_determinant_crt_matches_bareiss():
     k24 = _laplacian_minor(generate("complete(24)"), list(range(24)))
     exact = _bareiss_determinant([row[:] for row in k24])
     assert exact == 24**22
     primes = _primes_for(24**22)
     assert len(primes) == 4
-    residues = _determinants_mod(np.array(k24, dtype=np.int64)[None], primes)[:, 0]
-    assert _crt([int(r) for r in residues], primes) == exact
+    residues = []
+    for p in primes:
+        det, ok = _determinants_mod(np.array(k24, dtype=np.int8)[:, :, None], p)
+        assert ok.tolist() == [True]
+        residues.append(int(det[0]))
+    assert _crt(residues, primes) == exact
 
 
-def test_modular_determinant_pivot_paths():
-    # 125 = 0 mod 5: the K_5 minor is all 4s mod 5 and its second column
-    # has no nonzero pivot
-    k5 = np.array(_laplacian_minor(generate("complete(5)"), list(range(5))), dtype=np.int64)
-    assert _determinants_mod(k5[None], (5,)).tolist() == [[0]]
-    assert _determinants_mod(k5[None], (7,)).tolist() == [[125 % 7]]
-    # a zero leading entry forces a row swap in one matrix of the batch only
-    batch = [[[0, 1, 2], [3, 4, 5], [6, 7, 9]], [[2, 0, 0], [0, 3, 0], [0, 0, 4]]]
-    exact = [_bareiss_determinant([row[:] for row in mat]) for mat in batch]
-    assert exact == [-3, 24]
-    got = _determinants_mod(np.array(batch, dtype=np.int64), (7, 11))
-    assert got.tolist() == [[d % p for d in exact] for p in (7, 11)]
+def test_modular_determinant_flags_zero_pivot():
+    # 125 = 0 mod 5: the K_5 minor is all 4s mod 5, so its second pivot
+    # vanishes and the matrix is flagged; mod 7 no pivot vanishes
+    k5 = _stacked_minors(generate("complete(5)"), [range(5)])
+    _, ok = _determinants_mod(k5, 5)
+    assert ok.tolist() == [False]
+    det, ok = _determinants_mod(k5, 7)
+    assert ok.tolist() == [True]
+    assert det.tolist() == [125 % 7]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    edge_p=st.floats(0.2, 0.9),
+    seed=st.integers(0, 10**6),
+    k=st.integers(2, 9),
+    p=st.sampled_from([2, 5, 7, 97]),
+)
+def test_modular_determinant_matches_bareiss_or_flags(n, edge_p, seed, k, p):
+    g = generate(f"gnp({n},{edge_p})", seed=seed)
+    subsets = list(enumerate_connected_subsets(g, min(k, n)))
+    assume(subsets)
+    minors = _stacked_minors(g, subsets)
+    adj = np.array([[(bits >> v) & 1 for v in range(n)] for bits in g.adjacency_bits], dtype=np.int8)
+    vertices = np.array(subsets, dtype=np.int64).T.copy()
+    assert np.array_equal(_laplacian_minors(adj, vertices), minors)
+    det, ok = _determinants_mod(minors, p)
+    m = minors.shape[0]
+    for b, w in enumerate(subsets):
+        mat = minors[:, :, b].tolist()
+        if ok[b]:
+            assert det[b] == subset_spanning_tree_count(g, list(w)) % p
+        else:
+            # a flag means p divides a leading principal minor the
+            # elimination divides by
+            leading = [_bareiss_determinant([row[:j] for row in mat[:j]]) for j in range(1, m)]
+            assert any(d % p == 0 for d in leading)
+
+
+def test_subtree_counts_small_primes_take_the_exact_route(monkeypatch):
+    # primes below 100 make zero pivots common; every flagged subset must
+    # take its exact Bareiss count and the totals stay exact
+    hosts = [generate(f"gnp({n},{q})", seed=seed) for n, q, seed in ((9, 0.5, 1), (10, 0.6, 2), (11, 0.4, 3))]
+    expected = [
+        tuple(
+            sum(subset_spanning_tree_count(g, list(w)) for w in _connected_filter_oracle(g, k))
+            for k in range(1, g.n + 1)
+        )
+        for g in hosts
+    ]
+    calls = []
+
+    def counted(mat):
+        calls.append(len(mat))
+        return _bareiss_determinant(mat)
+
+    small = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))
+    monkeypatch.setattr(counting, "_PRIMES", small)
+    monkeypatch.setattr(counting, "_bareiss_determinant", counted)
+    assert [subtree_counts(g).counts for g in hosts] == expected
+    assert calls
 
 
 def test_prime_table_covers_every_bitmask_width():
