@@ -305,9 +305,10 @@ def _determinants_mod(minors: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
     divisor.
 
     A pivot a_cc = 0 (c < m-1) flags its matrix: `ok` is False and its `det`
-    is meaningless. The reduced Laplacian of a connected graph is positive
-    definite, so this happens only when p divides one of its leading
-    principal minors; with no zero pivot the elimination is exact mod p.
+    is meaningless. The first zero pivot marks a leading principal minor
+    divisible by p. Those of a connected graph's reduced Laplacian are
+    positive integers (it is positive definite), so flags are rare with
+    31-bit primes; with no zero pivot the elimination is exact mod p.
     """
     m, batch = minors.shape[0], minors.shape[2]
     a = minors.astype(np.int64)
