@@ -3,63 +3,80 @@
 Library layout:
     graphs     - graph type, generators, edge-list ingestion
     counting   - exact subtree-count vectors and their oracles
+    subsets    - the numpy kernel of the counting enumeration
     spanning   - Wilson sampling, leaf weights, identity verification
     polyroots  - subtree polynomial, certified roots, margin diagnostics
     cli        - batch experiment driver
+
+Importing the package loads none of its modules: each exported name is
+imported from its module on first access (PEP 562), so a process pays
+only for what it uses, and only the routes that need numpy or mpmath
+load them.
 """
 
-from .counting import (
-    SubtreeCountVector,
-    brute_force_subtree_count,
-    check_ratio_inequalities,
-    complete_graph_counts,
-    enumerate_connected_subsets,
-    spanning_tree_count,
-    subtree_counts,
-)
-from .errors import (
-    CapacityError,
-    CertificationError,
-    EdgeListParseError,
-    SubtreeLabError,
-    ValidationError,
-)
-from .graphs import (
-    DegreeProfile,
-    FamilySpec,
-    Graph,
-    degree_profile,
-    from_edge_list,
-    generate,
-    generate_connected,
-    induced_subgraph,
-    is_connected,
-    parse_family,
-)
-from .polyroots import (
-    RootAnalysis,
-    SubtreePolynomial,
-    build_polynomial,
-    find_roots,
-    poisson_deviation,
-    root_bound,
-    rouche_margin,
-    tree_root_check,
-)
-from .rng import RandomStream, stream
-from .spanning import (
-    BetaEstimate,
-    SpanningTree,
-    WeightSample,
-    concentration_profile,
-    enumerate_spanning_trees,
-    estimate_beta,
-    exact_beta,
-    leaf_count_stats,
-    leaf_weight,
-    verify_weight_identity,
-    weight_experiment,
-    wilson_sample,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# exported name -> the module that defines it
+_EXPORTS = {
+    "SubtreeCountVector": "counting",
+    "brute_force_subtree_count": "counting",
+    "check_ratio_inequalities": "counting",
+    "complete_graph_counts": "counting",
+    "enumerate_connected_subsets": "counting",
+    "exact_beta": "counting",
+    "spanning_tree_count": "counting",
+    "subtree_counts": "counting",
+    "CapacityError": "errors",
+    "CertificationError": "errors",
+    "EdgeListParseError": "errors",
+    "SubtreeLabError": "errors",
+    "ValidationError": "errors",
+    "DegreeProfile": "graphs",
+    "FamilySpec": "graphs",
+    "Graph": "graphs",
+    "degree_profile": "graphs",
+    "from_edge_list": "graphs",
+    "generate": "graphs",
+    "generate_connected": "graphs",
+    "induced_subgraph": "graphs",
+    "is_connected": "graphs",
+    "parse_family": "graphs",
+    "RootAnalysis": "polyroots",
+    "SubtreePolynomial": "polyroots",
+    "build_polynomial": "polyroots",
+    "find_roots": "polyroots",
+    "poisson_deviation": "polyroots",
+    "root_bound": "polyroots",
+    "rouche_margin": "polyroots",
+    "tree_root_check": "polyroots",
+    "RandomStream": "rng",
+    "stream": "rng",
+    "BetaEstimate": "spanning",
+    "SpanningTree": "spanning",
+    "WeightSample": "spanning",
+    "concentration_profile": "spanning",
+    "enumerate_spanning_trees": "spanning",
+    "estimate_beta": "spanning",
+    "leaf_count_stats": "spanning",
+    "leaf_weight": "spanning",
+    "verify_weight_identity": "spanning",
+    "weight_experiment": "spanning",
+    "wilson_sample": "spanning",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -12,6 +12,9 @@ format, and the help text's CSV columns are read from the tables.
 
 The --threads flag caps module parallelism; it is an execution knob, not
 part of the experiment spec, and never changes results or output bytes.
+
+Each handler imports the lab modules it runs (and mpmath, numpy through
+them) when it is called, so a process loads only what its command uses.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import math
 import os
 import sys
 
-import mpmath as mp
-
 from . import __version__
 from .counting import (
     DEFAULT_ENUMERATION_CAP,
@@ -33,6 +34,7 @@ from .counting import (
     check_ratio_inequalities,
     closed_form_counts,
     counts_for,
+    exact_beta,
     spanning_tree_count,
 )
 from .errors import CapacityError, CertificationError, SubtreeLabError, ValidationError
@@ -44,16 +46,6 @@ from .graphs import (
     generate,
     is_connected,
     parse_family,
-)
-from .polyroots import build_polynomial, find_roots, poisson_deviation, rouche_margin, tree_root_check
-from .rng import DOMAIN_SAMPLE, stream
-from .spanning import (
-    estimate_beta,
-    exact_beta,
-    leaf_weight,
-    verify_weight_identity,
-    weight_experiment,
-    wilson_sample,
 )
 
 THREADS_ENV = "SUBTREE_POLY_LAB_THREADS"
@@ -226,6 +218,8 @@ def _render(spec: dict, header: list[str], result: dict | None, rows: list[list]
 
 
 def _mp_str(x) -> str:
+    import mpmath as mp
+
     return mp.nstr(x, 20)
 
 
@@ -247,6 +241,8 @@ def _cmd_counts(args, graph, family):
 
 def _estimate_beta(args, graph):
     """The estimate and its CSV row, shared by `beta` and the beta sweep."""
+    from .spanning import estimate_beta
+
     est = estimate_beta(graph, args.samples, args.seed, threads=args.threads)
     return est, [graph.n, repr(float(est.mean)), repr(est.standard_error), est.samples, est.seed]
 
@@ -265,6 +261,9 @@ def _cmd_beta(args, graph, family):
 def _cmd_sample(args, graph, family):
     if args.samples < 1:
         raise ValidationError("--samples must be positive")
+    from .rng import DOMAIN_SAMPLE, stream
+    from .spanning import leaf_weight, wilson_sample
+
     trees = []
     for i in range(args.samples):
         tree = wilson_sample(graph, stream(args.seed, i, domain=DOMAIN_SAMPLE))
@@ -286,6 +285,8 @@ def _cmd_sample(args, graph, family):
 
 
 def _cmd_roots(args, graph, family):
+    from .polyroots import build_polynomial, find_roots
+
     counts = counts_for(graph, family, args.cap)
     analysis = find_roots(build_polynomial(counts), precision_bits=args.precision_bits)
     rows = [
@@ -297,6 +298,8 @@ def _cmd_roots(args, graph, family):
 
 
 def _cmd_rouche(args, graph, family):
+    from .polyroots import rouche_margin
+
     counts = counts_for(graph, family, args.cap)
     report = rouche_margin(
         counts, degree_profile(graph).alpha, C=args.C, circle_points=args.circle_points,
@@ -313,6 +316,8 @@ def _cmd_poisson(args, graph, family):
     counts = counts_for(graph, family, args.cap)
     if args.k_max >= counts.n:
         raise ValidationError(f"--k-max must be below n = {counts.n}")
+    from .polyroots import poisson_deviation
+
     devs = poisson_deviation(counts, args.k_max)
     result = {
         "k_max": args.k_max,
@@ -329,6 +334,8 @@ def _cmd_verify(args, graph, family):
         # the identities under test assume a connected host: flag and stop
         print("input graph is disconnected; verification checks skipped", file=sys.stderr)
         return params, {"connected": False, "checks_run": False}, [], 1
+    from .spanning import verify_weight_identity
+
     counts = counts_for(graph, family, args.cap)
     profile = degree_profile(graph)
     identity = verify_weight_identity(graph, cap=args.tree_cap)
@@ -356,6 +363,8 @@ def _cmd_verify(args, graph, family):
 
 
 def _cmd_tree_check(args, graph, family):
+    from .polyroots import tree_root_check
+
     report = tree_root_check(graph, tolerance=args.tolerance)
     rows = [[report.n, repr(report.max_modulus), repr(report.bound),
              report.within_bound, report.annulus_ok]]
@@ -366,6 +375,8 @@ def _cmd_experiment(args, graph, family):
     b_grid = _parse_list(args.b_grid, float, "b-grid", "reals")
     if not b_grid:
         raise ValidationError("b-grid must be nonempty")
+    from .spanning import weight_experiment
+
     beta_report, leaf_report, tails = weight_experiment(
         graph, args.samples, args.seed, b_grid, args.epsilon, threads=args.threads
     )
@@ -414,12 +425,16 @@ def _sweep_counts(args, graph, family) -> list:
 
 
 def _sweep_roots(args, graph, family) -> list:
+    from .polyroots import build_polynomial, find_roots
+
     analysis = find_roots(build_polynomial(counts_for(graph, family, args.cap)))
     return [graph.n, repr(analysis.max_modulus), repr(analysis.vieta_relative_error),
             analysis.iterations]
 
 
 def _sweep_rouche(args, graph, family) -> list:
+    from .polyroots import rouche_margin
+
     counts = counts_for(graph, family, args.cap)
     report = rouche_margin(counts, degree_profile(graph).alpha, C=args.C,
                            circle_points=args.circle_points)
@@ -428,6 +443,8 @@ def _sweep_rouche(args, graph, family) -> list:
 
 
 def _sweep_poisson(args, graph, family) -> list:
+    from .polyroots import poisson_deviation
+
     n = graph.n
     devs = poisson_deviation(counts_for(graph, family, args.cap), min(args.k_max, n - 1))
     floats = [float(d) for d in devs] + [float("nan")] * (args.k_max + 1 - len(devs))
@@ -498,6 +515,8 @@ def run(argv=None) -> int:
 
 def _worst_iterates(err: CertificationError) -> list[str]:
     """The largest residuals (NaN first) with their indices and iterates."""
+    import mpmath as mp
+
     residuals = err.residuals
     ranked = sorted(
         range(len(residuals)), key=lambda i: (not math.isnan(residuals[i]), -residuals[i])

@@ -6,7 +6,8 @@ vertex support, so
     s_k(G) = sum over connected k-subsets W of t(G[W]),
 
 where t(.) is the spanning-tree count. The production route works one
-subset size at a time:
+subset size at a time, in the numpy kernel of the `subsets` module,
+which only `subtree_counts` and `enumerate_connected_subsets` load:
 
 1. Levels. The connected k-subsets are held as one sorted int64 array of
    bitmasks. Level k+1 is every level-k subset grown by one vertex of its
@@ -46,8 +47,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
-import numpy as np
-
 from .errors import CapacityError, ValidationError
 from .graphs import FamilySpec, Graph, generate, is_connected
 
@@ -62,10 +61,6 @@ _PRIMES = (
     2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
     2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
 )
-# int64 entries in one elimination tensor (one prime at a time)
-_CHUNK_ELEMENTS = 1 << 16
-# entries a strip of rows of the trailing block gathers into one numpy update
-_STRIP_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -104,6 +99,13 @@ class SubtreeCountVector:
         return SubtreeCountVector(
             n=int(doc["n"]), counts=tuple(int(c) for c in doc["counts"])
         )
+
+
+def exact_beta(counts: SubtreeCountVector) -> Fraction:
+    """beta = s_{n-1}/s_n, exact."""
+    if counts.s(counts.n) == 0:
+        raise ValidationError("beta undefined: no spanning trees (disconnected source)")
+    return Fraction(counts.s(counts.n - 1), counts.s(counts.n))
 
 
 def _bareiss_determinant(mat: list[list[int]]) -> int:
@@ -175,55 +177,6 @@ def _require_bitmask_width(g: Graph) -> None:
         )
 
 
-def _connected_levels(g: Graph) -> Iterator[np.ndarray]:
-    """Yield the connected k-subsets as sorted int64 bitmasks, k = 1, 2, ...
-
-    Stops after the last nonempty level (the largest component size).
-    """
-    adj = np.array(g.adjacency_bits, dtype=np.int64)
-    bits = np.left_shift(1, np.arange(g.n, dtype=np.int64))
-    masks = bits
-    while masks.size:
-        yield masks
-        masks = _grow_level(masks, adj, bits)
-
-
-def _grow_level(masks: np.ndarray, adj: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Connected (k+1)-subsets from the sorted connected k-subsets `masks`."""
-    # the neighbourhood of each subset, less the subset itself
-    frontier = np.zeros_like(masks)
-    for bit, row in zip(bits, adj):
-        frontier[(masks & bit) != 0] |= row
-    frontier &= ~masks
-    # Each grown subset arises once per removable vertex. Filling one
-    # preallocated array and deduplicating it in place keeps the peak
-    # memory at one copy of the duplicates.
-    hits = [(frontier & bit) != 0 for bit in bits]
-    grown = np.empty(sum(int(np.count_nonzero(hit)) for hit in hits), dtype=np.int64)
-    end = 0
-    for bit, hit in zip(bits, hits):
-        part = masks[hit]
-        grown[end:end + part.size] = part | bit
-        end += part.size
-    del frontier, hits
-    grown.sort()
-    first = np.empty(grown.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(grown[1:], grown[:-1], out=first[1:])
-    return grown[first]
-
-
-def _mask_vertices(masks: np.ndarray, k: int) -> np.ndarray:
-    """(k, B) array: row i holds the i-th smallest vertex of every k-bit mask."""
-    rest = masks.copy()
-    vertices = np.empty((k, masks.size), dtype=np.int64)
-    for row in vertices:
-        low = rest & -rest
-        row[:] = np.bitwise_count(low - 1)
-        rest ^= low
-    return vertices
-
-
 def enumerate_connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """Stream every vertex subset W with |W| = k and g[W] connected, once each.
 
@@ -232,109 +185,9 @@ def enumerate_connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     if not 1 <= k <= g.n:
         raise ValidationError(f"subset size {k} out of range [1, {g.n}]")
     _require_bitmask_width(g)
-    for size, masks in enumerate(_connected_levels(g), start=1):
-        if size == k:
-            chunk = max(1, _CHUNK_ELEMENTS // g.n)
-            for lo in range(0, masks.size, chunk):
-                yield from map(tuple, _mask_vertices(masks[lo:lo + chunk], k).T.tolist())
-            return
+    from .subsets import connected_subsets
 
-
-def _laplacian_minors(adj: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """(k-1, k-1, B) int8 Laplacians of g[W], row and column of min(W) deleted.
-
-    `adj` is the dense int8 0/1 adjacency matrix and `vertices` the (k, B)
-    ascending vertex ids of the subsets. The batch axis is last and
-    contiguous, so every step of the elimination works on rows of B entries.
-    int8 holds the -1/0/1 entries and every degree below MAX_BITMASK_VERTICES.
-    """
-    k, batch = vertices.shape
-    flat, n = adj.ravel(), adj.shape[0]
-    minors = np.empty((k - 1, k - 1, batch), dtype=np.int8)
-    for i in range(1, k):
-        row = flat.take(vertices[i] * n + vertices)  # adj[W_i, W_j] for every j
-        np.negative(row[1:], out=minors[i - 1])
-        minors[i - 1, i - 1] = row.sum(axis=0, dtype=np.int8)
-    return minors
-
-
-def _mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a * b mod p for residues below p < 2^31; the product is below 2^62."""
-    x = a * b
-    x -= x // p * p
-    return x
-
-
-def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise inverse of nonzero residues mod p by a product tree.
-
-    Pairwise products up to the root, one modular inverse of the root, and
-    back down: each child's inverse is its parent's inverse times its
-    sibling, about three multiplications per element.
-    """
-    size, levels = x.size, []
-    while x.size > 1:
-        if x.size % 2:
-            x = np.append(x, 1)
-        levels.append(x)
-        x = _mul_mod(x[0::2], x[1::2], p)
-    inverse = np.array([pow(int(x[0]), -1, p)], dtype=np.int64)
-    for level in reversed(levels):
-        down = np.empty_like(level)
-        half = inverse[:level.size // 2]
-        down[0::2] = _mul_mod(half, level[1::2], p)
-        down[1::2] = _mul_mod(half, level[0::2], p)
-        inverse = down
-    return inverse[:size]
-
-
-def _determinants_mod(minors: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """det(minors[:, :, b]) mod p for a (m, m, B) stack of symmetric matrices.
-
-    Returns `(det, ok)`. Elimination is division-free and pivot-free: row
-    c+1.. of the trailing block takes a_ij <- a_cc a_ij - a_ic a_cj, which
-    keeps it symmetric, so only its upper triangle is updated (a_ic is read
-    as a_ci). Each row update scales the determinant by the pivot, so with
-    prefix_c the product of the first c+1 pivots,
-
-        det = prefix_(m-1) / (prefix_0 * ... * prefix_(m-2)),
-
-    and one batched inverse clears the denominators. Every operand is a
-    residue below p < 2^31, so each product is below 2^62 and a difference
-    of two fits in int64; `x - (x // p) p` reduces it with one scalar
-    divisor.
-
-    A pivot a_cc = 0 (c < m-1) flags its matrix: `ok` is False and its `det`
-    is meaningless. The first zero pivot marks a leading principal minor
-    divisible by p. Those of a connected graph's reduced Laplacian are
-    positive integers (it is positive definite), so flags are rare with
-    31-bit primes; with no zero pivot the elimination is exact mod p.
-    """
-    m, batch = minors.shape[0], minors.shape[2]
-    a = minors.astype(np.int64)
-    np.remainder(a, p, out=a)
-    ok = np.ones(batch, dtype=bool)
-    prefix = np.ones(batch, dtype=np.int64)
-    denominator = np.ones(batch, dtype=np.int64)
-    for c in range(m - 1):
-        pivot = a[c, c]
-        ok &= pivot != 0
-        prefix = _mul_mod(prefix, pivot, p)
-        denominator = _mul_mod(denominator, prefix, p)
-        row = a[c]
-        i = c + 1
-        while i < m:
-            # rows i..j-1 from column i on: the upper triangle, plus the
-            # lower corner of the strip, which is never read
-            j = min(m, i + max(1, _STRIP_ELEMENTS // ((m - i) * batch)))
-            block = a[i:j, i:]
-            x = block * pivot
-            x -= row[i:j, None] * row[i:]
-            np.subtract(x, x // p * p, out=block)
-            i = j
-    prefix = _mul_mod(prefix, a[m - 1, m - 1], p)
-    denominator[~ok] = 1
-    return _mul_mod(prefix, _inverse_mod(denominator, p), p), ok
+    yield from connected_subsets(g, k)
 
 
 def _primes_for(bound: int) -> tuple[int, ...]:
@@ -356,24 +209,6 @@ def _crt(residues: list[int], primes: tuple[int, ...]) -> int:
     return value
 
 
-def _level_tree_total(adj: np.ndarray, masks: np.ndarray, k: int) -> int:
-    """Exact sum of t(G[W]) over the connected k-subsets W in `masks`, k >= 2."""
-    n = adj.shape[0]
-    primes = _primes_for(math.comb(n, k) * k ** (k - 2))
-    chunk = max(1, _CHUNK_ELEMENTS // (k - 1) ** 2)
-    residues = [0] * len(primes)
-    for lo in range(0, masks.size, chunk):
-        minors = _laplacian_minors(adj, _mask_vertices(masks[lo:lo + chunk], k))
-        for i, p in enumerate(primes):
-            det, ok = _determinants_mod(minors, p)
-            # a flagged matrix takes its exact Bareiss determinant instead
-            total = int(det[ok].sum()) + sum(
-                _bareiss_determinant(minors[:, :, b].tolist()) for b in np.flatnonzero(~ok)
-            )
-            residues[i] = (residues[i] + total) % p
-    return _crt(residues, primes)
-
-
 def subtree_counts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> SubtreeCountVector:
     """Exact s_1..s_n by summing spanning-tree counts over connected subsets."""
     if g.n > cap:
@@ -382,12 +217,9 @@ def subtree_counts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> SubtreeCount
             "raise the cap explicitly if you really want the exponential walk"
         )
     _require_bitmask_width(g)
-    bits = np.array(g.adjacency_bits, dtype=np.int64)
-    adj = ((bits[:, None] >> np.arange(g.n)) & 1).astype(np.int8)
-    counts = [0] * g.n
-    for k, masks in enumerate(_connected_levels(g), start=1):
-        counts[k - 1] = masks.size if k == 1 else _level_tree_total(adj, masks, k)
-    return SubtreeCountVector(n=g.n, counts=tuple(counts), fingerprint=g.fingerprint())
+    from .subsets import level_counts
+
+    return SubtreeCountVector(n=g.n, counts=tuple(level_counts(g)), fingerprint=g.fingerprint())
 
 
 def complete_graph_counts(n: int) -> SubtreeCountVector:

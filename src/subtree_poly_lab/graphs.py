@@ -3,7 +3,8 @@
 Vertices are 0-based contiguous integers. Adjacency is stored twice: as
 bitset rows (fast subset intersection during enumeration) and as sorted
 neighbor tuples (fast random walks). Graphs are immutable after
-construction and safe to share across workers.
+construction and safe to share across workers. Only the random
+generators import `rng`, and numpy with it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import EdgeListParseError, ValidationError
-from .rng import stream
 
 FAMILY_NAMES = (
     "complete",
@@ -260,6 +260,8 @@ def generate(spec: FamilySpec | str, seed: int = 0) -> Graph:
             raise ValidationError(f"gnp needs n >= 1, got {n}")
         if not 0.0 <= p <= 1.0:
             raise ValidationError(f"gnp needs 0 <= p <= 1, got {p}")
+        from .rng import stream
+
         rs = stream(seed)
         edges = [
             (u, v)
@@ -275,6 +277,8 @@ def generate(spec: FamilySpec | str, seed: int = 0) -> Graph:
             return Graph.from_edges(1, [])
         if n == 2:
             return Graph.from_edges(2, [(0, 1)])
+        from .rng import stream
+
         rs = stream(seed)
         prufer = [rs.randint(n) for _ in range(n - 2)]
         return Graph.from_edges(n, _prufer_decode(prufer, n))

@@ -6,20 +6,21 @@ root x = 0. The remaining n-1 roots are started on the reversed series
     F(y) = sum_{k=0}^{n-1} (s_{n-k}/s_n) y^k,      S(x) = s_n x^n F(1/x),
 
 whose coefficients are well scaled for dense graphs (they decay roughly
-like beta^k/k!). The start is a vectorised complex128 Aberth-Ehrlich
-iteration on F(2^e u), with e taken from the bit lengths of s_1 and s_n
-so that the coefficients stay in double range; each root freezes once
-|F| is at the level of rounding error. The roots are mapped back to
-x = 1/y and polished by Gauss-Seidel Aberth corrections on a precision
-ladder: 128, 256, 512, ... bits, ending at exactly the working
-precision, each stage stopping every root at its rounding level. Each
-correction evaluates S(x)/x and its derivative in Gaussian fixed point
-on the exact integer coefficients (Python integers, no mpmath), and
-sums the Aberth repulsion in complex128; the simultaneous correction
-keeps two iterates from settling on one root. The roots are certified
-at the working precision by scale-normalized residuals |Q(x)| / Q(|x|),
-Q(x) = S(x)/x, taken from the same integer evaluator without its
-derivative, plus a Vieta product check in mpmath. Certification
+like beta^k/k!). The start is a Jacobi Aberth-Ehrlich iteration in
+plain Python `complex` (double precision, no numpy) on F(2^e u), with e
+taken from the bit lengths of s_1 and s_n so that the coefficients stay
+in double range; each root freezes once |F| is at the level of rounding
+error. The roots are mapped back to x = 1/y and polished by Gauss-Seidel
+Aberth corrections on a precision ladder: 128, 256, 512, ... bits,
+ending at exactly the working precision, each stage stopping every root
+at its rounding level. Each correction evaluates S(x)/x and its
+derivative in Gaussian fixed point on the exact integer coefficients
+(Python integers, no mpmath), and sums the Aberth repulsion in double
+precision; the simultaneous correction keeps two iterates from settling
+on one root. The roots are certified at the working precision by
+scale-normalized residuals |Q(x)| / Q(|x|), Q(x) = S(x)/x, taken from
+the same integer evaluator without its derivative, plus a Vieta product
+check in mpmath. Certification
 failures raise; they are never silent. The design follows MPSolve
 (Bini and Fiorentino, 2000; Bini and Robol, 2014).
 
@@ -39,12 +40,10 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
-import numpy as np
 
-from .counting import SubtreeCountVector, counts_for
+from .counting import SubtreeCountVector, counts_for, exact_beta
 from .errors import CertificationError, ValidationError
 from .graphs import Graph, is_connected
-from .spanning import exact_beta
 
 # the last polish stage and the certification run at work_bits, this or
 # the coefficient bits + 64 if larger; earlier stages start at 128 bits
@@ -53,7 +52,7 @@ RESIDUAL_THRESHOLD = 1e-20
 VIETA_RELATIVE_TOLERANCE = 1e-8
 CLUSTER_TOLERANCE = 1e-7
 TREE_ROOT_BOUND = 1.0 + 3.0 ** (1.0 / 3.0)
-MAX_START_SWEEPS = 500  # complex128 Aberth sweeps before the polish takes over
+MAX_START_SWEEPS = 500  # double-precision Aberth sweeps before the polish takes over
 MAX_POLISH_SWEEPS = 60  # Aberth sweeps per polish stage
 
 
@@ -85,7 +84,7 @@ class RootAnalysis:
     roots: tuple  # mpc values, n entries, forced 0 first, then by real part; see _root_key
     residuals: tuple[float, ...]
     max_modulus: float
-    iterations: int  # complex128 start sweeps + polish corrections over all stages
+    iterations: int  # double-precision start sweeps + polish corrections over all stages
     precision_bits: int
     vieta_product: float
     vieta_target: float
@@ -109,11 +108,11 @@ class RootAnalysis:
 
 
 def _horner(coeffs: Sequence, x):
-    """p(x) with coefficients in ascending order, on complex128 arrays of points.
+    """p(x) with coefficients in ascending order.
 
-    It serves the float start only (where p'(x) is the same loop over the
-    coefficients k a_k); every multiprecision evaluation runs on the
-    integers, in _fixed_horner.
+    It serves the double-precision start only (where p'(x) is the same
+    loop over the coefficients k a_k); every multiprecision evaluation
+    runs on the integers, in _fixed_horner.
     """
     p = coeffs[-1]
     for k in range(len(coeffs) - 2, -1, -1):
@@ -133,45 +132,71 @@ def _scaled_ratio(num: int, den: int, shift: int) -> float:
         return math.inf
 
 
-def _float_start(s: Sequence[int]) -> tuple[np.ndarray, int, int]:
-    """Roots u of F(2^e u) by a vectorised complex128 Aberth iteration.
+def _modulus(z: complex) -> float:
+    """|z| by C hypot; inf where it overflows (abs() of a complex raises there)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _start_step(coeffs: list, dcoeffs: list, z: list, j: int, tiny: float):
+    """The Aberth step of start root z[j], or None where it stops moving.
+
+    It stops once |F| <= tiny * sum |a_k| |z_j|^k, and wherever the step
+    is not a finite number: a zero divisor, an overflow, or a NaN.
+    """
+    zj = z[j]
+    p = _horner(coeffs, zj)
+    if not _modulus(p) > tiny * _horner(coeffs, _modulus(zj)):  # the coefficients are >= 0
+        return None
+    # itself (and an exact duplicate) repels nothing
+    repulsion = sum(1 / (zj - zk) for zk in z if zk != zj)
+    try:
+        newton = p / _horner(dcoeffs, zj)
+        step = newton / (1 - newton * repulsion)
+    except ZeroDivisionError:
+        return None
+    return step if cmath.isfinite(step) else None
+
+
+def _float_start(s: Sequence[int]) -> tuple[list[complex], int, int]:
+    """Roots u of F(2^e u) by a Jacobi Aberth iteration in double precision.
 
     Returns (u, e, sweeps); the roots of F are y = 2^e u. The exponent
     makes the geometric mean of the root moduli, (s_n/s_1)^(1/d), about 1,
     so the scaled coefficients neither underflow nor overflow a double.
-    A root freezes once |F| <= 4 d 2^-52 sum |a_k| |u|^k, where the
-    computed value is rounding noise and further steps cannot help.
+    Each sweep steps every moving root from the iterates of the previous
+    sweep. A root freezes once |F| <= 4 d 2^-52 sum |a_k| |u|^k, where the
+    computed value is rounding noise and further steps cannot help, or
+    once its step is not finite; a root left non-finite restarts the
+    polish from its start on the circle.
     """
     n = len(s)
     d = n - 1
     e = round((s[-1].bit_length() - s[0].bit_length()) / d)
-    coeffs = np.array([_scaled_ratio(s[n - 1 - k], s[-1], e * k) for k in range(n)])
-    dcoeffs = coeffs[1:] * np.arange(1, n)
-    angles = 2 * np.pi * (np.arange(d) + 0.35) / d
-    if not np.isfinite(coeffs).all():
-        return np.exp(1j * angles), e, 0  # out of double range: the polish starts cold
-    z0 = abs(coeffs[0] / coeffs[d]) ** (1.0 / d) * np.exp(1j * angles)
-    z = z0.copy()
-    active = np.arange(d)
+    coeffs = [_scaled_ratio(s[n - 1 - k], s[-1], e * k) for k in range(n)]
+    dcoeffs = [k * c for k, c in enumerate(coeffs) if k]
+    circle = [cmath.exp(1j * (2 * math.pi * (j + 0.35) / d)) for j in range(d)]
+    if not all(map(math.isfinite, coeffs)):
+        return circle, e, 0  # out of double range: the polish starts cold
+    radius = (coeffs[0] / coeffs[d] if coeffs[d] else math.inf) ** (1.0 / d)
+    z0 = [radius * w for w in circle]
+    z = list(z0)
+    active = range(d)
     tiny = 4 * d * 2.0**-52
     sweeps = 0
-    with np.errstate(all="ignore"):
-        while active.size and sweeps < MAX_START_SWEEPS:
-            sweeps += 1
-            za = z[active]
-            p = _horner(coeffs, za)
-            dp = _horner(dcoeffs, za)
-            scale = _horner(coeffs, np.abs(za))  # the coefficients are >= 0
-            diff = za[:, None] - z[None, :]
-            diff[diff == 0] = np.inf  # itself (and an exact duplicate) repels nothing
-            newton = p / dp
-            step = newton / (1 - newton * (1 / diff).sum(axis=1))
-            moving = (np.abs(p) > tiny * scale) & np.isfinite(step)
-            z[active[moving]] = za[moving] - step[moving]
-            active = active[moving]
-    bad = ~np.isfinite(z)
-    z[bad] = z0[bad]
-    return z, e, sweeps
+    while active and sweeps < MAX_START_SWEEPS:
+        sweeps += 1
+        moved = []
+        for j in active:
+            step = _start_step(coeffs, dcoeffs, z, j, tiny)
+            if step is not None:
+                moved.append((j, z[j] - step))
+        for j, zj in moved:
+            z[j] = zj
+        active = [j for j, _ in moved]
+    return [zj if cmath.isfinite(zj) else z0j for zj, z0j in zip(z, z0)], e, sweeps
 
 
 def _stages(work_bits: int) -> list[int]:
@@ -258,12 +283,12 @@ def _fixed_horner(s: Sequence[int], tops: list, x, bits: int, derivative: bool =
 
 
 def _scaled_copy(x, e: int) -> complex:
-    """x 2^e rounded to complex128 (inf or 0 where it leaves double range)."""
+    """x 2^e rounded to a Python complex (inf or 0 where it leaves double range)."""
     return complex(mp.ldexp(x.real, e), mp.ldexp(x.imag, e))
 
 
-def _repulsion(xs: list, scaled: np.ndarray, j: int, e: int):
-    """sum_{k != j} 1/(x_j - x_k), in complex128 on the copies x 2^e.
+def _repulsion(xs: list, scaled: list, j: int, e: int):
+    """sum_{k != j} 1/(x_j - x_k), in double precision on the copies x 2^e.
 
     The sum only scales the Newton step, so double precision suffices.
     A root whose copy left double range (or whose double sum is not
@@ -271,9 +296,8 @@ def _repulsion(xs: list, scaled: np.ndarray, j: int, e: int):
     """
     cj = scaled[j]
     if cj != 0 and cmath.isfinite(cj):
-        diff = cj - scaled
-        diff[diff == 0] = np.inf  # itself (and an exact duplicate) repels nothing
-        r = complex((1 / diff).sum())
+        # itself (and an exact duplicate) repels nothing
+        r = sum(1 / (cj - ck) for ck in scaled if ck != cj)
         if cmath.isfinite(r):
             return mp.mpc(mp.ldexp(r.real, e), mp.ldexp(r.imag, e))
     xj = xs[j]
@@ -281,7 +305,7 @@ def _repulsion(xs: list, scaled: np.ndarray, j: int, e: int):
 
 
 def _polish(
-    s: Sequence[int], tops: list, u: np.ndarray, e: int, work_bits: int
+    s: Sequence[int], tops: list, u: list[complex], e: int, work_bits: int
 ) -> tuple[list, list[int]]:
     """Gauss-Seidel Aberth corrections on Q(x) = S(x)/x from the start y = 2^e u.
 
@@ -298,7 +322,7 @@ def _polish(
     stages = _stages(work_bits)
     with mp.workprec(stages[0]):
         xs = [1 / (mp.mpc(complex(uj)) * mp.ldexp(1, e)) for uj in u]
-    scaled = np.array([_scaled_copy(x, e) for x in xs])
+    scaled = [_scaled_copy(x, e) for x in xs]
     corrections = []
     for bits in stages:
         count = 0
@@ -454,8 +478,8 @@ def _cluster(roots) -> tuple[tuple[complex, int], ...]:
 
 def root_bound(alpha: Fraction, n: int, C: float = 7.0) -> float:
     """The dense-graph root bound C / (alpha log n), natural log."""
-    if C <= 6.0:
-        raise ValidationError("the root bound requires C > 6")
+    if not (math.isfinite(C) and C > 6.0):
+        raise ValidationError(f"the root bound requires a finite C > 6, got {C}")
     if n < 2:
         raise ValidationError("root bound needs n >= 2")
     if alpha <= 0:
@@ -512,8 +536,8 @@ def rouche_margin(
     e^{beta y} from mpmath. Also checks the pointwise witness
     |e^{beta y}| >= n^(-1/C) that the comparison relies on.
     """
-    if C <= 6.0:
-        raise ValidationError("the Rouche construction requires C > 6")
+    if not (math.isfinite(C) and C > 6.0):
+        raise ValidationError(f"the Rouche construction requires a finite C > 6, got {C}")
     if circle_points < 1:
         raise ValidationError("need at least one circle point")
     n = counts.n
@@ -631,6 +655,8 @@ def tree_root_check(tree: Graph, tolerance: float = 1e-9) -> TreeRootReport:
     reports, without asserting, whether all roots lie in the conjectured
     annulus 1/2 <= |x + 1/2| <= 1/2 + (n-1)^(1/(n-1)).
     """
+    if not math.isfinite(tolerance):
+        raise ValidationError(f"tolerance must be finite, got {tolerance}")
     if tree.m != tree.n - 1 or not is_connected(tree):
         raise ValidationError("tree_root_check needs a tree (connected, m = n - 1)")
     counts = counts_for(tree)

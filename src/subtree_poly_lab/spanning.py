@@ -30,14 +30,14 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .counting import SubtreeCountVector, spanning_tree_count, subset_spanning_tree_count
+from .counting import exact_beta  # noqa: F401  (re-exported)
+from .counting import spanning_tree_count, subset_spanning_tree_count
 from .errors import CapacityError, ValidationError
 from .graphs import Graph, is_connected
 from .rng import DOMAIN_SAMPLE, RandomStream, StreamFamily
@@ -173,13 +173,6 @@ def leaf_weight(t: SpanningTree, g: Graph) -> WeightSample:
     return WeightSample(weight=Fraction(w, lcm), leaf_count=leaves)
 
 
-def exact_beta(counts: SubtreeCountVector) -> Fraction:
-    """beta = s_{n-1}/s_n, exact."""
-    if counts.s(counts.n) == 0:
-        raise ValidationError("beta undefined: no spanning trees (disconnected source)")
-    return Fraction(counts.s(counts.n - 1), counts.s(counts.n))
-
-
 def _expected_draws(g: Graph) -> int:
     """About the words one Wilson sample on connected g draws on average.
 
@@ -260,6 +253,8 @@ def _run_weight_samples(g: Graph, samples: int, seed: int, threads: int = 1) -> 
         # the chunk count above follows --threads, so stdout does not depend
         # on the CPU count; only the number of worker processes is bounded
         workers = min(threads, len(os.sched_getaffinity(0)))
+        from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_weight_chunk, chunks))
     return _WeightHistogram(g, sum(parts, Counter()))
@@ -344,6 +339,7 @@ def leaf_count_stats(
     leaves, the quantity the few-leaves lemma bounds by epsilon for large
     dense graphs.
     """
+    _check_epsilon(epsilon)
     return _leaf_stats_report(_run_weight_samples(g, samples, seed, threads), seed, epsilon)
 
 
@@ -438,8 +434,13 @@ def _tails_report(h: _WeightHistogram, seed: int, b_grid: Sequence[float]) -> Co
 def _check_b_grid(b_grid: Sequence[float]) -> None:
     if not b_grid:
         raise ValidationError("b_grid must be nonempty")
-    if any(b <= 0 for b in b_grid):
-        raise ValidationError("b_grid entries must be positive")
+    if not all(math.isfinite(b) and b > 0 for b in b_grid):
+        raise ValidationError("b_grid entries must be positive and finite")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not math.isfinite(epsilon):
+        raise ValidationError(f"epsilon must be finite, got {epsilon}")
 
 
 def concentration_profile(
@@ -475,6 +476,7 @@ def weight_experiment(
     if g.n < 2:
         raise ValidationError("the sampling battery needs n >= 2")
     _check_b_grid(b_grid)
+    _check_epsilon(epsilon)
     h = _run_weight_samples(g, samples, seed, threads)
     return (
         _beta_report(h, seed),

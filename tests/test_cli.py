@@ -13,7 +13,7 @@ import pytest
 
 import subtree_poly_lab
 from subtree_poly_lab import CertificationError, generate
-from subtree_poly_lab import cli
+from subtree_poly_lab import cli, polyroots
 from subtree_poly_lab.cli import run
 
 
@@ -143,7 +143,7 @@ def test_certification_failure_lists_worst_iterates(monkeypatch, capsys):
     def failing(*args, **kwargs):
         raise CertificationError("root certification failed: test", roots=roots, residuals=residuals)
 
-    monkeypatch.setattr(cli, "find_roots", failing)
+    monkeypatch.setattr(polyroots, "find_roots", failing)
     status, out, err = invoke(capsys, "roots", "--graph", "complete(8)")
     assert status == 3
     assert out == ""
@@ -305,6 +305,36 @@ def test_caps_must_be_nonnegative(capsys, argv, flag, value):
     assert f"error: {flag} must be a nonnegative integer, got {value}\n" in err
 
 
+def _strict_json(text):
+    # json.loads accepts NaN and Infinity, which JSON has no literal for
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "rouche --graph complete(5) --C nan",
+        "rouche --graph complete(5) --C inf",
+        "sweep --family complete --n-list 5 --command rouche --C inf",
+        "experiment --graph complete(5) --samples 50 --b-grid nan",
+        "experiment --graph complete(5) --samples 50 --b-grid 0.3,inf",
+        "experiment --graph complete(5) --samples 50 --epsilon nan",
+        "tree-check --graph path(3) --tolerance nan",
+        "tree-check --graph path(3) --tolerance inf",
+    ],
+)
+def test_non_finite_floats_are_rejected(capsys, argv):
+    # unchecked, --C nan ended in a StopIteration, --C inf reported a radius
+    # of 0, and the others printed NaN or Infinity into the JSON document
+    status, out, err = invoke(capsys, *argv.split())
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_zero_cap_leaves_closed_form_and_tree_routes(capsys):
     for graph in ("complete(6)", "path(6)"):
         status, _, _ = invoke(capsys, "counts", "--graph", graph, "--cap", "0")
@@ -404,11 +434,11 @@ def test_spanning_commands_golden_bytes(capsys, argv, digest):
         ("sample --graph complete(5) --samples 3 --seed 4 --format csv", 0,
          "ef87b17fc7883f77c3073aac24b8a95aa79836098a56950de534258e2fbf4de2"),
         ("roots --graph cycle(8)", 0,
-         "2c261d162bf88a0c9e6882913c2017bffa040246018e3c0358ebe2f24cb41ae6"),
+         "8d249718d404646a5c327f526cd4d796e36360400d85b1303b8e148b0828cae4"),
         ("roots --graph cycle(8) --format csv", 0,
-         "bb20655973232ad3a36cbed02d5988571eded8c221c64f1b0a4edfb12ab6e5b3"),
+         "b48847acd3dff187473a8485f67b489b968bb9dd83d1d5f3413ad187dc5f77b7"),
         ("roots --graph complete(10) --format csv", 0,
-         "869fddc6822a4035a302004933c872474f1f950af2fbeb38d19635f7fbc328b1"),
+         "7b9921c91deaf90e2cdff0ecc617f959e3e82550885e925c72b0ae1755f8b9ee"),
         ("rouche --graph complete(12) --circle-points 64", 0,
          "a49f5c103577b8e540f636ca70bc644c7dcc776b4008353dc62371416afab605"),
         ("rouche --graph complete(12) --circle-points 64 --format csv", 0,
@@ -471,10 +501,15 @@ def test_command_golden_bytes(capsys, argv, status, digest):
     # the two roots sweeps were re-pinned when the polish moved to a
     # precision ladder: iterations and rounding-noise digits changed; the
     # first four were re-pinned again when the residuals moved to the
-    # integer evaluator: only the noise-level residuals changed)
+    # integer evaluator: only the noise-level residuals changed; the three
+    # roots documents were re-pinned again when the double-precision start
+    # left numpy: only digits below 2^-work_bits in the roots' components
+    # (and in the cluster centres taken from them) and the residuals changed)
     code, out, _ = invoke(capsys, *argv.split())
     assert code == status
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if "csv" not in argv and not argv.startswith("sweep"):
+        _strict_json(out)
 
 
 @pytest.mark.parametrize(

@@ -32,14 +32,13 @@ from subtree_poly_lab.counting import (
     _PRIMES,
     _bareiss_determinant,
     _crt,
-    _determinants_mod,
     _laplacian_minor,
-    _laplacian_minors,
     _primes_for,
     closed_form_counts,
     counts_for,
     subset_spanning_tree_count,
 )
+from subtree_poly_lab.subsets import _determinants_mod, _laplacian_minors
 
 
 def _connected_filter_oracle(g, k):

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,16 +32,20 @@ from subtree_poly_lab import polyroots
 from subtree_poly_lab.counting import counts_for
 from subtree_poly_lab.polyroots import (
     DEFAULT_PRECISION_BITS,
+    MAX_START_SWEEPS,
     RESIDUAL_THRESHOLD,
     TREE_ROOT_BOUND,
     _first_max_index,
     _fixed_horner,
     _float_start,
     _horner,
+    _modulus,
     _polish,
     _require_certified,
     _root_key,
+    _scaled_ratio,
     _stages,
+    _start_step,
     _top_bits,
 )
 
@@ -310,6 +315,113 @@ def test_final_polish_stage_corrects_each_root_at_most_once_on_average(n):
     assert corrections[-1] <= n - 1
 
 
+def _numpy_float_start(s):
+    # the reference for _float_start: the same Aberth iteration vectorised
+    # over complex128 arrays, where non-finite values propagate instead of
+    # raising
+    n = len(s)
+    d = n - 1
+    e = round((s[-1].bit_length() - s[0].bit_length()) / d)
+    coeffs = np.array([_scaled_ratio(s[n - 1 - k], s[-1], e * k) for k in range(n)])
+    dcoeffs = coeffs[1:] * np.arange(1, n)
+    angles = 2 * np.pi * (np.arange(d) + 0.35) / d
+    if not np.isfinite(coeffs).all():
+        return np.exp(1j * angles), e, 0
+    z0 = abs(coeffs[0] / coeffs[d]) ** (1.0 / d) * np.exp(1j * angles)
+    z = z0.copy()
+    active = np.arange(d)
+    tiny = 4 * d * 2.0**-52
+    sweeps = 0
+    with np.errstate(all="ignore"):
+        while active.size and sweeps < MAX_START_SWEEPS:
+            sweeps += 1
+            za = z[active]
+            p = _horner(coeffs, za)
+            dp = _horner(dcoeffs, za)
+            scale = _horner(coeffs, np.abs(za))
+            diff = za[:, None] - z[None, :]
+            diff[diff == 0] = np.inf
+            newton = p / dp
+            step = newton / (1 - newton * (1 / diff).sum(axis=1))
+            moving = (np.abs(p) > tiny * scale) & np.isfinite(step)
+            z[active[moving]] = za[moving] - step[moving]
+            active = active[moving]
+    bad = ~np.isfinite(z)
+    z[bad] = z0[bad]
+    return z, e, sweeps
+
+
+def _start_hosts():
+    # s_1..s_n of K_n (n <= 60), a connected gnp host (n <= 12) or a random tree (n <= 40)
+    complete = st.integers(2, 60).map(lambda n: complete_graph_counts(n).counts)
+
+    def gnp(args):
+        n, p, seed = args
+        return counts_for(generate_connected(f"gnp({n},{p})", seed)[0]).counts
+
+    def tree(args):
+        n, seed = args
+        return counts_for(generate(f"random_tree({n})", seed)).counts
+
+    sparse = st.tuples(st.integers(2, 12), st.floats(0.2, 0.9), st.integers(0, 10**6)).map(gnp)
+    trees = st.tuples(st.integers(2, 40), st.integers(0, 10**6)).map(tree)
+    return st.one_of(complete, sparse, trees)
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=_start_hosts())
+def test_float_start_polishes_to_the_roots_of_the_numpy_start(s):
+    # the two starts round differently (complex division, summation order),
+    # so the polish leaves each at a slightly different iterate: both must
+    # certify, and agree to the polish's step tolerance 2^-(work_bits-16)|x|
+    # times the root's condition number Q(|x|) / (|x| |Q'(x)|) where that
+    # exceeds 1 (on K_41 one root has it near 1.3e7, and the reference start
+    # scaled by 1 + 2^-40 ends 500 step tolerances away on that root)
+    work_bits = max(DEFAULT_PRECISION_BITS, max(s).bit_length() + 64)
+    tops = _top_bits(s)
+    u, e, sweeps = _float_start(s)
+    reference_u, reference_e, reference_sweeps = _numpy_float_start(s)
+    assert (e, len(u)) == (reference_e, len(reference_u))
+    ours, _ = _polish(s, tops, u, e, work_bits)
+    theirs, _ = _polish(s, tops, list(reference_u), e, work_bits)
+    with mp.workprec(work_bits):
+        for x in theirs:
+            pr, pi, _, _, scale, _, _ = _fixed_horner(s, tops, x, work_bits, derivative=False)
+            assert abs(mp.mpc(pr, pi)) / scale <= RESIDUAL_THRESHOLD
+        step_tolerance = mp.ldexp(1, -(work_bits - 16))
+        for x in ours:
+            pr, pi, dr, di, scale, _, m = _fixed_horner(s, tops, x, work_bits)
+            assert abs(mp.mpc(pr, pi)) / scale <= RESIDUAL_THRESHOLD
+            condition = scale / (abs(x) * abs(mp.mpc(dr, di)) * mp.ldexp(1, m))
+            nearest = min(range(len(theirs)), key=lambda i: abs(theirs[i] - x))
+            distance = abs(theirs.pop(nearest) - x)
+            assert distance <= step_tolerance * abs(x) * max(1, condition)
+    assert not theirs
+
+
+def test_float_start_stops_where_complex128_gave_inf_or_nan():
+    # Python raises where the complex128 reference computed inf or NaN; each
+    # case must end as it did there
+    assert _modulus(complex(1.7e308, 1.7e308)) == math.inf  # abs() raises
+    # F(u) = 1 + u^2 at u = 0: F' = 0, so the Newton quotient has no value
+    assert _start_step([1.0, 0.0, 1.0], [0.0, 2.0], [0j, 5 + 0j], 0, 1e-15) is None
+    assert _start_step([1.0, 0.0, 1.0], [0.0, 2.0], [1 + 0j, 5 + 0j], 0, 1e-15) is not None
+
+
+def test_float_start_restarts_roots_that_leave_double_range(monkeypatch):
+    # a finite step can land a root on an infinite iterate; such a root
+    # goes back to its start on the circle, which no sweep leaves
+    s = complete_graph_counts(6).counts
+    monkeypatch.setattr(polyroots, "MAX_START_SWEEPS", 0)
+    start, e, _ = _float_start(s)
+    monkeypatch.setattr(polyroots, "_start_step", lambda *args: -1e308)
+    monkeypatch.setattr(polyroots, "MAX_START_SWEEPS", 1)
+    once, _, _ = _float_start(s)  # every root moved by 1e308, still finite
+    assert all(math.isfinite(z.real) and z != z0 for z, z0 in zip(once, start))
+    monkeypatch.setattr(polyroots, "MAX_START_SWEEPS", 3)
+    assert _float_start(s) == (start, e, 3)
+
+
 def _dense_hosts():
     # (counts, alpha) of K_n for n <= 40, or of a connected gnp host, n <= 10
     complete = st.integers(2, 40).map(
@@ -438,8 +550,9 @@ def test_root_bound_monotone_in_n():
 
 
 def test_root_bound_validation():
-    with pytest.raises(ValidationError):
-        root_bound(Fraction(1, 2), 100, 6.0)
+    for C in (6.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            root_bound(Fraction(1, 2), 100, C)
     with pytest.raises(ValidationError):
         root_bound(Fraction(1, 2), 1, 7.0)
     with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 """Wilson sampling, leaf weights, identity verification, concentration."""
 
+import concurrent.futures
 import math
 import os
 from fractions import Fraction
@@ -31,7 +32,6 @@ from subtree_poly_lab import (
     weight_experiment,
     wilson_sample,
 )
-from subtree_poly_lab import spanning
 from subtree_poly_lab.rng import DOMAIN_SAMPLE, RandomStream, StreamFamily, stream
 from subtree_poly_lab.spanning import _expected_draws
 
@@ -198,7 +198,7 @@ def test_worker_pool_is_bounded_by_usable_cpus(monkeypatch):
             seen["chunks"] = len(chunks)
             return map(fn, chunks)
 
-    monkeypatch.setattr(spanning, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     g = generate("complete(4)")
     wide = estimate_beta(g, samples=10000, seed=3, threads=5000)
     assert seen["max_workers"] == min(5000, len(os.sched_getaffinity(0)))
@@ -345,8 +345,11 @@ def test_concentration_no_violations_k8():
 def test_concentration_validation():
     with pytest.raises(ValidationError):
         concentration_profile(generate("complete(4)"), 10, [], seed=0)
+    for b_grid in ([-0.5], [0.2, math.nan], [math.inf]):
+        with pytest.raises(ValidationError):
+            concentration_profile(generate("complete(4)"), 10, b_grid, seed=0)
     with pytest.raises(ValidationError):
-        concentration_profile(generate("complete(4)"), 10, [-0.5], seed=0)
+        leaf_count_stats(generate("complete(4)"), 10, seed=0, epsilon=math.nan)
 
 
 # ------------------------------------------------------------ weight bounds

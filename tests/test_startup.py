@@ -1,0 +1,105 @@
+"""What a CLI process loads: each command pays only for the code it runs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import subtree_poly_lab
+
+HEAVY = ("numpy", "mpmath", "concurrent.futures")
+
+# runs the CLI as `python -m` would, then reports which HEAVY modules it loaded
+_PROBE = """
+import json, runpy, sys
+sys.argv = ["subtree-poly-lab", *sys.argv[1:]]
+try:
+    runpy.run_module("subtree_poly_lab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    status = exc.code
+print(json.dumps([status, [m for m in {heavy!r} if m in sys.modules]]))
+""".format(heavy=HEAVY)
+
+
+def _loaded(*argv):
+    # the child finds the package where this process imported it from
+    package_root = str(Path(subtree_poly_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert status in (0, None), proc.stderr
+    return set(loaded)
+
+
+@pytest.fixture(scope="module")
+def edge_list(tmp_path_factory):
+    # K_5 minus a perfect matching of two edges: not a tree, not a closed form
+    path = tmp_path_factory.mktemp("graphs") / "host.txt"
+    path.write_text("5 8\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 4\n3 4\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [("--version",), ("--help",)])
+def test_version_and_help_load_nothing_heavy(argv):
+    assert _loaded(*argv) == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("roots", "--graph", "complete(12)"),
+        ("rouche", "--graph", "complete(12)"),
+        ("poisson", "--graph", "complete(12)"),
+        ("tree-check", "--graph", "path(9)"),
+        ("counts", "--graph", "path(7)"),  # the tree route
+    ],
+)
+def test_closed_form_and_tree_hosts_run_without_numpy(argv):
+    assert "numpy" not in _loaded(*argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("counts", "--edge-list", "{edge_list}"),
+        ("verify", "--edge-list", "{edge_list}"),
+        ("experiment", "--graph", "complete(6)", "--samples", "50", "--threads", "1"),
+    ],
+)
+def test_counting_and_sampling_load_no_root_code_or_pool(argv, edge_list):
+    loaded = _loaded(*(a.format(edge_list=edge_list) for a in argv))
+    assert not loaded & {"mpmath", "concurrent.futures"}
+
+
+# the names the package exported when it imported every module eagerly
+_EXPORTED = """
+SubtreeCountVector brute_force_subtree_count check_ratio_inequalities
+complete_graph_counts enumerate_connected_subsets spanning_tree_count subtree_counts
+CapacityError CertificationError EdgeListParseError SubtreeLabError ValidationError
+DegreeProfile FamilySpec Graph degree_profile from_edge_list generate
+generate_connected induced_subgraph is_connected parse_family
+RootAnalysis SubtreePolynomial build_polynomial find_roots poisson_deviation
+root_bound rouche_margin tree_root_check RandomStream stream
+BetaEstimate SpanningTree WeightSample concentration_profile enumerate_spanning_trees
+estimate_beta exact_beta leaf_count_stats leaf_weight verify_weight_identity
+weight_experiment wilson_sample __version__
+""".split()
+
+
+def test_package_names_resolve_on_first_access():
+    for name in _EXPORTED:
+        assert getattr(subtree_poly_lab, name) is not None
+        assert name in dir(subtree_poly_lab)
+    assert set(subtree_poly_lab.__all__) == set(_EXPORTED) - {"__version__"}
+    from subtree_poly_lab import cli, exact_beta, find_roots  # noqa: F401
+
+    assert subtree_poly_lab.exact_beta is subtree_poly_lab.spanning.exact_beta
+    with pytest.raises(AttributeError):
+        subtree_poly_lab.no_such_name
