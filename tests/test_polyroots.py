@@ -379,8 +379,8 @@ def test_float_start_polishes_to_the_roots_of_the_numpy_start(s):
     # scaled by 1 + 2^-40 ends 500 step tolerances away on that root)
     work_bits = max(DEFAULT_PRECISION_BITS, max(s).bit_length() + 64)
     tops = _top_bits(s)
-    u, e, sweeps = _float_start(s)
-    reference_u, reference_e, reference_sweeps = _numpy_float_start(s)
+    u, e, _ = _float_start(s)
+    reference_u, reference_e, _ = _numpy_float_start(s)
     assert (e, len(u)) == (reference_e, len(reference_u))
     ours, _ = _polish(s, tops, u, e, work_bits)
     theirs, _ = _polish(s, tops, list(reference_u), e, work_bits)
