@@ -26,6 +26,7 @@ _EXPORTS = {
     "complete_graph_counts": "counting",
     "enumerate_connected_subsets": "counting",
     "exact_beta": "counting",
+    "poisson_deviation": "counting",
     "spanning_tree_count": "counting",
     "subtree_counts": "counting",
     "CapacityError": "errors",
@@ -47,7 +48,6 @@ _EXPORTS = {
     "SubtreePolynomial": "polyroots",
     "build_polynomial": "polyroots",
     "find_roots": "polyroots",
-    "poisson_deviation": "polyroots",
     "root_bound": "polyroots",
     "rouche_margin": "polyroots",
     "tree_root_check": "polyroots",

@@ -35,6 +35,7 @@ from .counting import (
     closed_form_counts,
     counts_for,
     exact_beta,
+    poisson_deviation,
     spanning_tree_count,
 )
 from .errors import CapacityError, CertificationError, SubtreeLabError, ValidationError
@@ -233,7 +234,7 @@ def _parse_list(text: str, convert, name: str, kind: str) -> list:
 def _cmd_counts(args, graph, family):
     counts = counts_for(graph, family, args.cap)
     result = counts.to_json_dict()
-    result["fingerprint"] = counts.fingerprint
+    result["fingerprint"] = graph.fingerprint()
     result["connected"] = counts.s(counts.n) > 0
     rows = [[k, str(counts.s(k))] for k in range(1, counts.n + 1)]
     return {"cap": args.cap}, result, rows
@@ -313,12 +314,7 @@ def _cmd_rouche(args, graph, family):
 
 
 def _cmd_poisson(args, graph, family):
-    counts = counts_for(graph, family, args.cap)
-    if args.k_max >= counts.n:
-        raise ValidationError(f"--k-max must be below n = {counts.n}")
-    from .polyroots import poisson_deviation
-
-    devs = poisson_deviation(counts, args.k_max)
+    devs = poisson_deviation(counts_for(graph, family, args.cap), args.k_max)
     result = {
         "k_max": args.k_max,
         "deviations": [float(d) for d in devs],
@@ -373,8 +369,6 @@ def _cmd_tree_check(args, graph, family):
 
 def _cmd_experiment(args, graph, family):
     b_grid = _parse_list(args.b_grid, float, "b-grid", "reals")
-    if not b_grid:
-        raise ValidationError("b-grid must be nonempty")
     from .spanning import weight_experiment
 
     beta_report, leaf_report, tails = weight_experiment(
@@ -443,8 +437,6 @@ def _sweep_rouche(args, graph, family) -> list:
 
 
 def _sweep_poisson(args, graph, family) -> list:
-    from .polyroots import poisson_deviation
-
     n = graph.n
     devs = poisson_deviation(counts_for(graph, family, args.cap), min(args.k_max, n - 1))
     floats = [float(d) for d in devs] + [float("nan")] * (args.k_max + 1 - len(devs))
@@ -466,6 +458,10 @@ _SWEEP = {
 def _cmd_sweep(args) -> tuple[str, int]:
     if args.format == "json":
         raise ValidationError("sweep writes CSV only")
+    # the spec echoes both into the CSV header's JSON, which has no NaN or Infinity
+    for flag, value in (("--C", args.C), ("--p", args.p)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{flag} must be finite, got {value}")
     n_list = _parse_list(args.n_list, int, "n-list", "integers")
     params = {
         "family": args.family, "n_list": n_list, "inner_command": args.inner,

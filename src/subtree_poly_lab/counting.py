@@ -1,35 +1,22 @@
-"""Exact subtree counting.
+"""Exact subtree counts and the exact diagnostics read from them.
 
 A k-vertex subtree is a spanning tree of the induced subgraph on its
 vertex support, so
 
     s_k(G) = sum over connected k-subsets W of t(G[W]),
 
-where t(.) is the spanning-tree count. The production route works one
-subset size at a time, in the numpy kernel of the `subsets` module,
-which only `subtree_counts` and `enumerate_connected_subsets` load:
+where t(.) is the spanning-tree count. `counts_for` gives every caller
+its counts by the cheapest route: `closed_form_counts` where the host's
+family has one (complete graphs), the tree recursion of `_tree_counts`
+for a tree host (connected, m = n - 1, however it was given), else the
+enumeration of `subtree_counts`. Only the enumeration is bound by the
+cap. It runs in the numpy kernel of the `subsets` module, which holds
+the algorithm (bitmask levels, modular elimination, CRT) and which only
+`subtree_counts` and `enumerate_connected_subsets` load.
 
-1. Levels. The connected k-subsets are held as one sorted int64 array of
-   bitmasks. Level k+1 is every level-k subset grown by one vertex of its
-   neighbourhood bitmask, sorted and deduplicated.
-2. Modular elimination. t(G[W]) is a reduced-Laplacian cofactor. The
-   (k-1)x(k-1) minors of a chunk of subsets are stacked in int8 with the
-   batch axis last, and eliminated together modulo one 31-bit prime at a
-   time: division-free, without row swaps, updating only the upper
-   triangle of each symmetric trailing block. One product-tree inverse
-   per chunk and prime clears the pivot products. A pivot that vanishes
-   mod p (p divides a leading principal minor of a positive definite
-   matrix) flags its subset, which then adds its exact Bareiss count
-   instead. The residues are summed per k.
-3. CRT. G[W] is a subgraph of K_k, so t(G[W]) <= k^(k-2) and
-   s_k(G) <= C(n,k) k^(k-2). The fewest primes whose product exceeds that
-   bound determine s_k exactly by Chinese remaindering: the prime count
-   is proven, not guessed.
-
-`counts_for` dispatches: `closed_form_counts` where the host's family has
-one (complete graphs), the tree recursion of `_tree_counts` for a tree
-host (connected, m = n - 1, however it was given), else the above. Only
-the enumeration is bound by the cap.
+The diagnostics of the Poisson profile take the counts alone and stay in
+exact rationals: `exact_beta` (s_{n-1}/s_n), `poisson_deviation` (the
+factorial-normalized ratios s_{n-k}/s_n) and `check_ratio_inequalities`.
 
 Every count is an exact integer. Fraction-free Bareiss elimination on one
 minor (`spanning_tree_count`, `subset_spanning_tree_count`) is kept as the
@@ -48,19 +35,12 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import CapacityError, ValidationError
-from .graphs import FamilySpec, Graph, generate, is_connected
+from .graphs import FamilySpec, Graph, is_connected
 
 DEFAULT_ENUMERATION_CAP = 24
 BRUTE_FORCE_GUARD = 10**8
 # subsets are int64 bitmasks, with the sign bit and bit 62 kept clear
 MAX_BITMASK_VERTICES = 62
-# The twelve largest primes below 2^31. Residues stay below 2^31, so
-# a*b - c*d fits in int64; the product (> 2^371) exceeds C(n,k) k^(k-2)
-# for every n <= MAX_BITMASK_VERTICES (at most 2^358).
-_PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
-    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
-)
 
 
 @dataclass(frozen=True)
@@ -69,7 +49,6 @@ class SubtreeCountVector:
 
     n: int
     counts: tuple[int, ...]  # counts[k-1] = s_k
-    fingerprint: str = ""
 
     def __post_init__(self):
         if self.n < 1 or len(self.counts) != self.n:
@@ -82,10 +61,6 @@ class SubtreeCountVector:
         if 1 <= k <= self.n:
             return self.counts[k - 1]
         return 0
-
-    @property
-    def spanning_tree_count(self) -> int:
-        return self.counts[-1]
 
     def to_json_dict(self) -> dict:
         # decimal strings: entries exceed 64-bit range quickly
@@ -106,6 +81,27 @@ def exact_beta(counts: SubtreeCountVector) -> Fraction:
     if counts.s(counts.n) == 0:
         raise ValidationError("beta undefined: no spanning trees (disconnected source)")
     return Fraction(counts.s(counts.n - 1), counts.s(counts.n))
+
+
+def poisson_deviation(counts: SubtreeCountVector, k_max: int) -> list[Fraction]:
+    """dev_k = (s_{n-k}/s_n) * k! / beta^k - 1 for k = 0..k_max, exact.
+
+    dev_0 = dev_1 = 0 by construction; higher deviations measure the
+    distance from the factorial (Poisson) profile.
+    """
+    n = counts.n
+    if k_max >= n:
+        raise ValidationError(f"k_max must be below n = {n}")
+    if k_max < 0:
+        raise ValidationError("k_max must be nonnegative")
+    if counts.s(n) == 0:
+        raise ValidationError("deviations undefined for disconnected source")
+    beta = exact_beta(counts)
+    devs = []
+    for k in range(k_max + 1):
+        ratio = Fraction(counts.s(n - k), counts.s(n))
+        devs.append(ratio * math.factorial(k) / beta**k - 1)
+    return devs
 
 
 def _bareiss_determinant(mat: list[list[int]]) -> int:
@@ -157,9 +153,7 @@ def spanning_tree_count(g: Graph) -> int:
 
     Returns 0 iff the graph is disconnected; 1 for a single vertex.
     """
-    if g.n == 1:
-        return 1
-    return _bareiss_determinant(_laplacian_minor(g, list(range(g.n))))
+    return subset_spanning_tree_count(g, list(range(g.n)))
 
 
 def subset_spanning_tree_count(g: Graph, vertices: list[int]) -> int:
@@ -190,25 +184,6 @@ def enumerate_connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     yield from connected_subsets(g, k)
 
 
-def _primes_for(bound: int) -> tuple[int, ...]:
-    """The fewest leading _PRIMES whose product exceeds `bound`."""
-    product = 1
-    for count, p in enumerate(_PRIMES, start=1):
-        product *= p
-        if product > bound:
-            return _PRIMES[:count]
-    raise CapacityError(f"no {len(_PRIMES)}-prime product exceeds {bound}")
-
-
-def _crt(residues: list[int], primes: tuple[int, ...]) -> int:
-    """The x in [0, prod(primes)) with x = residues[i] mod primes[i] (Garner)."""
-    value, modulus = 0, 1
-    for r, p in zip(residues, primes):
-        value += modulus * ((r - value) * pow(modulus, -1, p) % p)
-        modulus *= p
-    return value
-
-
 def subtree_counts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> SubtreeCountVector:
     """Exact s_1..s_n by summing spanning-tree counts over connected subsets."""
     if g.n > cap:
@@ -219,7 +194,7 @@ def subtree_counts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> SubtreeCount
     _require_bitmask_width(g)
     from .subsets import level_counts
 
-    return SubtreeCountVector(n=g.n, counts=tuple(level_counts(g)), fingerprint=g.fingerprint())
+    return SubtreeCountVector(n=g.n, counts=tuple(level_counts(g)))
 
 
 def complete_graph_counts(n: int) -> SubtreeCountVector:
@@ -229,9 +204,7 @@ def complete_graph_counts(n: int) -> SubtreeCountVector:
     counts = tuple(
         math.comb(n, k) * (k ** (k - 2) if k >= 2 else 1) for k in range(1, n + 1)
     )
-    return SubtreeCountVector(
-        n=n, counts=counts, fingerprint=generate(f"complete({n})").fingerprint()
-    )
+    return SubtreeCountVector(n=n, counts=counts)
 
 
 def closed_form_counts(family: FamilySpec | None) -> SubtreeCountVector | None:
@@ -272,7 +245,7 @@ def _tree_counts(g: Graph) -> SubtreeCountVector:
                         product[i + j] += a * fv[j]
             f[parent[v]] = product
         f[v] = None
-    return SubtreeCountVector(n=g.n, counts=tuple(counts[1:]), fingerprint=g.fingerprint())
+    return SubtreeCountVector(n=g.n, counts=tuple(counts[1:]))
 
 
 def counts_for(

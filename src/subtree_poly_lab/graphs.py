@@ -57,9 +57,6 @@ class Graph:
         )
         return Graph(n=n, m=m, neighbors=neighbors, adjacency_bits=tuple(bits))
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
-
     @property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nb) for nb in self.neighbors)

@@ -27,8 +27,9 @@ failures raise; they are never silent. The design follows MPSolve
 Also here: the Rouche margin |F(y) - e^{beta y}| / |e^{beta y}| sampled
 on the circle |y| = alpha log(n) / C, with F(y) from the integer
 evaluator on the exact reversed counts s_n, ..., s_1 and one division by
-s_n per point; the factorial-normalized deviation diagnostics for the
-Poisson law; and the contrast checks for tree hosts.
+s_n per point, and the contrast checks for tree hosts. The exact
+Poisson-profile diagnostics (`exact_beta`, `poisson_deviation`) take the
+counts alone and live in `counting`.
 """
 
 from __future__ import annotations
@@ -599,27 +600,6 @@ def _first_max_index(margins: list) -> int:
     """
     top = float(max(margins))
     return next(i for i, v in enumerate(margins) if float(v) == top)
-
-
-def poisson_deviation(counts: SubtreeCountVector, k_max: int) -> list[Fraction]:
-    """dev_k = (s_{n-k}/s_n) * k! / beta^k - 1 for k = 0..k_max, exact.
-
-    dev_0 = dev_1 = 0 by construction; higher deviations measure the
-    distance from the factorial (Poisson) profile.
-    """
-    n = counts.n
-    if k_max >= n:
-        raise ValidationError(f"k_max must be below n = {n}")
-    if k_max < 0:
-        raise ValidationError("k_max must be nonnegative")
-    if counts.s(n) == 0:
-        raise ValidationError("deviations undefined for disconnected source")
-    beta = exact_beta(counts)
-    devs = []
-    for k in range(k_max + 1):
-        ratio = Fraction(counts.s(n - k), counts.s(n))
-        devs.append(ratio * math.factorial(k) / beta**k - 1)
-    return devs
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .counting import exact_beta  # noqa: F401  (re-exported)
 from .counting import spanning_tree_count, subset_spanning_tree_count
 from .errors import CapacityError, ValidationError
 from .graphs import Graph, is_connected

@@ -2,9 +2,26 @@
 
 `counting.subtree_counts` and `counting.enumerate_connected_subsets` call
 into this module, and only they load it, so that numpy is imported only
-where the enumeration runs. The algorithm (levels of int64 bitmasks,
-pivot-free elimination of batch-last int8 minors modulo 31-bit primes,
-CRT per k) is described in the `counting` docstring.
+where the enumeration runs. s_k(G) is the sum of t(G[W]) over the
+connected k-subsets W, computed one subset size at a time:
+
+1. Levels. The connected k-subsets are held as one sorted int64 array of
+   bitmasks. Level k+1 is every level-k subset grown by one vertex of its
+   neighbourhood bitmask, sorted and deduplicated.
+2. Modular elimination. t(G[W]) is a reduced-Laplacian cofactor. The
+   (k-1)x(k-1) minors of a chunk of subsets are stacked in int8 with the
+   batch axis last, and eliminated together modulo one 31-bit prime at a
+   time: division-free, without row swaps, updating only the upper
+   triangle of each symmetric trailing block. One product-tree inverse
+   per chunk and prime clears the pivot products. A pivot that vanishes
+   mod p (p divides a leading principal minor of a positive definite
+   matrix) flags its subset, which then adds its exact Bareiss count
+   (`counting._bareiss_determinant`) instead. The residues are summed
+   per k.
+3. CRT. G[W] is a subgraph of K_k, so t(G[W]) <= k^(k-2) and
+   s_k(G) <= C(n,k) k^(k-2). The fewest primes whose product exceeds that
+   bound determine s_k exactly by Chinese remaindering: the prime count
+   is proven, not guessed.
 """
 
 from __future__ import annotations
@@ -15,8 +32,16 @@ from typing import Iterator
 import numpy as np
 
 from . import counting
+from .errors import CapacityError
 from .graphs import Graph
 
+# The twelve largest primes below 2^31. Residues stay below 2^31, so
+# a*b - c*d fits in int64; the product (> 2^371) exceeds C(n,k) k^(k-2)
+# for every n <= counting.MAX_BITMASK_VERTICES (at most 2^358).
+_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+)
 # int64 entries in one elimination tensor (one prime at a time)
 _CHUNK_ELEMENTS = 1 << 16
 # entries a strip of rows of the trailing block gathers into one numpy update
@@ -169,10 +194,29 @@ def _determinants_mod(minors: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
     return _mul_mod(prefix, _inverse_mod(denominator, p), p), ok
 
 
+def _primes_for(bound: int) -> tuple[int, ...]:
+    """The fewest leading _PRIMES whose product exceeds `bound`."""
+    product = 1
+    for count, p in enumerate(_PRIMES, start=1):
+        product *= p
+        if product > bound:
+            return _PRIMES[:count]
+    raise CapacityError(f"no {len(_PRIMES)}-prime product exceeds {bound}")
+
+
+def _crt(residues: list[int], primes: tuple[int, ...]) -> int:
+    """The x in [0, prod(primes)) with x = residues[i] mod primes[i] (Garner)."""
+    value, modulus = 0, 1
+    for r, p in zip(residues, primes):
+        value += modulus * ((r - value) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return value
+
+
 def _level_tree_total(adj: np.ndarray, masks: np.ndarray, k: int) -> int:
     """Exact sum of t(G[W]) over the connected k-subsets W in `masks`, k >= 2."""
     n = adj.shape[0]
-    primes = counting._primes_for(math.comb(n, k) * k ** (k - 2))
+    primes = _primes_for(math.comb(n, k) * k ** (k - 2))
     chunk = max(1, _CHUNK_ELEMENTS // (k - 1) ** 2)
     residues = [0] * len(primes)
     for lo in range(0, masks.size, chunk):
@@ -185,7 +229,7 @@ def _level_tree_total(adj: np.ndarray, masks: np.ndarray, k: int) -> int:
                 for b in np.flatnonzero(~ok)
             )
             residues[i] = (residues[i] + total) % p
-    return counting._crt(residues, primes)
+    return _crt(residues, primes)
 
 
 def level_counts(g: Graph) -> list[int]:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -324,15 +325,34 @@ def _strict_json(text):
         "experiment --graph complete(5) --samples 50 --epsilon nan",
         "tree-check --graph path(3) --tolerance nan",
         "tree-check --graph path(3) --tolerance inf",
+        # the sweep spec echoes --C and --p even where no row reads them
+        "sweep --family complete --n-list 5 --command counts --C nan",
+        "sweep --family complete --n-list 5 --command counts --p inf",
+        'sweep --family gnp --n-list "" --command counts --p inf',
     ],
 )
 def test_non_finite_floats_are_rejected(capsys, argv):
     # unchecked, --C nan ended in a StopIteration, --C inf reported a radius
     # of 0, and the others printed NaN or Infinity into the JSON document
-    status, out, err = invoke(capsys, *argv.split())
+    status, out, err = invoke(capsys, *shlex.split(argv))
     assert status == 1
     assert out == ""
     assert err.startswith("error: ") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "poisson --graph complete(5) --k-max 5",
+        "experiment --graph complete(5) --b-grid ,",
+    ],
+)
+def test_library_validation_reaches_the_cli(capsys, argv):
+    # the CLI keeps no copy of these checks: the library's error exits 1
+    status, out, err = invoke(capsys, *argv.split())
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_zero_cap_leaves_closed_form_and_tree_routes(capsys):

@@ -26,19 +26,22 @@ from subtree_poly_lab import (
     spanning_tree_count,
     subtree_counts,
 )
-from subtree_poly_lab import counting
+from subtree_poly_lab import counting, subsets
 from subtree_poly_lab.counting import (
     MAX_BITMASK_VERTICES,
-    _PRIMES,
     _bareiss_determinant,
-    _crt,
     _laplacian_minor,
-    _primes_for,
     closed_form_counts,
     counts_for,
     subset_spanning_tree_count,
 )
-from subtree_poly_lab.subsets import _determinants_mod, _laplacian_minors
+from subtree_poly_lab.subsets import (
+    _PRIMES,
+    _crt,
+    _determinants_mod,
+    _laplacian_minors,
+    _primes_for,
+)
 
 
 def _connected_filter_oracle(g, k):
@@ -263,7 +266,7 @@ def test_subtree_counts_small_primes_take_the_exact_route(monkeypatch):
         return _bareiss_determinant(mat)
 
     small = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))
-    monkeypatch.setattr(counting, "_PRIMES", small)
+    monkeypatch.setattr(subsets, "_PRIMES", small)
     monkeypatch.setattr(counting, "_bareiss_determinant", counted)
     assert [subtree_counts(g).counts for g in hosts] == expected
     assert calls
@@ -288,6 +291,18 @@ def test_complete_graph_counts_closed_form():
     assert complete_graph_counts(4).counts == (4, 6, 12, 16)
     assert complete_graph_counts(3).counts == (3, 3, 3)
     assert complete_graph_counts(1).counts == (1,)
+
+
+def test_complete_graph_counts_build_no_graph(monkeypatch):
+    # the closed form is a formula in n: K_200 is never materialized
+    def refuse(*args, **kwargs):
+        raise AssertionError("complete_graph_counts built a graph")
+
+    monkeypatch.setattr(Graph, "from_edges", refuse)
+    counts = complete_graph_counts(200)
+    # vertices, edges, and Cayley's n^(n-2) spanning trees
+    assert (counts.n, counts.s(1), counts.s(2)) == (200, 200, 19900)
+    assert counts.s(200) == 200**198
 
 
 def test_counts_for_takes_the_closed_form_only_for_complete():

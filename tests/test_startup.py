@@ -57,6 +57,7 @@ def test_version_and_help_load_nothing_heavy(argv):
         ("roots", "--graph", "complete(12)"),
         ("rouche", "--graph", "complete(12)"),
         ("poisson", "--graph", "complete(12)"),
+        ("sweep", "--family", "complete", "--n-list", "5,7", "--command", "poisson"),
         ("tree-check", "--graph", "path(9)"),
         ("counts", "--graph", "path(7)"),  # the tree route
     ],
@@ -69,6 +70,9 @@ def test_closed_form_and_tree_hosts_run_without_numpy(argv):
     "argv",
     [
         ("counts", "--edge-list", "{edge_list}"),
+        # the deviations are exact rationals read off the counts
+        ("poisson", "--graph", "complete(12)"),
+        ("sweep", "--family", "complete", "--n-list", "5,7", "--command", "poisson"),
         ("verify", "--edge-list", "{edge_list}"),
         ("experiment", "--graph", "complete(6)", "--samples", "50", "--threads", "1"),
     ],
@@ -100,6 +104,5 @@ def test_package_names_resolve_on_first_access():
     assert set(subtree_poly_lab.__all__) == set(_EXPORTED) - {"__version__"}
     from subtree_poly_lab import cli, exact_beta, find_roots  # noqa: F401
 
-    assert subtree_poly_lab.exact_beta is subtree_poly_lab.spanning.exact_beta
     with pytest.raises(AttributeError):
         subtree_poly_lab.no_such_name
