@@ -36,7 +36,6 @@ from .counting import (
     counts_for,
     exact_beta,
     poisson_deviation,
-    spanning_tree_count,
 )
 from .errors import CapacityError, CertificationError, SubtreeLabError, ValidationError
 from .graphs import (
@@ -336,7 +335,7 @@ def _cmd_verify(args, graph, family):
     profile = degree_profile(graph)
     identity = verify_weight_identity(graph, cap=args.tree_cap)
     inequalities = check_ratio_inequalities(counts, profile.alpha, profile.min_degree)
-    matrix_tree = spanning_tree_count(graph)
+    matrix_tree = identity.matrix_tree_count
     base_checks = {
         "s_1_equals_n": counts.s(1) == graph.n,
         "s_2_equals_m": counts.s(2) == graph.m,
@@ -462,6 +461,12 @@ def _cmd_sweep(args) -> tuple[str, int]:
     for flag, value in (("--C", args.C), ("--p", args.p)):
         if not math.isfinite(value):
             raise ValidationError(f"{flag} must be finite, got {value}")
+    # and echoes these, checked here because an empty --n-list runs no row
+    bounds = (("--samples", args.samples, 1), ("--circle-points", args.circle_points, 1),
+              ("--k-max", args.k_max, 0))
+    for flag, value, least in bounds:
+        if value < least:
+            raise ValidationError(f"{flag} must be at least {least}, got {value}")
     n_list = _parse_list(args.n_list, int, "n-list", "integers")
     params = {
         "family": args.family, "n_list": n_list, "inner_command": args.inner,

@@ -10,6 +10,11 @@ Words come straight from the bit generator's ``random_raw``, the same
 words ``Generator.integers(0, 2**64, dtype=uint64)`` returns. Bounded
 draws use mask rejection on them, so ``randint`` is exactly uniform, not
 approximately so via floats.
+
+A ``RandomStream`` serves one stream a word at a time. A ``StreamFamily``
+fills a block with the first words of many streams, one row each, for
+kernels that walk a block of samples in numpy lockstep; the words of a
+stream are the same either way.
 """
 
 from __future__ import annotations
@@ -71,27 +76,35 @@ def stream(seed: int, index: int = 0, domain: int = DOMAIN_GRAPH) -> RandomStrea
 
 
 class StreamFamily:
-    """The streams of one (seed, domain) family, served one at a time.
+    """The streams of one (seed, domain) family, drawn as blocks of words.
 
-    ``at(index)`` draws the same words as ``stream(seed, index, domain)``
-    but re-keys one Philox through its state setter instead of building a
-    bit generator and a Generator per stream, and fills the first block
-    with `first_block` words, sized by the caller to a typical stream's
-    use. The returned stream is reused: it is valid until the next call.
+    ``fill(block, indices)`` writes into row r of a `(B, width)` block the
+    first `width` words of ``stream(seed, indices[r], domain)``. It re-keys
+    one Philox through its state setter per stream instead of building a
+    bit generator and a Generator per stream. A uint64 block holds the
+    words themselves; a narrower unsigned block keeps the low bits of
+    each word, all a bounded draw below 2^bits reads. A caller that needs
+    more of a stream's words fills a wider row; its first words repeat.
     """
 
-    def __init__(self, seed: int, domain: int, first_block: int):
+    def __init__(self, seed: int, domain: int):
         bit_generator = np.random.Philox(key=seed & _MASK64)
+        state = bit_generator.state  # counter 0, empty buffer
+        # the setter reads the arrays item by item: Python lists read faster
+        self._key = state["state"]["key"].tolist()
+        state["state"] = {"counter": state["state"]["counter"].tolist(), "key": self._key}
+        state["buffer"] = state["buffer"].tolist()
+        self._state = state
         self._bit_generator = bit_generator
-        self._state = bit_generator.state  # counter 0, empty buffer
-        self._key = self._state["state"]["key"]
         self._domain = domain
-        self._first_block = first_block
-        self._stream = RandomStream(np.random.Generator(bit_generator))
+        self._raw = bit_generator.random_raw
 
-    def at(self, index: int) -> RandomStream:
-        self._key[1] = _key_high(index, self._domain)
-        self._bit_generator.state = self._state
-        rs = self._stream
-        rs._words = iter(rs._raw(self._first_block).tolist())
-        return rs
+    def fill(self, block: np.ndarray, indices) -> np.ndarray:
+        """Row r of `block` gets the first words of stream indices[r]."""
+        width = block.shape[1]
+        bit_generator, state, key, raw = self._bit_generator, self._state, self._key, self._raw
+        for row, index in enumerate(indices):
+            key[1] = _key_high(index, self._domain)
+            bit_generator.state = state
+            block[row] = raw(width)  # a narrower dtype keeps the low bits
+        return block

@@ -15,7 +15,15 @@ w(T) = W/L exactly and no rational is built per tree.
 Sampling is Wilson's algorithm (loop-erased random walks), which is
 exactly uniform. Each Monte Carlo sample runs on its own counter-keyed
 stream, so estimates are bit-identical no matter how samples are split
-across worker processes. A run keeps a histogram of its (W, leaves)
+across worker processes. ``wilson_sample`` walks one stream a word at a
+time. A sampling run walks a block of samples at once in numpy lockstep
+(``_wilson_batch``): row b of a word block holds the first words of
+sample b's stream, and each iteration takes one walk step or one
+erasure step per sample, so every sample draws the tree its own stream
+gives. Blocks hold about _BLOCK_ELEMENTS words and parent entries, so
+memory does not grow with the sample count; a sample whose row of words
+runs out runs again from its first word with twice the width, and draws
+the same tree. A run keeps a histogram of its (W, leaves)
 pairs, which take few distinct values (at most n on a regular host);
 moments, extremes, bound checks and tails are read from it once per
 distinct pair, and workers merge by adding histograms. Rationals and
@@ -32,6 +40,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -191,15 +200,177 @@ def _expected_draws(g: Graph) -> int:
     return math.ceil(steps * draws_per_step)
 
 
+def _step_table(g: Graph) -> tuple[np.ndarray, int]:
+    """The walk's moves: row u, column j is where a walk at u goes on a word
+    with low bits j, for j below `stride` = 2^ceil(log2 (max degree)).
+
+    That is u's neighbour nb[j & mask] (mask = 2^ceil(log2 d(u)) - 1), the
+    draw of ``RandomStream.randint``, or u itself where randint rejects.
+    """
+    n = g.n
+    stride = 1 << (max(g.degrees) - 1).bit_length()
+    masks = np.array([(1 << (len(nb) - 1).bit_length()) - 1 for nb in g.neighbors])
+    padded = np.repeat(np.arange(n), stride).reshape(n, stride)  # u past its neighbours
+    for u, nb in enumerate(g.neighbors):
+        padded[u, : len(nb)] = nb
+    table = np.take_along_axis(padded, np.arange(stride) & masks[:, None], axis=1)
+    return table.ravel(), stride
+
+
+def _wilson_batch(g: Graph, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wilson's walks of a block of samples in lockstep, one sample a row.
+
+    Row b of `words` is the start of sample b's stream, of any unsigned
+    dtype wide enough for the table's stride (see `StreamFamily.fill`).
+    Returns the `(B, n)` parent arrays, each what `_wilson_parents` gives
+    on the same stream, and the words each sample drew. A sample that ran
+    out of words shows width + 1: its row is unfinished, and the sample
+    must run again with more words.
+
+    Every iteration does one thing per sample. A walking sample draws
+    one word and sets parent[u] to the vertex drawn (erasing any loop),
+    or to u itself on a rejected draw, which the accepted draw that
+    leaves u overwrites; on reaching the tree it switches to erasure
+    from its start. An erasing sample marks one vertex as in the tree
+    and moves to its parent; on reaching the tree it starts a new walk
+    from the first vertex not yet in it, Wilson's order of starts, or is
+    done. A sample that is done or short of words is parked: it walks in
+    a spare row past the block, which it never marks, and draws no word.
+    Parked samples are dropped from the state arrays once they are a
+    quarter of them, so the arrays shrink in a few steps.
+    """
+    count, width = words.shape
+    n = g.n
+    parent = np.full((count + 1) * n, -1, dtype=np.min_scalar_type(-n))
+    in_tree = np.zeros((count + 1) * n, dtype=bool)
+    in_tree[: count * n : n] = True
+    used = np.zeros(count, dtype=np.int64)
+    if n < 2 or count == 0:
+        return parent[: count * n].reshape(count, n), used
+    table, stride = _step_table(g)
+    low = stride - 1
+    flat_words = words.reshape(-1)
+    if flat_words.dtype == np.uint64:  # uint64 and int64 operands would promote to float
+        flat_words = flat_words.view(np.int64)
+    rows = in_tree[: count * n].reshape(count, n)
+    spare = count * n
+    # per sample: its index, the offset of its parent and in_tree row, its
+    # next word, its vertex and walk start, and its mode
+    sample = np.arange(count)
+    base = sample * n
+    cursor = sample * width
+    u = np.ones(count, dtype=np.int64)
+    start = u.copy()
+    erasing = np.zeros(count, dtype=bool)
+    walking = ~erasing
+    live = count
+    safe = width  # iterations before any sample can draw past its words
+
+    def park(idx):
+        nonlocal live
+        used[sample[idx]] = cursor[idx] - sample[idx] * width
+        base[idx] = spare
+        cursor[idx] = 0  # never past its words again
+        walking[idx] = erasing[idx] = False
+        live -= idx.size
+
+    while live:
+        cell = base + u
+        drawn = table.take(u * stride + (flat_words.take(cursor, mode="clip") & low))
+        u = np.where(erasing, parent.take(cell), drawn)
+        parent[cell] = u  # an erasing sample writes back its own parent
+        in_tree[cell] = erasing  # a walking sample's u is off the tree
+        cursor += walking
+        safe -= 1
+        if safe < 0:
+            left = (sample + 1) * width - cursor
+            over = left < 0  # drew past its words: the draw and what follows are void
+            if over.any():
+                idx = over.nonzero()[0]
+                park(idx)
+                left[idx] = width
+            safe = int(left.min())
+        hit = in_tree.take(base + u)
+        if hit.any():
+            np.copyto(u, start, where=hit > erasing)  # arrived: erase from the start
+            finished = (hit & erasing).nonzero()[0]
+            erasing ^= hit
+            walking ^= hit
+            if finished.size:
+                first = rows[sample[finished]].argmin(axis=1)
+                start[finished] = u[finished] = first  # 0 once every vertex is in
+                done = finished[first == 0]
+                if done.size:
+                    park(done)
+        if live and 4 * live <= 3 * sample.size:
+            keep = base != spare
+            sample, base, cursor = sample[keep], base[keep], cursor[keep]
+            u, start, erasing, walking = u[keep], start[keep], erasing[keep], walking[keep]
+    return parent[: count * n].reshape(count, n), used
+
+
+def _tree_pairs(parents: np.ndarray, scale: Sequence[int], lcm: int) -> Iterator[tuple[int, int]]:
+    """The (W, leaves) pair of each row of `(B, n)` parent arrays rooted at 0.
+
+    Off the root a leaf is a vertex that is no vertex's parent; the root
+    is a leaf when it is the parent of one vertex. Columns are taken one
+    at a time, so the work arrays hold one entry per row, not per cell.
+    """
+    count, n = parents.shape
+    leaf = np.ones((count, n), dtype=bool)
+    flat, offsets = leaf.reshape(-1), np.arange(0, count * n, n)
+    for v in range(1, n):
+        flat[offsets + parents[:, v]] = False
+    leaf[:, 0] = (parents[:, 1:] == 0).sum(axis=1) == 1
+    leaves = leaf.sum(axis=1).tolist()
+    if lcm * n < 1 << 63:  # W <= sum of L/d(v) <= n L fits in int64
+        weights = np.zeros(count, dtype=np.int64)
+        for v, s in enumerate(scale):
+            weights[leaf[:, v]] += s
+        weights = weights.tolist()
+    else:  # exact Python integers
+        weights = [sum(compress(scale, row)) for row in leaf.tolist()]
+    return zip(weights, leaves)
+
+
+# A block of samples holds about _BLOCK_ELEMENTS words and parent entries,
+# and at least _MIN_ROWS samples: on fewer, numpy's cost per call outweighs
+# the Python walk it replaces. A sample's row holds _WIDTH_FACTOR times the
+# words it is expected to draw.
+_BLOCK_ELEMENTS = 1 << 18
+_MIN_ROWS = 256
+_WIDTH_FACTOR = 2
+
+
 def _weight_chunk(args) -> Counter:
-    """Worker: the (W, leaves) histogram of a contiguous block of sample indices."""
-    g, seed, lo, hi, first_block = args
-    _, scale = _leaf_scales(g)
-    streams = StreamFamily(seed, DOMAIN_SAMPLE, first_block)
+    """Worker: the (W, leaves) histogram of a contiguous block of sample indices.
+
+    Samples run through `_wilson_batch` in blocks sized by _BLOCK_ELEMENTS,
+    so memory does not grow with the chunk, each word kept to the low
+    bits a walk step reads. The samples whose row of words runs out run
+    again after the others, from their first word with twice the width,
+    and so draw the same trees.
+    """
+    g, seed, lo, hi, expected = args
+    lcm, scale = _leaf_scales(g)
+    streams = StreamFamily(seed, DOMAIN_SAMPLE)
+    dtype = np.min_scalar_type(max(g.degrees))
     hist: Counter = Counter()
-    for i in range(lo, hi):
-        parent = _wilson_parents(g, streams.at(i))
-        hist[_leaf_form(_parent_degrees(parent), scale)] += 1
+    todo: Sequence[int] = range(lo, hi)
+    width = _WIDTH_FACTOR * expected
+    while todo:
+        rows = max(_MIN_ROWS, _BLOCK_ELEMENTS // (width + g.n))
+        buffer = np.empty((min(rows, len(todo)), width), dtype=dtype)
+        redo = []
+        for first in range(0, len(todo), rows):
+            part = todo[first : first + rows]
+            parents, used = _wilson_batch(g, streams.fill(buffer[: len(part)], part))
+            short = used > width
+            if short.any():
+                redo += [part[i] for i in np.flatnonzero(short).tolist()]
+                parents = parents[~short]
+            hist.update(_tree_pairs(parents, scale, lcm))
+        todo, width = redo, 2 * width
     return hist
 
 
@@ -238,15 +409,15 @@ def _run_weight_samples(g: Graph, samples: int, seed: int, threads: int = 1) -> 
         raise ValidationError("sample count must be positive")
     if not is_connected(g):
         raise ValidationError("sampling requires a connected host graph")
-    first_block = _expected_draws(g)
+    expected = _expected_draws(g)
     threads = max(1, threads)
     if threads == 1 or samples < 2 * threads:
-        parts = [_weight_chunk((g, seed, 0, samples, first_block))]
+        parts = [_weight_chunk((g, seed, 0, samples, expected))]
     else:
         pieces = min(samples, threads * _CHUNKS_PER_WORKER)
         step = -(-samples // pieces)
         chunks = [
-            (g, seed, lo, min(lo + step, samples), first_block)
+            (g, seed, lo, min(lo + step, samples), expected)
             for lo in range(0, samples, step)
         ]
         # the chunk count above follows --threads, so stdout does not depend
@@ -484,22 +655,27 @@ def weight_experiment(
     )
 
 
-def _spanning_tree_walk(g: Graph, cap: int) -> Iterator[tuple[list, list[int]]]:
-    """Yield (edges, tree degrees) of each spanning tree exactly once.
+def _guarded_tree_count(g: Graph, cap: int) -> int:
+    """The matrix-tree count of connected g, refused above `cap`."""
+    if not is_connected(g):
+        raise ValidationError("spanning-tree enumeration needs a connected graph")
+    total = spanning_tree_count(g)
+    if total > cap:
+        raise CapacityError(f"{total} spanning trees exceed the enumeration cap {cap}")
+    return total
+
+
+def _spanning_tree_walk(g: Graph) -> Iterator[tuple[list, list[int]]]:
+    """Yield (edges, tree degrees) of each spanning tree of connected g once.
 
     Edge inclusion/exclusion in depth-first order. An edge is excluded
     when it closes a cycle in the forest built so far, or when it is not
     a bridge of that forest plus the edges not yet decided, so every
     branch ends in a tree. The forest is kept as adjacency bitmasks and
     tree degrees, rolled back in step. Both yielded lists are shared and
-    change at the next step. The matrix-tree count guards the cap up
-    front and is re-verifiable against the yield count.
+    change at the next step. Callers guard the size up front with
+    `_guarded_tree_count`, whose count the yield count re-verifies.
     """
-    if not is_connected(g):
-        raise ValidationError("spanning-tree enumeration needs a connected graph")
-    total = spanning_tree_count(g)
-    if total > cap:
-        raise CapacityError(f"{total} spanning trees exceed the enumeration cap {cap}")
     n = g.n
     edges = g.edges()
     suffix = [[0] * n]  # suffix[i][v]: neighbours of v over edges[i:], as bits
@@ -561,7 +737,8 @@ def enumerate_spanning_trees(
     g: Graph, cap: int = DEFAULT_SPANNING_TREE_CAP
 ) -> Iterator[SpanningTree]:
     """Yield each spanning tree exactly once (see _spanning_tree_walk)."""
-    for edges, tree_degree in _spanning_tree_walk(g, cap):
+    _guarded_tree_count(g, cap)
+    for edges, tree_degree in _spanning_tree_walk(g):
         yield _tree(g.n, edges, tree_degree)
 
 
@@ -572,6 +749,7 @@ class WeightIdentityReport:
     weight_sum: Fraction  # sum of w(T) over all spanning trees
     s_n_minus_1: int  # independent matrix-tree route
     equal: bool
+    matrix_tree_count: int  # the cap guard's count, which tree_count must equal
 
     def to_json_dict(self) -> dict:
         return {
@@ -596,11 +774,13 @@ def verify_weight_identity(
     n = g.n
     if n == 1:
         return WeightIdentityReport(
-            n=1, tree_count=1, weight_sum=Fraction(0), s_n_minus_1=0, equal=True
+            n=1, tree_count=1, weight_sum=Fraction(0), s_n_minus_1=0, equal=True,
+            matrix_tree_count=1,
         )
+    matrix_tree_count = _guarded_tree_count(g, cap)
     lcm, scale = _leaf_scales(g)
     scaled_sum = tree_count = 0
-    for _, tree_degree in _spanning_tree_walk(g, cap):
+    for _, tree_degree in _spanning_tree_walk(g):
         scaled_sum += _leaf_form(tree_degree, scale)[0]
         tree_count += 1
     weight_sum = Fraction(scaled_sum, lcm)
@@ -614,4 +794,5 @@ def verify_weight_identity(
         weight_sum=weight_sum,
         s_n_minus_1=s_n_minus_1,
         equal=weight_sum == s_n_minus_1,
+        matrix_tree_count=matrix_tree_count,
     )

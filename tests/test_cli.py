@@ -53,6 +53,26 @@ def test_verify_k3(capsys):
     assert doc["result"]["all_passed"]
 
 
+def test_verify_takes_the_matrix_tree_count_once(capsys, monkeypatch):
+    # the identity check's cap guard counts the trees, and the base checks
+    # read that count from its report instead of taking it again
+    from subtree_poly_lab import counting, spanning
+
+    calls, count = [], counting.spanning_tree_count
+
+    def counted(g):
+        calls.append(g.n)
+        return count(g)
+
+    monkeypatch.setattr(spanning, "spanning_tree_count", counted)
+    monkeypatch.setattr(counting, "spanning_tree_count", counted)
+    status, out, _ = invoke(capsys, "verify", "--graph", "complete_minus_perfect_matching(8)")
+    assert status == 0
+    assert calls == [8]
+    base = json.loads(out)["result"]["base_checks"]
+    assert base["s_n_equals_matrix_tree"] and base["tree_count_matches_matrix_tree"]
+
+
 def test_verify_disconnected_flagged(capsys):
     status, out, err = invoke(capsys, "verify", "--graph", "gnp(4,0.0)")
     assert status == 1
@@ -255,6 +275,21 @@ def test_sweep_rejects_bad_n_list(capsys):
     assert status == 1
     assert out == ""
     assert err.startswith("error: bad n-list '4,a'")
+
+
+@pytest.mark.parametrize(
+    "inner, flag, value",
+    [("poisson", "--k-max", "-1"), ("beta", "--samples", "-5"), ("rouche", "--circle-points", "0")],
+)
+def test_sweep_checks_row_flags_before_any_row(capsys, inner, flag, value):
+    # an empty --n-list runs no row, and used to echo the bad value into the
+    # spec with exit 0
+    for n_list in ("", "5"):
+        status, out, err = invoke(
+            capsys, "sweep", "--family", "complete", "--n-list", n_list, "--command", inner, flag, value
+        )
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: {flag} must be at least ") and err.endswith(f", got {value}\n")
 
 
 @pytest.mark.parametrize("flag", [["--format", "json"], ["--format=json"]])

@@ -3,8 +3,10 @@
 import concurrent.futures
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -32,8 +34,18 @@ from subtree_poly_lab import (
     weight_experiment,
     wilson_sample,
 )
+from subtree_poly_lab import spanning
+from subtree_poly_lab.graphs import is_connected
 from subtree_poly_lab.rng import DOMAIN_SAMPLE, RandomStream, StreamFamily, stream
-from subtree_poly_lab.spanning import _expected_draws
+from subtree_poly_lab.spanning import (
+    _expected_draws,
+    _leaf_form,
+    _leaf_scales,
+    _parent_degrees,
+    _weight_chunk,
+    _wilson_batch,
+    _wilson_parents,
+)
 
 
 def chi2_sf(stat, df):
@@ -402,23 +414,138 @@ def test_wilson_draw_counts_pinned():
 
 @pytest.mark.parametrize("seed, index", [(1, 0), (2**64 - 1, 12345), (7, 2**56 - 1)])
 def test_rekeyed_stream_matches_fresh_stream(seed, index):
-    family = StreamFamily(seed, DOMAIN_SAMPLE, first_block=7)  # refills inside 300 words
-    family.at(3).next_u64()  # the words left from a previous key are dropped
-    rekeyed = family.at(index)
-    fresh = stream(seed, index, DOMAIN_SAMPLE)
-    words = [rekeyed.next_u64() for _ in range(300)]
-    assert words == [fresh.next_u64() for _ in range(300)]
+    family = StreamFamily(seed, DOMAIN_SAMPLE)
+    family.fill(np.empty((1, 5), dtype=np.uint64), [3])  # the state of an earlier key is dropped
+    indices = range(max(0, index - 2), index + 1)
+    block = family.fill(np.empty((len(indices), 300), dtype=np.uint64), indices)
+    for row, i in enumerate(indices):
+        fresh = stream(seed, i, DOMAIN_SAMPLE)
+        assert block[row].tolist() == [fresh.next_u64() for _ in range(300)]
     # the same words as the Generator.integers fill streams used before random_raw
     key = seed | ((DOMAIN_SAMPLE << 56 | index) << 64)
     reference = np.random.Generator(np.random.Philox(key=key))
-    assert words == reference.integers(0, 2**64, size=300, dtype=np.uint64).tolist()
+    assert block[-1].tolist() == reference.integers(0, 2**64, size=300, dtype=np.uint64).tolist()
+    # a narrower block keeps the low bits of the same words, in any row order
+    low = family.fill(np.empty((len(indices), 300), dtype=np.uint8), indices[::-1])
+    assert (low[::-1] == block % 256).all()
 
 
 def test_stream_index_range_checked():
     with pytest.raises(ValueError):
         stream(1, 2**56, DOMAIN_SAMPLE)
+    family = StreamFamily(1, DOMAIN_SAMPLE)
     with pytest.raises(ValueError):
-        StreamFamily(1, DOMAIN_SAMPLE, first_block=8).at(-1)
+        family.fill(np.empty((1, 8), dtype=np.uint64), [-1])
+    with pytest.raises(ValueError):
+        family.fill(np.empty((2, 8), dtype=np.uint64), range(2**56 - 1, 2**56 + 1))
+
+
+# ------------------------------------------------- the batched Wilson kernel
+
+
+def _single_stream_walks(g, seed, indices):
+    """Parent arrays and words drawn of `_wilson_parents` on each stream."""
+    parents, draws = [], []
+    for i in indices:
+        rs = _CountingStream(stream(seed, i, DOMAIN_SAMPLE)._gen)
+        parents.append(_wilson_parents(g, rs))
+        draws.append(rs.draws)
+    return parents, draws
+
+
+def _host(kind, n, seed):
+    if kind == "complete":
+        return generate(f"complete({n})")
+    if kind == "gnp":
+        return generate_connected(f"gnp({n},0.3)", seed=seed)[0]
+    if kind == "random_tree":
+        return generate(f"random_tree({n})", seed=seed)
+    if kind == "path":
+        return generate(f"path({n})")
+    if kind == "star":
+        return star(n)
+    return generate(f"complete_minus_perfect_matching({2 * (n // 2) + 2})")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["complete", "gnp", "random_tree", "path", "star", "cmpm"]),
+    n=st.integers(2, 20),
+    seed=st.integers(0, 10**6),
+    width=st.sampled_from([1, 2, 5, 32, 400]),
+    dtype=st.sampled_from([np.uint8, np.uint64]),
+)
+def test_wilson_batch_matches_single_stream_walks(kind, n, seed, width, dtype):
+    g = _host(kind, n, seed)
+    indices = range(seed, seed + 12)
+    expected, draws = _single_stream_walks(g, seed, indices)
+    words = StreamFamily(seed, DOMAIN_SAMPLE).fill(np.empty((12, width), dtype=dtype), indices)
+    parents, used = _wilson_batch(g, words)
+    for row, (parent, drawn) in enumerate(zip(expected, draws)):
+        if drawn <= width:  # the same tree from the same words
+            assert (used[row], parents[row].tolist()) == (drawn, parent)
+        else:  # out of words, and flagged so
+            assert used[row] == width + 1
+
+
+@pytest.mark.parametrize("factor, expected", [(1, 1), (2, 1), (2, None)])
+@pytest.mark.parametrize("family", ["complete(9)", "gnp(16,0.3)", "path(6)", "random_tree(11)"])
+def test_weight_chunk_matches_single_stream_walks(family, factor, expected):
+    # widths 1 and 2 run nearly every sample again, most of them repeatedly
+    g, _ = generate_connected(family, seed=4)
+    lcm, scale = _leaf_scales(g)
+    parents, _ = _single_stream_walks(g, 2, range(5, 305))
+    oracle = Counter(_leaf_form(_parent_degrees(p), scale) for p in parents)
+    with mock.patch.object(spanning, "_WIDTH_FACTOR", factor), \
+            mock.patch.object(spanning, "_MIN_ROWS", 7):
+        args = (g, 2, 5, 305, expected or _expected_draws(g))
+        assert _weight_chunk(args) == oracle
+
+
+def test_wilson_batch_draw_counts_pinned():
+    # the words test_wilson_draw_counts_pinned counts, drawn by the batch; on
+    # K_15 (degree 14, mask 15) a word is rejected exactly when its low four
+    # bits are 14 or 15, so the accepted steps are read off the words drawn
+    g = generate("complete(15)")
+    words = StreamFamily(1, DOMAIN_SAMPLE).fill(np.empty((200, 500), dtype=np.uint64), range(200))
+    parents, used = _wilson_batch(g, words)
+    assert (used <= 500).all()
+    drawn = np.arange(500) < used[:, None]
+    steps = int((drawn & (words % 16 < 14)).sum())
+    assert (steps, int(used.sum())) == (4829, 5520)
+    expected, _ = _single_stream_walks(g, 1, range(200))
+    assert parents.tolist() == expected
+
+
+def _havel_hakimi(degrees):
+    """A graph with the given degree sequence (which must be graphical)."""
+    left = list(enumerate(degrees))
+    edges = []
+    while left:
+        left.sort(key=lambda vd: -vd[1])
+        (u, d), rest = left[0], left[1:]
+        assert d <= len(rest)
+        for k in range(d):
+            v, dv = rest[k]
+            edges.append((u, v))
+            rest[k] = (v, dv - 1)
+        left = [vd for vd in rest if vd[1] > 0]
+    return Graph.from_edges(len(degrees), edges)
+
+
+def test_weight_chunk_exact_beyond_int64():
+    # degrees 47, 43, 41, ..., 32, 27, 25 make L = lcm of the degrees about
+    # 4.4e20, so L n and the W of a typical tree pass 2^63: the histogram
+    # must take its pairs in Python integers, and equal the scalar oracle's
+    degrees = [47, 43, 41, 37, 32, 31, 29, 27, 25, 23, 19, 17, 13, 11, 7] + [24] * 33
+    g = _havel_hakimi(degrees)
+    assert sorted(g.degrees) == sorted(degrees) and is_connected(g)
+    lcm, scale = _leaf_scales(g)
+    assert lcm * g.n >= 2**63
+    parents, _ = _single_stream_walks(g, 3, range(60))
+    oracle = Counter(_leaf_form(_parent_degrees(p), scale) for p in parents)
+    assert max(w for w, _ in oracle) >= 2**63
+    assert _weight_chunk((g, 3, 0, 60, _expected_draws(g))) == oracle
 
 
 # ------------------------------------------------------ the Fraction oracle
