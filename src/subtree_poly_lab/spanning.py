@@ -217,6 +217,12 @@ def _step_table(g: Graph) -> tuple[np.ndarray, int]:
     return table.ravel(), stride
 
 
+# numpy keeps freed buffers under 1 KiB for reuse, by exact size: state
+# arrays shrinking through many small sizes, block after block, would grow
+# the process by up to a few MB
+_COMPACT_FLOOR = 1024
+
+
 def _wilson_batch(g: Graph, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Wilson's walks of a block of samples in lockstep, one sample a row.
 
@@ -237,7 +243,8 @@ def _wilson_batch(g: Graph, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     done. A sample that is done or short of words is parked: it walks in
     a spare row past the block, which it never marks, and draws no word.
     Parked samples are dropped from the state arrays once they are a
-    quarter of them, so the arrays shrink in a few steps.
+    quarter of them, so the arrays shrink in a few steps, and never to
+    fewer than _COMPACT_FLOOR entries.
     """
     count, width = words.shape
     n = g.n
@@ -302,7 +309,7 @@ def _wilson_batch(g: Graph, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 done = finished[first == 0]
                 if done.size:
                     park(done)
-        if live and 4 * live <= 3 * sample.size:
+        if live >= _COMPACT_FLOOR and 4 * live <= 3 * sample.size:
             keep = base != spare
             sample, base, cursor = sample[keep], base[keep], cursor[keep]
             u, start, erasing, walking = u[keep], start[keep], erasing[keep], walking[keep]

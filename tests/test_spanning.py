@@ -480,7 +480,8 @@ def test_wilson_batch_matches_single_stream_walks(kind, n, seed, width, dtype):
     indices = range(seed, seed + 12)
     expected, draws = _single_stream_walks(g, seed, indices)
     words = StreamFamily(seed, DOMAIN_SAMPLE).fill(np.empty((12, width), dtype=dtype), indices)
-    parents, used = _wilson_batch(g, words)
+    with mock.patch.object(spanning, "_COMPACT_FLOOR", 2):  # compact as samples finish
+        parents, used = _wilson_batch(g, words)
     for row, (parent, drawn) in enumerate(zip(expected, draws)):
         if drawn <= width:  # the same tree from the same words
             assert (used[row], parents[row].tolist()) == (drawn, parent)
@@ -491,13 +492,16 @@ def test_wilson_batch_matches_single_stream_walks(kind, n, seed, width, dtype):
 @pytest.mark.parametrize("factor, expected", [(1, 1), (2, 1), (2, None)])
 @pytest.mark.parametrize("family", ["complete(9)", "gnp(16,0.3)", "path(6)", "random_tree(11)"])
 def test_weight_chunk_matches_single_stream_walks(family, factor, expected):
-    # widths 1 and 2 run nearly every sample again, most of them repeatedly
+    # widths 1 and 2 run nearly every sample again, most of them repeatedly;
+    # blocks of a few dozen samples, compacted as their samples finish
     g, _ = generate_connected(family, seed=4)
     lcm, scale = _leaf_scales(g)
     parents, _ = _single_stream_walks(g, 2, range(5, 305))
     oracle = Counter(_leaf_form(_parent_degrees(p), scale) for p in parents)
     with mock.patch.object(spanning, "_WIDTH_FACTOR", factor), \
-            mock.patch.object(spanning, "_MIN_ROWS", 7):
+            mock.patch.object(spanning, "_BLOCK_ELEMENTS", 600), \
+            mock.patch.object(spanning, "_MIN_ROWS", 7), \
+            mock.patch.object(spanning, "_COMPACT_FLOOR", 5):
         args = (g, 2, 5, 305, expected or _expected_draws(g))
         assert _weight_chunk(args) == oracle
 
