@@ -6,6 +6,7 @@ Library layout:
     subsets    - the numpy kernel of the counting enumeration
     spanning   - Wilson sampling, leaf weights, identity verification
     polyroots  - subtree polynomial, certified roots, margin diagnostics
+    params     - the accepted range of each numeric parameter, one check per rule
     cli        - batch experiment driver
 
 Importing the package loads none of its modules: each exported name is
@@ -56,10 +57,8 @@ _EXPORTS = {
     "BetaEstimate": "spanning",
     "SpanningTree": "spanning",
     "WeightSample": "spanning",
-    "concentration_profile": "spanning",
     "enumerate_spanning_trees": "spanning",
     "estimate_beta": "spanning",
-    "leaf_count_stats": "spanning",
     "leaf_weight": "spanning",
     "verify_weight_identity": "spanning",
     "weight_experiment": "spanning",

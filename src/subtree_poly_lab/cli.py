@@ -10,6 +10,9 @@ Commands are rows of two tables, `_COMMANDS` (graph commands) and
 `_SWEEP` (sweep rows); `_render` is the one place that writes either
 format, and the help text's CSV columns are read from the tables.
 
+Each numeric flag is parsed by the library's check of its parameter
+(`params`), so a value out of range exits 1 before any work starts.
+
 The --threads flag caps module parallelism; it is an execution knob, not
 part of the experiment spec, and never changes results or output bytes.
 
@@ -26,8 +29,10 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 from . import __version__
+from . import params as checks
 from .counting import (
     DEFAULT_ENUMERATION_CAP,
     MAX_BITMASK_VERTICES,
@@ -74,30 +79,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _thread_count(text: str) -> int:
-    """--threads, or its default from the environment: a positive integer."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise ValidationError(
-        f"--threads (default from {THREADS_ENV}) must be a positive integer, got {text!r}"
-    )
-
-
-def _nonnegative(flag: str):
-    """An argparse type for `flag`: a nonnegative integer."""
-
-    def parse(text: str) -> int:
-        try:
-            if int(text) >= 0:
-                return int(text)
-        except ValueError:
-            pass
-        raise ValidationError(f"{flag} must be a nonnegative integer, got {text}")
-
-    return parse
+def _numeric(parser, flag: str, check, default, **kwargs) -> None:
+    """Add `flag`, parsed by the library's `check` under the flag's name."""
+    parser.add_argument(flag, type=partial(check, name=flag), default=default, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -118,23 +102,21 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--edge-list", help="path to an edge-list document")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
+    _numeric(common, "--seed", checks.seed, 0, help="64-bit seed (default 0)")
     # no default, so that sweep can tell a request for JSON from no request;
     # every other command reads an absent --format as json
     common.add_argument("--format", choices=("json", "csv"))
     # a string default goes through the type check only when the flag is absent
     common.add_argument(
         "--threads",
-        type=_thread_count,
+        type=partial(checks.threads, name=f"--threads (default from {THREADS_ENV})"),
         default=os.environ.get(THREADS_ENV, "1"),
         help="cap on module parallelism (execution knob, results unchanged)",
     )
 
     caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument(
-        "--cap",
-        type=_nonnegative("--cap"),
-        default=DEFAULT_ENUMERATION_CAP,
+    _numeric(
+        caps, "--cap", checks.cap, DEFAULT_ENUMERATION_CAP,
         help=f"vertex cap for exact counting (default {DEFAULT_ENUMERATION_CAP}; "
         f"at most {MAX_BITMASK_VERTICES}, the width of the subset bitmasks)",
     )
@@ -142,32 +124,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counts", parents=[graph_args, common, caps], help="exact subtree-count vector")
 
     p = sub.add_parser("beta", parents=[graph_args, common], help="Monte Carlo estimate of s_(n-1)/s_n")
-    p.add_argument("--samples", type=int, default=10000)
+    _numeric(p, "--samples", checks.samples, 10000)
 
     p = sub.add_parser("sample", parents=[graph_args, common], help="draw uniform spanning trees")
-    p.add_argument("--samples", type=int, default=1)
+    _numeric(p, "--samples", checks.samples, 1)
 
     p = sub.add_parser("roots", parents=[graph_args, common, caps], help="certified roots of the subtree polynomial")
-    p.add_argument("--precision-bits", type=int, default=192)
+    _numeric(p, "--precision-bits", checks.precision_bits, 192)
 
     p = sub.add_parser("rouche", parents=[graph_args, common, caps], help="sampled margin on the critical circle")
-    p.add_argument("--C", type=float, default=7.0)
-    p.add_argument("--circle-points", type=int, default=256)
-    p.add_argument("--precision-bits", type=int, default=192)
+    _numeric(p, "--C", checks.rouche_C, 7.0)
+    _numeric(p, "--circle-points", checks.circle_points, 256)
+    _numeric(p, "--precision-bits", checks.precision_bits, 192)
 
     p = sub.add_parser("poisson", parents=[graph_args, common, caps], help="factorial-normalized deviations")
-    p.add_argument("--k-max", type=int, default=3)
+    _numeric(p, "--k-max", checks.k_max, 3)
 
     p = sub.add_parser("verify", parents=[graph_args, common, caps], help="identity and inequality battery")
-    p.add_argument("--tree-cap", type=_nonnegative("--tree-cap"), default=10**6)
+    _numeric(p, "--tree-cap", checks.tree_cap, 10**6)
 
     p = sub.add_parser("tree-check", parents=[graph_args, common], help="root bound diagnostics for a tree host")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    _numeric(p, "--tolerance", checks.finite, 1e-9)
 
     p = sub.add_parser("experiment", parents=[graph_args, common], help="sampling battery: beta, leaf counts, tails")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--b-grid", default="0.2,0.3,0.4,0.5")
-    p.add_argument("--epsilon", type=float, default=0.05)
+    _numeric(p, "--samples", checks.samples, 10000)
+    _numeric(p, "--b-grid", checks.b_grid, "0.2,0.3,0.4,0.5")
+    _numeric(p, "--epsilon", checks.finite, 0.05)
 
     p = sub.add_parser(
         "sweep",
@@ -177,20 +159,23 @@ def _build_parser() -> argparse.ArgumentParser:
         + "; ".join(f"{name} -> {header}" for name, (_, header) in _SWEEP.items()),
     )
     p.add_argument("--family", required=True, help="complete, cycle, path, random_tree, gnp")
-    p.add_argument("--p", type=float, default=0.5, help="edge probability for gnp sweeps")
+    _numeric(p, "--p", checks.probability, 0.5, help="edge probability for gnp sweeps")
     p.add_argument("--n-list", required=True, help="comma-separated vertex counts, may be empty")
     p.add_argument("--command", required=True, dest="inner", choices=tuple(_SWEEP))
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--C", type=float, default=7.0)
-    p.add_argument("--circle-points", type=int, default=256)
-    p.add_argument("--k-max", type=int, default=3)
+    _numeric(p, "--samples", checks.samples, 10000)
+    _numeric(p, "--C", checks.rouche_C, 7.0)
+    _numeric(p, "--circle-points", checks.circle_points, 256)
+    _numeric(p, "--k-max", checks.k_max, 3)
     return parser
 
 
 def _load_graph(args) -> tuple[Graph, FamilySpec | None, str]:
     if getattr(args, "edge_list", None):
-        with open(args.edge_list, encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(args.edge_list, encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise ValidationError(f"cannot read edge list {args.edge_list!r}: {err}")
         return from_edge_list(text), None, f"edge-list:{args.edge_list}"
     if getattr(args, "graph", None):
         family = parse_family(args.graph)
@@ -223,13 +208,6 @@ def _mp_str(x) -> str:
     return mp.nstr(x, 20)
 
 
-def _parse_list(text: str, convert, name: str, kind: str) -> list:
-    try:
-        return [convert(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise ValidationError(f"bad {name} {text!r}, expected comma-separated {kind}")
-
-
 def _cmd_counts(args, graph, family):
     counts = counts_for(graph, family, args.cap)
     result = counts.to_json_dict()
@@ -259,8 +237,6 @@ def _cmd_beta(args, graph, family):
 
 
 def _cmd_sample(args, graph, family):
-    if args.samples < 1:
-        raise ValidationError("--samples must be positive")
     from .rng import DOMAIN_SAMPLE, stream
     from .spanning import leaf_weight, wilson_sample
 
@@ -367,11 +343,10 @@ def _cmd_tree_check(args, graph, family):
 
 
 def _cmd_experiment(args, graph, family):
-    b_grid = _parse_list(args.b_grid, float, "b-grid", "reals")
     from .spanning import weight_experiment
 
     beta_report, leaf_report, tails = weight_experiment(
-        graph, args.samples, args.seed, b_grid, args.epsilon, threads=args.threads
+        graph, args.samples, args.seed, args.b_grid, args.epsilon, threads=args.threads
     )
     result = {
         "beta": beta_report.to_json_dict(),
@@ -383,7 +358,7 @@ def _cmd_experiment(args, graph, family):
          repr(r.bound_alpha_form), r.status_min_degree]
         for r in tails.rows
     ]
-    params = {"samples": args.samples, "b_grid": b_grid, "epsilon": args.epsilon}
+    params = {"samples": args.samples, "b_grid": args.b_grid, "epsilon": args.epsilon}
     return params, result, rows
 
 
@@ -457,17 +432,10 @@ _SWEEP = {
 def _cmd_sweep(args) -> tuple[str, int]:
     if args.format == "json":
         raise ValidationError("sweep writes CSV only")
-    # the spec echoes both into the CSV header's JSON, which has no NaN or Infinity
-    for flag, value in (("--C", args.C), ("--p", args.p)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{flag} must be finite, got {value}")
-    # and echoes these, checked here because an empty --n-list runs no row
-    bounds = (("--samples", args.samples, 1), ("--circle-points", args.circle_points, 1),
-              ("--k-max", args.k_max, 0))
-    for flag, value, least in bounds:
-        if value < least:
-            raise ValidationError(f"{flag} must be at least {least}, got {value}")
-    n_list = _parse_list(args.n_list, int, "n-list", "integers")
+    try:
+        n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
+    except ValueError:
+        raise ValidationError(f"bad n-list {args.n_list!r}, expected comma-separated integers")
     params = {
         "family": args.family, "n_list": n_list, "inner_command": args.inner,
         "cap": args.cap, "samples": args.samples, "C": args.C,

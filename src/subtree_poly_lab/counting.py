@@ -27,13 +27,13 @@ they can disagree loudly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
+from . import params
 from .errors import CapacityError, ValidationError
 from .graphs import FamilySpec, Graph, is_connected
 
@@ -66,15 +66,6 @@ class SubtreeCountVector:
         # decimal strings: entries exceed 64-bit range quickly
         return {"n": self.n, "counts": [str(c) for c in self.counts]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "SubtreeCountVector":
-        return SubtreeCountVector(
-            n=int(doc["n"]), counts=tuple(int(c) for c in doc["counts"])
-        )
-
 
 def exact_beta(counts: SubtreeCountVector) -> Fraction:
     """beta = s_{n-1}/s_n, exact."""
@@ -89,14 +80,11 @@ def poisson_deviation(counts: SubtreeCountVector, k_max: int) -> list[Fraction]:
     dev_0 = dev_1 = 0 by construction; higher deviations measure the
     distance from the factorial (Poisson) profile.
     """
+    k_max = params.k_max(k_max, "k_max")
     n = counts.n
     if k_max >= n:
         raise ValidationError(f"k_max must be below n = {n}")
-    if k_max < 0:
-        raise ValidationError("k_max must be nonnegative")
-    if counts.s(n) == 0:
-        raise ValidationError("deviations undefined for disconnected source")
-    beta = exact_beta(counts)
+    beta = exact_beta(counts)  # refuses a disconnected source
     devs = []
     for k in range(k_max + 1):
         ratio = Fraction(counts.s(n - k), counts.s(n))
@@ -186,6 +174,7 @@ def enumerate_connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
 
 def subtree_counts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> SubtreeCountVector:
     """Exact s_1..s_n by summing spanning-tree counts over connected subsets."""
+    cap = params.cap(cap, "cap")
     if g.n > cap:
         raise CapacityError(
             f"subtree_counts on n={g.n} exceeds the enumeration cap {cap}; "

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import params
 from .errors import EdgeListParseError, ValidationError
 
 FAMILY_NAMES = (
@@ -250,13 +251,8 @@ def generate(spec: FamilySpec | str, seed: int = 0) -> Graph:
             ],
         )
     if name == "gnp":
-        if len(spec.args) != 2 or not isinstance(spec.args[0], int):
-            raise ValidationError(f"gnp expects (n, p), got {spec.args}")
-        n, p = spec.args[0], float(spec.args[1])
-        if n < 1:
-            raise ValidationError(f"gnp needs n >= 1, got {n}")
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"gnp needs 0 <= p <= 1, got {p}")
+        _require_size(spec, 2)
+        n, p = spec.args[0], params.probability(spec.args[1], "p")
         from .rng import stream
 
         rs = stream(seed)

@@ -42,6 +42,7 @@ from typing import Sequence
 
 import mpmath as mp
 
+from . import params
 from .counting import SubtreeCountVector, counts_for, exact_beta
 from .errors import CertificationError, ValidationError
 from .graphs import Graph, is_connected
@@ -426,8 +427,7 @@ def _work_bits(precision_bits: int, top: int) -> int:
 
     find_roots and rouche_margin share this check of the requested precision.
     """
-    if precision_bits < 106:
-        raise ValidationError("precision_bits must be at least 106")
+    precision_bits = params.precision_bits(precision_bits, "precision_bits")
     return max(precision_bits, top.bit_length() + 64)
 
 
@@ -479,8 +479,7 @@ def _cluster(roots) -> tuple[tuple[complex, int], ...]:
 
 def root_bound(alpha: Fraction, n: int, C: float = 7.0) -> float:
     """The dense-graph root bound C / (alpha log n), natural log."""
-    if not (math.isfinite(C) and C > 6.0):
-        raise ValidationError(f"the root bound requires a finite C > 6, got {C}")
+    C = params.rouche_C(C, "C")
     if n < 2:
         raise ValidationError("root bound needs n >= 2")
     if alpha <= 0:
@@ -537,16 +536,12 @@ def rouche_margin(
     e^{beta y} from mpmath. Also checks the pointwise witness
     |e^{beta y}| >= n^(-1/C) that the comparison relies on.
     """
-    if not (math.isfinite(C) and C > 6.0):
-        raise ValidationError(f"the Rouche construction requires a finite C > 6, got {C}")
-    if circle_points < 1:
-        raise ValidationError("need at least one circle point")
+    C = params.rouche_C(C, "C")
+    circle_points = params.circle_points(circle_points, "circle_points")
     n = counts.n
     if n < 2:
         raise ValidationError("Rouche margin needs n >= 2")
-    if counts.s(n) == 0:
-        raise ValidationError("Rouche margin undefined for disconnected source")
-    beta = exact_beta(counts)
+    beta = exact_beta(counts)  # refuses a disconnected source
     work_bits = _work_bits(precision_bits, counts.s(n))
     reversed_counts = counts.counts[::-1]  # s_n, ..., s_1: F(y) s_n = sum_k s_{n-k} y^k
     tops = _top_bits(reversed_counts)
@@ -635,8 +630,7 @@ def tree_root_check(tree: Graph, tolerance: float = 1e-9) -> TreeRootReport:
     reports, without asserting, whether all roots lie in the conjectured
     annulus 1/2 <= |x + 1/2| <= 1/2 + (n-1)^(1/(n-1)).
     """
-    if not math.isfinite(tolerance):
-        raise ValidationError(f"tolerance must be finite, got {tolerance}")
+    tolerance = params.finite(tolerance, "tolerance")
     if tree.m != tree.n - 1 or not is_connected(tree):
         raise ValidationError("tree_root_check needs a tree (connected, m = n - 1)")
     counts = counts_for(tree)

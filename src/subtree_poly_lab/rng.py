@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import params
+
 _MASK64 = (1 << 64) - 1
 _BLOCK = 128
 
@@ -71,7 +73,7 @@ def _key_high(index: int, domain: int) -> int:
 
 def stream(seed: int, index: int = 0, domain: int = DOMAIN_GRAPH) -> RandomStream:
     """Stream `index` of the family keyed by (seed, domain)."""
-    key = (seed & _MASK64) | (_key_high(index, domain) << 64)
+    key = params.seed(seed, "seed") | (_key_high(index, domain) << 64)
     return RandomStream(np.random.Generator(np.random.Philox(key=key)))
 
 
@@ -88,7 +90,7 @@ class StreamFamily:
     """
 
     def __init__(self, seed: int, domain: int):
-        bit_generator = np.random.Philox(key=seed & _MASK64)
+        bit_generator = np.random.Philox(key=params.seed(seed, "seed"))
         state = bit_generator.state  # counter 0, empty buffer
         # the setter reads the arrays item by item: Python lists read faster
         self._key = state["state"]["key"].tolist()

@@ -45,6 +45,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import params
 from .counting import spanning_tree_count, subset_spanning_tree_count
 from .errors import CapacityError, ValidationError
 from .graphs import Graph, is_connected
@@ -412,12 +413,13 @@ class _WeightHistogram:
 
 
 def _run_weight_samples(g: Graph, samples: int, seed: int, threads: int = 1) -> _WeightHistogram:
-    if samples < 1:
-        raise ValidationError("sample count must be positive")
+    if g.n < 2:
+        raise ValidationError("sampling needs n >= 2")
+    samples = params.samples(samples, "samples")
+    threads = params.threads(threads, "threads")
     if not is_connected(g):
         raise ValidationError("sampling requires a connected host graph")
     expected = _expected_draws(g)
-    threads = max(1, threads)
     if threads == 1 or samples < 2 * threads:
         parts = [_weight_chunk((g, seed, 0, samples, expected))]
     else:
@@ -455,8 +457,6 @@ def estimate_beta(g: Graph, samples: int, seed: int, threads: int = 1) -> BetaEs
     Unbiased for beta = s_{n-1}/s_n by the double-counting identity;
     reproducible per seed, independent of thread count.
     """
-    if g.n < 2:
-        raise ValidationError("beta estimation needs n >= 2")
     return _beta_report(_run_weight_samples(g, samples, seed, threads), seed)
 
 
@@ -505,19 +505,6 @@ def _leaf_stats_report(h: _WeightHistogram, seed: int, epsilon: float) -> LeafCo
         below_threshold_probability=below / num,
         bound_violations=h.violations,
     )
-
-
-def leaf_count_stats(
-    g: Graph, samples: int, seed: int, epsilon: float = 0.05, threads: int = 1
-) -> LeafCountStats:
-    """Empirical distribution of the leaf count |l(T)| of uniform trees.
-
-    Reports the frequency of trees with fewer than (1/e - epsilon) * n
-    leaves, the quantity the few-leaves lemma bounds by epsilon for large
-    dense graphs.
-    """
-    _check_epsilon(epsilon)
-    return _leaf_stats_report(_run_weight_samples(g, samples, seed, threads), seed, epsilon)
 
 
 @dataclass(frozen=True)
@@ -608,34 +595,6 @@ def _tails_report(h: _WeightHistogram, seed: int, b_grid: Sequence[float]) -> Co
     )
 
 
-def _check_b_grid(b_grid: Sequence[float]) -> None:
-    if not b_grid:
-        raise ValidationError("b_grid must be nonempty")
-    if not all(math.isfinite(b) and b > 0 for b in b_grid):
-        raise ValidationError("b_grid entries must be positive and finite")
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not math.isfinite(epsilon):
-        raise ValidationError(f"epsilon must be finite, got {epsilon}")
-
-
-def concentration_profile(
-    g: Graph,
-    samples: int,
-    b_grid: Sequence[float],
-    seed: int,
-    threads: int = 1,
-) -> ConcentrationReport:
-    """Empirical tails of |w(T) - mean| against both printed bound forms.
-
-    The min-degree form 2 exp(-delta^2 b^2 / (32 n)) is the sharper one;
-    the alpha form 2 exp(-alpha^2 b^2 n / 32) follows from delta >= alpha n.
-    """
-    _check_b_grid(b_grid)
-    return _tails_report(_run_weight_samples(g, samples, seed, threads), seed, b_grid)
-
-
 def weight_experiment(
     g: Graph,
     samples: int,
@@ -644,16 +603,17 @@ def weight_experiment(
     epsilon: float = 0.05,
     threads: int = 1,
 ) -> tuple[BetaEstimate, LeafCountStats, ConcentrationReport]:
-    """One sampling pass feeding all three reports.
+    """One sampling pass feeding three reports on the same samples.
 
-    The beta estimate, the leaf-count distribution, and the concentration
-    tails describe the same empirical sample set, and the pass costs a
-    third of running the three experiments separately.
+    The beta estimate; the leaf-count distribution, with the frequency of
+    trees with fewer than (1/e - epsilon) n leaves, which the few-leaves
+    lemma bounds by epsilon on large dense hosts; and the tails of
+    |w(T) - mean| against both printed bound forms: the min-degree form
+    2 exp(-delta^2 b^2 / (32 n)) is the sharper one, and the alpha form
+    2 exp(-alpha^2 b^2 n / 32) follows from delta >= alpha n.
     """
-    if g.n < 2:
-        raise ValidationError("the sampling battery needs n >= 2")
-    _check_b_grid(b_grid)
-    _check_epsilon(epsilon)
+    b_grid = params.b_grid(b_grid, "b_grid")
+    epsilon = params.finite(epsilon, "epsilon")
     h = _run_weight_samples(g, samples, seed, threads)
     return (
         _beta_report(h, seed),
@@ -664,6 +624,7 @@ def weight_experiment(
 
 def _guarded_tree_count(g: Graph, cap: int) -> int:
     """The matrix-tree count of connected g, refused above `cap`."""
+    cap = params.tree_cap(cap, "cap")
     if not is_connected(g):
         raise ValidationError("spanning-tree enumeration needs a connected graph")
     total = spanning_tree_count(g)

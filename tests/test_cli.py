@@ -1,6 +1,9 @@
 """CLI contract: commands, exit codes, formats, determinism."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,10 +14,12 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subtree_poly_lab
 from subtree_poly_lab import CertificationError, generate
-from subtree_poly_lab import cli, polyroots
+from subtree_poly_lab import cli, params, polyroots
 from subtree_poly_lab.cli import run
 
 
@@ -196,7 +201,7 @@ def test_tree_check_past_the_enumeration_cap(capsys):
 def test_precision_bits_floor_in_both_commands(capsys, command):
     status, out, err = invoke(capsys, command, "--graph", "complete(5)", "--precision-bits", "10")
     assert status == 1 and out == ""
-    assert "precision_bits must be at least 106" in err
+    assert "error: --precision-bits must be an integer of at least 106, got 10\n" in err
 
 
 def test_tree_check_rejects_cycle(capsys):
@@ -279,17 +284,26 @@ def test_sweep_rejects_bad_n_list(capsys):
 
 @pytest.mark.parametrize(
     "inner, flag, value",
-    [("poisson", "--k-max", "-1"), ("beta", "--samples", "-5"), ("rouche", "--circle-points", "0")],
+    [
+        ("poisson", "--k-max", "-1"),
+        ("beta", "--samples", "-5"),
+        ("rouche", "--circle-points", "0"),
+        ("rouche", "--C", "3"),
+        # --C and --p are echoed into the spec whichever rows run
+        ("counts", "--C", "5"),
+        ("counts", "--p", "2"),
+    ],
 )
 def test_sweep_checks_row_flags_before_any_row(capsys, inner, flag, value):
     # an empty --n-list runs no row, and used to echo the bad value into the
     # spec with exit 0
+    family = "gnp" if flag == "--p" else "complete"
     for n_list in ("", "5"):
         status, out, err = invoke(
-            capsys, "sweep", "--family", "complete", "--n-list", n_list, "--command", inner, flag, value
+            capsys, "sweep", "--family", family, "--n-list", n_list, "--command", inner, flag, value
         )
         assert (status, out) == (1, "")
-        assert err.startswith(f"error: {flag} must be at least ") and err.endswith(f", got {value}\n")
+        assert err.startswith(f"error: {flag} must be ") and err.endswith(f", got {value}\n")
 
 
 @pytest.mark.parametrize("flag", [["--format", "json"], ["--format=json"]])
@@ -339,6 +353,18 @@ def test_caps_must_be_nonnegative(capsys, argv, flag, value):
     assert status == 1
     assert out == ""
     assert f"error: {flag} must be a nonnegative integer, got {value}\n" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "x"])
+def test_seed_must_fit_64_bits(capsys, seed):
+    # seeds were reduced mod 2^64: -1 drew the same trees as 2^64 - 1, and
+    # 2^64 the same as 0, while each echoed its own seed into the spec
+    argv = ["beta", "--graph", "complete(9)", "--samples", "30"]
+    status, out, err = invoke(capsys, *argv, "--seed", seed)
+    assert (status, out) == (1, "")
+    assert err == f"error: --seed must be an integer in [0, 2^64), got {seed}\n"
+    status, out, _ = invoke(capsys, *argv, "--seed", str(2**64 - 1))
+    assert status == 0 and json.loads(out)["spec"]["seed"] == 2**64 - 1
 
 
 def _strict_json(text):
@@ -405,6 +431,14 @@ def test_edge_list_input(tmp_path, capsys):
     status, out, _ = invoke(capsys, "counts", "--edge-list", str(path))
     assert status == 0
     assert json.loads(out)["result"]["counts"] == ["3", "3", "3"]
+
+
+@pytest.mark.parametrize("name", ["missing.txt", "."])
+def test_unreadable_edge_list(tmp_path, capsys, name):
+    # an unreadable path used to end in an OSError traceback
+    status, out, err = invoke(capsys, "counts", "--edge-list", str(tmp_path / name))
+    assert (status, out) == (1, "")
+    assert err.startswith("error: cannot read edge list ")
 
 
 def test_missing_graph_source(capsys):
@@ -626,3 +660,105 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["counts"] == ["4", "6", "12", "16"]
+
+
+def _subcommands(parser):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _flags(subparser):
+    return [a for a in subparser._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+
+
+def test_numeric_flags_parse_with_the_library_checks():
+    # a flag that takes a number is parsed by the check of its parameter in
+    # `params`, never by a bare int/float or a private rule of the CLI
+    for command, subparser in _subcommands(cli._build_parser()).items():
+        for action in _flags(subparser):
+            numeric_default = isinstance(action.default, (int, float)) and not isinstance(action.default, bool)
+            if action.type is not None or numeric_default:
+                check = getattr(action.type, "func", None)
+                assert getattr(check, "__module__", None) == params.__name__, (command, action.option_strings)
+
+
+# per check: values in range, and values just outside it, small enough that
+# every command line finishes in milliseconds on the hosts below
+_BOUNDED_VALUES = {
+    params.seed: (["0", "7", str(2**64 - 1)], [str(2**64)]),
+    params.samples: (["1", "200"], ["0"]),
+    params.threads: (["1"], ["0"]),
+    params.cap: (["0", "3", "62", "100"], []),
+    params.tree_cap: (["3", "1000000"], []),
+    params.circle_points: (["1", "16"], ["0"]),
+    params.k_max: (["0", "1", "3"], []),
+    params.precision_bits: (["106", "512"], ["105"]),
+    params.finite: (["0", "1e-9", "0.5"], ["1e400"]),
+    params.rouche_C: (["6.5", "7", "12"], ["6"]),
+    params.probability: (["0", "0.5", "1"], ["1.5"]),
+    params.b_grid: (["0.3", "0.2,0.5", "0.3,,1e-3"], ["0", ","]),
+}
+_MALFORMED = ["", "x", "nan", "inf", "-inf", "-1", "1.5"]
+# per text flag: usual values, and malformed ones
+_TEXT_VALUES = {
+    "graph": (["complete(4)", "complete(1)", "path(3)", "cycle(4)", "gnp(5,0.5)", "gnp(4,0.0)",
+               "random_tree(5)", "complete_minus_perfect_matching(4)"],
+              ["cycle(2)", "gnp(5,nan)", "complete(x)", ""]),
+    "family": (["complete", "cycle", "path", "gnp", "random_tree"], ["torus"]),
+    "n_list": (["", "3", "2,4", "5"], ["4,a", "0"]),
+}
+
+
+def _flag_arg(action, edge_lists, broken, needed):
+    """`--flag=value`, or None for an absent flag; a broken flag takes a bad value."""
+    if action.choices:
+        usual, unusual = list(action.choices), ["xml"]
+    elif action.type is not None:
+        usual, outside = _BOUNDED_VALUES[action.type.func]
+        unusual = outside + _MALFORMED
+    elif action.dest == "edge_list":
+        usual, unusual = edge_lists[:2], edge_lists[2:]
+    else:
+        usual, unusual = _TEXT_VALUES[action.dest]
+    flag = action.option_strings[-1]
+    arg = st.sampled_from(unusual if broken else usual).map(lambda v: f"{flag}={v}")
+    return arg if broken or needed or action.required else st.none() | arg
+
+
+@pytest.fixture(scope="module")
+def fuzz_edge_lists(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "split.txt").write_text("4 2\n0 1\n2 3\n")  # disconnected
+    (root / "square.txt").write_text("4 4\n0 1\n1 2\n2 3\n0 3\n")
+    return [str(root / "split.txt"), str(root / "square.txt"), str(root / "missing.txt"), str(root)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cli_grammar_fuzz(fuzz_edge_lists, data):
+    # argv is drawn from the parser's own subcommands and flags, so a new
+    # flag is fuzzed without editing this test
+    commands = _subcommands(cli._build_parser())
+    command = data.draw(st.sampled_from(sorted(commands)))
+    parser = commands[command]
+    flags = _flags(parser)
+    # most lines break no flag or one, some break two; of a group of
+    # exclusive flags one appears, and a broken one appears beside it
+    broken = data.draw(st.sets(st.sampled_from(flags), max_size=2))
+    chosen = [data.draw(st.sampled_from(g._group_actions)) for g in parser._mutually_exclusive_groups]
+    excluded = {a for g in parser._mutually_exclusive_groups for a in g._group_actions} - set(chosen)
+    present = [data.draw(_flag_arg(a, fuzz_edge_lists, a in broken, a in chosen))
+               for a in flags if a in broken or a not in excluded]
+    argv = [command] + [arg for arg in present if arg is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run(argv)  # an exception here is a traceback in the CLI
+    out, err = out.getvalue(), err.getvalue()
+    assert status in (0, 1, 2, 3), (argv, err)
+    if status in (1, 2) and out:
+        # the documented exception: verify flags a disconnected host
+        assert (command, status) == ("verify", 1) and "disconnected" in err, argv
+    if out.startswith("# subtree-poly-lab"):
+        _strict_json(out.splitlines()[0].split(" spec=", 1)[1])
+    elif out:
+        _strict_json(out)

@@ -165,6 +165,8 @@ def test_counts_positive_when_connected():
 def test_enumeration_cap():
     with pytest.raises(CapacityError):
         subtree_counts(generate("path(6)"), cap=5)
+    with pytest.raises(ValidationError, match="cap must be a nonnegative integer"):
+        subtree_counts(generate("path(6)"), cap=-1)
 
 
 def test_bitmask_width_guard():
@@ -408,11 +410,11 @@ def test_ratio_inequalities_on_dense_families():
 
 def test_count_vector_json_round_trip():
     counts = complete_graph_counts(12)
-    doc = json.loads(counts.to_json())
+    doc = json.loads(json.dumps(counts.to_json_dict()))
     assert doc["n"] == 12
-    assert all(isinstance(c, str) for c in doc["counts"])
-    back = SubtreeCountVector.from_json_dict(doc)
-    assert back.counts == counts.counts
+    # decimal strings, which a JSON reader keeps exact past 2^53
+    assert doc["counts"] == [str(c) for c in counts.counts]
+    assert SubtreeCountVector(doc["n"], tuple(map(int, doc["counts"]))) == counts
 
 
 def test_count_vector_validation():

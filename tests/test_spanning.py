@@ -19,14 +19,12 @@ from subtree_poly_lab import (
     Graph,
     SpanningTree,
     ValidationError,
-    concentration_profile,
     degree_profile,
     enumerate_spanning_trees,
     estimate_beta,
     exact_beta,
     generate,
     generate_connected,
-    leaf_count_stats,
     leaf_weight,
     spanning_tree_count,
     subtree_counts,
@@ -179,6 +177,10 @@ def test_estimate_beta_two_seeds_k12():
 def test_estimate_beta_validation():
     with pytest.raises(ValidationError):
         estimate_beta(generate("complete(4)"), samples=0, seed=1)
+    with pytest.raises(ValidationError, match="threads must be a positive integer"):
+        estimate_beta(generate("complete(4)"), samples=10, seed=1, threads=0)
+    with pytest.raises(ValidationError, match="seed must be an integer in"):
+        estimate_beta(generate("complete(4)"), samples=10, seed=-1)
     with pytest.raises(ValidationError):
         estimate_beta(Graph.from_edges(1, []), samples=5, seed=1)
 
@@ -224,8 +226,11 @@ def test_weight_experiment_matches_components():
         g, samples=500, seed=11, b_grid=[0.2, 0.4], epsilon=0.05
     )
     assert beta_report == estimate_beta(g, 500, 11)
-    assert leaf_report == leaf_count_stats(g, 500, 11, epsilon=0.05)
-    assert tails == concentration_profile(g, 500, [0.2, 0.4], 11)
+    # the three reports read one sampling pass
+    assert leaf_report.samples == tails.samples == 500
+    assert leaf_report.seed == tails.seed == 11
+    assert tails.mean == beta_report.mean
+    assert leaf_report.bound_violations == tails.bound_violations == beta_report.bound_violations
 
 
 # ------------------------------------------------------------ the identity
@@ -302,20 +307,20 @@ def test_leaf_probability_closed_form():
 
 
 def test_leaf_count_stats_path_host():
-    stats = leaf_count_stats(generate("path(6)"), samples=50, seed=0)
+    _, stats, _ = weight_experiment(generate("path(6)"), 50, 0, [1.0])
     assert stats.histogram == ((2, 50),)
     assert stats.mean == Fraction(2)
 
 
 def test_leaf_count_stats_k3():
-    stats = leaf_count_stats(generate("complete(3)"), samples=100, seed=1)
+    _, stats, _ = weight_experiment(generate("complete(3)"), 100, 1, [1.0])
     assert stats.histogram == ((2, 100),)
 
 
 def test_leaf_count_stats_k15_mean():
     n = 15
     g = generate("complete(15)")
-    stats = leaf_count_stats(g, samples=20000, seed=23)
+    _, stats, _ = weight_experiment(g, 20000, 23, [1.0])
     exact_mean = n * (Fraction(n - 1, n) ** (n - 2))
     se = math.sqrt(stats.variance / stats.samples)
     assert abs(float(stats.mean) - float(exact_mean)) <= 4 * se
@@ -323,7 +328,7 @@ def test_leaf_count_stats_k15_mean():
 
 
 def test_leaf_count_tail_probability_field():
-    stats = leaf_count_stats(generate("complete(6)"), samples=400, seed=5, epsilon=0.2)
+    _, stats, _ = weight_experiment(generate("complete(6)"), 400, 5, [1.0], epsilon=0.2)
     assert stats.threshold == pytest.approx((math.exp(-1) - 0.2) * 6)
     assert 0.0 <= stats.below_threshold_probability <= 1.0
 
@@ -333,7 +338,7 @@ def test_leaf_count_tail_probability_field():
 
 def test_concentration_bound_values():
     # direct substitution: n=15, delta=14, b=0.5
-    report = concentration_profile(generate("complete(15)"), 100, [0.5], seed=3)
+    _, _, report = weight_experiment(generate("complete(15)"), 100, 3, [0.5])
     assert report.rows[0].bound_min_degree == pytest.approx(
         2 * math.exp(-(14**2) * 0.25 / (32 * 15))
     )
@@ -342,26 +347,24 @@ def test_concentration_bound_values():
 
 
 def test_concentration_path_host_zero_tail():
-    report = concentration_profile(generate("path(7)"), 200, [0.1, 0.5, 1.0], seed=0)
+    _, _, report = weight_experiment(generate("path(7)"), 200, 0, [0.1, 0.5, 1.0])
     for row in report.rows:
         assert row.tail_count == 0
         assert row.status_min_degree == "pass"
 
 
 def test_concentration_no_violations_k8():
-    report = concentration_profile(generate("complete(8)"), 5000, [0.2, 0.3, 0.5], seed=9)
+    _, _, report = weight_experiment(generate("complete(8)"), 5000, 9, [0.2, 0.3, 0.5])
     assert not report.any_violation
     assert report.bound_violations == 0
 
 
 def test_concentration_validation():
-    with pytest.raises(ValidationError):
-        concentration_profile(generate("complete(4)"), 10, [], seed=0)
-    for b_grid in ([-0.5], [0.2, math.nan], [math.inf]):
+    for b_grid in ([], [-0.5], [0.2, math.nan], [math.inf]):
         with pytest.raises(ValidationError):
-            concentration_profile(generate("complete(4)"), 10, b_grid, seed=0)
+            weight_experiment(generate("complete(4)"), 10, 0, b_grid)
     with pytest.raises(ValidationError):
-        leaf_count_stats(generate("complete(4)"), 10, seed=0, epsilon=math.nan)
+        weight_experiment(generate("complete(4)"), 10, 0, [0.5], epsilon=math.nan)
 
 
 # ------------------------------------------------------------ weight bounds

@@ -91,8 +91,8 @@ DegreeProfile FamilySpec Graph degree_profile from_edge_list generate
 generate_connected induced_subgraph is_connected parse_family
 RootAnalysis SubtreePolynomial build_polynomial find_roots poisson_deviation
 root_bound rouche_margin tree_root_check RandomStream stream
-BetaEstimate SpanningTree WeightSample concentration_profile enumerate_spanning_trees
-estimate_beta exact_beta leaf_count_stats leaf_weight verify_weight_identity
+BetaEstimate SpanningTree WeightSample enumerate_spanning_trees
+estimate_beta exact_beta leaf_weight verify_weight_identity
 weight_experiment wilson_sample __version__
 """.split()
 
