@@ -29,8 +29,14 @@ moments, extremes, bound checks and tails are read from it once per
 distinct pair, and workers merge by adding histograms. Rationals and
 floats appear only in final reports.
 
-Enumeration includes and excludes edges with the tree degrees kept in
-step, so the identity check sums W per tree directly.
+Enumeration includes and excludes edges depth first with the tree
+degrees and the forest's scaled leaf sum W kept in step, so each tree
+comes with its W and the identity check adds them up. Once the forest
+has two components, every undecided edge between them completes one
+tree: the walk finds the component of vertex 0 in one search and yields
+a tree per crossing edge, in edge order, without further branching.
+Only the sampling functions import numpy and the random streams, so
+enumeration and exact weights run without them.
 """
 
 from __future__ import annotations
@@ -41,15 +47,17 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import params
 from .counting import spanning_tree_count, subset_spanning_tree_count
 from .errors import CapacityError, ValidationError
 from .graphs import Graph, is_connected
-from .rng import DOMAIN_SAMPLE, RandomStream, StreamFamily
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .rng import RandomStream
 
 DEFAULT_SPANNING_TREE_CAP = 10**6
 _CHUNKS_PER_WORKER = 4
@@ -190,6 +198,8 @@ def _expected_draws(g: Graph) -> int:
     grounded at 0. A step at degree d draws 2^ceil(log2 d)/d words; the
     worst degree is taken.
     """
+    import numpy as np
+
     n = g.n
     if n < 2:
         return 1
@@ -208,6 +218,8 @@ def _step_table(g: Graph) -> tuple[np.ndarray, int]:
     That is u's neighbour nb[j & mask] (mask = 2^ceil(log2 d(u)) - 1), the
     draw of ``RandomStream.randint``, or u itself where randint rejects.
     """
+    import numpy as np
+
     n = g.n
     stride = 1 << (max(g.degrees) - 1).bit_length()
     masks = np.array([(1 << (len(nb) - 1).bit_length()) - 1 for nb in g.neighbors])
@@ -247,6 +259,8 @@ def _wilson_batch(g: Graph, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     quarter of them, so the arrays shrink in a few steps, and never to
     fewer than _COMPACT_FLOOR entries.
     """
+    import numpy as np
+
     count, width = words.shape
     n = g.n
     parent = np.full((count + 1) * n, -1, dtype=np.min_scalar_type(-n))
@@ -324,6 +338,8 @@ def _tree_pairs(parents: np.ndarray, scale: Sequence[int], lcm: int) -> Iterator
     is a leaf when it is the parent of one vertex. Columns are taken one
     at a time, so the work arrays hold one entry per row, not per cell.
     """
+    import numpy as np
+
     count, n = parents.shape
     leaf = np.ones((count, n), dtype=bool)
     flat, offsets = leaf.reshape(-1), np.arange(0, count * n, n)
@@ -359,6 +375,10 @@ def _weight_chunk(args) -> Counter:
     again after the others, from their first word with twice the width,
     and so draw the same trees.
     """
+    import numpy as np
+
+    from .rng import DOMAIN_SAMPLE, StreamFamily
+
     g, seed, lo, hi, expected = args
     lcm, scale = _leaf_scales(g)
     streams = StreamFamily(seed, DOMAIN_SAMPLE)
@@ -633,16 +653,29 @@ def _guarded_tree_count(g: Graph, cap: int) -> int:
     return total
 
 
-def _spanning_tree_walk(g: Graph) -> Iterator[tuple[list, list[int]]]:
-    """Yield (edges, tree degrees) of each spanning tree of connected g once.
+def _spanning_tree_walk(
+    g: Graph, scale: Sequence[int]
+) -> Iterator[tuple[list, list[int], int]]:
+    """Yield (edges, tree degrees, W) of each spanning tree of connected g once.
 
+    W is the tree's scaled leaf sum over `scale` (see `_leaf_form`).
     Edge inclusion/exclusion in depth-first order. An edge is excluded
     when it closes a cycle in the forest built so far, or when it is not
     a bridge of that forest plus the edges not yet decided, so every
-    branch ends in a tree. The forest is kept as adjacency bitmasks and
-    tree degrees, rolled back in step. Both yielded lists are shared and
-    change at the next step. Callers guard the size up front with
-    `_guarded_tree_count`, whose count the yield count re-verifies.
+    branch ends in a tree. Once the forest has two components, the trees
+    below are the forest plus each undecided edge with one end in each:
+    one search over the forest finds the component of vertex 0, and a
+    scan of the undecided edges in index order yields one tree per
+    crossing edge, with no branching and no bridge tests.
+
+    The forest is kept as adjacency bitmasks, tree degrees and W, rolled
+    back in step. An edge added at a vertex of tree degree 0 adds that
+    vertex's scale to W, one at tree degree 1 takes it away, and one at
+    a higher degree leaves W as it is; each include saves W for its
+    undo. Both yielded lists are shared and change at the next step.
+    Callers guard the size up front with `_guarded_tree_count`; the
+    CLI's `tree_count_matches_matrix_tree` base check compares the
+    yield count with that count.
     """
     n = g.n
     edges = g.edges()
@@ -656,6 +689,8 @@ def _spanning_tree_walk(g: Graph) -> Iterator[tuple[list, list[int]]]:
     forest = [0] * n  # adjacency bitmasks of the included edges
     tree_degree = [0] * n
     included: list[tuple[int, int]] = []
+    gain = [(s, -s) + (0,) * n for s in scale]  # gain[x][d]: W change of an edge at degree d
+    w = 0
 
     def joined(u: int, v: int, rest: list[int]) -> bool:
         """Whether the forest plus the edges in `rest` connects u to v."""
@@ -664,8 +699,8 @@ def _spanning_tree_walk(g: Graph) -> Iterator[tuple[list, list[int]]]:
             reach = 0
             while frontier:
                 low = frontier & -frontier
-                w = low.bit_length() - 1
-                reach |= rest[w] | forest[w]
+                x = low.bit_length() - 1
+                reach |= rest[x] | forest[x]
                 frontier ^= low
             if (reach >> v) & 1:
                 return True
@@ -673,41 +708,68 @@ def _spanning_tree_walk(g: Graph) -> Iterator[tuple[list, list[int]]]:
             seen |= frontier
         return False
 
-    todo = [(0, n, False)]
+    todo = [(0, n, None)]  # (next edge, components, W to restore after an include)
     while todo:
-        idx, components, undo = todo.pop()
-        if undo:  # back from including edges[idx]: undo, then exclude it unless a bridge
+        idx, components, saved = todo.pop()
+        if saved is not None:  # back from including edges[idx]: undo; exclude it unless a bridge
             u, v = included.pop()
             forest[u] ^= 1 << v
             forest[v] ^= 1 << u
             tree_degree[u] -= 1
             tree_degree[v] -= 1
+            w = saved
             if joined(u, v, suffix[idx + 1]):
-                todo.append((idx + 1, components, False))
+                todo.append((idx + 1, components, None))
             continue
-        if components == 1:
-            yield included, tree_degree
+        if components == 2:  # the last edge: any undecided edge across the cut
+            side = frontier = 1  # the component of vertex 0, as bits
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reach |= forest[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reach & ~side
+                side |= frontier
+            for u, v in edges[idx:]:
+                if (side >> u ^ side >> v) & 1:
+                    tree_w = w + gain[u][tree_degree[u]] + gain[v][tree_degree[v]]
+                    included.append((u, v))
+                    tree_degree[u] += 1
+                    tree_degree[v] += 1
+                    yield included, tree_degree, tree_w
+                    included.pop()
+                    tree_degree[u] -= 1
+                    tree_degree[v] -= 1
+            continue
+        if components == 1:  # a single vertex
+            yield included, tree_degree, w
             continue
         u, v = edges[idx]
         while joined(u, v, suffix[-1]):  # a cycle edge; a crossing edge remains, as the rest connects
             idx += 1
             u, v = edges[idx]
+        todo.append((idx, components, w))
+        w += gain[u][tree_degree[u]] + gain[v][tree_degree[v]]
         forest[u] |= 1 << v
         forest[v] |= 1 << u
         tree_degree[u] += 1
         tree_degree[v] += 1
         included.append((u, v))
-        todo.append((idx, components, True))
-        todo.append((idx + 1, components - 1, False))
+        todo.append((idx + 1, components - 1, None))
 
 
 def enumerate_spanning_trees(
     g: Graph, cap: int = DEFAULT_SPANNING_TREE_CAP
 ) -> Iterator[SpanningTree]:
-    """Yield each spanning tree exactly once (see _spanning_tree_walk)."""
+    """Each spanning tree exactly once (see _spanning_tree_walk).
+
+    The host and the cap are checked on the call, before the first tree.
+    """
     _guarded_tree_count(g, cap)
-    for edges, tree_degree in _spanning_tree_walk(g):
-        yield _tree(g.n, edges, tree_degree)
+    _, scale = _leaf_scales(g)
+    trees = _spanning_tree_walk(g, scale)
+    return (_tree(g.n, edges, tree_degree) for edges, tree_degree, _ in trees)
 
 
 @dataclass(frozen=True)
@@ -748,8 +810,8 @@ def verify_weight_identity(
     matrix_tree_count = _guarded_tree_count(g, cap)
     lcm, scale = _leaf_scales(g)
     scaled_sum = tree_count = 0
-    for _, tree_degree in _spanning_tree_walk(g):
-        scaled_sum += _leaf_form(tree_degree, scale)[0]
+    for _, _, w in _spanning_tree_walk(g, scale):
+        scaled_sum += w
         tree_count += 1
     weight_sum = Fraction(scaled_sum, lcm)
     s_n_minus_1 = 0

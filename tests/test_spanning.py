@@ -1,17 +1,18 @@
 """Wilson sampling, leaf weights, identity verification, concentration."""
 
 import concurrent.futures
+import hashlib
 import math
 import os
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subtree_poly_lab import (
@@ -40,6 +41,7 @@ from subtree_poly_lab.spanning import (
     _leaf_form,
     _leaf_scales,
     _parent_degrees,
+    _spanning_tree_walk,
     _weight_chunk,
     _wilson_batch,
     _wilson_parents,
@@ -284,6 +286,76 @@ def test_enumeration_guards():
         list(enumerate_spanning_trees(Graph.from_edges(4, [(0, 1), (2, 3)])))
     with pytest.raises(CapacityError):
         list(enumerate_spanning_trees(generate("complete(6)"), cap=100))
+
+
+def test_enumeration_checks_on_call():
+    # raised by the call itself, before any tree is asked for
+    with pytest.raises(ValidationError):
+        enumerate_spanning_trees(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    with pytest.raises(CapacityError):
+        enumerate_spanning_trees(generate("complete(6)"), cap=100)
+
+
+def _brute_force_spanning_trees(g):
+    """The connected (n-1)-edge subsets of the host's edges."""
+    return {
+        frozenset(subset)
+        for subset in combinations(g.edges(), g.n - 1)
+        if is_connected(Graph.from_edges(g.n, subset))
+    }
+
+
+def _check_walk(g):
+    _, scale = _leaf_scales(g)
+    seen = []
+    for edges, tree_degree, w in _spanning_tree_walk(g, scale):
+        assert w == _leaf_form(tree_degree, scale)[0]
+        seen.append(frozenset(edges))
+    assert len(seen) == spanning_tree_count(g)
+    assert set(seen) == _brute_force_spanning_trees(g)
+    assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize(
+    "host",
+    [
+        Graph.from_edges(1, []),
+        Graph.from_edges(2, [(0, 1)]),
+        generate("random_tree(7)", seed=5),
+        generate("cycle(6)"),
+        generate("complete(4)"),
+    ],
+    ids=["n1", "n2", "tree", "cycle6", "k4"],
+)
+def test_tree_walk_matches_brute_force_on_small_hosts(host):
+    _check_walk(host)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=st.integers(3, 7), p=st.sampled_from([0.3, 0.5, 0.6]), seed=st.integers(0, 10**6))
+def test_tree_walk_matches_brute_force_on_gnp_hosts(n, p, seed):
+    g, _ = generate_connected(f"gnp({n},{p})", seed=seed)
+    assume(g.m <= 14)
+    _check_walk(g)
+
+
+# sha256 of the tree sequence, one line of sorted edges per tree, as the
+# include-first walk yields it; a change here reorders every caller's trees
+_TREE_ORDER = {
+    "complete(5)": (125, "2a0dee867b66b1e90955030248b08281dae1e1875ab821cc9abb966c6a8c9b09"),
+    "complete_minus_perfect_matching(6)": (
+        384, "c8c3abda9138aebbac2f69d4bc75f1a7afa263e287e97fae9bfd505dafff79d7"
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_TREE_ORDER))
+def test_enumeration_order_pinned(spec):
+    digest, count = hashlib.sha256(), 0
+    for tree in enumerate_spanning_trees(generate(spec)):
+        digest.update((repr(sorted(tree.edges)) + "\n").encode())
+        count += 1
+    assert (count, digest.hexdigest()) == _TREE_ORDER[spec]
 
 
 # ------------------------------------------------------------- leaf counts

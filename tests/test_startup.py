@@ -60,6 +60,9 @@ def test_version_and_help_load_nothing_heavy(argv):
         ("sweep", "--family", "complete", "--n-list", "5,7", "--command", "poisson"),
         ("tree-check", "--graph", "path(9)"),
         ("counts", "--graph", "path(7)"),  # the tree route
+        # spanning-tree enumeration and exact weights need no numpy
+        ("verify", "--graph", "complete(8)"),
+        ("verify", "--graph", "path(9)"),
     ],
 )
 def test_closed_form_and_tree_hosts_run_without_numpy(argv):
