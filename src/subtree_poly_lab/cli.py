@@ -289,6 +289,7 @@ def _cmd_rouche(args, graph, family):
 
 
 def _cmd_poisson(args, graph, family):
+    checks.deviation_order(args.k_max, graph.n, "--k-max")  # before the counts are taken
     devs = poisson_deviation(counts_for(graph, family, args.cap), args.k_max)
     result = {
         "k_max": args.k_max,

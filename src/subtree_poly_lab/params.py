@@ -67,6 +67,18 @@ rouche_C = _rule(_as_float, "a finite number greater than 6", lambda c: math.isf
 probability = _rule(_as_float, "a finite number in [0, 1]", lambda p: 0 <= p <= 1)
 
 
+def deviation_order(value, n: int, name: str) -> int:
+    """The k_max of the Poisson deviations of an n-vertex host: 0 <= k_max < n.
+
+    The upper end depends on the host, so the CLI checks it once the graph
+    is built and before its counts are taken.
+    """
+    value = k_max(value, name)
+    if value >= n:
+        raise ValidationError(f"{name} must be below n = {n}")
+    return value
+
+
 def b_grid(value, name: str) -> list[float]:
     """A nonempty grid of positive finite deviations; text is comma-separated."""
     entries = [b for b in value.split(",") if b.strip()] if isinstance(value, str) else value

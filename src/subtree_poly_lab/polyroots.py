@@ -228,7 +228,9 @@ def _top_bits(s: Sequence[int]) -> list[tuple[int, int]]:
     return [(k, c.bit_length() - 1) for k, c in enumerate(s) if k and c]
 
 
-def _fixed_horner(s: Sequence[int], tops: list, x, bits: int, derivative: bool = True) -> tuple:
+def _fixed_horner(
+    s: Sequence[int], tops: list, x, bits: int, derivative: bool = True, magnitude: bool = True
+) -> tuple:
     """Q(x), Q'(x) and Q(|x|) for Q(x) = sum_k s[k] x^k, in Gaussian fixed point.
 
     One Horner pass over the exact integer coefficients, on Python
@@ -236,7 +238,10 @@ def _fixed_horner(s: Sequence[int], tops: list, x, bits: int, derivative: bool =
     dp_im, scale, G, m): p and scale are Q(x) and Q(|x|) times 2^G, and
     dp is Q'(x) times 2^(G-m). With derivative=False the Q' recurrence
     is skipped (four big-integer products per step instead of seven) and
-    dp_re, dp_im are None; p and scale are the same integers either way.
+    dp_re, dp_im are None; with magnitude=False the Q(|x|) recurrence
+    (one product per step, and the square root giving |x|) is skipped and
+    scale is None. p and the other outputs are the same integers either
+    way.
 
     X = x 2^(F+m) is read off the mantissas and exponents of the mpc x,
     with F = bits + guard bits and 1/4 < 2^m |x| < 1, so X keeps F bits
@@ -266,9 +271,10 @@ def _fixed_horner(s: Sequence[int], tops: list, x, bits: int, derivative: bool =
     xr = _to_fixed(re, F + m)
     xi = _to_fixed(im, F + m)
     xsum, xdif = xr + xi, xi - xr
-    a = math.isqrt(xr * xr + xi * xi)
+    a = math.isqrt(xr * xr + xi * xi) if magnitude else None
     shift = G - m * d
-    pr = scale = s[-1] << shift if shift >= 0 else s[-1] >> -shift
+    pr = s[-1] << shift if shift >= 0 else s[-1] >> -shift
+    scale = pr if magnitude else None
     pi = 0
     dr = di = 0 if derivative else None
     for k in range(d - 1, -1, -1):
@@ -280,7 +286,8 @@ def _fixed_horner(s: Sequence[int], tops: list, x, bits: int, derivative: bool =
         c = s[k] << shift if shift >= 0 else s[k] >> -shift
         t = xr * (pr + pi)
         pr, pi = ((t - pi * xsum) >> F) + c, (t + pr * xdif) >> F
-        scale = ((scale * a) >> F) + c
+        if magnitude:
+            scale = ((scale * a) >> F) + c
     return pr, pi, dr, di, scale, G, m
 
 
@@ -560,7 +567,7 @@ def rouche_margin(
         witness_ok = True
         for yv in points:
             pr, pi, _, _, _, G, _ = _fixed_horner(
-                reversed_counts, tops, yv, work_bits, derivative=False
+                reversed_counts, tops, yv, work_bits, derivative=False, magnitude=False
             )
             f = mp.mpc(mp.ldexp(pr, -G), mp.ldexp(pi, -G)) / sn
             e = mp.exp(beta_mp * yv)

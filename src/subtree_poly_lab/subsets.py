@@ -1,9 +1,11 @@
 """The counting kernel: connected-subset levels and their modular determinants.
 
-`counting.subtree_counts` and `counting.enumerate_connected_subsets` call
-into this module, and only they load it, so that numpy is imported only
-where the enumeration runs. s_k(G) is the sum of t(G[W]) over the
-connected k-subsets W, computed one subset size at a time:
+`counting.subtree_counts` calls into this module for hosts of more than
+`counting.SMALL_HOST_VERTICES` vertices, and `counting.enumerate_connected_subsets`
+for every host; only they load it, so that numpy is imported only where
+this enumeration runs. Smaller hosts are counted in `counting` on Python
+integers, faster than importing numpy. s_k(G) is the sum of t(G[W]) over
+the connected k-subsets W, computed one subset size at a time:
 
 1. Levels. The connected k-subsets are held as one sorted int64 array of
    bitmasks. Level k+1 is every level-k subset grown by one vertex of its

@@ -416,6 +416,17 @@ def test_library_validation_reaches_the_cli(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_poisson_refuses_k_max_before_counting(monkeypatch, capsys):
+    # a k_max of n or more was refused only after the full enumeration
+    def refuse(*args, **kwargs):
+        raise AssertionError("poisson counted before checking --k-max")
+
+    monkeypatch.setattr(cli, "counts_for", refuse)
+    status, out, err = invoke(capsys, "poisson", "--graph", "cycle(9)", "--k-max", "9")
+    assert (status, out) == (1, "")
+    assert err.startswith("error: --k-max must be below n = 9")
+
+
 def test_zero_cap_leaves_closed_form_and_tree_routes(capsys):
     for graph in ("complete(6)", "path(6)"):
         status, _, _ = invoke(capsys, "counts", "--graph", graph, "--cap", "0")
@@ -534,6 +545,9 @@ def test_spanning_commands_golden_bytes(capsys, argv, digest):
          "e2f570d331f89b98a750ab05323af8a2fdd2a8f87e5c2282e9f3547e773c973c"),
         ("rouche --graph gnp(10,0.7) --seed 1 --circle-points 32 --format csv", 0,
          "480799a7bc0706682e6a82c35d7a951bacfae86131be88c166812ec0eaf3bfa9"),
+        # taken before the circle evaluation stopped computing Q(|y|)
+        ("rouche --graph complete(120) --circle-points 256", 0,
+         "2842441665099fae8047f25fb85bd208c53bacc2e56735a743b1fab672ae7d0e"),
         ("poisson --graph complete(12) --k-max 3", 0,
          "52bca718ce88d930461248db33f9bcffae16b30f68fb4a4e3a7739718c870daa"),
         ("poisson --graph complete(12) --k-max 3 --format csv", 0,

@@ -29,6 +29,7 @@ from subtree_poly_lab import (
 from subtree_poly_lab import counting, subsets
 from subtree_poly_lab.counting import (
     MAX_BITMASK_VERTICES,
+    SMALL_HOST_VERTICES,
     _bareiss_determinant,
     _laplacian_minor,
     closed_form_counts,
@@ -60,6 +61,20 @@ def _connected_filter_oracle(g, k):
         if len(seen) == k:
             hits.append(subset)
     return hits
+
+
+def _python_route(g):
+    return SubtreeCountVector(g.n, tuple(counting._small_host_counts(g)))
+
+
+def _numpy_route(g):
+    return SubtreeCountVector(g.n, tuple(subsets.level_counts(g)))
+
+
+# subtree_counts takes the Python route up to SMALL_HOST_VERTICES and the
+# numpy kernel above it; the tests on small hosts run both by name, in a
+# loop so that each test keeps its id
+ROUTES = (_python_route, _numpy_route)
 
 
 def test_spanning_tree_count_trees_have_one():
@@ -124,36 +139,39 @@ def test_connected_subsets_match_filter(n, p, k, seed):
 
 
 def test_subtree_counts_examples():
-    assert subtree_counts(generate("path(3)")).counts == (3, 2, 1)
-    assert subtree_counts(generate("complete(4)")).counts == (4, 6, 12, 16)
-    assert subtree_counts(generate("cycle(5)")).counts == (5, 5, 5, 5, 5)
+    for count in ROUTES:
+        assert count(generate("path(3)")).counts == (3, 2, 1)
+        assert count(generate("complete(4)")).counts == (4, 6, 12, 16)
+        assert count(generate("cycle(5)")).counts == (5, 5, 5, 5, 5)
 
 
 def test_subtree_counts_match_brute_force_families():
     for family in ["complete(5)", "cycle(6)", "path(7)", "complete_minus_perfect_matching(6)"]:
         g = generate(family)
-        counts = subtree_counts(g)
-        for k in range(1, g.n + 1):
-            assert counts.s(k) == brute_force_subtree_count(g, k), (family, k)
+        for count in ROUTES:
+            counts = count(g)
+            for k in range(1, g.n + 1):
+                assert counts.s(k) == brute_force_subtree_count(g, k), (family, count, k)
 
 
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(2, 7), seed=st.integers(0, 10**6))
 def test_subtree_counts_match_brute_force_random(n, seed):
     g = generate(f"gnp({n},0.6)", seed=seed)
-    counts = subtree_counts(g)
-    for k in range(1, n + 1):
-        assert counts.s(k) == brute_force_subtree_count(g, k)
+    expected = tuple(brute_force_subtree_count(g, k) for k in range(1, n + 1))
+    for count in ROUTES:
+        assert count(g).counts == expected, count
 
 
 def test_counts_basic_invariants():
     for family, seed in [("gnp(7,0.5)", 1), ("gnp(8,0.4)", 9), ("cycle(6)", 0)]:
         g = generate(family, seed=seed)
-        counts = subtree_counts(g)
-        assert counts.s(1) == g.n
-        assert counts.s(2) == g.m
-        assert counts.s(g.n) == spanning_tree_count(g)
-        assert counts.s(g.n + 5) == 0  # out-of-range reads as zero
+        for count in ROUTES:
+            counts = count(g)
+            assert counts.s(1) == g.n
+            assert counts.s(2) == g.m
+            assert counts.s(g.n) == spanning_tree_count(g)
+            assert counts.s(g.n + 5) == 0  # out-of-range reads as zero
 
 
 def test_counts_positive_when_connected():
@@ -188,6 +206,16 @@ def test_subtree_counts_match_per_subset_oracle(n, p, seed):
         for k in range(1, n + 1)
     )
     assert subtree_counts(g).counts == expected
+    for count in ROUTES:
+        assert count(g).counts == expected, count
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, SMALL_HOST_VERTICES + 1), p=st.floats(0.1, 0.95), seed=st.integers(0, 10**6))
+def test_both_counting_routes_agree_around_the_bound(n, p, seed):
+    g = generate(f"gnp({n},{p})", seed=seed)
+    counts = subtree_counts(g)
+    assert counts == _python_route(g) == _numpy_route(g)
 
 
 def _stacked_minors(g, subsets):
@@ -252,7 +280,9 @@ def test_modular_determinant_matches_bareiss_or_flags(n, edge_p, seed, k, p):
 
 def test_subtree_counts_small_primes_take_the_exact_route(monkeypatch):
     # primes below 100 make zero pivots common; every flagged subset must
-    # take its exact Bareiss count and the totals stay exact
+    # take its exact Bareiss count and the totals stay exact. The kernel is
+    # called directly: subtree_counts would count the two hosts at or below
+    # SMALL_HOST_VERTICES without it.
     hosts = [generate(f"gnp({n},{q})", seed=seed) for n, q, seed in ((9, 0.5, 1), (10, 0.6, 2), (11, 0.4, 3))]
     expected = [
         tuple(
@@ -270,7 +300,7 @@ def test_subtree_counts_small_primes_take_the_exact_route(monkeypatch):
     small = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))
     monkeypatch.setattr(subsets, "_PRIMES", small)
     monkeypatch.setattr(counting, "_bareiss_determinant", counted)
-    assert [subtree_counts(g).counts for g in hosts] == expected
+    assert [tuple(subsets.level_counts(g)) for g in hosts] == expected
     assert calls
 
 

@@ -33,3 +33,10 @@ def test_checks_return_the_parsed_value():
     assert params.seed(str(2**64 - 1), "seed") == 2**64 - 1
     assert params.rouche_C("7", "C") == 7.0
     assert params.b_grid("0.3,,0.5", "b_grid") == [0.3, 0.5]
+
+
+def test_deviation_order_stays_below_the_host_size():
+    assert params.deviation_order("3", 4, "k_max") == 3
+    for value in (4, "9", -1, "nan"):
+        with pytest.raises(ValidationError, match=r"^--k-max must be "):
+            params.deviation_order(value, 4, "--k-max")
