@@ -261,7 +261,8 @@ def test_polish_stages_double_from_128_and_end_at_work_bits():
 def test_fixed_horner_matches_mpmath_horner(s, log_modulus, turn, bits):
     # Q, Q' and Q(|x|) from the integer evaluator against mpmath's Horner at
     # the stage precision; both err by at most a few d 2^-bits of the scale.
-    # Without the derivative, Q and Q(|x|) are the same integers.
+    # Without the derivative, Q and Q(|x|) are the same integers, and
+    # without the magnitude too, Q is.
     d = len(s) - 1
     with mp.workprec(bits):
         x = mp.expjpi(mp.mpf(turn) / 180) * mp.ldexp(1, log_modulus)
@@ -271,6 +272,8 @@ def test_fixed_horner_matches_mpmath_horner(s, log_modulus, turn, bits):
     pr, pi, dr, di, fixed_scale, g, m = _fixed_horner(s, _top_bits(s), x, bits)
     value_only = _fixed_horner(s, _top_bits(s), x, bits, derivative=False)
     assert value_only == (pr, pi, None, None, fixed_scale, g, m)
+    bare = _fixed_horner(s, _top_bits(s), x, bits, derivative=False, magnitude=False)
+    assert bare == (pr, pi, None, None, None, g, m)
     with mp.workprec(4 * bits + 600 * (d + 2) + 2500):
         size = abs(x)
         true_scale = mp.fsum(c * size**k for k, c in enumerate(s))
