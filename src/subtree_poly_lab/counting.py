@@ -46,9 +46,9 @@ BRUTE_FORCE_GUARD = 10**8
 # subsets are int64 bitmasks, with the sign bit and bit 62 kept clear
 MAX_BITMASK_VERTICES = 62
 # Hosts up to this size are counted without numpy. On a 2-vCPU VM,
-# importing numpy takes about 0.15 s and the Python route 0.019 s on
-# K_10 (0.128 s on K_12), so at 10 a process that has loaded numpy
-# anyway loses at most about 15 ms to the kernel.
+# importing numpy takes about 0.15 s and the Python route 0.02 s on K_10
+# (0.16 s on K_12), so at 10 a process that has loaded numpy anyway
+# loses at most about 20 ms to the kernel.
 SMALL_HOST_VERTICES = 10
 
 

@@ -47,16 +47,6 @@ def edge_list(tmp_path_factory):
     return str(path)
 
 
-@pytest.fixture(scope="module")
-def large_edge_list(tmp_path_factory):
-    # an 11-cycle with one chord: one vertex above SMALL_HOST_VERTICES, not a tree
-    n = SMALL_HOST_VERTICES + 1
-    edges = sorted([(v, v + 1) for v in range(n - 1)] + [(0, n - 1), (0, n // 2)])
-    path = tmp_path_factory.mktemp("graphs") / "large.txt"
-    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
-    return str(path)
-
-
 @pytest.mark.parametrize("argv", [("--version",), ("--help",)])
 def test_version_and_help_load_nothing_heavy(argv):
     assert _loaded(*argv) == set()
@@ -85,8 +75,13 @@ def test_closed_form_and_tree_hosts_run_without_numpy(argv, edge_list):
     assert "numpy" not in _loaded(*(a.format(edge_list=edge_list) for a in argv))
 
 
-def test_hosts_above_the_small_bound_count_with_numpy(large_edge_list):
-    assert "numpy" in _loaded("counts", "--edge-list", large_edge_list)
+def test_hosts_above_the_small_bound_count_with_numpy(tmp_path):
+    # an 11-cycle with one chord: one vertex above SMALL_HOST_VERTICES, not a tree
+    n = SMALL_HOST_VERTICES + 1
+    edges = sorted([(v, v + 1) for v in range(n - 1)] + [(0, n - 1), (0, n // 2)])
+    path = tmp_path / "large.txt"
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    assert "numpy" in _loaded("counts", "--edge-list", str(path))
 
 
 @pytest.mark.parametrize(
