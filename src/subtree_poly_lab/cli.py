@@ -447,6 +447,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
     row_for, header = _SWEEP[args.inner]
     columns = header.split(",")
     if args.inner == "poisson":
+        checks.sweep_order(args.k_max, n_list, "--k-max")  # before the header is built
         columns[1:2] = [f"dev_{k}" for k in range(args.k_max + 1)]
     rows = []
     for n in n_list:

@@ -79,6 +79,20 @@ def deviation_order(value, n: int, name: str) -> int:
     return value
 
 
+def sweep_order(value, n_list: list[int], name: str) -> int:
+    """The k_max of a poisson sweep: 0 <= k_max <= the largest n of `n_list`.
+
+    Every row pads its deviations to k_max + 1 columns, one per k; a host
+    of n vertices fills only k < n, so a k_max past the largest n adds
+    nothing but columns of nan. An empty list runs no row, so its bound is 0.
+    """
+    value = k_max(value, name)
+    largest = max(n_list, default=0)
+    if value > largest:
+        raise ValidationError(f"{name} must be at most the largest n of the sweep, {largest}")
+    return value
+
+
 def b_grid(value, name: str) -> list[float]:
     """A nonempty grid of positive finite deviations; text is comma-separated."""
     entries = [b for b in value.split(",") if b.strip()] if isinstance(value, str) else value

@@ -17,18 +17,22 @@ the connected k-subsets W, computed one subset size at a time:
    triangle of each symmetric trailing block. One product-tree inverse
    per chunk and prime clears the pivot products. A pivot that vanishes
    mod p (p divides a leading principal minor of a positive definite
-   matrix) flags its subset, which then adds its exact Bareiss count
-   (`counting._bareiss_determinant`) instead. The residues are summed
-   per k.
-3. CRT. G[W] is a subgraph of K_k, so t(G[W]) <= k^(k-2) and
-   s_k(G) <= C(n,k) k^(k-2). The fewest primes whose product exceeds that
-   bound determine s_k exactly by Chinese remaindering: the prime count
-   is proven, not guessed.
+   matrix) flags its subset; a subset flagged under any of its chunk's
+   primes adds its exact Bareiss count (`counting._bareiss_determinant`)
+   instead.
+3. Exact counts. By the matrix-tree theorem t(G[W]) is the product of the
+   k-1 nonzero Laplacian eigenvalues over k, and they sum to 2m_W, so AM-GM
+   gives Grimmett's bound t(G[W]) <= (2m_W/(k-1))^(k-1) / k, which grows
+   with m_W. Each chunk takes the fewest primes whose product exceeds the
+   bound at its largest 2m_W (from the adjacency bitmasks): the prime count
+   is proven, not guessed, and a sparse chunk takes fewer primes than a
+   dense one. The residues of each subset become its mixed-radix (Garner)
+   digits, which give its count exactly; the digit columns are summed and
+   weighted by their radices.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
@@ -38,8 +42,9 @@ from .errors import CapacityError
 from .graphs import Graph
 
 # The twelve largest primes below 2^31. Residues stay below 2^31, so
-# a*b - c*d fits in int64; the product (> 2^371) exceeds C(n,k) k^(k-2)
-# for every n <= counting.MAX_BITMASK_VERTICES (at most 2^358).
+# a*b - c*d fits in int64; the product (> 2^371) exceeds the largest tree
+# count bound of a subset, k^(k-2) on K_k, for every
+# k <= counting.MAX_BITMASK_VERTICES (at most 62^60 < 2^358).
 _PRIMES = (
     2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
     2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
@@ -206,32 +211,65 @@ def _primes_for(bound: int) -> tuple[int, ...]:
     raise CapacityError(f"no {len(_PRIMES)}-prime product exceeds {bound}")
 
 
-def _crt(residues: list[int], primes: tuple[int, ...]) -> int:
-    """The x in [0, prod(primes)) with x = residues[i] mod primes[i] (Garner)."""
-    value, modulus = 0, 1
-    for r, p in zip(residues, primes):
-        value += modulus * ((r - value) * pow(modulus, -1, p) % p)
-        modulus *= p
-    return value
+def _chunk_tree_bound(adj_bits: np.ndarray, masks: np.ndarray, vertices: np.ndarray) -> int:
+    """An integer at least t(G[W]) for every k-subset W of a chunk, k >= 2.
+
+    `vertices` is the (k, B) member array of `masks`. Grimmett's bound
+    (2m_W/(k-1))^(k-1) / k (step 3 of the module docstring; equal to
+    k^(k-2) on K_k) grows with m_W, so it is taken at the chunk's largest
+    2m_W, each member's degree inside W summed.
+    """
+    k = vertices.shape[0]
+    two_m = int(np.bitwise_count(adj_bits[vertices] & masks).sum(axis=0).max())
+    return two_m ** (k - 1) // (k * (k - 1) ** (k - 1))
 
 
-def _level_tree_total(adj: np.ndarray, masks: np.ndarray, k: int) -> int:
-    """Exact sum of t(G[W]) over the connected k-subsets W in `masks`, k >= 2."""
-    n = adj.shape[0]
-    primes = _primes_for(math.comb(n, k) * k ** (k - 2))
+def _mixed_radix_digits(residues: list[np.ndarray], primes: tuple[int, ...]) -> list[np.ndarray]:
+    """Garner's digits d_i < primes[i] of x = d_0 + d_1 p_0 + d_2 p_0 p_1 + ...
+
+    x is the value below prod(primes) with x = residues[i] mod primes[i].
+    Each step multiplies a residue below p by a scalar below p, so every
+    product stays below 2^62.
+    """
+    digits = []
+    for p, r in zip(primes, residues):
+        x = r
+        for q, d in zip(primes, digits):
+            x = _mul_mod(np.remainder(x - d, p), pow(q, -1, p), p)
+        digits.append(x)
+    return digits
+
+
+def _level_tree_total(adj: np.ndarray, adj_bits: np.ndarray, masks: np.ndarray, k: int) -> int:
+    """Exact sum of t(G[W]) over the connected k-subsets W in `masks`, k >= 2.
+
+    `adj` is the dense int8 adjacency matrix and `adj_bits` the adjacency
+    bitmask of every vertex.
+    """
     chunk = max(1, _CHUNK_ELEMENTS // (k - 1) ** 2)
-    residues = [0] * len(primes)
+    total = 0
     for lo in range(0, masks.size, chunk):
-        minors = _laplacian_minors(adj, _mask_vertices(masks[lo:lo + chunk], k))
-        for i, p in enumerate(primes):
-            det, ok = _determinants_mod(minors, p)
-            # a flagged matrix takes its exact Bareiss determinant instead
-            total = int(det[ok].sum()) + sum(
-                counting._bareiss_determinant(minors[:, :, b].tolist())
-                for b in np.flatnonzero(~ok)
-            )
-            residues[i] = (residues[i] + total) % p
-    return _crt(residues, primes)
+        part = masks[lo:lo + chunk]
+        vertices = _mask_vertices(part, k)
+        minors = _laplacian_minors(adj, vertices)
+        primes = _primes_for(_chunk_tree_bound(adj_bits, part, vertices))
+        residues, ok = [], np.ones(part.size, dtype=bool)
+        for p in primes:
+            det, ok_p = _determinants_mod(minors, p)
+            residues.append(det)
+            ok &= ok_p
+        # every count is below the product of the primes, so its digits
+        # give it exactly; a column of at most 2^16 digits below 2^31 sums
+        # in int64. A subset flagged under any prime adds its exact Bareiss
+        # determinant instead.
+        radix = 1
+        for p, digit in zip(primes, _mixed_radix_digits(residues, primes)):
+            total += radix * int(digit[ok].sum())
+            radix *= p
+        total += sum(
+            counting._bareiss_determinant(minors[:, :, b].tolist()) for b in np.flatnonzero(~ok)
+        )
+    return total
 
 
 def level_counts(g: Graph) -> list[int]:
@@ -240,7 +278,7 @@ def level_counts(g: Graph) -> list[int]:
     adj = ((bits[:, None] >> np.arange(g.n)) & 1).astype(np.int8)
     counts = [0] * g.n
     for k, masks in enumerate(_connected_levels(g), start=1):
-        counts[k - 1] = masks.size if k == 1 else _level_tree_total(adj, masks, k)
+        counts[k - 1] = masks.size if k == 1 else _level_tree_total(adj, bits, masks, k)
     return counts
 
 

@@ -265,6 +265,21 @@ def test_sweep_poisson(capsys):
     assert first[0] == "10" and float(first[1]) == 0.0
 
 
+@pytest.mark.parametrize("n_list, k_max, largest", [("4,6", "7", 6), ("", "1", 0), ("", "1000000000", 0)])
+def test_sweep_poisson_refuses_k_max_above_the_largest_n(monkeypatch, capsys, n_list, k_max, largest):
+    # one column per k <= --k-max: a k_max past every host only pads nan,
+    # and a huge one used to build its header in memory first
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep row ran before --k-max was checked")
+
+    monkeypatch.setitem(cli._SWEEP, "poisson", (refuse, cli._SWEEP["poisson"][1]))
+    status, out, err = invoke(
+        capsys, "sweep", "--family", "complete", "--n-list", n_list, "--command", "poisson", "--k-max", k_max
+    )
+    assert (status, out) == (1, "")
+    assert err == f"error: --k-max must be at most the largest n of the sweep, {largest}\n"
+
+
 def test_sweep_aborts_with_failing_n(capsys):
     status, _, err = invoke(
         capsys, "sweep", "--family", "cycle", "--n-list", "4,2,6", "--command", "counts"

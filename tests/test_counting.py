@@ -38,9 +38,12 @@ from subtree_poly_lab.counting import (
 )
 from subtree_poly_lab.subsets import (
     _PRIMES,
-    _crt,
+    _chunk_tree_bound,
+    _connected_levels,
     _determinants_mod,
     _laplacian_minors,
+    _mask_vertices,
+    _mixed_radix_digits,
     _primes_for,
 )
 
@@ -234,8 +237,10 @@ def test_modular_determinant_crt_matches_bareiss():
     for p in primes:
         det, ok = _determinants_mod(np.array(k24, dtype=np.int8)[:, :, None], p)
         assert ok.tolist() == [True]
-        residues.append(int(det[0]))
-    assert _crt(residues, primes) == exact
+        residues.append(det)
+    digits = [int(d[0]) for d in _mixed_radix_digits(residues, primes)]
+    assert all(0 <= d < p for d, p in zip(digits, primes))
+    assert sum(d * math.prod(primes[:i]) for i, d in enumerate(digits)) == exact
 
 
 def test_modular_determinant_flags_zero_pivot():
@@ -307,9 +312,60 @@ def test_subtree_counts_small_primes_take_the_exact_route(monkeypatch):
 def test_prime_table_covers_every_bitmask_width():
     for p in _PRIMES:
         assert p < 2**31 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    # the chunk bound is largest on a complete subset of the widest host
     n = MAX_BITMASK_VERTICES
-    worst = max(math.comb(n, k) * k ** (k - 2) for k in range(2, n + 1))
+    bits = np.array(generate(f"complete({n})").adjacency_bits, dtype=np.int64)
+    mask = np.array([(1 << n) - 1], dtype=np.int64)
+    worst = _chunk_tree_bound(bits, mask, _mask_vertices(mask, n))
+    assert worst == n ** (n - 2)
     assert math.prod(_primes_for(worst)) > worst
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    p=st.floats(0.2, 1.0),
+    seed=st.integers(0, 10**6),
+    chunk=st.integers(1, 64),
+)
+def test_chunk_tree_bound_covers_every_subset(n, p, seed, chunk):
+    # Grimmett's bound at the chunk's largest edge count is at least each
+    # member's tree count, and exactly k^(k-2) on a complete k-subset
+    g = generate(f"gnp({n},{p})", seed=seed)
+    bits = np.array(g.adjacency_bits, dtype=np.int64)
+    for k, masks in enumerate(_connected_levels(g), start=1):
+        if k == 1:
+            continue
+        for lo in range(0, masks.size, chunk):
+            part = masks[lo:lo + chunk]
+            vertices = _mask_vertices(part, k)
+            bound = _chunk_tree_bound(bits, part, vertices)
+            for mask, w in zip(part.tolist(), vertices.T.tolist()):
+                count = subset_spanning_tree_count(g, w)
+                assert bound >= count
+                if all((g.adjacency_bits[v] | 1 << v) & mask == mask for v in w):
+                    single = np.array([mask], dtype=np.int64)
+                    assert _chunk_tree_bound(bits, single, _mask_vertices(single, k)) == k ** (k - 2) == count
+
+
+@pytest.mark.parametrize(
+    "spec, eliminations",
+    [("gnp(16,0.5)", 66), ("complete_minus_perfect_matching(16)", 73)],
+)
+def test_count_dense_hosts_take_pinned_eliminations(monkeypatch, spec, eliminations):
+    # one _determinants_mod call per chunk and prime: a prime choice that
+    # takes more primes than the chunk bound needs changes these integers
+    calls = []
+
+    def counted(minors, p):
+        calls.append(p)
+        return _determinants_mod(minors, p)
+
+    g = generate(spec, seed=1)
+    expected = subtree_counts(g).counts
+    monkeypatch.setattr(subsets, "_determinants_mod", counted)
+    assert tuple(subsets.level_counts(g)) == expected
+    assert len(calls) == eliminations
 
 
 def test_disconnected_and_single_vertex_vectors():

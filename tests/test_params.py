@@ -40,3 +40,11 @@ def test_deviation_order_stays_below_the_host_size():
     for value in (4, "9", -1, "nan"):
         with pytest.raises(ValidationError, match=r"^--k-max must be "):
             params.deviation_order(value, 4, "--k-max")
+
+
+def test_sweep_order_stays_within_the_largest_host():
+    assert params.sweep_order("3", [1, 3], "k_max") == 3
+    assert params.sweep_order(0, [], "k_max") == 0
+    for value, n_list in ((4, [1, 3]), ("1", []), (-1, [5]), ("nan", [5])):
+        with pytest.raises(ValidationError, match=r"^--k-max must be "):
+            params.sweep_order(value, n_list, "--k-max")
