@@ -8,7 +8,9 @@ output. Exit codes: 0 success, 1 validation error, 2 capacity error,
 
 Commands are rows of two tables, `_COMMANDS` (graph commands) and
 `_SWEEP` (sweep rows); `_render` is the one place that writes either
-format, and the help text's CSV columns are read from the tables.
+format, and the help text's CSV columns are read from the tables. The
+library's reports carry no output format: `_json` writes each one, and
+its table `_FORMATS` holds every key or value that differs from a field.
 
 Each numeric flag is parsed by the library's check of its parameter
 (`params`), so a value out of range exits 1 before any work starts.
@@ -24,11 +26,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import sys
+from fractions import Fraction
 from functools import partial
 
 from . import __version__
@@ -44,6 +48,7 @@ from .counting import (
 )
 from .errors import CapacityError, CertificationError, SubtreeLabError, ValidationError
 from .graphs import (
+    FAMILY_NAMES,
     FamilySpec,
     Graph,
     degree_profile,
@@ -158,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="CSV columns: "
         + "; ".join(f"{name} -> {header}" for name, (_, header) in _SWEEP.items()),
     )
-    p.add_argument("--family", required=True, help="complete, cycle, path, random_tree, gnp")
+    p.add_argument("--family", required=True, choices=FAMILY_NAMES)
     _numeric(p, "--p", checks.probability, 0.5, help="edge probability for gnp sweeps")
     p.add_argument("--n-list", required=True, help="comma-separated vertex counts, may be empty")
     p.add_argument("--command", required=True, dest="inner", choices=tuple(_SWEEP))
@@ -202,15 +207,72 @@ def _render(spec: dict, header: list[str], result: dict | None, rows: list[list]
     return out.getvalue()
 
 
-def _mp_str(x) -> str:
+def _mp_str(x, digits: int = 20) -> str:
     import mpmath as mp
 
-    return mp.nstr(x, 20)
+    return mp.nstr(x, digits)
+
+
+def _json(report):
+    """A library report as JSON: its dataclass fields in order, each under its
+    own name unless `_FORMATS` has a rule for it; a Fraction as its exact
+    string, a tuple as a list, a nested report as its own document."""
+    if isinstance(report, Fraction):
+        return str(report)
+    if isinstance(report, tuple):
+        return [_json(v) for v in report]
+    if not dataclasses.is_dataclass(report):
+        return report
+    rules = _FORMATS.get(type(report).__name__, {})
+    names = [f.name for f in dataclasses.fields(report)]
+    doc = {}
+    for name in names + [name for name in rules if name not in names]:
+        value = getattr(report, name)
+        doc.update(rules[name](value) if name in rules else {name: _json(value)})
+    return doc
+
+
+def _as(key: str, form=_json):
+    """Rule: the value under `key`, written by `form`."""
+    return lambda value: {key: form(value)}
+
+
+def _with_exact(key: str):
+    """Rule: a Fraction as a float under `key`, and exactly under `key_exact`."""
+    return lambda value: {key: float(value), key + "_exact": str(value)}
+
+
+# report type -> {field or derived property: rule}, every place a document
+# differs from its report's fields. A rule maps a value to its entries in the
+# document; a name that is no field prints after the fields. Keyed by type
+# name, so that building the table imports no library module.
+_FORMATS = {
+    # decimal strings: counts outgrow the integers a JSON reader keeps exact
+    "SubtreeCountVector": {"counts": _as("counts", lambda counts: [str(c) for c in counts])},
+    "BetaEstimate": {"mean": _with_exact("estimate"),
+                     "bound_violations": _as("weight_bound_violations")},
+    "LeafCountStats": {"mean": _with_exact("mean"),
+                       "bound_violations": _as("weight_bound_violations")},
+    "ConcentrationReport": {"mean": _with_exact("mean"),
+                            "bound_violations": _as("weight_bound_violations"),
+                            "any_violation": _as("any_violation")},
+    "WeightIdentityReport": {"weight_sum": _as("lhs_weight_sum"),
+                             "s_n_minus_1": _as("rhs_s_n_minus_1", str),
+                             # read by verify's base checks, not printed
+                             "matrix_tree_count": lambda value: {}},
+    "RootAnalysis": {
+        "roots": _as("roots", lambda roots: [[_mp_str(r.real, 25), _mp_str(r.imag, 25)]
+                                             for r in roots]),
+        "clusters": _as("clusters", lambda clusters: [[repr(c.real), repr(c.imag), mult]
+                                                      for c, mult in clusters]),
+    },
+    "RoucheReport": {"beta": _with_exact("beta")},
+}
 
 
 def _cmd_counts(args, graph, family):
     counts = counts_for(graph, family, args.cap)
-    result = counts.to_json_dict()
+    result = _json(counts)
     result["fingerprint"] = graph.fingerprint()
     result["connected"] = counts.s(counts.n) > 0
     rows = [[k, str(counts.s(k))] for k in range(1, counts.n + 1)]
@@ -227,7 +289,7 @@ def _estimate_beta(args, graph):
 
 def _cmd_beta(args, graph, family):
     estimate, row = _estimate_beta(args, graph)
-    result = estimate.to_json_dict()
+    result = _json(estimate)
     closed = closed_form_counts(family)
     if closed is not None:
         exact = exact_beta(closed)
@@ -270,7 +332,7 @@ def _cmd_roots(args, graph, family):
         for i, (r, res) in enumerate(zip(analysis.roots, analysis.residuals))
     ]
     params = {"cap": args.cap, "precision_bits": args.precision_bits}
-    return params, analysis.to_json_dict(), rows
+    return params, _json(analysis), rows
 
 
 def _cmd_rouche(args, graph, family):
@@ -285,7 +347,7 @@ def _cmd_rouche(args, graph, family):
               "precision_bits": args.precision_bits}
     rows = [[report.n, repr(report.C), repr(report.radius), repr(float(report.beta)),
              repr(report.max_margin), report.witness_ok]]
-    return params, report.to_json_dict(), rows, 0 if report.witness_ok else 3
+    return params, _json(report), rows, 0 if report.witness_ok else 3
 
 
 def _cmd_poisson(args, graph, family):
@@ -323,8 +385,8 @@ def _cmd_verify(args, graph, family):
     result = {
         "connected": True,
         "checks_run": True,
-        "weight_identity": identity.to_json_dict(),
-        "ratio_inequalities": inequalities.to_json_dict(),
+        "weight_identity": _json(identity),
+        "ratio_inequalities": _json(inequalities),
         "base_checks": base_checks,
         "all_passed": ok,
     }
@@ -340,7 +402,7 @@ def _cmd_tree_check(args, graph, family):
     report = tree_root_check(graph, tolerance=args.tolerance)
     rows = [[report.n, repr(report.max_modulus), repr(report.bound),
              report.within_bound, report.annulus_ok]]
-    return {"tolerance": args.tolerance}, report.to_json_dict(), rows, 0 if report.within_bound else 3
+    return {"tolerance": args.tolerance}, _json(report), rows, 0 if report.within_bound else 3
 
 
 def _cmd_experiment(args, graph, family):
@@ -350,9 +412,9 @@ def _cmd_experiment(args, graph, family):
         graph, args.samples, args.seed, args.b_grid, args.epsilon, threads=args.threads
     )
     result = {
-        "beta": beta_report.to_json_dict(),
-        "leaf_counts": leaf_report.to_json_dict(),
-        "concentration": tails.to_json_dict(),
+        "beta": _json(beta_report),
+        "leaf_counts": _json(leaf_report),
+        "concentration": _json(tails),
     }
     rows = [
         [r.b, r.tail_count, repr(r.empirical_tail), repr(r.bound_min_degree),

@@ -72,10 +72,6 @@ class SubtreeCountVector:
             return self.counts[k - 1]
         return 0
 
-    def to_json_dict(self) -> dict:
-        # decimal strings: entries exceed 64-bit range quickly
-        return {"n": self.n, "counts": [str(c) for c in self.counts]}
-
 
 def exact_beta(counts: SubtreeCountVector) -> Fraction:
     """beta = s_{n-1}/s_n, exact."""
@@ -342,28 +338,12 @@ class InequalityCheck:
     rhs: Fraction
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "index": self.index,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class RatioInequalityReport:
-    checks: tuple[InequalityCheck, ...]
     precondition_ok: bool
     all_passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "precondition_ok": self.precondition_ok,
-            "all_passed": self.all_passed,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
+    checks: tuple[InequalityCheck, ...]
 
 
 def check_ratio_inequalities(

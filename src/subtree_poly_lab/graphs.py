@@ -42,6 +42,7 @@ class Graph:
         if n < 1:
             raise ValidationError("graph must have at least one vertex")
         bits = [0] * n
+        adjacent = [[] for _ in range(n)]
         m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -52,10 +53,11 @@ class Graph:
                 raise ValidationError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             bits[u] |= 1 << v
             bits[v] |= 1 << u
+            adjacent[u].append(v)
+            adjacent[v].append(u)
             m += 1
-        neighbors = tuple(
-            tuple(v for v in range(n) if (bits[u] >> v) & 1) for u in range(n)
-        )
+        # from the edges, so loading costs O(n + m log m) and not O(n^2)
+        neighbors = tuple(tuple(sorted(a)) for a in adjacent)
         return Graph(n=n, m=m, neighbors=neighbors, adjacency_bits=tuple(bits))
 
     @property

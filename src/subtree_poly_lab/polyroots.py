@@ -93,21 +93,6 @@ class RootAnalysis:
     vieta_relative_error: float
     clusters: tuple[tuple[complex, int], ...]  # (center, multiplicity)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "roots": [[mp.nstr(r.real, 25), mp.nstr(r.imag, 25)] for r in self.roots],
-            "residuals": list(self.residuals),
-            "max_modulus": self.max_modulus,
-            "iterations": self.iterations,
-            "precision_bits": self.precision_bits,
-            "vieta_product": self.vieta_product,
-            "vieta_target": self.vieta_target,
-            "vieta_relative_error": self.vieta_relative_error,
-            "clusters": [
-                [repr(c.real), repr(c.imag), mult] for c, mult in self.clusters
-            ],
-        }
-
 
 def _horner(coeffs: Sequence, x):
     """p(x) with coefficients in ascending order.
@@ -509,23 +494,6 @@ class RoucheReport:
     precision_bits: int
     label: str = "sampled supremum"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "C": self.C,
-            "radius": self.radius,
-            "beta": float(self.beta),
-            "beta_exact": str(self.beta),
-            "circle_points": self.circle_points,
-            "max_margin": self.max_margin,
-            "max_margin_index": self.max_margin_index,
-            "margin_below_one": self.margin_below_one,
-            "witness_ok": self.witness_ok,
-            "witness_floor": self.witness_floor,
-            "precision_bits": self.precision_bits,
-            "label": self.label,
-        }
-
 
 def rouche_margin(
     counts: SubtreeCountVector,
@@ -615,19 +583,6 @@ class TreeRootReport:
     annulus_outer: float
     annulus_ok: bool  # diagnostic only, never asserted
     analysis: RootAnalysis
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "max_modulus": self.max_modulus,
-            "bound": self.bound,
-            "tolerance": self.tolerance,
-            "within_bound": self.within_bound,
-            "annulus_inner": self.annulus_inner,
-            "annulus_outer": self.annulus_outer,
-            "annulus_ok": self.annulus_ok,
-            "analysis": self.analysis.to_json_dict(),
-        }
 
 
 def tree_root_check(tree: Graph, tolerance: float = 1e-9) -> TreeRootReport:

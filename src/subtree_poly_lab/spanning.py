@@ -105,18 +105,6 @@ class BetaEstimate:
     max_weight: Fraction
     bound_violations: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "estimate": float(self.mean),
-            "estimate_exact": str(self.mean),
-            "standard_error": self.standard_error,
-            "samples": self.samples,
-            "seed": self.seed,
-            "min_weight": str(self.min_weight),
-            "max_weight": str(self.max_weight),
-            "weight_bound_violations": self.bound_violations,
-        }
-
 
 def _leaf_scales(g: Graph) -> tuple[int, list[int]]:
     """L = lcm of the host degrees, and L/d(v) per vertex (0 if isolated)."""
@@ -492,20 +480,6 @@ class LeafCountStats:
     below_threshold_probability: float
     bound_violations: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "mean": float(self.mean),
-            "mean_exact": str(self.mean),
-            "variance": self.variance,
-            "histogram": [[k, v] for k, v in self.histogram],
-            "epsilon": self.epsilon,
-            "threshold": self.threshold,
-            "below_threshold_probability": self.below_threshold_probability,
-            "weight_bound_violations": self.bound_violations,
-        }
-
 
 def _leaf_stats_report(h: _WeightHistogram, seed: int, epsilon: float) -> LeafCountStats:
     hist = h.leaf_histogram
@@ -537,17 +511,6 @@ class ConcentrationRow:
     status_min_degree: str
     status_alpha_form: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "tail_count": self.tail_count,
-            "empirical_tail": self.empirical_tail,
-            "bound_min_degree": self.bound_min_degree,
-            "bound_alpha_form": self.bound_alpha_form,
-            "status_min_degree": self.status_min_degree,
-            "status_alpha_form": self.status_alpha_form,
-        }
-
 
 @dataclass(frozen=True)
 class ConcentrationReport:
@@ -562,17 +525,6 @@ class ConcentrationReport:
         return any(
             "violation" in (r.status_min_degree, r.status_alpha_form) for r in self.rows
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "mean": float(self.mean),
-            "mean_exact": str(self.mean),
-            "rows": [r.to_json_dict() for r in self.rows],
-            "weight_bound_violations": self.bound_violations,
-            "any_violation": self.any_violation,
-        }
 
 
 def _tail_status(tail: float, bound: float, samples: int) -> str:
@@ -780,15 +732,6 @@ class WeightIdentityReport:
     s_n_minus_1: int  # independent matrix-tree route
     equal: bool
     matrix_tree_count: int  # the cap guard's count, which tree_count must equal
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "tree_count": self.tree_count,
-            "lhs_weight_sum": str(self.weight_sum),
-            "rhs_s_n_minus_1": str(self.s_n_minus_1),
-            "equal": self.equal,
-        }
 
 
 def verify_weight_identity(

@@ -27,6 +27,7 @@ from subtree_poly_lab import (
     subtree_counts,
 )
 from subtree_poly_lab import counting, subsets
+from subtree_poly_lab.cli import _json
 from subtree_poly_lab.counting import (
     MAX_BITMASK_VERTICES,
     SMALL_HOST_VERTICES,
@@ -496,7 +497,7 @@ def test_ratio_inequalities_on_dense_families():
 
 def test_count_vector_json_round_trip():
     counts = complete_graph_counts(12)
-    doc = json.loads(json.dumps(counts.to_json_dict()))
+    doc = json.loads(json.dumps(_json(counts)))
     assert doc["n"] == 12
     # decimal strings, which a JSON reader keeps exact past 2^53
     assert doc["counts"] == [str(c) for c in counts.counts]

@@ -1,6 +1,7 @@
 """Graph construction, generators, and edge-list ingestion."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,21 @@ def test_graph_rejects_bad_edges():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValidationError):
         Graph.from_edges(3, [(0, 5)])
+
+
+def test_neighbors_sorted_whatever_the_edge_order():
+    g = Graph.from_edges(5, [(3, 4), (0, 4), (2, 4), (1, 4), (0, 1)])
+    assert g.neighbors == ((1, 4), (0, 4), (4,), (4,), (0, 1, 2, 3))
+    assert g.neighbors == from_edge_list(g.to_edge_list()).neighbors
+
+
+def test_header_only_edge_list_loads_in_linear_time():
+    # the neighbour tuples once came from scanning n bits per vertex, so
+    # loading isolated vertices took time quadratic in n (about 55 s for this one)
+    started = time.perf_counter()
+    g = from_edge_list("30000 0\n")
+    assert time.perf_counter() - started < 5.0
+    assert g.m == 0 and g.neighbors[-1] == ()
 
 
 @settings(max_examples=40)
