@@ -9,8 +9,9 @@ where t(.) is the spanning-tree count. `counts_for` gives every caller
 its counts by the cheapest route: `closed_form_counts` where the host's
 family has one (complete graphs), the tree recursion of `_tree_counts`
 for a tree host (connected, m = n - 1, however it was given), else the
-enumeration of `subtree_counts`. Only the enumeration is bound by the
-cap. It takes one of two routes by the host's size. A host of at most
+enumeration of `subtree_counts`. The enumeration is bound by the cap,
+the tree recursion by MAX_TREE_VERTICES. The enumeration takes one of
+two routes by the host's size. A host of at most
 SMALL_HOST_VERTICES vertices is counted here on Python integers: its
 connected-subset levels are sets of bitmasks and each subset adds its
 exact Bareiss count. A larger host runs in the numpy kernel of the
@@ -46,6 +47,11 @@ DEFAULT_ENUMERATION_CAP = 24
 BRUTE_FORCE_GUARD = 10**8
 # subsets are int64 bitmasks, with the sign bit and bit 62 kept clear
 MAX_BITMASK_VERTICES = 62
+# The tree recursion takes O(n^2) big-integer operations, and a star's
+# s_k = C(n-1, k-1) run to about 0.3 n digits: `counts` on a star at the
+# bound takes about 1 s on a 2-vCPU VM and prints 0.9 MB, and both grow
+# about 4x per doubling of n.
+MAX_TREE_VERTICES = 2048
 # Hosts up to this size are counted without numpy. On a 2-vCPU VM,
 # importing numpy takes about 0.15 s and the Python route 0.02 s on K_10
 # (0.16 s on K_12), so at 10 a process that has loaded numpy anyway
@@ -280,13 +286,18 @@ def counts_for(
 ) -> SubtreeCountVector:
     """Exact s_1..s_n of g (generated from `family`, or None) by its cheapest route.
 
-    The closed form, then the tree recursion, then `subtree_counts`, whose
-    small hosts (n <= SMALL_HOST_VERTICES) are counted without numpy.
+    The closed form, then the tree recursion (refused above
+    MAX_TREE_VERTICES), then `subtree_counts`, whose small hosts
+    (n <= SMALL_HOST_VERTICES) are counted without numpy.
     """
     closed = closed_form_counts(family)
     if closed is not None:
         return closed
     if g.m == g.n - 1 and is_connected(g):
+        if g.n > MAX_TREE_VERTICES:
+            raise CapacityError(
+                f"the tree recursion on n={g.n} exceeds the {MAX_TREE_VERTICES}-vertex bound"
+            )
         return _tree_counts(g)
     return subtree_counts(g, cap=cap)
 

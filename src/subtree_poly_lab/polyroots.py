@@ -13,21 +13,23 @@ in double range; each root freezes once |F| is at the level of rounding
 error. The roots are mapped back to x = 1/y and polished by Gauss-Seidel
 Aberth corrections on a precision ladder: 128, 256, 512, ... bits,
 ending at exactly the working precision, each stage stopping every root
-at its rounding level. Each correction evaluates S(x)/x and its
-derivative in Gaussian fixed point on the exact integer coefficients
-(Python integers, no mpmath), and sums the Aberth repulsion in double
-precision; the simultaneous correction keeps two iterates from settling
-on one root. The roots are certified at the working precision by
-scale-normalized residuals |Q(x)| / Q(|x|), Q(x) = S(x)/x, taken from
-the same integer evaluator without its derivative, plus a Vieta product
-check in mpmath. Certification
+at its rounding level. Each step evaluates Q(x) = S(x)/x in Gaussian
+fixed point on the exact integer coefficients (Python integers, no
+mpmath) and builds Q'(x) from the same pass's partial sums only when
+the root moves; the correction sums the Aberth repulsion in double
+precision, and the simultaneous correction keeps two iterates from
+settling on one root. The roots are certified at the working precision
+by scale-normalized residuals |Q(x)| / Q(|x|), taken from the last
+evaluation of the final polish stage (a root moved after it is
+evaluated afresh), plus a Vieta product check in mpmath. Certification
 failures raise; they are never silent. The design follows MPSolve
 (Bini and Fiorentino, 2000; Bini and Robol, 2014).
 
 Also here: the Rouche margin |F(y) - e^{beta y}| / |e^{beta y}| sampled
 on the circle |y| = alpha log(n) / C, with F(y) from the integer
 evaluator on the exact reversed counts s_n, ..., s_1 and one division by
-s_n per point, and the contrast checks for tree hosts. The exact
+s_n per point, each conjugate pair of points evaluated once, and the
+contrast checks for tree hosts. The exact
 Poisson-profile diagnostics (`exact_beta`, `poisson_deviation`) take the
 counts alone and live in `counting`.
 """
@@ -213,20 +215,17 @@ def _top_bits(s: Sequence[int]) -> list[tuple[int, int]]:
     return [(k, c.bit_length() - 1) for k, c in enumerate(s) if k and c]
 
 
-def _fixed_horner(
-    s: Sequence[int], tops: list, x, bits: int, derivative: bool = True, magnitude: bool = True
-) -> tuple:
-    """Q(x), Q'(x) and Q(|x|) for Q(x) = sum_k s[k] x^k, in Gaussian fixed point.
+def _fixed_horner(s: Sequence[int], tops: list, x, bits: int, magnitude: bool = True) -> tuple:
+    """Q(x) and Q(|x|) for Q(x) = sum_k s[k] x^k, in Gaussian fixed point.
 
     One Horner pass over the exact integer coefficients, on Python
-    integers only; `tops` is _top_bits(s). Returns (p_re, p_im, dp_re,
-    dp_im, scale, G, m): p and scale are Q(x) and Q(|x|) times 2^G, and
-    dp is Q'(x) times 2^(G-m). With derivative=False the Q' recurrence
-    is skipped (four big-integer products per step instead of seven) and
-    dp_re, dp_im are None; with magnitude=False the Q(|x|) recurrence
-    (one product per step, and the square root giving |x|) is skipped and
-    scale is None. p and the other outputs are the same integers either
-    way.
+    integers only; `tops` is _top_bits(s). Returns (p_re, p_im, scale, G,
+    m, trail): p and scale are Q(x) and Q(|x|) times 2^G, and trail keeps
+    the fixed-point x and the partial sums the pass multiplied by x, from
+    which _fixed_derivative builds Q'(x) only where a caller needs it.
+    With magnitude=False the Q(|x|) recurrence (one product per step, and
+    the square root giving |x|) is skipped and scale is None; p and the
+    other outputs are the same integers either way.
 
     X = x 2^(F+m) is read off the mantissas and exponents of the mpc x,
     with F = bits + guard bits and 1/4 < 2^m |x| < 1, so X keeps F bits
@@ -261,19 +260,33 @@ def _fixed_horner(
     pr = s[-1] << shift if shift >= 0 else s[-1] >> -shift
     scale = pr if magnitude else None
     pi = 0
-    dr = di = 0 if derivative else None
+    sums = []
     for k in range(d - 1, -1, -1):
-        # complex products in three multiplications each
-        if derivative:
-            t = xr * (dr + di)
-            dr, di = ((t - di * xsum) >> F) + pr, ((t + dr * xdif) >> F) + pi
+        sums.append((pr, pi))
         shift += m
         c = s[k] << shift if shift >= 0 else s[k] >> -shift
+        # a complex product in three multiplications
         t = xr * (pr + pi)
         pr, pi = ((t - pi * xsum) >> F) + c, (t + pr * xdif) >> F
         if magnitude:
             scale = ((scale * a) >> F) + c
-    return pr, pi, dr, di, scale, G, m
+    return pr, pi, scale, G, m, (xr, xsum, xdif, F, sums)
+
+
+def _fixed_derivative(trail: tuple) -> tuple[int, int]:
+    """Q'(x) times 2^(G-m), as (re, im), from the trail of a _fixed_horner pass.
+
+    The partial sums P_d, ..., P_1 that the value pass multiplied by x
+    give Q' by D_k = x D_{k+1} + P_{k+1}: the same products, truncations
+    and integers as a derivative recurrence run inside the value pass,
+    at three more big-integer products per step.
+    """
+    xr, xsum, xdif, F, sums = trail
+    dr = di = 0
+    for pr, pi in sums:
+        t = xr * (dr + di)
+        dr, di = ((t - di * xsum) >> F) + pr, ((t + dr * xdif) >> F) + pi
+    return dr, di
 
 
 def _scaled_copy(x, e: int) -> complex:
@@ -300,17 +313,21 @@ def _repulsion(xs: list, scaled: list, j: int, e: int):
 
 def _polish(
     s: Sequence[int], tops: list, u: list[complex], e: int, work_bits: int
-) -> tuple[list, list[int]]:
+) -> tuple[list, list[int], dict]:
     """Gauss-Seidel Aberth corrections on Q(x) = S(x)/x from the start y = 2^e u.
 
     `tops` is _top_bits(s). Returns the roots x = 1/y polished to
-    work_bits and the number of corrections at each stage of
-    _stages(work_bits). Each stage runs at most MAX_POLISH_SWEEPS sweeps
-    at its precision, each correction using the roots already corrected.
-    A root freezes for the stage when |Q(x)| <= 4 d 2^-bits Q(|x|)
-    (rounding level; Q has nonnegative coefficients, and the test is exact
-    on the integers of _fixed_horner) or its step falls below
-    2^-(bits-16)|x|. Frozen roots still repel the others.
+    work_bits, the number of corrections at each stage of
+    _stages(work_bits), and the last stage's evaluations: each x it
+    evaluated (as x._mpc_) maps to the integers (p_re, p_im, scale) of
+    _fixed_horner at work_bits, so the certification re-evaluates only a
+    root that moved after its last evaluation. Each stage runs at most
+    MAX_POLISH_SWEEPS sweeps at its precision, each correction using the
+    roots already corrected. A root freezes for the stage when
+    |Q(x)| <= 4 d 2^-bits Q(|x|) (rounding level; Q has nonnegative
+    coefficients, and the test is exact on the integers of _fixed_horner)
+    or its step falls below 2^-(bits-16)|x|. Q'(x) is built only after
+    the freeze test fails. Frozen roots still repel the others.
     """
     d = len(s) - 1
     stages = _stages(work_bits)
@@ -318,6 +335,7 @@ def _polish(
         xs = [1 / (mp.mpc(complex(uj)) * mp.ldexp(1, e)) for uj in u]
     scaled = [_scaled_copy(x, e) for x in xs]
     corrections = []
+    evaluated = {}
     for bits in stages:
         count = 0
         with mp.workprec(bits):
@@ -328,8 +346,13 @@ def _polish(
                     break
                 still = []
                 for j in active:
-                    pr, pi, dr, di, scale, _, m = _fixed_horner(s, tops, xs[j], bits)
-                    if (pr * pr + pi * pi) << (2 * bits) <= (4 * d * scale) ** 2 or not (dr or di):
+                    pr, pi, scale, _, m, trail = _fixed_horner(s, tops, xs[j], bits)
+                    if bits == work_bits:
+                        evaluated[xs[j]._mpc_] = pr, pi, scale
+                    if (pr * pr + pi * pi) << (2 * bits) <= (4 * d * scale) ** 2:
+                        continue
+                    dr, di = _fixed_derivative(trail)
+                    if not (dr or di):
                         continue
                     # Q/Q' with both integers brought to one scale, which cancels
                     up, down = max(0, -m), max(0, m)
@@ -343,7 +366,7 @@ def _polish(
                         still.append(j)
                 active = still
         corrections.append(count)
-    return xs, corrections
+    return xs, corrections, evaluated
 
 
 def find_roots(
@@ -379,16 +402,19 @@ def find_roots(
     sn = s[-1]
     tops = _top_bits(s)
     u, e, sweeps = _float_start(s)
-    xs, corrections = _polish(s, tops, u, e, work_bits)
+    xs, corrections, evaluated = _polish(s, tops, u, e, work_bits)
     iterations = sweeps + sum(corrections)
     with mp.workprec(work_bits):
         roots = [mp.mpc(0)] + xs
         residuals = [0.0]
         # scale-normalized residuals |S(x)| / S(|x|) = |Q(x)| / Q(|x|), the
         # |x| factors cancelling; the scale is free of cancellation and
-        # positive (Q has nonnegative coefficients and Q(0) = s_1 >= 1)
+        # positive (Q has nonnegative coefficients and Q(0) = s_1 >= 1).
+        # A root the polish left where it last evaluated it at work_bits
+        # takes those integers; one it moved afterwards is evaluated afresh.
         for x in xs:
-            pr, pi, _, _, scale, _, _ = _fixed_horner(s, tops, x, work_bits, derivative=False)
+            known = evaluated.get(x._mpc_)
+            pr, pi, scale = known or _fixed_horner(s, tops, x, work_bits)[:3]
             residuals.append(float(abs(mp.mpc(pr, pi)) / scale))
         vieta_product = mp.mpf(1)
         for x in roots[1:]:
@@ -510,6 +536,13 @@ def rouche_margin(
     _fixed_horner on the exact counts at the working precision, and
     e^{beta y} from mpmath. Also checks the pointwise witness
     |e^{beta y}| >= n^(-1/C) that the comparison relies on.
+
+    The counts and beta are real, so F(conj y) = conj F(y) and
+    e^{beta conj y} = conj e^{beta y}: the margin and |e^{beta y}| are the
+    same at conjugate points. Only the points j <= N/2 of the N on the
+    circle are evaluated, and point N - j takes the margin of point j. The
+    axis points 1, -1 and i take those of the circle points 0, N/2 and N/4
+    where these exist, and -i takes that of i.
     """
     C = params.rouche_C(C, "C")
     circle_points = params.circle_points(circle_points, "circle_points")
@@ -526,23 +559,26 @@ def rouche_margin(
         radius = mp.mpf(alpha.numerator) / alpha.denominator * mp.log(n) / mp.mpf(C)
         floor = mp.exp(-mp.log(n) / mp.mpf(C))  # n^(-1/C)
         slack = 1 - mp.mpf(2) ** -50
-        points = [
-            radius * mp.exp(2j * mp.pi * mp.mpf(j) / circle_points)
-            for j in range(circle_points)
-        ]
-        points += [radius * u for u in (mp.mpc(1), mp.mpc(-1), mp.mpc(0, 1), mp.mpc(0, -1))]
-        margins = []
         witness_ok = True
-        for yv in points:
-            pr, pi, _, _, _, G, _ = _fixed_horner(
-                reversed_counts, tops, yv, work_bits, derivative=False, magnitude=False
+
+        def margin(yv):
+            nonlocal witness_ok
+            pr, pi, _, G, _, _ = _fixed_horner(
+                reversed_counts, tops, yv, work_bits, magnitude=False
             )
             f = mp.mpc(mp.ldexp(pr, -G), mp.ldexp(pi, -G)) / sn
             e = mp.exp(beta_mp * yv)
             mag = abs(e)
             if mag < floor * slack:
                 witness_ok = False
-            margins.append(abs(f - e) / mag)
+            return abs(f - e) / mag
+
+        N = circle_points
+        upper = [margin(radius * mp.exp(2j * mp.pi * mp.mpf(j) / N)) for j in range(N // 2 + 1)]
+        margins = [upper[min(j, N - j)] for j in range(N)]
+        minus_one = upper[N // 2] if N % 2 == 0 else margin(radius * mp.mpc(-1))
+        plus_i = upper[N // 4] if N % 4 == 0 else margin(radius * mp.mpc(0, 1))
+        margins += [upper[0], minus_one, plus_i, plus_i]  # the axis points 1, -1, i, -i
         max_margin = max(margins)
         max_index = _first_max_index(margins)
         report = RoucheReport(
@@ -564,9 +600,10 @@ def rouche_margin(
 def _first_max_index(margins: list) -> int:
     """The first index whose margin rounds to the same double as the largest.
 
-    Margins at a conjugate pair of points, or at an axis point that
-    repeats a circle point, agree up to rounding noise, and the noise
-    alone would pick the member reported; the first one is reported.
+    Margins that differ only by rounding noise (at a conjugate pair of
+    points, or an axis point and the circle point it repeats, where each
+    is evaluated on its own) would let the noise pick the member
+    reported; the first one is reported.
     """
     top = float(max(margins))
     return next(i for i, v in enumerate(margins) if float(v) == top)

@@ -10,6 +10,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -18,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subtree_poly_lab
-from subtree_poly_lab import CertificationError, generate
+from subtree_poly_lab import CertificationError, Graph, generate
 from subtree_poly_lab import cli, params, polyroots
 from subtree_poly_lab.cli import run
+from subtree_poly_lab.counting import MAX_TREE_VERTICES
 
 
 def invoke(capsys, *argv):
@@ -500,6 +502,19 @@ def test_capacity_exit_code_names_bitmask_width(capsys):
     assert "62-vertex" in err
 
 
+def test_tree_route_refuses_a_star_above_its_vertex_bound(tmp_path, capsys):
+    # the tree recursion's work and output grow about 4x per doubling of a
+    # star; one vertex over the bound is refused before the recursion runs
+    n = MAX_TREE_VERTICES + 1
+    path = tmp_path / "star.txt"
+    path.write_text(Graph.from_edges(n, [(0, i) for i in range(1, n)]).to_edge_list())
+    start = time.perf_counter()
+    status, out, err = invoke(capsys, "counts", "--edge-list", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (status, out) == (2, "")
+    assert f"n={n}" in err and f"{MAX_TREE_VERTICES}-vertex" in err
+
+
 def test_counts_edge_list_golden_bytes(tmp_path, monkeypatch, capsys):
     # the spec echoes the edge-list path, so run from tmp_path with a fixed name
     monkeypatch.chdir(tmp_path)
@@ -631,6 +646,18 @@ def test_spanning_commands_golden_bytes(capsys, argv, digest):
          "d27b6eaac7d134badea7e3afb62bfa957d82b3512e80fe40c04b51bc9a5dd025"),
         ("experiment --graph path(2) --samples 5", 0,
          "8fea96ef65d8b1802bbebe83f136da5b43e3fc01c8bb6e5226e013908d3e2bee"),
+        # taken while the certification evaluated every root afresh and the
+        # Rouche circle evaluated every point: K_40 has roots that stop on
+        # their step size (evaluated afresh still), and the two Rouche lines
+        # have N = 2 (mod 4) and odd N, where axis points are evaluated
+        ("roots --graph complete(40)", 0,
+         "e8e3dbd36b9326d6a9c22d79a005919eb875d6ebfab8fb879337696126b55ff6"),
+        ("roots --graph complete(80)", 0,
+         "30008be62ac473b68487cf6e3e449e6cacbf2779056417bed0239e9c4f0cb397"),
+        ("rouche --graph complete(120) --circle-points 6", 0,
+         "ef5784f7451c2ac7f54b4f9eae3667f4f6134be33138cd06f360b49fe2cb10f1"),
+        ("rouche --graph complete(120) --circle-points 7", 0,
+         "2f8ce313af46ccff43aa4d90d319781718c340d7e8f5791bbab36d983a02b482"),
     ],
 )
 def test_command_golden_bytes(capsys, argv, status, digest):
