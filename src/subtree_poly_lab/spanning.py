@@ -31,10 +31,13 @@ floats appear only in final reports.
 
 Enumeration includes and excludes edges depth first with the tree
 degrees and the forest's scaled leaf sum W kept in step, so each tree
-comes with its W and the identity check adds them up. Once the forest
-has two components, every undecided edge between them completes one
-tree: the walk finds the component of vertex 0 in one search and yields
-a tree per crossing edge, in edge order, without further branching.
+comes with its W. Once the forest has three components, the trees below
+are the forest plus each pair of undecided edges that join different
+pairs of components: the walk labels the components in two searches
+and yields that cut without further branching. The tree enumeration
+expands each cut's pairs in lexicographic edge order; the identity
+check adds up each pair's W from its tree degrees in one loop, building
+no tree.
 Only the sampling functions import numpy and the random streams, so
 enumeration and exact weights run without them.
 """
@@ -605,29 +608,43 @@ def _guarded_tree_count(g: Graph, cap: int) -> int:
     return total
 
 
-def _spanning_tree_walk(
-    g: Graph, scale: Sequence[int]
-) -> Iterator[tuple[list, list[int], int]]:
-    """Yield (edges, tree degrees, W) of each spanning tree of connected g once.
+def _degree_gains(scale: Sequence[int]) -> list[tuple[int, ...]]:
+    """gain[x][d]: the change in W when an edge meets x at tree degree d.
 
-    W is the tree's scaled leaf sum over `scale` (see `_leaf_form`).
+    x's scale (see `_leaf_form`) at degree 0, as x becomes a leaf; minus
+    it at degree 1, as x stops being one; 0 above.
+    """
+    n = len(scale)
+    return [(s, -s) + (0,) * n for s in scale]
+
+
+def _spanning_cuts(
+    g: Graph, gain: Sequence[Sequence[int]]
+) -> Iterator[tuple[list, list[int], int, list[tuple[int, int, int]]]]:
+    """Yield (forest edges, tree degrees, W, crossing) for each cut of connected g.
+
     Edge inclusion/exclusion in depth-first order. An edge is excluded
     when it closes a cycle in the forest built so far, or when it is not
     a bridge of that forest plus the edges not yet decided, so every
-    branch ends in a tree. Once the forest has two components, the trees
-    below are the forest plus each undecided edge with one end in each:
-    one search over the forest finds the component of vertex 0, and a
-    scan of the undecided edges in index order yields one tree per
-    crossing edge, with no branching and no bridge tests.
+    branch holds a tree. The walk stops where the forest spans (n <= 2)
+    or has three components, and yields that cut: the forest, its tree
+    degrees and its scaled leaf sum W (over `gain`, see `_degree_gains`),
+    and the undecided edges with ends in two components, in edge order,
+    each tagged with its pair of components. The trees below a cut are
+    the forest itself when nothing crosses, and otherwise the forest
+    plus each pair e1 < e2 of crossing edges with different tags: an edge
+    inside a component closes a cycle, and two edges of one pair leave
+    the third component apart. When e1 is a bridge of the forest plus
+    the undecided edges, no pair leaves it out, so the pairs need no
+    bridge test.
 
     The forest is kept as adjacency bitmasks, tree degrees and W, rolled
     back in step. An edge added at a vertex of tree degree 0 adds that
     vertex's scale to W, one at tree degree 1 takes it away, and one at
     a higher degree leaves W as it is; each include saves W for its
-    undo. Both yielded lists are shared and change at the next step.
-    Callers guard the size up front with `_guarded_tree_count`; the
-    CLI's `tree_count_matches_matrix_tree` base check compares the
-    yield count with that count.
+    undo. The yielded edge and degree lists are shared: a consumer may
+    change them, and restores them before the next cut. Callers guard
+    the size up front with `_guarded_tree_count`.
     """
     n = g.n
     edges = g.edges()
@@ -641,8 +658,8 @@ def _spanning_tree_walk(
     forest = [0] * n  # adjacency bitmasks of the included edges
     tree_degree = [0] * n
     included: list[tuple[int, int]] = []
-    gain = [(s, -s) + (0,) * n for s in scale]  # gain[x][d]: W change of an edge at degree d
     w = 0
+    everyone = (1 << n) - 1
 
     def joined(u: int, v: int, rest: list[int]) -> bool:
         """Whether the forest plus the edges in `rest` connects u to v."""
@@ -660,6 +677,19 @@ def _spanning_tree_walk(
             seen |= frontier
         return False
 
+    def component(x: int) -> int:
+        """The forest component of x, as bits."""
+        side = frontier = 1 << x
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= forest[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~side
+            side |= frontier
+        return side
+
     todo = [(0, n, None)]  # (next edge, components, W to restore after an include)
     while todo:
         idx, components, saved = todo.pop()
@@ -673,29 +703,15 @@ def _spanning_tree_walk(
             if joined(u, v, suffix[idx + 1]):
                 todo.append((idx + 1, components, None))
             continue
-        if components == 2:  # the last edge: any undecided edge across the cut
-            side = frontier = 1  # the component of vertex 0, as bits
-            while frontier:
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    reach |= forest[low.bit_length() - 1]
-                    frontier ^= low
-                frontier = reach & ~side
-                side |= frontier
-            for u, v in edges[idx:]:
-                if (side >> u ^ side >> v) & 1:
-                    tree_w = w + gain[u][tree_degree[u]] + gain[v][tree_degree[v]]
-                    included.append((u, v))
-                    tree_degree[u] += 1
-                    tree_degree[v] += 1
-                    yield included, tree_degree, tree_w
-                    included.pop()
-                    tree_degree[u] -= 1
-                    tree_degree[v] -= 1
-            continue
-        if components == 1:  # a single vertex
-            yield included, tree_degree, w
+        if components == 3 or components == 1:  # a cut; one component only when n <= 2
+            first = component(0)
+            rest = everyone ^ first
+            second = component((rest & -rest).bit_length() - 1) if rest else 0
+            label = [1 if first >> x & 1 else 2 if second >> x & 1 else 4 for x in range(n)]
+            crossing = [
+                (u, v, label[u] | label[v]) for u, v in edges[idx:] if label[u] != label[v]
+            ]
+            yield included, tree_degree, w, crossing
             continue
         u, v = edges[idx]
         while joined(u, v, suffix[-1]):  # a cycle edge; a crossing edge remains, as the rest connects
@@ -709,6 +725,44 @@ def _spanning_tree_walk(
         tree_degree[v] += 1
         included.append((u, v))
         todo.append((idx + 1, components - 1, None))
+
+
+def _spanning_tree_walk(
+    g: Graph, scale: Sequence[int]
+) -> Iterator[tuple[list, list[int], int]]:
+    """Yield (edges, tree degrees, W) of each spanning tree of connected g once.
+
+    W is the tree's scaled leaf sum over `scale` (see `_leaf_form`). The
+    trees come from the cuts of `_spanning_cuts`, each expanded in edge
+    order: a spanning forest as it is, and otherwise the forest plus each
+    pair e1 < e2 of crossing edges of different tags, in lexicographic
+    order, which is the order an include-first walk down to the last edge
+    would take. Both yielded lists are shared and change at the next
+    step. The CLI's `tree_count_matches_matrix_tree` base check compares
+    the yield count with the count of `_guarded_tree_count`.
+    """
+    gain = _degree_gains(scale)
+    for included, tree_degree, w, crossing in _spanning_cuts(g, gain):
+        if not crossing:  # the forest spans
+            yield included, tree_degree, w
+        for i, (a, b, tag) in enumerate(crossing):
+            first_w = w + gain[a][tree_degree[a]] + gain[b][tree_degree[b]]
+            included.append((a, b))
+            tree_degree[a] += 1
+            tree_degree[b] += 1
+            for x, y, other in crossing[i + 1 :]:
+                if other != tag:
+                    tree_w = first_w + gain[x][tree_degree[x]] + gain[y][tree_degree[y]]
+                    included.append((x, y))
+                    tree_degree[x] += 1
+                    tree_degree[y] += 1
+                    yield included, tree_degree, tree_w
+                    included.pop()
+                    tree_degree[x] -= 1
+                    tree_degree[y] -= 1
+            included.pop()
+            tree_degree[a] -= 1
+            tree_degree[b] -= 1
 
 
 def enumerate_spanning_trees(
@@ -739,23 +793,37 @@ def verify_weight_identity(
 ) -> WeightIdentityReport:
     """Check sum_{T} w(T) = s_{n-1}(G) exactly.
 
-    The left side enumerates every spanning tree and adds its scaled
-    leaf weight W, dividing by L once; the right side computes s_{n-1}
+    The left side visits every spanning tree once, as a cut of
+    `_spanning_cuts` plus a pair of its crossing edges, and adds the
+    tree's scaled leaf weight W, read from its own tree degrees, in one
+    loop per cut, dividing by L once; the right side computes s_{n-1}
     as the sum of matrix-tree counts of the vertex-deleted subgraphs, a
     fully independent route.
     """
     n = g.n
+    matrix_tree_count = _guarded_tree_count(g, cap)
     if n == 1:
         return WeightIdentityReport(
             n=1, tree_count=1, weight_sum=Fraction(0), s_n_minus_1=0, equal=True,
-            matrix_tree_count=1,
+            matrix_tree_count=matrix_tree_count,
         )
-    matrix_tree_count = _guarded_tree_count(g, cap)
     lcm, scale = _leaf_scales(g)
+    gain = _degree_gains(scale)
     scaled_sum = tree_count = 0
-    for _, _, w in _spanning_tree_walk(g, scale):
-        scaled_sum += w
-        tree_count += 1
+    for _, degree, w, crossing in _spanning_cuts(g, gain):
+        if not crossing:  # the forest spans
+            scaled_sum += w
+            tree_count += 1
+        for i, (a, b, tag) in enumerate(crossing):
+            first_w = w + gain[a][degree[a]] + gain[b][degree[b]]
+            degree[a] += 1
+            degree[b] += 1
+            for x, y, other in crossing[i + 1 :]:
+                if other != tag:
+                    scaled_sum += first_w + gain[x][degree[x]] + gain[y][degree[y]]
+                    tree_count += 1
+            degree[a] -= 1
+            degree[b] -= 1
     weight_sum = Fraction(scaled_sum, lcm)
     s_n_minus_1 = 0
     for v in range(n):

@@ -496,6 +496,13 @@ def test_capacity_exit_code(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("spec", ["path(1)", "path(2)"])
+def test_verify_tree_cap_exit_code_on_one_tree_hosts(capsys, spec):
+    status, out, err = invoke(capsys, "verify", "--graph", spec, "--tree-cap", "0")
+    assert (status, out) == (2, "")
+    assert "1 spanning trees exceed the enumeration cap 0" in err
+
+
 def test_capacity_exit_code_names_bitmask_width(capsys):
     status, _, err = invoke(capsys, "counts", "--graph", "cycle(63)", "--cap", "100")
     assert status == 2

@@ -263,6 +263,14 @@ def test_weight_identity_single_vertex():
     assert report.equal and report.tree_count == 1
 
 
+@pytest.mark.parametrize("spec", ["path(1)", "path(2)"])
+def test_weight_identity_guards_the_tree_cap_on_every_host(spec):
+    # a one-vertex host has one spanning tree, like a two-vertex one
+    with pytest.raises(CapacityError):
+        verify_weight_identity(generate(spec), cap=0)
+    assert verify_weight_identity(generate(spec), cap=1).tree_count == 1
+
+
 # -------------------------------------------------------------- enumeration
 
 
@@ -356,6 +364,66 @@ def test_enumeration_order_pinned(spec):
         digest.update((repr(sorted(tree.edges)) + "\n").encode())
         count += 1
     assert (count, digest.hexdigest()) == _TREE_ORDER[spec]
+
+
+def _check_identity_sum(g):
+    """verify's tree count and scaled leaf sum against the walk's trees and brute force."""
+    lcm, scale = _leaf_scales(g)
+    report = verify_weight_identity(g)
+    walked = [w for _, _, w in _spanning_tree_walk(g, scale)]
+    brute = [
+        _leaf_form(Graph.from_edges(g.n, tree).degrees, scale)[0]
+        for tree in _brute_force_spanning_trees(g)
+    ]
+    assert report.tree_count == len(walked) == len(brute)
+    assert report.weight_sum * lcm == sum(walked) == sum(brute)
+
+
+@pytest.mark.parametrize(
+    "host",
+    [
+        Graph.from_edges(1, []),
+        Graph.from_edges(2, [(0, 1)]),
+        generate("complete(3)"),
+        generate("random_tree(7)", seed=5),
+        generate("cycle(6)"),
+    ],
+    ids=["n1", "n2", "n3", "tree", "cycle6"],
+)
+def test_identity_sum_matches_walk_and_brute_force_on_small_hosts(host):
+    _check_identity_sum(host)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=st.integers(1, 7), p=st.sampled_from([0.3, 0.5, 0.6]), seed=st.integers(0, 10**6))
+def test_identity_sum_matches_walk_and_brute_force_on_gnp_hosts(n, p, seed):
+    g, _ = generate_connected(f"gnp({n},{p})", seed=seed)
+    assume(g.m <= 14)
+    _check_identity_sum(g)
+
+
+@pytest.mark.parametrize(
+    "spec, cuts", [("complete_minus_perfect_matching(8)", 10842), ("complete(7)", 1577)]
+)
+def test_tree_walk_branches_to_pinned_cuts(monkeypatch, spec, cuts):
+    # the walk branches down to three components and expands each cut's
+    # pairs without branching; a walk that branched per tree would yield
+    # more cuts, and both consumers read the same ones
+    g = generate(spec)
+    _, scale = _leaf_scales(g)
+    original, seen = spanning._spanning_cuts, []
+
+    def counted(*args):
+        for cut in original(*args):
+            seen.append(len(cut[0]))
+            yield cut
+
+    monkeypatch.setattr(spanning, "_spanning_cuts", counted)
+    assert verify_weight_identity(g).tree_count == spanning_tree_count(g)
+    assert len(seen) == cuts and set(seen) == {g.n - 3}
+    seen.clear()
+    assert sum(1 for _ in _spanning_tree_walk(g, scale)) == spanning_tree_count(g)
+    assert len(seen) == cuts
 
 
 # ------------------------------------------------------------- leaf counts
