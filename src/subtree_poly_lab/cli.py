@@ -177,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_graph(args) -> tuple[Graph, FamilySpec | None, str]:
     if getattr(args, "edge_list", None):
         try:
-            with open(args.edge_list, encoding="utf-8") as handle:
+            with open(args.edge_list, encoding="utf-8-sig") as handle:  # a leading BOM is dropped
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as err:
             raise ValidationError(f"cannot read edge list {args.edge_list!r}: {err}")
@@ -525,6 +525,11 @@ def _cmd_sweep(args) -> tuple[str, int]:
 
 def run(argv=None) -> int:
     parser = _build_parser()
+    # exact counts can exceed Python's int-to-str digit limit (4300 digits by
+    # default, 0 when off): lift it while the command runs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         if not args.command:
@@ -544,6 +549,9 @@ def run(argv=None) -> int:
         for line in _worst_iterates(err):
             print(line, file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _worst_iterates(err: CertificationError) -> list[str]:

@@ -386,22 +386,9 @@ def find_roots(
         n -= 1
     s = s[:n]
     work_bits = _work_bits(precision_bits, max(s))
-    if n == 1:
-        zero = mp.mpc(0)
-        return RootAnalysis(
-            roots=(zero,),
-            residuals=(0.0,),
-            max_modulus=0.0,
-            iterations=0,
-            precision_bits=work_bits,
-            vieta_product=1.0,
-            vieta_target=1.0,
-            vieta_relative_error=0.0,
-            clusters=((0j, 1),),
-        )
     sn = s[-1]
     tops = _top_bits(s)
-    u, e, sweeps = _float_start(s)
+    u, e, sweeps = _float_start(s) if n > 1 else ([], 0, 0)  # S(x) = s_1 x: only the root 0
     xs, corrections, evaluated = _polish(s, tops, u, e, work_bits)
     iterations = sweeps + sum(corrections)
     with mp.workprec(work_bits):

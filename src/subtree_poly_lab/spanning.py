@@ -30,14 +30,15 @@ distinct pair, and workers merge by adding histograms. Rationals and
 floats appear only in final reports.
 
 Enumeration includes and excludes edges depth first with the tree
-degrees and the forest's scaled leaf sum W kept in step, so each tree
-comes with its W. Once the forest has three components, the trees below
-are the forest plus each pair of undecided edges that join different
-pairs of components: the walk labels the components in two searches
-and yields that cut without further branching. The tree enumeration
-expands each cut's pairs in lexicographic edge order; the identity
-check adds up each pair's W from its tree degrees in one loop, building
-no tree.
+degrees and the forest's scaled leaf sum W kept in step. Once the forest
+has three components, the trees below are the forest plus each pair of
+undecided edges that join different pairs of components: the walk
+labels the components in two searches and yields that cut without
+further branching. ``enumerate_spanning_trees`` expands each cut's
+pairs in lexicographic edge order into trees; the identity check adds
+up each pair's W from its tree degrees in one loop, building no tree.
+A sampling run takes one chunk of samples per worker process, and one
+worker runs in-process.
 Only the sampling functions import numpy and the random streams, so
 enumeration and exact weights run without them.
 """
@@ -63,7 +64,6 @@ if TYPE_CHECKING:
     from .rng import RandomStream
 
 DEFAULT_SPANNING_TREE_CAP = 10**6
-_CHUNKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -431,18 +431,18 @@ def _run_weight_samples(g: Graph, samples: int, seed: int, threads: int = 1) -> 
     if not is_connected(g):
         raise ValidationError("sampling requires a connected host graph")
     expected = _expected_draws(g)
-    if threads == 1 or samples < 2 * threads:
-        parts = [_weight_chunk((g, seed, 0, samples, expected))]
+    # one chunk per worker, in-process for one; the histograms merge exactly,
+    # so chunking never changes a result
+    workers = 1
+    if threads > 1:  # os.sched_getaffinity is Linux-only
+        workers = max(1, min(threads, len(os.sched_getaffinity(0)), samples // 2))
+    chunks = [
+        (g, seed, samples * i // workers, samples * (i + 1) // workers, expected)
+        for i in range(workers)
+    ]
+    if workers == 1:
+        parts = map(_weight_chunk, chunks)
     else:
-        pieces = min(samples, threads * _CHUNKS_PER_WORKER)
-        step = -(-samples // pieces)
-        chunks = [
-            (g, seed, lo, min(lo + step, samples), expected)
-            for lo in range(0, samples, step)
-        ]
-        # the chunk count above follows --threads, so stdout does not depend
-        # on the CPU count; only the number of worker processes is bounded
-        workers = min(threads, len(os.sched_getaffinity(0)))
         from concurrent.futures import ProcessPoolExecutor  # only a pooled run loads it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -727,55 +727,38 @@ def _spanning_cuts(
         todo.append((idx + 1, components - 1, None))
 
 
-def _spanning_tree_walk(
-    g: Graph, scale: Sequence[int]
-) -> Iterator[tuple[list, list[int], int]]:
-    """Yield (edges, tree degrees, W) of each spanning tree of connected g once.
-
-    W is the tree's scaled leaf sum over `scale` (see `_leaf_form`). The
-    trees come from the cuts of `_spanning_cuts`, each expanded in edge
-    order: a spanning forest as it is, and otherwise the forest plus each
-    pair e1 < e2 of crossing edges of different tags, in lexicographic
-    order, which is the order an include-first walk down to the last edge
-    would take. Both yielded lists are shared and change at the next
-    step. The CLI's `tree_count_matches_matrix_tree` base check compares
-    the yield count with the count of `_guarded_tree_count`.
-    """
-    gain = _degree_gains(scale)
-    for included, tree_degree, w, crossing in _spanning_cuts(g, gain):
-        if not crossing:  # the forest spans
-            yield included, tree_degree, w
-        for i, (a, b, tag) in enumerate(crossing):
-            first_w = w + gain[a][tree_degree[a]] + gain[b][tree_degree[b]]
-            included.append((a, b))
-            tree_degree[a] += 1
-            tree_degree[b] += 1
-            for x, y, other in crossing[i + 1 :]:
-                if other != tag:
-                    tree_w = first_w + gain[x][tree_degree[x]] + gain[y][tree_degree[y]]
-                    included.append((x, y))
-                    tree_degree[x] += 1
-                    tree_degree[y] += 1
-                    yield included, tree_degree, tree_w
-                    included.pop()
-                    tree_degree[x] -= 1
-                    tree_degree[y] -= 1
-            included.pop()
-            tree_degree[a] -= 1
-            tree_degree[b] -= 1
-
-
 def enumerate_spanning_trees(
     g: Graph, cap: int = DEFAULT_SPANNING_TREE_CAP
 ) -> Iterator[SpanningTree]:
-    """Each spanning tree exactly once (see _spanning_tree_walk).
+    """Each spanning tree of connected g exactly once; host and cap checked on the call.
 
-    The host and the cap are checked on the call, before the first tree.
+    The trees come from the cuts of `_spanning_cuts`, in edge order: a
+    spanning forest as it is, and otherwise the forest plus each pair
+    e1 < e2 of crossing edges of different tags, in lexicographic order,
+    the order an include-first walk down to the last edge would take.
     """
     _guarded_tree_count(g, cap)
-    _, scale = _leaf_scales(g)
-    trees = _spanning_tree_walk(g, scale)
-    return (_tree(g.n, edges, tree_degree) for edges, tree_degree, _ in trees)
+    n = g.n
+
+    def trees() -> Iterator[SpanningTree]:
+        # the trees read no W, so every gain is 0
+        for included, degree, _, crossing in _spanning_cuts(g, _degree_gains([0] * n)):
+            if not crossing:  # the forest spans
+                yield _tree(n, included, degree)
+            for i, (a, b, tag) in enumerate(crossing):
+                degree[a] += 1
+                degree[b] += 1
+                for x, y, other in crossing[i + 1 :]:
+                    if other != tag:
+                        degree[x] += 1
+                        degree[y] += 1
+                        yield _tree(n, (*included, (a, b), (x, y)), degree)
+                        degree[x] -= 1
+                        degree[y] -= 1
+                degree[a] -= 1
+                degree[b] -= 1
+
+    return trees()
 
 
 @dataclass(frozen=True)
@@ -802,11 +785,6 @@ def verify_weight_identity(
     """
     n = g.n
     matrix_tree_count = _guarded_tree_count(g, cap)
-    if n == 1:
-        return WeightIdentityReport(
-            n=1, tree_count=1, weight_sum=Fraction(0), s_n_minus_1=0, equal=True,
-            matrix_tree_count=matrix_tree_count,
-        )
     lcm, scale = _leaf_scales(g)
     gain = _degree_gains(scale)
     scaled_sum = tree_count = 0
@@ -825,10 +803,9 @@ def verify_weight_identity(
             degree[a] -= 1
             degree[b] -= 1
     weight_sum = Fraction(scaled_sum, lcm)
-    s_n_minus_1 = 0
-    for v in range(n):
-        rest = [u for u in range(n) if u != v]
-        s_n_minus_1 += subset_spanning_tree_count(g, rest)
+    s_n_minus_1 = 0  # s_0 counts no subtree
+    for v in range(n if n > 1 else 0):
+        s_n_minus_1 += subset_spanning_tree_count(g, [u for u in range(n) if u != v])
     return WeightIdentityReport(
         n=n,
         tree_count=tree_count,

@@ -471,6 +471,36 @@ def test_edge_list_input(tmp_path, capsys):
     assert json.loads(out)["result"]["counts"] == ["3", "3", "3"]
 
 
+def test_edge_list_with_byte_order_mark(tmp_path, capsys):
+    # editors on Windows often save UTF-8 with a leading EF BB BF
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("4 4\n0 1\n1 2\n2 3\n0 2\n", encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    results = []
+    for path in (plain, marked):
+        status, out, err = invoke(capsys, "counts", "--edge-list", str(path))
+        assert (status, err) == (0, "")
+        results.append(json.loads(out)["result"])
+    assert results[0] == results[1]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+def test_counts_print_past_the_int_str_digit_limit(capsys):
+    # s_270 of K_270 is 270^268, 652 digits; the command lifts the limit
+    # while it runs and restores it on return
+    digits = str(270**268)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        status, out, _ = invoke(capsys, "counts", "--graph", "complete(270)", "--format", "csv")
+        limit = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert len(digits) > 640
+    assert (status, limit) == (0, 640)
+    assert out.splitlines()[-1] == f"270,{digits}"
+
+
 @pytest.mark.parametrize("name", ["missing.txt", "."])
 def test_unreadable_edge_list(tmp_path, capsys, name):
     # an unreadable path used to end in an OSError traceback

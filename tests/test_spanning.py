@@ -41,7 +41,6 @@ from subtree_poly_lab.spanning import (
     _leaf_form,
     _leaf_scales,
     _parent_degrees,
-    _spanning_tree_walk,
     _weight_chunk,
     _wilson_batch,
     _wilson_parents,
@@ -195,8 +194,8 @@ def test_estimate_thread_count_invariance():
 
 
 def test_worker_pool_is_bounded_by_usable_cpus(monkeypatch):
-    # --threads far above the CPU count asks for no more processes than CPUs;
-    # the chunking, and so the result, still follows the thread count
+    # --threads far above the CPU count asks for no more processes than CPUs,
+    # and the run takes one chunk per worker; the result follows neither
     seen = {}
 
     class RecordingPool:  # runs the chunks in this process, starts none
@@ -214,12 +213,22 @@ def test_worker_pool_is_bounded_by_usable_cpus(monkeypatch):
             seen["chunks"] = len(chunks)
             return map(fn, chunks)
 
+    def no_affinity(pid):  # os.sched_getaffinity exists only on Linux
+        raise AssertionError("a one-thread run reads no CPU count")
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", no_affinity)
     g = generate("complete(4)")
-    wide = estimate_beta(g, samples=10000, seed=3, threads=5000)
-    assert seen["max_workers"] == min(5000, len(os.sched_getaffinity(0)))
-    assert seen["chunks"] == 10000
-    assert wide == estimate_beta(g, samples=10000, seed=3, threads=1)
+    for cpus, samples, workers in [(3, 10000, 3), (3, 5, 2), (1, 10000, 1)]:
+        serial = estimate_beta(g, samples, seed=3, threads=1)
+        assert seen == {}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        wide = estimate_beta(g, samples, seed=3, threads=5000)
+        # min(threads, usable CPUs, samples // 2) workers, one chunk each; no pool for one
+        assert seen == ({} if workers == 1 else {"max_workers": workers, "chunks": workers})
+        assert wide == serial
+        seen.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", no_affinity)
 
 
 def test_weight_experiment_matches_components():
@@ -314,11 +323,7 @@ def _brute_force_spanning_trees(g):
 
 
 def _check_walk(g):
-    _, scale = _leaf_scales(g)
-    seen = []
-    for edges, tree_degree, w in _spanning_tree_walk(g, scale):
-        assert w == _leaf_form(tree_degree, scale)[0]
-        seen.append(frozenset(edges))
+    seen = [frozenset(tree.edges) for tree in enumerate_spanning_trees(g)]
     assert len(seen) == spanning_tree_count(g)
     assert set(seen) == _brute_force_spanning_trees(g)
     assert len(set(seen)) == len(seen)
@@ -367,16 +372,22 @@ def test_enumeration_order_pinned(spec):
 
 
 def _check_identity_sum(g):
-    """verify's tree count and scaled leaf sum against the walk's trees and brute force."""
+    """verify's tree count and scaled leaf sum against the enumerated trees and brute force.
+
+    Each tree's W is recomputed with _leaf_form from that tree's own degrees.
+    """
     lcm, scale = _leaf_scales(g)
     report = verify_weight_identity(g)
-    walked = [w for _, _, w in _spanning_tree_walk(g, scale)]
+    enumerated = [
+        _leaf_form(Graph.from_edges(g.n, tree.edges).degrees, scale)[0]
+        for tree in enumerate_spanning_trees(g)
+    ]
     brute = [
         _leaf_form(Graph.from_edges(g.n, tree).degrees, scale)[0]
         for tree in _brute_force_spanning_trees(g)
     ]
-    assert report.tree_count == len(walked) == len(brute)
-    assert report.weight_sum * lcm == sum(walked) == sum(brute)
+    assert report.tree_count == len(enumerated) == len(brute)
+    assert report.weight_sum * lcm == sum(enumerated) == sum(brute)
 
 
 @pytest.mark.parametrize(
@@ -410,7 +421,6 @@ def test_tree_walk_branches_to_pinned_cuts(monkeypatch, spec, cuts):
     # pairs without branching; a walk that branched per tree would yield
     # more cuts, and both consumers read the same ones
     g = generate(spec)
-    _, scale = _leaf_scales(g)
     original, seen = spanning._spanning_cuts, []
 
     def counted(*args):
@@ -422,7 +432,7 @@ def test_tree_walk_branches_to_pinned_cuts(monkeypatch, spec, cuts):
     assert verify_weight_identity(g).tree_count == spanning_tree_count(g)
     assert len(seen) == cuts and set(seen) == {g.n - 3}
     seen.clear()
-    assert sum(1 for _ in _spanning_tree_walk(g, scale)) == spanning_tree_count(g)
+    assert sum(1 for _ in enumerate_spanning_trees(g)) == spanning_tree_count(g)
     assert len(seen) == cuts
 
 
