@@ -13,22 +13,30 @@ in double range; each root freezes once |F| is at the level of rounding
 error. The roots are mapped back to x = 1/y and polished by Gauss-Seidel
 Aberth corrections on a precision ladder: 128, 256, 512, ... bits,
 ending at exactly the working precision, each stage stopping every root
-at its rounding level. Each step evaluates Q(x) = S(x)/x in Gaussian
-fixed point on the exact integer coefficients (Python integers, no
-mpmath) and builds Q'(x) from the same pass's partial sums only when
-the root moves; the correction sums the Aberth repulsion in double
-precision, and the simultaneous correction keeps two iterates from
-settling on one root. The roots are certified at the working precision
-by scale-normalized residuals |Q(x)| / Q(|x|), taken from the last
-evaluation of the final polish stage (a root moved after it is
-evaluated afresh), plus a Vieta product check in mpmath. Certification
-failures raise; they are never silent. The design follows MPSolve
-(Bini and Fiorentino, 2000; Bini and Robol, 2014).
+at its rounding level. The polish holds each root as Gaussian
+fixed-point integers (xr, xi, t), x = (xr + i xi) 2^-t, rounded to the
+stage's bits, and runs on Python integers alone: each step evaluates
+Q(x) = S(x)/x on the exact integer coefficients, builds Q'(x) from the
+same pass's partial sums only when the root moves, and takes the Newton
+quotient and the Aberth step N/(1 - N R) by integer division, the
+repulsion R summed in double precision and read exactly; the
+simultaneous correction keeps two iterates from settling on one root.
+mpmath serves only a root whose repulsion leaves double range. The
+roots are certified at the working precision by scale-normalized
+residuals |Q(x)| / Q(|x|), taken from the last evaluation of the final
+polish stage (a root moved after it is evaluated afresh), plus a Vieta
+product check in mpmath on the roots built exactly from the integers.
+Where certification fails, the roots are polished again from their own
+iterates at twice the precision, at most MAX_ESCALATIONS times; a
+failure after that raises, it is never silent. The design follows
+MPSolve (Bini and Fiorentino, 2000; Bini and Robol, 2014), which also
+keeps its iterates in the arithmetic of its evaluator.
 
 Also here: the Rouche margin |F(y) - e^{beta y}| / |e^{beta y}| sampled
 on the circle |y| = alpha log(n) / C, with F(y) from the integer
-evaluator on the exact reversed counts s_n, ..., s_1 and one division by
-s_n per point, each conjugate pair of points evaluated once, and the
+evaluator on the exact reversed counts s_n, ..., s_1 (each point
+converted to its integers by _fixed_point) and one division by s_n per
+point, each conjugate pair of points evaluated once, and the
 contrast checks for tree hosts. The exact
 Poisson-profile diagnostics (`exact_beta`, `poisson_deviation`) take the
 counts alone and live in `counting`.
@@ -43,6 +51,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 from . import params
 from .counting import SubtreeCountVector, counts_for, exact_beta
@@ -58,6 +67,7 @@ CLUSTER_TOLERANCE = 1e-7
 TREE_ROOT_BOUND = 1.0 + 3.0 ** (1.0 / 3.0)
 MAX_START_SWEEPS = 500  # double-precision Aberth sweeps before the polish takes over
 MAX_POLISH_SWEEPS = 60  # Aberth sweeps per polish stage
+MAX_ESCALATIONS = 2  # re-polishes at twice the precision before certification fails
 
 
 @dataclass(frozen=True)
@@ -206,54 +216,100 @@ def _to_fixed(v: tuple, shift: int) -> int:
     return -man if sign else man
 
 
-def _top_bits(s: Sequence[int]) -> list[tuple[int, int]]:
-    """(k, bitlen(s[k]) - 1) for each nonzero s[k] with k >= 1, so 2^b <= s[k].
+def _guarded(bits: int, n: int) -> int:
+    """F = bits + guard bits: the bits _fixed_horner keeps of x for n coefficients."""
+    return bits + 2 * (4 * n).bit_length()
 
-    _fixed_horner bounds its scale from these; they depend on the
+
+def _exponent(lx: float) -> int:
+    """m with 1/4 < 2^m |x| < 1, from lx <= log2|x| < lx + 1/2."""
+    return -math.floor(lx + 0.5) - 1
+
+
+def _fixed_point(x, bits: int, n: int) -> tuple[int, int, int]:
+    """The mpc x as the Gaussian fixed point (xr, xi, t) _fixed_horner reads at `bits`.
+
+    x = (xr + i xi) 2^-t up to truncation, with t = F + m as in
+    _fixed_horner, read off the mantissas and exponents of x. It is how
+    a point given in mpmath (a Rouche circle point) enters the evaluator.
+    """
+    re, im = x._mpc_
+    parts = [math.log2(man) + exp for _, man, exp, _ in (re, im) if man]
+    t = _guarded(bits, n) + (_exponent(max(parts)) if parts else 0)
+    return _to_fixed(re, t), _to_fixed(im, t), t
+
+
+def _top_bits(s: Sequence[int]) -> list[tuple[int, int]]:
+    """The points (k, bitlen(s[k]) - 1), k >= 1, on the upper hull of all of them.
+
+    2^b <= s[k] at each point. _fixed_horner bounds its scale from
+    max_k (b + k lx) over these: a linear function of the point is
+    largest on the upper convex hull, and a point strictly below the
+    hull loses to a hull point by at least 1/d, far more than rounding,
+    so the hull (computed exactly on integers, collinear points kept)
+    gives the same maximum as all the points. They depend on the
     polynomial only, so each caller takes them once per polynomial.
     """
-    return [(k, c.bit_length() - 1) for k, c in enumerate(s) if k and c]
+    hull = []
+    for k, c in enumerate(s):
+        if not (k and c):
+            continue
+        b = c.bit_length() - 1
+        # drop the last point while it lies strictly below the chord to (k, b)
+        while len(hull) >= 2:
+            (k1, b1), (k2, b2) = hull[-2], hull[-1]
+            if (b2 - b1) * (k - k1) >= (b - b1) * (k2 - k1):
+                break
+            hull.pop()
+        hull.append((k, b))
+    return hull
 
 
-def _fixed_horner(s: Sequence[int], tops: list, x, bits: int, magnitude: bool = True) -> tuple:
+def _fixed_horner(
+    s: Sequence[int], tops: list, x: tuple, bits: int, magnitude: bool = True
+) -> tuple:
     """Q(x) and Q(|x|) for Q(x) = sum_k s[k] x^k, in Gaussian fixed point.
 
     One Horner pass over the exact integer coefficients, on Python
-    integers only; `tops` is _top_bits(s). Returns (p_re, p_im, scale, G,
-    m, trail): p and scale are Q(x) and Q(|x|) times 2^G, and trail keeps
-    the fixed-point x and the partial sums the pass multiplied by x, from
-    which _fixed_derivative builds Q'(x) only where a caller needs it.
-    With magnitude=False the Q(|x|) recurrence (one product per step, and
-    the square root giving |x|) is skipped and scale is None; p and the
-    other outputs are the same integers either way.
+    integers only; `tops` is _top_bits(s) and x the triple (xr, xi, t),
+    x = (xr + i xi) 2^-t. Returns (p_re, p_im, scale, G, m, trail): p and
+    scale are Q(x) and Q(|x|) times 2^G, and trail keeps the fixed-point
+    x and the partial sums the pass multiplied by x, from which
+    _fixed_derivative builds Q'(x) only where a caller needs it. With
+    magnitude=False the Q(|x|) recurrence (one product per step, and the
+    square root giving |x|) is skipped and scale is None; p and the other
+    outputs are the same integers either way.
 
-    X = x 2^(F+m) is read off the mantissas and exponents of the mpc x,
-    with F = bits + guard bits and 1/4 < 2^m |x| < 1, so X keeps F bits
-    of x whatever |x| (for |x| < 1 the shift F + m is about
-    F + max(0, -log2|x|)). The partial sum still to be multiplied by x^k
-    is held at scale 2^(G - m k), so each step truncates by less than
-    3 units of 2^-G in Q(x) (of 2^-(G-m) in Q'(x)). G comes from a lower
-    bound on max_{k>=1} s_k |x|^k, which is below both Q(|x|) and
-    |x| Q'(|x|): the errors stay under 2^-(bits+guard) Q(|x|) and
-    d 2^-(bits+guard) Q'(|x|), the accuracy of mpmath's Horner at `bits`
-    and far below the stop test's threshold 4 d 2^-bits Q(|x|), with
-    integers no longer than the stage needs.
+    X = x 2^(F+m) is the triple brought to F = bits + guard fractional
+    bits at 1/4 < 2^m |x| < 1 (a shift, exact for a triple of the polish,
+    which holds `bits` bits, and none for one from _fixed_point), so X
+    keeps F bits of x whatever |x|. The partial sum still to be
+    multiplied by x^k is held at scale 2^(G - m k), so each step
+    truncates by less than 3 units of 2^-G in Q(x) (of 2^-(G-m) in
+    Q'(x)). G comes from a lower bound on max_{k>=1} s_k |x|^k, which is
+    below both Q(|x|) and |x| Q'(|x|): the errors stay under
+    2^-(bits+guard) Q(|x|) and d 2^-(bits+guard) Q'(|x|), the accuracy of
+    mpmath's Horner at `bits` and far below the stop test's threshold
+    4 d 2^-bits Q(|x|), with integers no longer than the stage needs.
     """
     d = len(s) - 1
-    re, im = x._mpc_
-    F = bits + 2 * (4 * len(s)).bit_length()
-    parts = [math.log2(man) + exp for _, man, exp, _ in (re, im) if man]
-    if parts and d:
-        lx = max(parts)  # lx <= log2|x| < lx + 1/2
-        m = -math.floor(lx + 0.5) - 1
+    xr, xi, point = x
+    F = _guarded(bits, len(s))
+    top = max(abs(xr), abs(xi))
+    if top and d:
+        lx = math.log2(top) - point  # lx <= log2|x| < lx + 1/2
+        m = _exponent(lx)
         # 2^low <= max_{k>=1} s_k |x|^k, which is at most Q(|x|) and |x| Q'(|x|)
         low = max((b + k * lx for k, b in tops), default=0)
     else:
         m = 0
         low = s[0].bit_length() - 1
     G = F + (3 * (d + 1)).bit_length() + 1 - math.floor(low)
-    xr = _to_fixed(re, F + m)
-    xi = _to_fixed(im, F + m)
+    shift = F + m - point
+    if shift >= 0:
+        xr, xi = xr << shift, xi << shift
+    else:
+        xr, xi = xr >> -shift, xi >> -shift
     xsum, xdif = xr + xi, xi - xr
     a = math.isqrt(xr * xr + xi * xi) if magnitude else None
     shift = G - m * d
@@ -289,82 +345,186 @@ def _fixed_derivative(trail: tuple) -> tuple[int, int]:
     return dr, di
 
 
-def _scaled_copy(x, e: int) -> complex:
-    """x 2^e rounded to a Python complex (inf or 0 where it leaves double range)."""
-    return complex(mp.ldexp(x.real, e), mp.ldexp(x.imag, e))
+def _rounded(xr: int, xi: int, t: int, bits: int) -> tuple[int, int, int]:
+    """The point (xr + i xi) 2^-t rounded to `bits` bits: the triple at t' = bits + m.
+
+    m is _fixed_horner's exponent of the point, so the larger part holds
+    at most `bits` bits; a left shift is exact, a right shift rounds to
+    nearest. The origin stays as it is.
+    """
+    top = max(abs(xr), abs(xi))
+    if not top:
+        return xr, xi, t
+    shift = bits + _exponent(math.log2(top) - t) - t
+    if shift >= 0:
+        return xr << shift, xi << shift, t + shift
+    half = 1 << (-shift - 1)
+    return (xr + half) >> -shift, (xi + half) >> -shift, t + shift
 
 
-def _repulsion(xs: list, scaled: list, j: int, e: int):
-    """sum_{k != j} 1/(x_j - x_k), in double precision on the copies x 2^e.
+def _dyadic(z: complex) -> tuple[int, int, int]:
+    """A finite complex double exactly as (zr, zi, k): z = (zr + i zi) 2^-k."""
+    (ar, da), (ai, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    k = max(da, db).bit_length() - 1  # the denominators are powers of two
+    return ar * (1 << k) // da, ai * (1 << k) // db, k
 
-    The sum only scales the Newton step, so double precision suffices.
-    A root whose copy left double range (or whose double sum is not
-    finite) takes the multiprecision sum instead.
+
+def _reciprocal(u: complex, e: int, bits: int) -> tuple[int, int, int]:
+    """x = 1/(2^e u) for a nonzero double u, as a triple rounded to `bits` bits."""
+    ur, ui, k = _dyadic(u)
+    D = ur * ur + ui * ui
+    # x = conj(u) / |u|^2 2^-e = (ur - i ui) 2^(k-e) / D, to 2^-t with 2^t |x| >= 2^bits
+    t = bits + 1 + D.bit_length() // 2 - k + e
+    shift = t + k - e
+    return _rounded((ur << shift) // D, (-ui << shift) // D, t, bits)
+
+
+def _scaled_copy(x: tuple, e: int) -> complex:
+    """x 2^e as a Python complex (inf or 0 where it leaves double range)."""
+    xr, xi, t = x
+    return complex(_scaled_ratio(xr, 1, e - t), _scaled_ratio(xi, 1, e - t))
+
+
+def _exact(x: tuple):
+    """The triple's point as an mpc, exactly (its parts need no rounding)."""
+    xr, xi, t = x
+    return mp.make_mpc((from_man_exp(xr, -t), from_man_exp(xi, -t)))
+
+
+def _newton(p: tuple, q: tuple, m: int, t: int, bits: int) -> tuple[int, int, int]:
+    """Q/Q' as a triple (nr, ni, t'): p conj(q) / |q|^2 2^(t'-m), by integer division.
+
+    p = Q 2^G and q = Q' 2^(G-m) come from _fixed_horner and
+    _fixed_derivative at a point held at 2^-t. The quotient is floored
+    to the units of 2^-t', the finer of that grid and the one holding
+    `bits` bits of Q/Q' itself: a small quotient keeps its bits for the
+    stop test, and a step from the origin (a point of no magnitude to
+    set its grid) lands on the bits it carries.
+    """
+    (pr, pi), (dr, di) = p, q
+    size = max(abs(dr), abs(di)).bit_length() - max(abs(pr), abs(pi)).bit_length()
+    t = max(t, bits + 2 + m + size)
+    nr, ni, den = pr * dr + pi * di, pi * dr - pr * di, dr * dr + di * di
+    shift = t - m
+    if shift >= 0:
+        return (nr << shift) // den, (ni << shift) // den, t
+    den <<= -shift
+    return nr // den, ni // den, t
+
+
+def _repulsion(scaled: list, j: int):
+    """sum_{k != j} 1/(c_j - c_k) on the double copies c = x 2^e, or None.
+
+    The sum times 2^e is the Aberth repulsion R = sum 1/(x_j - x_k); it
+    only scales the Newton step, so double precision suffices. None
+    where the copy of x_j left double range or the sum is not finite.
     """
     cj = scaled[j]
     if cj != 0 and cmath.isfinite(cj):
         # itself (and an exact duplicate) repels nothing
         r = sum(1 / (cj - ck) for ck in scaled if ck != cj)
         if cmath.isfinite(r):
-            return mp.mpc(mp.ldexp(r.real, e), mp.ldexp(r.imag, e))
-    xj = xs[j]
-    return mp.fsum(1 / (xj - xk) for xk in xs if xk != xj)
+            return r
+    return None
+
+
+def _aberth_step(newton: tuple, t: int, e: int, r: complex) -> tuple[int, int]:
+    """The Aberth step N/(1 - N R) times 2^t, as (re, im), by integer division.
+
+    newton is N 2^t from _newton and r = R 2^-e the double sum of
+    _repulsion, whose parts are dyadic: w = N R is the exact Gaussian
+    integer W over 2^v, and the step N 2^v / (2^v - W) is floored to the
+    units of 2^-t, so no w is too small to count. Plain Newton where
+    1 - N R vanishes.
+    """
+    nr, ni = newton
+    rr, ri, k = _dyadic(r)
+    wr, wi = nr * rr - ni * ri, nr * ri + ni * rr
+    v = t + k - e
+    if v < 0:
+        wr, wi, v = wr << -v, wi << -v, 0
+    dr, di = (1 << v) - wr, -wi
+    den = dr * dr + di * di
+    if not den:
+        return nr, ni
+    return ((nr * dr + ni * di) << v) // den, ((ni * dr - nr * di) << v) // den
+
+
+def _exact_aberth_step(newton: tuple, t: int, xs: list, j: int, bits: int) -> tuple[int, int]:
+    """The Aberth step of _aberth_step with R summed in mpmath at `bits`.
+
+    For a root whose double repulsion left double range: R is the
+    multiprecision sum over the exact iterates, and the step is plain
+    Newton where 1 - N R vanishes.
+    """
+    with mp.workprec(bits):
+        newton = _exact((newton[0], newton[1], t))
+        xj = _exact(xs[j])
+        repulsion = mp.fsum(1 / (xj - xk) for xk in map(_exact, xs) if xk != xj)
+        denom = 1 - newton * repulsion
+        step = newton / denom if denom != 0 else newton
+        return _to_fixed(step.real._mpf_, t), _to_fixed(step.imag._mpf_, t)
 
 
 def _polish(
-    s: Sequence[int], tops: list, u: list[complex], e: int, work_bits: int
+    s: Sequence[int], tops: list, xs: list, e: int, stages: list[int]
 ) -> tuple[list, list[int], dict]:
-    """Gauss-Seidel Aberth corrections on Q(x) = S(x)/x from the start y = 2^e u.
+    """Gauss-Seidel Aberth corrections on Q(x) = S(x)/x, on Gaussian fixed-point integers.
 
-    `tops` is _top_bits(s). Returns the roots x = 1/y polished to
-    work_bits, the number of corrections at each stage of
-    _stages(work_bits), and the last stage's evaluations: each x it
-    evaluated (as x._mpc_) maps to the integers (p_re, p_im, scale) of
-    _fixed_horner at work_bits, so the certification re-evaluates only a
-    root that moved after its last evaluation. Each stage runs at most
-    MAX_POLISH_SWEEPS sweeps at its precision, each correction using the
-    roots already corrected. A root freezes for the stage when
+    `tops` is _top_bits(s), xs the start points as triples (xr, xi, t)
+    (x = (xr + i xi) 2^-t) and e the exponent that brings 2^e x into
+    double range for the repulsion. Returns the points polished to the
+    last of `stages` (the polish precisions, _stages(work_bits) from a
+    cold start), the number of corrections at each stage, and the last
+    stage's evaluations: each triple it evaluated maps to the integers
+    (p_re, p_im, scale) of _fixed_horner there, so the certification
+    re-evaluates only a root that moved after its last evaluation.
+
+    Each stage rounds the points to its bits and runs at most
+    MAX_POLISH_SWEEPS sweeps, each correction using the roots already
+    corrected. A root freezes for the stage when
     |Q(x)| <= 4 d 2^-bits Q(|x|) (rounding level; Q has nonnegative
-    coefficients, and the test is exact on the integers of _fixed_horner)
-    or its step falls below 2^-(bits-16)|x|. Q'(x) is built only after
-    the freeze test fails. Frozen roots still repel the others.
+    coefficients) or its step falls below 2^-(bits-16)|x|. Q'(x) is
+    built only after the freeze test fails. Frozen roots still repel the
+    others. Every test and step runs on the integers; mpmath serves only
+    a root whose repulsion leaves double range.
     """
     d = len(s) - 1
-    stages = _stages(work_bits)
-    with mp.workprec(stages[0]):
-        xs = [1 / (mp.mpc(complex(uj)) * mp.ldexp(1, e)) for uj in u]
     scaled = [_scaled_copy(x, e) for x in xs]
     corrections = []
     evaluated = {}
     for bits in stages:
+        xs = [_rounded(*x, bits) for x in xs]
         count = 0
-        with mp.workprec(bits):
-            stop = mp.ldexp(1, -(bits - 16))
-            active = list(range(d))
-            for _ in range(MAX_POLISH_SWEEPS):
-                if not active:
-                    break
-                still = []
-                for j in active:
-                    pr, pi, scale, _, m, trail = _fixed_horner(s, tops, xs[j], bits)
-                    if bits == work_bits:
-                        evaluated[xs[j]._mpc_] = pr, pi, scale
-                    if (pr * pr + pi * pi) << (2 * bits) <= (4 * d * scale) ** 2:
-                        continue
-                    dr, di = _fixed_derivative(trail)
-                    if not (dr or di):
-                        continue
-                    # Q/Q' with both integers brought to one scale, which cancels
-                    up, down = max(0, -m), max(0, m)
-                    newton = mp.mpc(pr << up, pi << up) / mp.mpc(dr << down, di << down)
-                    denom = 1 - newton * _repulsion(xs, scaled, j, e)
-                    step = newton / denom if denom != 0 else newton
-                    xs[j] -= step
-                    scaled[j] = _scaled_copy(xs[j], e)
-                    count += 1
-                    if abs(step) > stop * abs(xs[j]):
-                        still.append(j)
-                active = still
+        active = list(range(d))
+        for _ in range(MAX_POLISH_SWEEPS):
+            if not active:
+                break
+            still = []
+            for j in active:
+                x = xs[j]
+                pr, pi, scale, _, m, trail = _fixed_horner(s, tops, x, bits)
+                if bits == stages[-1]:
+                    evaluated[x] = pr, pi, scale
+                if (pr * pr + pi * pi) << (2 * bits) <= (4 * d * scale) ** 2:
+                    continue
+                q = _fixed_derivative(trail)
+                if not any(q):
+                    continue
+                nr, ni, ts = _newton((pr, pi), q, m, x[2], bits)
+                r = _repulsion(scaled, j)
+                if r is None:
+                    sr, si = _exact_aberth_step((nr, ni), ts, xs, j, bits)
+                else:
+                    sr, si = _aberth_step((nr, ni), ts, e, r)
+                # the point on the step's grid, where the subtraction is exact
+                xr, xi = (x[0] << (ts - x[2])) - sr, (x[1] << (ts - x[2])) - si
+                xs[j] = _rounded(xr, xi, ts, bits)
+                scaled[j] = _scaled_copy(xs[j], e)
+                count += 1
+                if (sr * sr + si * si) << (2 * (bits - 16)) > xr * xr + xi * xi:
+                    still.append(j)
+            active = still
         corrections.append(count)
     return xs, corrections, evaluated
 
@@ -376,9 +536,11 @@ def find_roots(
     """All roots of S(x), certified; the count equals the true degree.
 
     Trailing zero coefficients (a disconnected source leaves s_n = 0)
-    are trimmed first. Raises CertificationError (carrying the best
-    iterates and residuals) if any residual stays above threshold or
-    the Vieta product check misses, instead of returning dubious roots.
+    are trimmed first. Where a residual stays above threshold or the
+    Vieta product check misses, the roots are polished again from their
+    own iterates at twice the working precision, at most MAX_ESCALATIONS
+    times; then it raises CertificationError (carrying the best iterates
+    and residuals) instead of returning dubious roots.
     """
     s = p.coefficients
     n = p.degree
@@ -386,32 +548,38 @@ def find_roots(
         n -= 1
     s = s[:n]
     work_bits = _work_bits(precision_bits, max(s))
-    sn = s[-1]
     tops = _top_bits(s)
     u, e, sweeps = _float_start(s) if n > 1 else ([], 0, 0)  # S(x) = s_1 x: only the root 0
-    xs, corrections, evaluated = _polish(s, tops, u, e, work_bits)
-    iterations = sweeps + sum(corrections)
-    with mp.workprec(work_bits):
-        roots = [mp.mpc(0)] + xs
-        residuals = [0.0]
+    stages = _stages(work_bits)
+    xs = [_reciprocal(uj, e, stages[0]) for uj in u]
+    iterations = sweeps
+    for escalation in range(MAX_ESCALATIONS + 1):
+        if escalation:
+            stages = [2 * work_bits]
+        xs, corrections, evaluated = _polish(s, tops, xs, e, stages)
+        iterations += sum(corrections)
+        work_bits = stages[-1]
         # scale-normalized residuals |S(x)| / S(|x|) = |Q(x)| / Q(|x|), the
         # |x| factors cancelling; the scale is free of cancellation and
         # positive (Q has nonnegative coefficients and Q(0) = s_1 >= 1).
         # A root the polish left where it last evaluated it at work_bits
         # takes those integers; one it moved afterwards is evaluated afresh.
-        for x in xs:
-            known = evaluated.get(x._mpc_)
-            pr, pi, scale = known or _fixed_horner(s, tops, x, work_bits)[:3]
-            residuals.append(float(abs(mp.mpc(pr, pi)) / scale))
-        vieta_product = mp.mpf(1)
-        for x in roots[1:]:
-            vieta_product *= abs(x)
-        vieta_target = mp.mpf(s[0]) / mp.mpf(sn)
-        vieta_rel = float(abs(vieta_product - vieta_target) / vieta_target)
+        residuals = [0.0]
+        with mp.workprec(work_bits):
+            for x in xs:
+                pr, pi, scale = evaluated.get(x) or _fixed_horner(s, tops, x, work_bits)[:3]
+                residuals.append(float(abs(mp.mpc(pr, pi)) / scale))
+            roots = [mp.mpc(0)] + [_exact(x) for x in xs]
+            vieta_product = mp.fprod(abs(x) for x in roots[1:])
+            vieta_target = mp.mpf(s[0]) / mp.mpf(s[-1])
+            vieta_rel = float(abs(vieta_product - vieta_target) / vieta_target)
+        if _certified(residuals, vieta_rel):
+            break
+    _require_certified(roots, residuals, vieta_rel)
+    with mp.workprec(work_bits):
         half_bits = work_bits // 2
         pairs = sorted(zip(roots[1:], residuals[1:]), key=lambda t: _root_key(t[0], half_bits))
         max_modulus = float(max(abs(x) for x in roots))
-    _require_certified(roots, residuals, vieta_rel)
     ordered = [roots[0]] + [x for x, _ in pairs]
     ordered_residuals = (0.0,) + tuple(r for _, r in pairs)
     return RootAnalysis(
@@ -446,14 +614,15 @@ def _root_key(x, half_bits: int) -> tuple:
     return int(mp.nint(mp.ldexp(x.real / abs(x), half_bits))), x.imag
 
 
-def _require_certified(roots: list, residuals: list[float], vieta_rel: float) -> None:
-    """Raise unless every residual and the Vieta error are within tolerance.
+def _certified(residuals: list[float], vieta_rel: float) -> bool:
+    """Every residual and the Vieta error within tolerance; a NaN fails."""
+    residuals_ok = all(r <= RESIDUAL_THRESHOLD for r in residuals)
+    return residuals_ok and vieta_rel <= VIETA_RELATIVE_TOLERANCE
 
-    Written as "not (value <= bound)" so that a NaN fails.
-    """
-    if not all(r <= RESIDUAL_THRESHOLD for r in residuals) or not (
-        vieta_rel <= VIETA_RELATIVE_TOLERANCE
-    ):
+
+def _require_certified(roots: list, residuals: list[float], vieta_rel: float) -> None:
+    """Raise unless every residual and the Vieta error are within tolerance."""
+    if not _certified(residuals, vieta_rel):
         worst = max(residuals, key=lambda r: (math.isnan(r), r))
         raise CertificationError(
             f"root certification failed: max residual {worst:.3e}, "
@@ -551,7 +720,7 @@ def rouche_margin(
         def margin(yv):
             nonlocal witness_ok
             pr, pi, _, G, _, _ = _fixed_horner(
-                reversed_counts, tops, yv, work_bits, magnitude=False
+                reversed_counts, tops, _fixed_point(yv, work_bits, n), work_bits, magnitude=False
             )
             f = mp.mpc(mp.ldexp(pr, -G), mp.ldexp(pi, -G)) / sn
             e = mp.exp(beta_mp * yv)

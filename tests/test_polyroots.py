@@ -1,13 +1,15 @@
 """Polynomial construction, certified roots, margins, deviations."""
 
 import math
+import os
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subtree_poly_lab import (
@@ -36,15 +38,24 @@ from subtree_poly_lab.polyroots import (
     MAX_START_SWEEPS,
     RESIDUAL_THRESHOLD,
     TREE_ROOT_BOUND,
+    VIETA_RELATIVE_TOLERANCE,
+    _aberth_step,
+    _exact,
     _first_max_index,
     _fixed_derivative,
     _fixed_horner,
+    _fixed_point,
     _float_start,
     _horner,
     _modulus,
+    _newton,
     _polish,
+    _reciprocal,
+    _repulsion,
+    _rounded,
     _require_certified,
     _root_key,
+    _scaled_copy,
     _scaled_ratio,
     _stages,
     _start_step,
@@ -292,10 +303,11 @@ def test_fixed_horner_matches_mpmath_horner(s, log_modulus, turn, bits):
         q = _horner([mp.mpf(c) for c in s], x)
         dq = _horner([mp.mpf(k * c) for k, c in enumerate(s) if k] or [mp.mpf(0)], x)
         scale = _horner([mp.mpf(c) for c in s], abs(x))
-    pr, pi, fixed_scale, g, m, trail = _fixed_horner(s, _top_bits(s), x, bits)
+    point = _fixed_point(x, bits, len(s))
+    pr, pi, fixed_scale, g, m, trail = _fixed_horner(s, _top_bits(s), point, bits)
     dr, di = _fixed_derivative(trail)
     assert _inline_fixed_horner(s, trail, g, m) == (pr, pi, dr, di)
-    bare = _fixed_horner(s, _top_bits(s), x, bits, magnitude=False)
+    bare = _fixed_horner(s, _top_bits(s), point, bits, magnitude=False)
     assert bare[:5] == (pr, pi, None, g, m)
     with mp.workprec(4 * bits + 600 * (d + 2) + 2500):
         size = abs(x)
@@ -308,7 +320,8 @@ def test_fixed_horner_matches_mpmath_horner(s, log_modulus, turn, bits):
 
 
 def test_fixed_horner_at_zero():
-    pr, pi, scale, g, m, trail = _fixed_horner([5, 3, 7], _top_bits([5, 3, 7]), mp.mpc(0), 128)
+    origin = _fixed_point(mp.mpc(0), 128, 3)
+    pr, pi, scale, g, m, trail = _fixed_horner([5, 3, 7], _top_bits([5, 3, 7]), origin, 128)
     assert (pr, pi, scale) == (5 << g, 0, 5 << g)
     assert _fixed_derivative(trail) == (3 << (g - m), 0)
 
@@ -330,15 +343,77 @@ def test_roots_match_mpmath_polyroots(n, p, seed):
     assert not ours
 
 
+def _ladder_polish(s, tops, u, e, work_bits):
+    # the polish of find_roots from the double start u: the whole ladder
+    stages = _stages(work_bits)
+    return _polish(s, tops, [_reciprocal(uj, e, stages[0]) for uj in u], e, stages)
+
+
 @pytest.mark.parametrize("n", [40, 60, 80])
 def test_final_polish_stage_corrects_each_root_at_most_once_on_average(n):
     # the ladder leaves the full-precision stage at most d corrections
     s = complete_graph_counts(n).counts
     work_bits = max(DEFAULT_PRECISION_BITS, max(c.bit_length() for c in s) + 64)
     u, e, _ = _float_start(s)
-    _, corrections, _ = _polish(s, _top_bits(s), u, e, work_bits)
+    _, corrections, _ = _ladder_polish(s, _top_bits(s), u, e, work_bits)
     assert len(corrections) == len(_stages(work_bits)) >= 2
     assert corrections[-1] <= n - 1
+
+
+def test_polish_makes_no_mpmath_call():
+    # every test, Newton quotient and Aberth step of the K_40 polish runs on
+    # Python integers: no function of the mpmath package is entered
+    s = complete_graph_counts(40).counts
+    work_bits = max(DEFAULT_PRECISION_BITS, max(s).bit_length() + 64)
+    u, e, _ = _float_start(s)
+    package = os.path.dirname(mp.__file__)
+    entered = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            entered[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        _, corrections, _ = _ladder_polish(s, _top_bits(s), u, e, work_bits)
+    finally:
+        sys.setprofile(None)
+    assert not entered
+    assert corrections == [66, 39, 6]
+
+
+def _all_top_bits(s):
+    # every point (k, bitlen(s_k) - 1) that _top_bits takes its hull from
+    return [(k, c.bit_length() - 1) for k, c in enumerate(s) if k and c]
+
+
+def test_top_bits_hull_gives_the_scale_of_all_points():
+    # the evaluator's outputs (its scale exponent G above all) from the hull
+    # equal those from all points, at points of modulus 1.37^j for
+    # |j| <= 130 (about 2^-59 to 2^59) on every host
+    hosts = [complete_graph_counts(n).counts for n in range(2, 161)]
+    hosts += [counts_for(generate(f"random_tree({n})", seed)).counts
+              for n in (5, 30, 80, 150) for seed in (0, 1)]
+    hosts += [subtree_counts(generate_connected(f"gnp({n},{p})", seed)[0]).counts
+              for n in (8, 12) for p in (0.3, 0.7) for seed in (1, 2)]
+    hosts += [counts_for(generate(f"cycle({n})")).counts for n in (5, 17)]
+    with mp.workprec(128):
+        points = [mp.mpf(1.37) ** j * mp.expjpi(mp.mpf(j) / 7) for j in range(-130, 131, 9)]
+    for s in hosts:
+        tops, everything = _top_bits(s), _all_top_bits(s)
+        assert set(tops) <= set(everything)
+        for point in points:
+            x = _fixed_point(point, 128, len(s))
+            ours = _fixed_horner(s, tops, x, 128, magnitude=False)
+            theirs = _fixed_horner(s, everything, x, 128, magnitude=False)
+            assert ours[:5] == theirs[:5]
+
+
+def test_top_bits_keeps_the_upper_hull():
+    # (1, 0), (2, 5), (3, 6), (4, 7), (5, 3): (3, 6) lies on the chord from
+    # (2, 5) to (4, 7) and stays; nothing lies strictly above the kept chain
+    assert _top_bits([9, 1, 32, 64, 128, 8]) == [(1, 0), (2, 5), (3, 6), (4, 7), (5, 3)]
+    assert _top_bits([9, 1, 2, 64, 0, 8]) == [(1, 0), (3, 6), (5, 3)]
 
 
 def _counting_evaluator(monkeypatch):
@@ -369,7 +444,9 @@ def _counting_evaluator(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n, values, derivatives, fresh", [(40, 221, 111, 6), (60, 429, 256, 0), (80, 959, 643, 0)]
+    # K_80 was 959 and 643 while the polish iterates were mpc values: its
+    # last stage now takes 59 corrections instead of 58 (rounding noise)
+    "n, values, derivatives, fresh", [(40, 221, 111, 6), (60, 429, 256, 0), (80, 960, 644, 0)]
 )
 def test_root_kernel_work_counts(monkeypatch, n, values, derivatives, fresh):
     # deterministic work of find_roots on K_n: the polish's value passes, a
@@ -386,7 +463,8 @@ def test_root_kernel_work_counts(monkeypatch, n, values, derivatives, fresh):
     s, work_bits = counts.counts, analysis.precision_bits
     with mp.workprec(work_bits):
         for x, residual in zip(analysis.roots[1:], analysis.residuals[1:], strict=True):
-            pr, pi, scale, _, _, _ = _fixed_horner(s, _top_bits(s), x, work_bits)
+            point = _fixed_point(x, work_bits, len(s))
+            pr, pi, scale, _, _, _ = _fixed_horner(s, _top_bits(s), point, work_bits)
             assert residual == float(abs(mp.mpc(pr, pi)) / scale)
 
 
@@ -465,17 +543,19 @@ def test_float_start_polishes_to_the_roots_of_the_numpy_start(s):
     u, e, _ = _float_start(s)
     reference_u, reference_e, _ = _numpy_float_start(s)
     assert (e, len(u)) == (reference_e, len(reference_u))
-    ours, _, _ = _polish(s, tops, u, e, work_bits)
-    theirs, _, _ = _polish(s, tops, list(reference_u), e, work_bits)
+    ours, _, _ = _ladder_polish(s, tops, u, e, work_bits)
+    theirs, _, _ = _ladder_polish(s, tops, [complex(v) for v in reference_u], e, work_bits)
     with mp.workprec(work_bits):
         for x in theirs:
             pr, pi, scale, _, _, _ = _fixed_horner(s, tops, x, work_bits)
             assert abs(mp.mpc(pr, pi)) / scale <= RESIDUAL_THRESHOLD
         step_tolerance = mp.ldexp(1, -(work_bits - 16))
-        for x in ours:
-            pr, pi, scale, _, m, trail = _fixed_horner(s, tops, x, work_bits)
+        theirs = [_exact(x) for x in theirs]
+        for point in ours:
+            pr, pi, scale, _, m, trail = _fixed_horner(s, tops, point, work_bits)
             dr, di = _fixed_derivative(trail)
             assert abs(mp.mpc(pr, pi)) / scale <= RESIDUAL_THRESHOLD
+            x = _exact(point)
             condition = scale / (abs(x) * abs(mp.mpc(dr, di)) * mp.ldexp(1, m))
             nearest = min(range(len(theirs)), key=lambda i: abs(theirs[i] - x))
             distance = abs(theirs.pop(nearest) - x)
@@ -504,6 +584,50 @@ def test_float_start_restarts_roots_that_leave_double_range(monkeypatch):
     assert all(math.isfinite(z.real) and z != z0 for z, z0 in zip(once, start))
     monkeypatch.setattr(polyroots, "MAX_START_SWEEPS", 3)
     assert _float_start(s) == (start, e, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=_start_hosts(),
+    data=st.data(),
+)
+def test_integer_aberth_step_matches_mpmath(s, data):
+    # the integer Newton quotient and Aberth step against the same step in
+    # mpmath at the stage's precision, on the same Q and Q' and the same
+    # double repulsion, at a polished root moved off by a relative 2^-K
+    # (the state a stage starts from) or at a point of the double start
+    work_bits = max(DEFAULT_PRECISION_BITS, max(s).bit_length() + 64)
+    tops = _top_bits(s)
+    u, e, _ = _float_start(s)
+    stages = _stages(work_bits)
+    bits = data.draw(st.sampled_from(stages))
+    j = data.draw(st.integers(0, len(u) - 1))
+    if data.draw(st.booleans()):
+        xs = [_reciprocal(uj, e, bits) for uj in u]
+    else:
+        xs, _, _ = _ladder_polish(s, tops, u, e, work_bits)
+        k = data.draw(st.integers(4, bits // 2 + 8))
+        cr, ci = data.draw(st.integers(-256, 256)), data.draw(st.integers(-256, 256))
+        xr, xi, t = xs[j]
+        xs[j] = (xr + ((xr * cr - xi * ci) >> k), xi + ((xr * ci + xi * cr) >> k), t)
+    xs = [_rounded(*x, bits) for x in xs]
+    scaled = [_scaled_copy(x, e) for x in xs]
+    r = _repulsion(scaled, j)
+    assume(r is not None)
+    pr, pi, _, g, m, trail = _fixed_horner(s, tops, xs[j], bits)
+    dr, di = _fixed_derivative(trail)
+    assume(dr or di)
+    nr, ni, t = _newton((pr, pi), (dr, di), m, xs[j][2], bits)
+    sr, si = _aberth_step((nr, ni), t, e, r)
+    with mp.workprec(bits):
+        q = mp.mpc(pr, pi) * mp.ldexp(1, -g)
+        dq = mp.mpc(dr, di) * mp.ldexp(1, m - g)
+        n = q / dq
+        repulsion = mp.mpc(mp.ldexp(r.real, e), mp.ldexp(r.imag, e))
+        step = n / (1 - n * repulsion)
+    with mp.workprec(4 * bits):
+        x = _exact(xs[j])
+        assert abs(mp.mpc(sr, si) * mp.ldexp(1, -t) - step) <= mp.ldexp(1, 8 - bits) * abs(x)
 
 
 def _dense_hosts():
@@ -553,7 +677,7 @@ def test_residuals_off_the_roots_match_mpmath_horner(monkeypatch, family):
 
     def nudged(*args):
         xs, corrections, evaluated = polish(*args)
-        return [x * (1 + mp.ldexp(1, -20)) for x in xs], corrections, evaluated
+        return [(xr + (xr >> 20), xi + (xi >> 20), t) for xr, xi, t in xs], corrections, evaluated
 
     monkeypatch.setattr(polyroots, "_polish", nudged)
     spec = parse_family(family)
@@ -567,6 +691,36 @@ def test_residuals_off_the_roots_match_mpmath_horner(monkeypatch, family):
     for ours, theirs in zip(residuals[1:], oracle, strict=True):
         assert abs(ours - theirs) <= 1e-12 * theirs + 8 * (len(s) - 1) * 2.0**-work_bits
     assert min(residuals[1:]) > RESIDUAL_THRESHOLD
+
+
+def test_large_tree_certifies_after_a_re_polish_at_twice_the_precision():
+    # random_tree(210) at seed 0: at 192 bits every residual is at the
+    # rounding level but the Vieta error is 4.2e-8, on clustered roots; the
+    # re-polish of the iterates at 384 bits certifies them
+    counts = counts_for(generate("random_tree(210)", seed=0))
+    analysis = find_roots(build_polynomial(counts))
+    assert analysis.precision_bits == 2 * DEFAULT_PRECISION_BITS
+    assert analysis.vieta_relative_error <= VIETA_RELATIVE_TOLERANCE
+    assert max(analysis.residuals) <= RESIDUAL_THRESHOLD
+    assert len(analysis.roots) == 210
+
+
+def test_failed_certification_re_polishes_at_most_twice(monkeypatch):
+    # roots moved off after every polish never certify: the polish runs
+    # the ladder, then once at twice and once at four times work_bits
+    polish = polyroots._polish
+    ladders = []
+
+    def nudged(s, tops, xs, e, stages):
+        ladders.append(stages)
+        xs, corrections, evaluated = polish(s, tops, xs, e, stages)
+        return [(xr + (xr >> 20), xi + (xi >> 20), t) for xr, xi, t in xs], corrections, evaluated
+
+    monkeypatch.setattr(polyroots, "_polish", nudged)
+    with pytest.raises(CertificationError) as failure:
+        find_roots(build_polynomial(complete_graph_counts(12)))
+    assert ladders == [[128, 192], [384], [768]]
+    assert min(failure.value.residuals[1:]) > RESIDUAL_THRESHOLD
 
 
 def test_first_max_index_ties_at_rounding_noise():
