@@ -263,6 +263,9 @@ _FORMATS = {
     "RootAnalysis": {
         "roots": _as("roots", lambda roots: [[_mp_str(r.real, 25), _mp_str(r.imag, 25)]
                                              for r in roots]),
+        # taken at the working precision: they leave double range (K_160's are 9e-347)
+        "vieta_product": _as("vieta_product", lambda v: _mp_str(v, 25)),
+        "vieta_target": _as("vieta_target", lambda v: _mp_str(v, 25)),
         "clusters": _as("clusters", lambda clusters: [[repr(c.real), repr(c.imag), mult]
                                                       for c, mult in clusters]),
     },
@@ -323,14 +326,17 @@ def _cmd_sample(args, graph, family):
 
 
 def _cmd_roots(args, graph, family):
+    import mpmath as mp
+
     from .polyroots import build_polynomial, find_roots
 
     counts = counts_for(graph, family, args.cap)
     analysis = find_roots(build_polynomial(counts), precision_bits=args.precision_bits)
-    rows = [
-        [i, _mp_str(r.real), _mp_str(r.imag), repr(res), _mp_str(abs(r))]
-        for i, (r, res) in enumerate(zip(analysis.roots, analysis.residuals))
-    ]
+    with mp.workprec(analysis.precision_bits):  # the modulus of the root's own digits
+        rows = [
+            [i, _mp_str(r.real), _mp_str(r.imag), repr(res), _mp_str(abs(r))]
+            for i, (r, res) in enumerate(zip(analysis.roots, analysis.residuals))
+        ]
     params = {"cap": args.cap, "precision_bits": args.precision_bits}
     return params, _json(analysis), rows
 

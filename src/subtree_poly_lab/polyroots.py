@@ -21,16 +21,29 @@ same pass's partial sums only when the root moves, and takes the Newton
 quotient and the Aberth step N/(1 - N R) by integer division, the
 repulsion R summed in double precision and read exactly; the
 simultaneous correction keeps two iterates from settling on one root.
-mpmath serves only a root whose repulsion leaves double range. The
-roots are certified at the working precision by scale-normalized
-residuals |Q(x)| / Q(|x|), taken from the last evaluation of the final
-polish stage (a root moved after it is evaluated afresh), plus a Vieta
-product check in mpmath on the roots built exactly from the integers.
-Where certification fails, the roots are polished again from their own
-iterates at twice the precision, at most MAX_ESCALATIONS times; a
-failure after that raises, it is never silent. The design follows
-MPSolve (Bini and Fiorentino, 2000; Bini and Robol, 2014), which also
-keeps its iterates in the arithmetic of its evaluator.
+mpmath serves only a root whose repulsion leaves double range.
+
+S has real coefficients, so its roots are closed under conjugation, and
+the start and the polish work on one root of each pair. The start
+circle is symmetric (an odd degree puts one point on the negative real
+axis, where the real roots lie); each slot is a pair leader, whose
+mirror is set to its exact conjugate after every correction, or a real
+slot, held on the axis. Only leaders and real slots are evaluated and
+corrected, and `iterations` counts one per slot corrected (plus the
+start's sweeps). A start pair that crosses the axis is reflected back;
+a polish pair whose imaginary part changes sign splits into two real
+slots. The roots are certified at the working precision by
+scale-normalized residuals |Q(x)| / Q(|x|), taken from the last
+evaluation of the final polish stage, which also gives the mirror's
+(a root moved after it is evaluated afresh, one pass for a pair), plus
+a Vieta product check in mpmath on the roots built exactly from the
+integers. Where certification fails, the roots are polished again from
+their own iterates at twice the precision with every mirror dropped
+(each slot corrected on its own, as an iteration that knows nothing of
+conjugates), at most MAX_ESCALATIONS times; a failure after that
+raises, it is never silent. The design follows MPSolve (Bini and
+Fiorentino, 2000; Bini and Robol, 2014), which also keeps its iterates
+in the arithmetic of its evaluator.
 
 Also here: the Rouche margin |F(y) - e^{beta y}| / |e^{beta y}| sampled
 on the circle |y| = alpha log(n) / C, with F(y) from the integer
@@ -98,10 +111,10 @@ class RootAnalysis:
     roots: tuple  # mpc values, n entries, forced 0 first, then by real part; see _root_key
     residuals: tuple[float, ...]
     max_modulus: float
-    iterations: int  # double-precision start sweeps + polish corrections over all stages
+    iterations: int  # start sweeps + polish corrections (one per slot corrected), all stages
     precision_bits: int
-    vieta_product: float
-    vieta_target: float
+    vieta_product: mp.mpf  # product of the root moduli, at precision_bits
+    vieta_target: mp.mpf  # s_1 / s_n, at precision_bits
     vieta_relative_error: float
     clusters: tuple[tuple[complex, int], ...]  # (center, multiplicity)
 
@@ -165,24 +178,34 @@ def _float_start(s: Sequence[int]) -> tuple[list[complex], int, int]:
     Returns (u, e, sweeps); the roots of F are y = 2^e u. The exponent
     makes the geometric mean of the root moduli, (s_n/s_1)^(1/d), about 1,
     so the scaled coefficients neither underflow nor overflow a double.
-    Each sweep steps every moving root from the iterates of the previous
-    sweep. A root freezes once |F| <= 4 d 2^-52 sum |a_k| |u|^k, where the
-    computed value is rounding noise and further steps cannot help, or
-    once its step is not finite; a root left non-finite restarts the
-    polish from its start on the circle.
+
+    The start is the symmetric circle, angles (j + 1/2) 2 pi/d: point
+    d-1-j is the exact conjugate of point j, and an odd d puts point
+    (d-1)/2 on the negative real axis, where the real roots lie. F has
+    real coefficients, so only the leaders j < (d-1)/2 (upper half plane)
+    and the real point are stepped: each leader's mirror d-1-j is set to
+    its conjugate after every sweep, a leader whose step crosses the real
+    axis is reflected back (the pair is the same set), and the real
+    point's imaginary part is held at 0. Each sweep steps every moving
+    root from the iterates of the previous sweep. A root freezes once
+    |F| <= 4 d 2^-52 sum |a_k| |u|^k, where the computed value is
+    rounding noise and further steps cannot help, or once its step is not
+    finite; a root left non-finite restarts the polish from its start on
+    the circle.
     """
     n = len(s)
     d = n - 1
     e = round((s[-1].bit_length() - s[0].bit_length()) / d)
     coeffs = [_scaled_ratio(s[n - 1 - k], s[-1], e * k) for k in range(n)]
     dcoeffs = [k * c for k, c in enumerate(coeffs) if k]
-    circle = [cmath.exp(1j * (2 * math.pi * (j + 0.35) / d)) for j in range(d)]
+    upper = [cmath.exp(1j * (math.pi * (2 * j + 1) / d)) for j in range(d // 2)]
+    circle = upper + [complex(-1.0)] * (d % 2) + [w.conjugate() for w in reversed(upper)]
     if not all(map(math.isfinite, coeffs)):
         return circle, e, 0  # out of double range: the polish starts cold
     radius = (coeffs[0] / coeffs[d] if coeffs[d] else math.inf) ** (1.0 / d)
     z0 = [radius * w for w in circle]
     z = list(z0)
-    active = range(d)
+    active = range((d + 1) // 2)  # the leaders, then the real point of an odd d
     tiny = 4 * d * 2.0**-52
     sweeps = 0
     while active and sweeps < MAX_START_SWEEPS:
@@ -193,7 +216,11 @@ def _float_start(s: Sequence[int]) -> tuple[list[complex], int, int]:
             if step is not None:
                 moved.append((j, z[j] - step))
         for j, zj in moved:
-            z[j] = zj
+            if 2 * j + 1 == d:
+                zj = complex(zj.real)
+            elif zj.imag < 0:
+                zj = zj.conjugate()
+            z[d - 1 - j], z[j] = zj.conjugate(), zj
         active = [j for j, _ in moved]
     return [zj if cmath.isfinite(zj) else z0j for zj, z0j in zip(z, z0)], e, sweeps
 
@@ -466,8 +493,13 @@ def _exact_aberth_step(newton: tuple, t: int, xs: list, j: int, bits: int) -> tu
         return _to_fixed(step.real._mpf_, t), _to_fixed(step.imag._mpf_, t)
 
 
+def _conjugate(x: tuple) -> tuple[int, int, int]:
+    """The triple of the conjugate point, exactly."""
+    return x[0], -x[1], x[2]
+
+
 def _polish(
-    s: Sequence[int], tops: list, xs: list, e: int, stages: list[int]
+    s: Sequence[int], tops: list, xs: list, e: int, stages: list[int], mirrors: list
 ) -> tuple[list, list[int], dict]:
     """Gauss-Seidel Aberth corrections on Q(x) = S(x)/x, on Gaussian fixed-point integers.
 
@@ -480,6 +512,17 @@ def _polish(
     (p_re, p_im, scale) of _fixed_horner there, so the certification
     re-evaluates only a root that moved after its last evaluation.
 
+    `mirrors` gives each slot's kind. Q has real coefficients, so its
+    roots are closed under conjugation: a pair leader j < mirrors[j] is
+    evaluated and corrected, and its mirror k = mirrors[j] is set to the
+    exact conjugate triple after every correction (the evaluation at the
+    mirror is recorded as (p_re, -p_im, scale)); a real slot,
+    mirrors[j] == j, has its imaginary part held at 0; a free slot, None,
+    is corrected on its own. Only leaders, real slots and free slots are
+    evaluated. A pair whose leader's imaginary part changes sign (or
+    vanishes) in a correction cannot reach two real roots as a pair: it
+    splits into two real slots, one on each side of its real part.
+
     Each stage rounds the points to its bits and runs at most
     MAX_POLISH_SWEEPS sweeps, each correction using the roots already
     corrected. A root freezes for the stage when
@@ -490,22 +533,29 @@ def _polish(
     a root whose repulsion leaves double range.
     """
     d = len(s) - 1
+    mirrors = list(mirrors)
     scaled = [_scaled_copy(x, e) for x in xs]
     corrections = []
     evaluated = {}
     for bits in stages:
         xs = [_rounded(*x, bits) for x in xs]
+        for j, k in enumerate(mirrors):
+            if k is not None and j < k:
+                xs[k], scaled[k] = _conjugate(xs[j]), scaled[j].conjugate()
         count = 0
-        active = list(range(d))
+        active = [j for j, k in enumerate(mirrors) if k is None or j <= k]
         for _ in range(MAX_POLISH_SWEEPS):
             if not active:
                 break
             still = []
             for j in active:
-                x = xs[j]
+                x, k = xs[j], mirrors[j]
+                leader = k is not None and j < k
                 pr, pi, scale, _, m, trail = _fixed_horner(s, tops, x, bits)
                 if bits == stages[-1]:
                     evaluated[x] = pr, pi, scale
+                    if leader:
+                        evaluated[_conjugate(x)] = pr, -pi, scale
                 if (pr * pr + pi * pi) << (2 * bits) <= (4 * d * scale) ** 2:
                     continue
                 q = _fixed_derivative(trail)
@@ -517,11 +567,23 @@ def _polish(
                     sr, si = _exact_aberth_step((nr, ni), ts, xs, j, bits)
                 else:
                     sr, si = _aberth_step((nr, ni), ts, e, r)
+                if j == k:
+                    si = 0  # the step at a real point is real; its imaginary part is noise
                 # the point on the step's grid, where the subtraction is exact
-                xr, xi = (x[0] << (ts - x[2])) - sr, (x[1] << (ts - x[2])) - si
+                xi0 = x[1] << (ts - x[2])
+                xr, xi = (x[0] << (ts - x[2])) - sr, xi0 - si
+                count += 1
+                if leader and xi * xi0 <= 0:
+                    h = max(abs(xi0), abs(xi))
+                    xs[j], xs[k] = _rounded(xr - h, 0, ts, bits), _rounded(xr + h, 0, ts, bits)
+                    scaled[j], scaled[k] = _scaled_copy(xs[j], e), _scaled_copy(xs[k], e)
+                    mirrors[j], mirrors[k] = j, k
+                    still += [j, k]
+                    continue
                 xs[j] = _rounded(xr, xi, ts, bits)
                 scaled[j] = _scaled_copy(xs[j], e)
-                count += 1
+                if leader:
+                    xs[k], scaled[k] = _conjugate(xs[j]), scaled[j].conjugate()
                 if (sr * sr + si * si) << (2 * (bits - 16)) > xr * xr + xi * xi:
                     still.append(j)
             active = still
@@ -552,22 +614,30 @@ def find_roots(
     u, e, sweeps = _float_start(s) if n > 1 else ([], 0, 0)  # S(x) = s_1 x: only the root 0
     stages = _stages(work_bits)
     xs = [_reciprocal(uj, e, stages[0]) for uj in u]
+    d = len(xs)
+    mirrors = [d - 1 - j for j in range(d)]  # the start's pairs: slot d-1-j mirrors slot j
     iterations = sweeps
     for escalation in range(MAX_ESCALATIONS + 1):
         if escalation:
-            stages = [2 * work_bits]
-        xs, corrections, evaluated = _polish(s, tops, xs, e, stages)
+            # every mirror dropped: each slot is corrected on its own, so a
+            # pair that split wrongly or stalled cannot stay as it was
+            stages, mirrors = [2 * work_bits], [None] * d
+        xs, corrections, evaluated = _polish(s, tops, xs, e, stages, mirrors)
         iterations += sum(corrections)
         work_bits = stages[-1]
         # scale-normalized residuals |S(x)| / S(|x|) = |Q(x)| / Q(|x|), the
         # |x| factors cancelling; the scale is free of cancellation and
         # positive (Q has nonnegative coefficients and Q(0) = s_1 >= 1).
         # A root the polish left where it last evaluated it at work_bits
-        # takes those integers; one it moved afterwards is evaluated afresh.
+        # takes those integers; one it moved afterwards is evaluated afresh,
+        # and the pass serves its exact conjugate too.
         residuals = [0.0]
         with mp.workprec(work_bits):
             for x in xs:
-                pr, pi, scale = evaluated.get(x) or _fixed_horner(s, tops, x, work_bits)[:3]
+                if x not in evaluated:
+                    pr, pi, scale = _fixed_horner(s, tops, x, work_bits)[:3]
+                    evaluated[x], evaluated[_conjugate(x)] = (pr, pi, scale), (pr, -pi, scale)
+                pr, pi, scale = evaluated[x]
                 residuals.append(float(abs(mp.mpc(pr, pi)) / scale))
             roots = [mp.mpc(0)] + [_exact(x) for x in xs]
             vieta_product = mp.fprod(abs(x) for x in roots[1:])
@@ -588,8 +658,8 @@ def find_roots(
         max_modulus=max_modulus,
         iterations=iterations,
         precision_bits=work_bits,
-        vieta_product=float(vieta_product),
-        vieta_target=float(vieta_target),
+        vieta_product=vieta_product,
+        vieta_target=vieta_target,
         vieta_relative_error=vieta_rel,
         clusters=_cluster(ordered),
     )

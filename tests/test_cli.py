@@ -104,6 +104,17 @@ def test_roots_path3(capsys):
     assert doc["result"]["max_modulus"] == pytest.approx(1.7320508, abs=1e-6)
 
 
+def test_roots_vieta_fields_print_past_double_range():
+    # S(x) = x + 2^1200 x^2: the product of the nonzero root moduli and its
+    # target s_1/s_2 = 2^-1200 are below double range (they printed as 0.0)
+    analysis = polyroots.find_roots(polyroots.SubtreePolynomial(coefficients=(1, 2**1200)))
+    doc = cli._json(analysis)
+    with mp.workprec(analysis.precision_bits):
+        target = mp.nstr(mp.ldexp(1, -1200), 25)
+    assert target == "5.80771375621750318328345e-362"
+    assert doc["vieta_target"] == doc["vieta_product"] == target
+
+
 def test_beta_exact_field_for_complete(capsys):
     status, out, _ = invoke(
         capsys, "beta", "--graph", "complete(10)", "--samples", "2000", "--seed", "9"
@@ -611,11 +622,11 @@ def test_spanning_commands_golden_bytes(capsys, argv, digest):
         ("sample --graph complete(5) --samples 3 --seed 4 --format csv", 0,
          "ef87b17fc7883f77c3073aac24b8a95aa79836098a56950de534258e2fbf4de2"),
         ("roots --graph cycle(8)", 0,
-         "094009f06726ba1b25e97fb9d398bf2f0013a80499e20dc2c5ba2443de2442ad"),
+         "23db12841446ed5107c230554cffc47bce2fe1610c15868b02eb7bc7db2173c1"),
         ("roots --graph cycle(8) --format csv", 0,
-         "1138025e8d8b4ab174979ebc2ce77a35dd4f8e1270c3edb98e346b289e5f8a3c"),
+         "897d49f990803f02da1ffd1572bee2cb4fd035e4faf8112d60ba33b529090196"),
         ("roots --graph complete(10) --format csv", 0,
-         "1c89f9add5d426da41d4a71e7b99b67ca4b8de0e5d97323fa25e1cd6e93dc7b4"),
+         "332359122a70fb96b9e9c79b468fbb0880eb3a020dd2217baa7c2748fea5f000"),
         ("rouche --graph complete(12) --circle-points 64", 0,
          "a49f5c103577b8e540f636ca70bc644c7dcc776b4008353dc62371416afab605"),
         ("rouche --graph complete(12) --circle-points 64 --format csv", 0,
@@ -642,7 +653,7 @@ def test_spanning_commands_golden_bytes(capsys, argv, digest):
         ("verify --graph gnp(8,0.1) --seed 1 --format csv", 1,
          "f758954e3ea0caad612a7df9a9fee97b5cba47b3a34ced320799d2e1c3482ade"),
         ("tree-check --graph random_tree(9) --seed 5", 0,
-         "469512e0198f67a613dea31219de3a8cdeaad6ca9a3bd493249b520d2fb193a7"),
+         "806332f074b5023c283d23fe4a39954c26b196af1ccf94ba2de98f2e58f66f1b"),
         ("tree-check --graph random_tree(9) --seed 5 --format csv", 0,
          "449d381ab8cf7f5f2b875ae825c913d7133d067b04b0027ebf8e1d1210106f4c"),
         ("experiment --graph complete(6) --samples 300 --seed 2 --b-grid 0.3,0.5", 0,
@@ -654,7 +665,7 @@ def test_spanning_commands_golden_bytes(capsys, argv, digest):
         ("sweep --family complete --n-list 5,7 --command beta --samples 200 --seed 3", 0,
          "4487177470f0f2de0463f16fe41230e4c4cf9a754db1c10c72a1487c2e020a52"),
         ("sweep --family complete --n-list 5,7 --command roots", 0,
-         "a6235261129ee4a65e1ab8b2051b6344ac352c3e2f42f56b948b48d87bdbe9c1"),
+         "7b241748fd735ce0f730640dbc8e260f83c95cd306cea19333461493c67437af"),
         ("sweep --family complete --n-list 5,7 --command rouche --circle-points 32", 0,
          "d7d90ec477b88d7c5b486dcde5e97d3baf9a15abf13ebc74c54884010fbaa0f8"),
         ("sweep --family complete --n-list 5,7 --command poisson --k-max 5", 0,
@@ -664,7 +675,7 @@ def test_spanning_commands_golden_bytes(capsys, argv, digest):
         ("sweep --family cycle --n-list 5,7 --command beta --samples 200 --seed 3", 0,
          "2c863f2f47b40eb82881245fb789f400f6686bb7ac9a6feb0ed8fb59d4b509a1"),
         ("sweep --family gnp --p 0.6 --n-list 6,8 --seed 1 --command roots", 0,
-         "bc024fa435588e4218c438a2eafd4501c393dc964b14c3e3d08c0a2c199bf1a2"),
+         "6136b3c85f2841c0c3bdd2f03a62dccb8602ae50e8b806e55d18e4a2bf4f87a8"),
         ("sweep --family cycle --n-list 5,7 --command rouche --circle-points 32", 0,
          "a4b6068bdccb2bdf0be794be03385616be5d572128e3331a705d7ad659085e68"),
         ("sweep --family cycle --n-list 5,7 --command poisson --k-max 5", 0,
@@ -676,11 +687,11 @@ def test_spanning_commands_golden_bytes(capsys, argv, digest):
         # one serializer: one-vertex hosts and a two-vertex sampling run
         # cover every report type and every serializer rule in small documents
         ("roots --graph complete(1)", 0,
-         "d990aab342caa3a847f3cd9df5f870a0996121e84f27050c4f7a68fd2ee1d0bc"),
+         "ae9415d4f0b44fff1f3a86ff213b75a80e0e289766071f2537ad356ce05cb3bf"),
         ("verify --graph path(1)", 0,
          "a9f1934fc87bfec27f832f2f0c55924851282189e663e1d29b2d48f7140199c0"),
         ("tree-check --graph path(1)", 0,
-         "d27b6eaac7d134badea7e3afb62bfa957d82b3512e80fe40c04b51bc9a5dd025"),
+         "e5fb87a019ecc91597a585be7c43e35bd37b10ac9b6e62f97df7b8d2b9d0d022"),
         ("experiment --graph path(2) --samples 5", 0,
          "8fea96ef65d8b1802bbebe83f136da5b43e3fc01c8bb6e5226e013908d3e2bee"),
         # taken while the certification evaluated every root afresh and the
@@ -688,9 +699,9 @@ def test_spanning_commands_golden_bytes(capsys, argv, digest):
         # their step size (evaluated afresh still), and the two Rouche lines
         # have N = 2 (mod 4) and odd N, where axis points are evaluated
         ("roots --graph complete(40)", 0,
-         "a6dac8a6cc5eb21b1395896f6b993b4de8a1b0c634317d4e6d529a2a90b801b9"),
+         "1b55a4c2bce19bb29a061828cdfd4eeabf78aa748b73a3348c460e7cae103ece"),
         ("roots --graph complete(80)", 0,
-         "727e6741b57c014c2a0fc0a4ba08dabc6cbbf0007802d7a299b22e540ae42a51"),
+         "52285e409dd461e169531d658e3179b83619decd264482ccbe152069894ced5a"),
         ("rouche --graph complete(120) --circle-points 6", 0,
          "ef5784f7451c2ac7f54b4f9eae3667f4f6134be33138cd06f360b49fe2cb10f1"),
         ("rouche --graph complete(120) --circle-points 7", 0,
@@ -712,7 +723,12 @@ def test_command_golden_bytes(capsys, argv, status, digest):
     # fixed-point iterates: the printed digits agree, the residuals and Vieta
     # errors stay at the rounding level, a component at rounding noise prints
     # as 0.0, and the iterations of K_80 and cycle(8) moved from 667 and 19
-    # to 668 and 17)
+    # to 668 and 17; the ten documents with roots or Vieta fields re-pinned
+    # again when the polish corrected one root per conjugate pair: the
+    # printed digits agree, a mirror's residual is its leader's, K_80's real
+    # root prints im 0.0, the iterations about halved (K_80 668 to 364),
+    # vieta_product and vieta_target print as 25-digit strings, and the CSV
+    # modulus carries the root's own digits)
     code, out, _ = invoke(capsys, *argv.split())
     assert code == status
     assert hashlib.sha256(out.encode()).hexdigest() == digest

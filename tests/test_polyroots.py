@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import mpf_neg
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subtree_poly_lab import (
@@ -157,6 +158,52 @@ def test_conjugate_symmetry():
         pool = [complex(r) for r in analysis.roots]
         for r in pool:
             assert min(abs(r.conjugate() - q) for q in pool) < 1e-18
+
+
+def _conjugate_key(x):
+    # the exact parts of conj(x), negated without rounding
+    return x.real._mpf_, mpf_neg(x.imag._mpf_)
+
+
+def _closure_hosts():
+    # (family, seed) of a connected gnp host, a cycle, a path or a random tree
+    gnp = st.tuples(st.integers(3, 13), st.sampled_from([0.3, 0.5, 0.7])).map(
+        lambda args: "gnp({},{})".format(*args)
+    )
+    cycles = st.integers(3, 24).map(lambda n: f"cycle({n})")
+    paths = st.integers(2, 60).map(lambda n: f"path({n})")
+    trees = st.integers(2, 70).map(lambda n: f"random_tree({n})")
+    return st.tuples(st.one_of(gnp, cycles, paths, trees), st.integers(0, 10**6))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(host=_closure_hosts())
+# a pair splits into two real slots in the polish on these trees
+@example(host=("random_tree(50)", 1))
+@example(host=("random_tree(100)", 2))
+def test_roots_are_closed_under_conjugation_bit_for_bit(host):
+    # the polish corrects one root of each pair and sets its mirror to the
+    # exact conjugate, and holds a real slot on the axis: every non-real
+    # root's conjugate is present bit for bit, a real root has imaginary
+    # part exactly 0 (printed as 0.0), and the two roots of a pair carry the
+    # same residual. None of these hosts needs the re-polish, which drops
+    # the mirrors
+    family, seed = host
+    spec = parse_family(family)
+    counts = counts_for(generate_connected(spec, seed)[0] if family.startswith("gnp")
+                        else generate(spec, seed=seed), spec)
+    analysis = find_roots(build_polynomial(counts))
+    assert analysis.precision_bits == max(DEFAULT_PRECISION_BITS, max(counts.counts).bit_length() + 64)
+    roots, residuals = analysis.roots[1:], analysis.residuals[1:]
+    residual_of = {(x.real._mpf_, x.imag._mpf_): r for x, r in zip(roots, residuals)}
+    keys = Counter((x.real._mpf_, x.imag._mpf_) for x in roots)
+    assert keys == Counter(_conjugate_key(x) for x in roots)
+    with mp.workprec(analysis.precision_bits):
+        for x, residual in zip(roots, residuals):
+            if abs(x.imag) <= 1e-30 * abs(x):
+                assert x.imag == 0 and mp.nstr(x.imag, 25) == "0.0"
+            else:
+                assert residual_of[_conjugate_key(x)] == residual
 
 
 def test_conjugate_pair_order_ignores_noise_in_real_parts():
@@ -344,9 +391,11 @@ def test_roots_match_mpmath_polyroots(n, p, seed):
 
 
 def _ladder_polish(s, tops, u, e, work_bits):
-    # the polish of find_roots from the double start u: the whole ladder
+    # the polish of find_roots from the double start u: the whole ladder,
+    # slot d-1-j the mirror of slot j as on the symmetric start circle
     stages = _stages(work_bits)
-    return _polish(s, tops, [_reciprocal(uj, e, stages[0]) for uj in u], e, stages)
+    xs = [_reciprocal(uj, e, stages[0]) for uj in u]
+    return _polish(s, tops, xs, e, stages, [len(u) - 1 - j for j in range(len(u))])
 
 
 @pytest.mark.parametrize("n", [40, 60, 80])
@@ -379,7 +428,9 @@ def test_polish_makes_no_mpmath_call():
     finally:
         sys.setprofile(None)
     assert not entered
-    assert corrections == [66, 39, 6]
+    # one correction per leader or real slot corrected: [66, 39, 6] while
+    # both roots of a pair were corrected
+    assert corrections == [33, 20, 3]
 
 
 def _all_top_bits(s):
@@ -444,14 +495,15 @@ def _counting_evaluator(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    # K_80 was 959 and 643 while the polish iterates were mpc values: its
-    # last stage now takes 59 corrections instead of 58 (rounding noise)
-    "n, values, derivatives, fresh", [(40, 221, 111, 6), (60, 429, 256, 0), (80, 960, 644, 0)]
+    # (221, 111, 6), (429, 256, 0) and (960, 644, 0) while both roots of a
+    # pair were evaluated and corrected
+    "n, values, derivatives, fresh", [(40, 113, 56, 3), (60, 223, 135, 0), (80, 500, 340, 0)]
 )
 def test_root_kernel_work_counts(monkeypatch, n, values, derivatives, fresh):
     # deterministic work of find_roots on K_n: the polish's value passes, a
     # Q' pass per correction, and a certification pass only for the roots
-    # that stopped on their step size (moved after their last evaluation)
+    # that stopped on their step size (moved after their last evaluation),
+    # one pass for both roots of a pair
     calls = _counting_evaluator(monkeypatch)
     counts = complete_graph_counts(n)
     analysis = find_roots(build_polynomial(counts))
@@ -459,13 +511,18 @@ def test_root_kernel_work_counts(monkeypatch, n, values, derivatives, fresh):
     assert calls["polish"] == values
     assert calls["derivative"] == derivatives == iterations_after_start
     assert calls["value"] - calls["polish"] == fresh
-    # a reused residual is the one a fresh evaluation at the root gives
+    # a reused residual is the one a fresh evaluation gives at the root or,
+    # for a mirror, at its leader, the conjugate (the truncations of the
+    # evaluator round the two differently)
     s, work_bits = counts.counts, analysis.precision_bits
     with mp.workprec(work_bits):
         for x, residual in zip(analysis.roots[1:], analysis.residuals[1:], strict=True):
-            point = _fixed_point(x, work_bits, len(s))
-            pr, pi, scale, _, _, _ = _fixed_horner(s, _top_bits(s), point, work_bits)
-            assert residual == float(abs(mp.mpc(pr, pi)) / scale)
+            fresh_residuals = set()
+            for point in (x, mp.conj(x)):
+                point = _fixed_point(point, work_bits, len(s))
+                pr, pi, scale, _, _, _ = _fixed_horner(s, _top_bits(s), point, work_bits)
+                fresh_residuals.add(float(abs(mp.mpc(pr, pi)) / scale))
+            assert residual in fresh_residuals
 
 
 @pytest.mark.parametrize("circle_points, evaluations", [(256, 129), (8, 5), (6, 5), (7, 6), (1, 3)])
@@ -479,18 +536,21 @@ def test_rouche_evaluates_one_point_per_conjugate_pair(monkeypatch, circle_point
 def _numpy_float_start(s):
     # the reference for _float_start: the same Aberth iteration vectorised
     # over complex128 arrays, where non-finite values propagate instead of
-    # raising
+    # raising: the leaders and the real point of the symmetric circle are
+    # stepped, each mirror set to its leader's conjugate
     n = len(s)
     d = n - 1
     e = round((s[-1].bit_length() - s[0].bit_length()) / d)
     coeffs = np.array([_scaled_ratio(s[n - 1 - k], s[-1], e * k) for k in range(n)])
     dcoeffs = coeffs[1:] * np.arange(1, n)
-    angles = 2 * np.pi * (np.arange(d) + 0.35) / d
+    circle = np.exp(1j * np.pi * (2 * np.arange(d) + 1) / d)
+    circle[d // 2:] = np.conj(circle[: (d + 1) // 2][::-1])  # exact mirrors
+    circle[d // 2] = -1 if d % 2 else circle[d // 2]
     if not np.isfinite(coeffs).all():
-        return np.exp(1j * angles), e, 0
-    z0 = abs(coeffs[0] / coeffs[d]) ** (1.0 / d) * np.exp(1j * angles)
+        return circle, e, 0
+    z0 = abs(coeffs[0] / coeffs[d]) ** (1.0 / d) * circle
     z = z0.copy()
-    active = np.arange(d)
+    active = np.arange((d + 1) // 2)
     tiny = 4 * d * 2.0**-52
     sweeps = 0
     with np.errstate(all="ignore"):
@@ -505,7 +565,12 @@ def _numpy_float_start(s):
             newton = p / dp
             step = newton / (1 - newton * (1 / diff).sum(axis=1))
             moving = (np.abs(p) > tiny * scale) & np.isfinite(step)
-            z[active[moving]] = za[moving] - step[moving]
+            za = za - step
+            real = 2 * active + 1 == d
+            za[real] = za[real].real
+            za[za.imag < 0] = np.conj(za[za.imag < 0])  # a pair that crossed the axis, reflected
+            z[d - 1 - active[moving]] = np.conj(za[moving])
+            z[active[moving]] = za[moving]
             active = active[moving]
     bad = ~np.isfinite(z)
     z[bad] = z0[bad]
@@ -711,9 +776,9 @@ def test_failed_certification_re_polishes_at_most_twice(monkeypatch):
     polish = polyroots._polish
     ladders = []
 
-    def nudged(s, tops, xs, e, stages):
+    def nudged(s, tops, xs, e, stages, mirrors):
         ladders.append(stages)
-        xs, corrections, evaluated = polish(s, tops, xs, e, stages)
+        xs, corrections, evaluated = polish(s, tops, xs, e, stages, mirrors)
         return [(xr + (xr >> 20), xi + (xi >> 20), t) for xr, xi, t in xs], corrections, evaluated
 
     monkeypatch.setattr(polyroots, "_polish", nudged)
@@ -721,6 +786,34 @@ def test_failed_certification_re_polishes_at_most_twice(monkeypatch):
         find_roots(build_polynomial(complete_graph_counts(12)))
     assert ladders == [[128, 192], [384], [768]]
     assert min(failure.value.residuals[1:]) > RESIDUAL_THRESHOLD
+
+
+def test_failed_certification_drops_the_mirrors_at_twice_the_precision(monkeypatch):
+    # roots moved off after the first polish only: the re-polish runs once,
+    # at twice work_bits with every slot free (each evaluated and corrected
+    # on its own, no mirror and no real slot), and certifies
+    polish = polyroots._polish
+    calls = []
+
+    def nudged(s, tops, xs, e, stages, mirrors):
+        calls.append((stages, mirrors, xs))
+        xs, corrections, evaluated = polish(s, tops, xs, e, stages, mirrors)
+        calls[-1] += (evaluated,)
+        if len(calls) == 1:
+            xs = [(xr + (xr >> 20), xi + (xi >> 20), t) for xr, xi, t in xs]
+        return xs, corrections, evaluated
+
+    monkeypatch.setattr(polyroots, "_polish", nudged)
+    analysis = find_roots(build_polynomial(complete_graph_counts(12)))
+    d = 11
+    (ladder, start_mirrors, _, _), (stages, mirrors, xs, evaluated) = calls
+    assert (ladder, stages) == ([128, 192], [384])
+    assert start_mirrors == [d - 1 - j for j in range(d)]
+    assert mirrors == [None] * d
+    # every slot was evaluated where the re-polish started it
+    assert all(_rounded(*x, 384) in evaluated for x in xs)
+    assert analysis.precision_bits == 384
+    assert max(analysis.residuals) <= RESIDUAL_THRESHOLD
 
 
 def test_first_max_index_ties_at_rounding_noise():
