@@ -135,26 +135,26 @@ def _build_parser() -> argparse.ArgumentParser:
     _numeric(p, "--samples", checks.samples, 1)
 
     p = sub.add_parser("roots", parents=[graph_args, common, caps], help="certified roots of the subtree polynomial")
-    _numeric(p, "--precision-bits", checks.precision_bits, 192)
+    _numeric(p, "--precision-bits", checks.precision_bits, checks.DEFAULT_PRECISION_BITS)
 
     p = sub.add_parser("rouche", parents=[graph_args, common, caps], help="sampled margin on the critical circle")
-    _numeric(p, "--C", checks.rouche_C, 7.0)
-    _numeric(p, "--circle-points", checks.circle_points, 256)
-    _numeric(p, "--precision-bits", checks.precision_bits, 192)
+    _numeric(p, "--C", checks.rouche_C, checks.DEFAULT_ROUCHE_C)
+    _numeric(p, "--circle-points", checks.circle_points, checks.DEFAULT_CIRCLE_POINTS)
+    _numeric(p, "--precision-bits", checks.precision_bits, checks.DEFAULT_PRECISION_BITS)
 
     p = sub.add_parser("poisson", parents=[graph_args, common, caps], help="factorial-normalized deviations")
     _numeric(p, "--k-max", checks.k_max, 3)
 
     p = sub.add_parser("verify", parents=[graph_args, common, caps], help="identity and inequality battery")
-    _numeric(p, "--tree-cap", checks.tree_cap, 10**6)
+    _numeric(p, "--tree-cap", checks.tree_cap, checks.DEFAULT_SPANNING_TREE_CAP)
 
     p = sub.add_parser("tree-check", parents=[graph_args, common], help="root bound diagnostics for a tree host")
-    _numeric(p, "--tolerance", checks.finite, 1e-9)
+    _numeric(p, "--tolerance", checks.finite, checks.DEFAULT_TOLERANCE)
 
     p = sub.add_parser("experiment", parents=[graph_args, common], help="sampling battery: beta, leaf counts, tails")
     _numeric(p, "--samples", checks.samples, 10000)
     _numeric(p, "--b-grid", checks.b_grid, "0.2,0.3,0.4,0.5")
-    _numeric(p, "--epsilon", checks.finite, 0.05)
+    _numeric(p, "--epsilon", checks.finite, checks.DEFAULT_EPSILON)
 
     p = sub.add_parser(
         "sweep",
@@ -168,8 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", required=True, help="comma-separated vertex counts, may be empty")
     p.add_argument("--command", required=True, dest="inner", choices=tuple(_SWEEP))
     _numeric(p, "--samples", checks.samples, 10000)
-    _numeric(p, "--C", checks.rouche_C, 7.0)
-    _numeric(p, "--circle-points", checks.circle_points, 256)
+    _numeric(p, "--C", checks.rouche_C, checks.DEFAULT_ROUCHE_C)
+    _numeric(p, "--circle-points", checks.circle_points, checks.DEFAULT_CIRCLE_POINTS)
     _numeric(p, "--k-max", checks.k_max, 3)
     return parser
 

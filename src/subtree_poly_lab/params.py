@@ -6,7 +6,8 @@ Library functions call it under the parameter's name (`samples`); the CLI
 parses each flag with the same check under the flag's name (`--samples`),
 so a flag is refused as it is parsed, before a graph is built or a sweep
 row runs. Text from the command line is parsed here, as a decimal integer
-or a float.
+or a float. The default of each parameter that both a library function
+and a CLI flag take is defined here once, and read by both.
 
 This module loads neither numpy nor mpmath: the CLI's parser imports it.
 """
@@ -52,6 +53,13 @@ def _at_least(least: int) -> Callable:
     )
     return _rule(_as_int, kind, lambda number: number >= least)
 
+
+DEFAULT_PRECISION_BITS = 192
+DEFAULT_ROUCHE_C = 7.0
+DEFAULT_CIRCLE_POINTS = 256
+DEFAULT_SPANNING_TREE_CAP = 10**6
+DEFAULT_EPSILON = 0.05  # the few-leaves lemma's slack in weight_experiment
+DEFAULT_TOLERANCE = 1e-9  # the slack of the tree root bound in tree_root_check
 
 samples = _at_least(1)
 threads = _at_least(1)

@@ -17,11 +17,11 @@ at its rounding level. The polish holds each root as Gaussian
 fixed-point integers (xr, xi, t), x = (xr + i xi) 2^-t, rounded to the
 stage's bits, and runs on Python integers alone: each step evaluates
 Q(x) = S(x)/x on the exact integer coefficients, builds Q'(x) from the
-same pass's partial sums only when the root moves, and takes the Newton
-quotient and the Aberth step N/(1 - N R) by integer division, the
-repulsion R summed in double precision and read exactly; the
-simultaneous correction keeps two iterates from settling on one root.
-mpmath serves only a root whose repulsion leaves double range.
+same pass's partial sums only when the root moves, and takes the Aberth
+step Q/(Q' - Q R) by one integer division, the repulsion R summed in
+double precision and read exactly; the simultaneous correction keeps
+two iterates from settling on one root. mpmath sums only R, for a root
+whose repulsion leaves double range.
 
 S has real coefficients, so its roots are closed under conjugation, and
 the start and the polish work on one root of each pair. The start
@@ -48,7 +48,7 @@ in the arithmetic of its evaluator.
 Also here: the Rouche margin |F(y) - e^{beta y}| / |e^{beta y}| sampled
 on the circle |y| = alpha log(n) / C, with F(y) from the integer
 evaluator on the exact reversed counts s_n, ..., s_1 (each point
-converted to its integers by _fixed_point) and one division by s_n per
+rounded to its integers by _fixed_point) and one division by s_n per
 point, each conjugate pair of points evaluated once, and the
 contrast checks for tree hosts. The exact
 Poisson-profile diagnostics (`exact_beta`, `poisson_deviation`) take the
@@ -73,7 +73,7 @@ from .graphs import Graph, is_connected
 
 # the last polish stage and the certification run at work_bits, this or
 # the coefficient bits + 64 if larger; earlier stages start at 128 bits
-DEFAULT_PRECISION_BITS = 192
+DEFAULT_PRECISION_BITS = params.DEFAULT_PRECISION_BITS
 RESIDUAL_THRESHOLD = 1e-20
 VIETA_RELATIVE_TOLERANCE = 1e-8
 CLUSTER_TOLERANCE = 1e-7
@@ -235,14 +235,6 @@ def _stages(work_bits: int) -> list[int]:
     return stages + [work_bits]
 
 
-def _to_fixed(v: tuple, shift: int) -> int:
-    """An mpf value (given as its _mpf_ tuple) times 2^shift, truncated to an integer."""
-    sign, man, exp, _ = v
-    exp += shift
-    man = man << exp if exp >= 0 else man >> -exp
-    return -man if sign else man
-
-
 def _guarded(bits: int, n: int) -> int:
     """F = bits + guard bits: the bits _fixed_horner keeps of x for n coefficients."""
     return bits + 2 * (4 * n).bit_length()
@@ -251,19 +243,6 @@ def _guarded(bits: int, n: int) -> int:
 def _exponent(lx: float) -> int:
     """m with 1/4 < 2^m |x| < 1, from lx <= log2|x| < lx + 1/2."""
     return -math.floor(lx + 0.5) - 1
-
-
-def _fixed_point(x, bits: int, n: int) -> tuple[int, int, int]:
-    """The mpc x as the Gaussian fixed point (xr, xi, t) _fixed_horner reads at `bits`.
-
-    x = (xr + i xi) 2^-t up to truncation, with t = F + m as in
-    _fixed_horner, read off the mantissas and exponents of x. It is how
-    a point given in mpmath (a Rouche circle point) enters the evaluator.
-    """
-    re, im = x._mpc_
-    parts = [math.log2(man) + exp for _, man, exp, _ in (re, im) if man]
-    t = _guarded(bits, n) + (_exponent(max(parts)) if parts else 0)
-    return _to_fixed(re, t), _to_fixed(im, t), t
 
 
 def _top_bits(s: Sequence[int]) -> list[tuple[int, int]]:
@@ -389,6 +368,23 @@ def _rounded(xr: int, xi: int, t: int, bits: int) -> tuple[int, int, int]:
     return (xr + half) >> -shift, (xi + half) >> -shift, t + shift
 
 
+def _triple(x) -> tuple[int, int, int]:
+    """The mpc x exactly as a triple (xr, xi, t), x = (xr + i xi) 2^-t."""
+    (sr, mr, er, _), (si, mi, ei, _) = x._mpc_
+    t = -min(er, ei)
+    return (-mr if sr else mr) << (er + t), (-mi if si else mi) << (ei + t), t
+
+
+def _fixed_point(x, bits: int, n: int) -> tuple[int, int, int]:
+    """The mpc x as the Gaussian fixed point (xr, xi, t) _fixed_horner reads at `bits`.
+
+    The exact triple of x rounded by _rounded to the F = _guarded(bits, n)
+    bits of _fixed_horner, t = F + m. It is how a point given in mpmath
+    (a Rouche circle point) enters the evaluator.
+    """
+    return _rounded(*_triple(x), _guarded(bits, n))
+
+
 def _dyadic(z: complex) -> tuple[int, int, int]:
     """A finite complex double exactly as (zr, zi, k): z = (zr + i zi) 2^-k."""
     (ar, da), (ai, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
@@ -418,79 +414,61 @@ def _exact(x: tuple):
     return mp.make_mpc((from_man_exp(xr, -t), from_man_exp(xi, -t)))
 
 
-def _newton(p: tuple, q: tuple, m: int, t: int, bits: int) -> tuple[int, int, int]:
-    """Q/Q' as a triple (nr, ni, t'): p conj(q) / |q|^2 2^(t'-m), by integer division.
+def _repulsion(scaled: list, j: int, e: int) -> tuple[int, int, int] | None:
+    """R = sum_{k != j} 1/(x_j - x_k) from the double copies c = x 2^e, or None.
 
-    p = Q 2^G and q = Q' 2^(G-m) come from _fixed_horner and
-    _fixed_derivative at a point held at 2^-t. The quotient is floored
-    to the units of 2^-t', the finer of that grid and the one holding
-    `bits` bits of Q/Q' itself: a small quotient keeps its bits for the
-    stop test, and a step from the origin (a point of no magnitude to
-    set its grid) lands on the bits it carries.
-    """
-    (pr, pi), (dr, di) = p, q
-    size = max(abs(dr), abs(di)).bit_length() - max(abs(pr), abs(pi)).bit_length()
-    t = max(t, bits + 2 + m + size)
-    nr, ni, den = pr * dr + pi * di, pi * dr - pr * di, dr * dr + di * di
-    shift = t - m
-    if shift >= 0:
-        return (nr << shift) // den, (ni << shift) // den, t
-    den <<= -shift
-    return nr // den, ni // den, t
-
-
-def _repulsion(scaled: list, j: int):
-    """sum_{k != j} 1/(c_j - c_k) on the double copies c = x 2^e, or None.
-
-    The sum times 2^e is the Aberth repulsion R = sum 1/(x_j - x_k); it
-    only scales the Newton step, so double precision suffices. None
-    where the copy of x_j left double range or the sum is not finite.
+    The double sum r = sum 1/(c_j - c_k) is R 2^-e; R only scales the
+    Newton step, so double precision suffices. Its parts are dyadic: R
+    is returned exactly as (rr, ri, k), R = (rr + i ri) 2^-k. None where
+    the copy of x_j left double range or the sum is not finite.
     """
     cj = scaled[j]
     if cj != 0 and cmath.isfinite(cj):
         # itself (and an exact duplicate) repels nothing
         r = sum(1 / (cj - ck) for ck in scaled if ck != cj)
         if cmath.isfinite(r):
-            return r
+            rr, ri, k = _dyadic(r)
+            return rr, ri, k - e
     return None
 
 
-def _aberth_step(newton: tuple, t: int, e: int, r: complex) -> tuple[int, int]:
-    """The Aberth step N/(1 - N R) times 2^t, as (re, im), by integer division.
+def _exact_repulsion(xs: list, j: int, bits: int) -> tuple[int, int, int]:
+    """R of _repulsion summed in mpmath at `bits` over the exact iterates, as (rr, ri, k).
 
-    newton is N 2^t from _newton and r = R 2^-e the double sum of
-    _repulsion, whose parts are dyadic: w = N R is the exact Gaussian
-    integer W over 2^v, and the step N 2^v / (2^v - W) is floored to the
-    units of 2^-t, so no w is too small to count. Plain Newton where
-    1 - N R vanishes.
-    """
-    nr, ni = newton
-    rr, ri, k = _dyadic(r)
-    wr, wi = nr * rr - ni * ri, nr * ri + ni * rr
-    v = t + k - e
-    if v < 0:
-        wr, wi, v = wr << -v, wi << -v, 0
-    dr, di = (1 << v) - wr, -wi
-    den = dr * dr + di * di
-    if not den:
-        return nr, ni
-    return ((nr * dr + ni * di) << v) // den, ((ni * dr - nr * di) << v) // den
-
-
-def _exact_aberth_step(newton: tuple, t: int, xs: list, j: int, bits: int) -> tuple[int, int]:
-    """The Aberth step of _aberth_step with R summed in mpmath at `bits`.
-
-    For a root whose double repulsion left double range: R is the
-    multiprecision sum over the exact iterates, and the step is plain
-    Newton where 1 - N R vanishes.
+    For a root whose double copy or double sum left double range.
     """
     with mp.workprec(bits):
-        newton = _exact((newton[0], newton[1], t))
         xj = _exact(xs[j])
-        repulsion = mp.fsum(1 / (xj - xk) for xk in map(_exact, xs) if xk != xj)
-        denom = 1 - newton * repulsion
-        step = newton / denom if denom != 0 else newton
-        return _to_fixed(step.real._mpf_, t), _to_fixed(step.imag._mpf_, t)
+        return _triple(mp.mpc(mp.fsum(1 / (xj - xk) for xk in map(_exact, xs) if xk != xj)))
+
+
+def _aberth_step(p: tuple, q: tuple, m: int, t: int, r: tuple, bits: int) -> tuple[int, int, int]:
+    """The Aberth step Q/(Q' - Q R) = N/(1 - N R), N = Q/Q', as a triple (sr, si, t').
+
+    p = Q 2^G and q = Q' 2^(G-m) come from _fixed_horner and
+    _fixed_derivative at a point held at 2^-t, and r = (rr, ri, k) is the
+    repulsion R = (rr + i ri) 2^-k. The denominator is the exact Gaussian
+    integer D = (Q' - Q R) 2^(G+h), h = max(k, -m), and the step
+    p conj(D) / |D|^2 2^(t'+h) is one floor division, to the units of
+    2^-t': the finer of the point's grid and the one holding `bits` bits
+    of the step itself, so a small step keeps its bits for the stop test,
+    and a step from the origin (a point of no magnitude to set its grid)
+    lands on the bits it carries. Plain Newton, Q/Q', where D vanishes.
+    """
+    (pr, pi), (qr, qi), (rr, ri, k) = p, q, r
+    h = max(k, -m)
+    dr = (qr << (m + h)) - ((pr * rr - pi * ri) << (h - k))
+    di = (qi << (m + h)) - ((pr * ri + pi * rr) << (h - k))
+    if not (dr or di):
+        dr, di, h = qr, qi, -m
+    size = max(abs(dr), abs(di)).bit_length() - max(abs(pr), abs(pi)).bit_length()
+    t = max(t, bits + 2 - h + size)
+    nr, ni, den = pr * dr + pi * di, pi * dr - pr * di, dr * dr + di * di
+    shift = t + h
+    if shift >= 0:
+        return (nr << shift) // den, (ni << shift) // den, t
+    den <<= -shift
+    return nr // den, ni // den, t
 
 
 def _conjugate(x: tuple) -> tuple[int, int, int]:
@@ -529,8 +507,8 @@ def _polish(
     |Q(x)| <= 4 d 2^-bits Q(|x|) (rounding level; Q has nonnegative
     coefficients) or its step falls below 2^-(bits-16)|x|. Q'(x) is
     built only after the freeze test fails. Frozen roots still repel the
-    others. Every test and step runs on the integers; mpmath serves only
-    a root whose repulsion leaves double range.
+    others. Every test and step runs on the integers; mpmath sums only
+    the repulsion of a root whose double sum leaves double range.
     """
     d = len(s) - 1
     mirrors = list(mirrors)
@@ -561,12 +539,10 @@ def _polish(
                 q = _fixed_derivative(trail)
                 if not any(q):
                     continue
-                nr, ni, ts = _newton((pr, pi), q, m, x[2], bits)
-                r = _repulsion(scaled, j)
+                r = _repulsion(scaled, j, e)
                 if r is None:
-                    sr, si = _exact_aberth_step((nr, ni), ts, xs, j, bits)
-                else:
-                    sr, si = _aberth_step((nr, ni), ts, e, r)
+                    r = _exact_repulsion(xs, j, bits)
+                sr, si, ts = _aberth_step((pr, pi), q, m, x[2], r, bits)
                 if j == k:
                     si = 0  # the step at a real point is real; its imaginary part is noise
                 # the point on the step's grid, where the subtraction is exact
@@ -721,7 +697,7 @@ def _cluster(roots) -> tuple[tuple[complex, int], ...]:
     return tuple(clusters)
 
 
-def root_bound(alpha: Fraction, n: int, C: float = 7.0) -> float:
+def root_bound(alpha: Fraction, n: int, C: float = params.DEFAULT_ROUCHE_C) -> float:
     """The dense-graph root bound C / (alpha log n), natural log."""
     C = params.rouche_C(C, "C")
     if n < 2:
@@ -750,8 +726,8 @@ class RoucheReport:
 def rouche_margin(
     counts: SubtreeCountVector,
     alpha: Fraction,
-    C: float = 7.0,
-    circle_points: int = 256,
+    C: float = params.DEFAULT_ROUCHE_C,
+    circle_points: int = params.DEFAULT_CIRCLE_POINTS,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> RoucheReport:
     """Sampled max of |F(y) - e^{beta y}| / |e^{beta y}| on |y| = alpha log(n)/C.
@@ -848,7 +824,7 @@ class TreeRootReport:
     analysis: RootAnalysis
 
 
-def tree_root_check(tree: Graph, tolerance: float = 1e-9) -> TreeRootReport:
+def tree_root_check(tree: Graph, tolerance: float = params.DEFAULT_TOLERANCE) -> TreeRootReport:
     """Root diagnostics for a tree host.
 
     Asserts the absolute bound max|x| <= 1 + cbrt(3) (+ tolerance) and

@@ -63,7 +63,7 @@ if TYPE_CHECKING:
 
     from .rng import RandomStream
 
-DEFAULT_SPANNING_TREE_CAP = 10**6
+DEFAULT_SPANNING_TREE_CAP = params.DEFAULT_SPANNING_TREE_CAP
 
 
 @dataclass(frozen=True)
@@ -434,8 +434,13 @@ def _run_weight_samples(g: Graph, samples: int, seed: int, threads: int = 1) -> 
     # one chunk per worker, in-process for one; the histograms merge exactly,
     # so chunking never changes a result
     workers = 1
-    if threads > 1:  # os.sched_getaffinity is Linux-only
-        workers = max(1, min(threads, len(os.sched_getaffinity(0)), samples // 2))
+    if threads > 1:
+        # the CPUs this process may run on; os.sched_getaffinity is Linux-only
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        workers = max(1, min(threads, cpus, samples // 2))
     chunks = [
         (g, seed, samples * i // workers, samples * (i + 1) // workers, expected)
         for i in range(workers)
@@ -575,7 +580,7 @@ def weight_experiment(
     samples: int,
     seed: int,
     b_grid: Sequence[float],
-    epsilon: float = 0.05,
+    epsilon: float = params.DEFAULT_EPSILON,
     threads: int = 1,
 ) -> tuple[BetaEstimate, LeafCountStats, ConcentrationReport]:
     """One sampling pass feeding three reports on the same samples.

@@ -42,6 +42,7 @@ from subtree_poly_lab.polyroots import (
     VIETA_RELATIVE_TOLERANCE,
     _aberth_step,
     _exact,
+    _exact_repulsion,
     _first_max_index,
     _fixed_derivative,
     _fixed_horner,
@@ -49,7 +50,6 @@ from subtree_poly_lab.polyroots import (
     _float_start,
     _horner,
     _modulus,
-    _newton,
     _polish,
     _reciprocal,
     _repulsion,
@@ -366,6 +366,28 @@ def test_fixed_horner_matches_mpmath_horner(s, log_modulus, turn, bits):
         assert abs(mp.mpc(dr, di) * mp.ldexp(1, m - g) - dq) <= tol * dscale
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    mantissas=st.tuples(st.integers(-2**600, 2**600), st.integers(-2**600, 2**600)),
+    exponents=st.tuples(st.integers(-3000, 3000), st.integers(-3000, 3000)),
+    bits=st.sampled_from([106, 128, 192, 256, 512]),
+    n=st.integers(1, 300),
+)
+def test_fixed_point_is_within_one_unit_of_the_point(mantissas, exponents, bits, n):
+    # the triple of an mpc, at any precision and with parts of any relative
+    # size, is the point rounded to the evaluator's F bits: each part
+    # within one unit of 2^-t, the larger part between 2^(F-3) and 2^F
+    with mp.workprec(600):
+        x = mp.mpc(*(mp.ldexp(c, k) for c, k in zip(mantissas, exponents)))
+    xr, xi, t = _fixed_point(x, bits, len(range(n)))
+    for ours, part in ((xr, x.real), (xi, x.imag)):
+        sign, man, exp, _ = part._mpf_
+        assert abs(ours - (-1) ** sign * man * Fraction(2) ** (exp + t)) <= 1
+    if any(mantissas):
+        f = bits + 2 * (4 * n).bit_length()
+        assert 2 ** (f - 3) <= max(abs(xr), abs(xi)) <= 2**f
+
+
 def test_fixed_horner_at_zero():
     origin = _fixed_point(mp.mpc(0), 128, 3)
     pr, pi, scale, g, m, trail = _fixed_horner([5, 3, 7], _top_bits([5, 3, 7]), origin, 128)
@@ -657,10 +679,12 @@ def test_float_start_restarts_roots_that_leave_double_range(monkeypatch):
     data=st.data(),
 )
 def test_integer_aberth_step_matches_mpmath(s, data):
-    # the integer Newton quotient and Aberth step against the same step in
+    # the integer Aberth step Q/(Q' - Q R) against N/(1 - N R), N = Q/Q', in
     # mpmath at the stage's precision, on the same Q and Q' and the same
-    # double repulsion, at a polished root moved off by a relative 2^-K
-    # (the state a stage starts from) or at a point of the double start
+    # repulsion, at a polished root moved off by a relative 2^-K (the state
+    # a stage starts from) or at a point of the double start. The
+    # repulsion summed in mpmath agrees with the double sum to double
+    # precision, and the step from either agrees with mpmath's
     work_bits = max(DEFAULT_PRECISION_BITS, max(s).bit_length() + 64)
     tops = _top_bits(s)
     u, e, _ = _float_start(s)
@@ -677,22 +701,43 @@ def test_integer_aberth_step_matches_mpmath(s, data):
         xs[j] = (xr + ((xr * cr - xi * ci) >> k), xi + ((xr * ci + xi * cr) >> k), t)
     xs = [_rounded(*x, bits) for x in xs]
     scaled = [_scaled_copy(x, e) for x in xs]
-    r = _repulsion(scaled, j)
+    r = _repulsion(scaled, j, e)
     assume(r is not None)
     pr, pi, _, g, m, trail = _fixed_horner(s, tops, xs[j], bits)
     dr, di = _fixed_derivative(trail)
     assume(dr or di)
-    nr, ni, t = _newton((pr, pi), (dr, di), m, xs[j][2], bits)
-    sr, si = _aberth_step((nr, ni), t, e, r)
-    with mp.workprec(bits):
-        q = mp.mpc(pr, pi) * mp.ldexp(1, -g)
-        dq = mp.mpc(dr, di) * mp.ldexp(1, m - g)
-        n = q / dq
-        repulsion = mp.mpc(mp.ldexp(r.real, e), mp.ldexp(r.imag, e))
-        step = n / (1 - n * repulsion)
+    exact_r = _exact_repulsion(xs, j, bits)
     with mp.workprec(4 * bits):
         x = _exact(xs[j])
-        assert abs(mp.mpc(sr, si) * mp.ldexp(1, -t) - step) <= mp.ldexp(1, 8 - bits) * abs(x)
+        others = [_exact(xk) for xk in xs if xk != xs[j]]
+        # the double sum's error: each copy and each operation rounded once
+        spread = mp.fsum((abs(x) + abs(xk)) / abs(x - xk) ** 2 for xk in others)
+        assert abs(_exact(r) - _exact(exact_r)) <= len(xs) * mp.ldexp(1, -48) * spread
+    for repulsion in (r, exact_r):
+        sr, si, t = _aberth_step((pr, pi), (dr, di), m, xs[j][2], repulsion, bits)
+        with mp.workprec(bits):
+            q = mp.mpc(pr, pi) * mp.ldexp(1, -g)
+            dq = mp.mpc(dr, di) * mp.ldexp(1, m - g)
+            n = q / dq
+            step = n / (1 - n * _exact(repulsion))
+        with mp.workprec(4 * bits):
+            assert abs(_exact((sr, si, t)) - step) <= mp.ldexp(1, 8 - bits) * abs(x)
+
+
+def test_integer_aberth_step_is_newton_where_its_denominator_vanishes():
+    # Q = 1 + x^2 at x = 1: Q = Q' = 2, so the repulsion R = 1 makes
+    # Q' - Q R vanish, and the step is the Newton quotient Q/Q' = 1
+    s, bits = [1, 0, 1], 128
+    point = _fixed_point(mp.mpc(1), bits, len(s))
+    pr, pi, _, g, m, trail = _fixed_horner(s, _top_bits(s), point, bits)
+    q = _fixed_derivative(trail)
+    assert (pr, pi) == (2 << g, 0) and q == (2 << (g - m), 0)
+    for r in [(1, 0, 0), (1 << 40, 0, 40), (1 << 7, 0, 7)]:
+        sr, si, t = _aberth_step((pr, pi), q, m, point[2], r, bits)
+        assert (sr, si) == (1 << t, 0)
+    # another repulsion gives the Aberth step 1/(1 - R) on the same grid
+    sr, si, t = _aberth_step((pr, pi), q, m, point[2], (1, 0, 1), bits)
+    assert (sr, si) == (2 << t, 0)
 
 
 def _dense_hosts():

@@ -193,12 +193,10 @@ def test_estimate_thread_count_invariance():
     assert serial == parallel
 
 
-def test_worker_pool_is_bounded_by_usable_cpus(monkeypatch):
-    # --threads far above the CPU count asks for no more processes than CPUs,
-    # and the run takes one chunk per worker; the result follows neither
-    seen = {}
-
-    class RecordingPool:  # runs the chunks in this process, starts none
+def _recording_pool(seen):
+    # a ProcessPoolExecutor that runs the chunks in this process and starts
+    # none, recording its max_workers and the number of chunks in `seen`
+    class RecordingPool:
         def __init__(self, max_workers):
             seen["max_workers"] = max_workers
 
@@ -212,6 +210,15 @@ def test_worker_pool_is_bounded_by_usable_cpus(monkeypatch):
             chunks = list(chunks)
             seen["chunks"] = len(chunks)
             return map(fn, chunks)
+
+    return RecordingPool
+
+
+def test_worker_pool_is_bounded_by_usable_cpus(monkeypatch):
+    # --threads far above the CPU count asks for no more processes than CPUs,
+    # and the run takes one chunk per worker; the result follows neither
+    seen = {}
+    RecordingPool = _recording_pool(seen)
 
     def no_affinity(pid):  # os.sched_getaffinity exists only on Linux
         raise AssertionError("a one-thread run reads no CPU count")
@@ -229,6 +236,22 @@ def test_worker_pool_is_bounded_by_usable_cpus(monkeypatch):
         assert wide == serial
         seen.clear()
         monkeypatch.setattr(os, "sched_getaffinity", no_affinity)
+
+
+def test_worker_pool_without_sched_getaffinity_uses_the_cpu_count(monkeypatch):
+    # off Linux os.sched_getaffinity does not exist: the CPU count bounds
+    # the pool instead, and a host that reports none runs one worker
+    seen = {}
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _recording_pool(seen))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    g = generate("complete(4)")
+    serial = estimate_beta(g, 10000, seed=3, threads=1)
+    for cpus, workers in [(3, 3), (1, 1), (None, 1)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        wide = estimate_beta(g, 10000, seed=3, threads=5000)
+        assert seen == ({} if workers == 1 else {"max_workers": workers, "chunks": workers})
+        assert wide == serial
+        seen.clear()
 
 
 def test_weight_experiment_matches_components():
