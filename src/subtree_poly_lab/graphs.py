@@ -9,7 +9,6 @@ generators import `rng`, and numpy with it.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import re
 from dataclasses import dataclass
@@ -75,6 +74,8 @@ class Graph:
 
     def fingerprint(self) -> str:
         """Stable hash of the labeled graph (vertex count + edge set)."""
+        import hashlib  # loads OpenSSL, so only the `counts` command, which hashes, pays for it
+
         body = f"{self.n};" + ",".join(f"{u}-{v}" for u, v in self.edges())
         return hashlib.sha256(body.encode()).hexdigest()[:16]
 

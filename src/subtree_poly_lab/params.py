@@ -1,7 +1,8 @@
 """The accepted range of every numeric parameter, one check per rule.
 
 A check takes the value and the name it prints, returns the value in the
-type the lab computes with, and raises ValidationError outside the range.
+type the lab computes with, and raises ValidationError outside the range
+(CapacityError past a limit on the work a value asks for).
 Library functions call it under the parameter's name (`samples`); the CLI
 parses each flag with the same check under the flag's name (`--samples`),
 so a flag is refused as it is parsed, before a graph is built or a sweep
@@ -18,7 +19,7 @@ import math
 import operator
 from typing import Callable
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 
 
 def _as_int(value) -> int | None:
@@ -57,13 +58,17 @@ def _at_least(least: int) -> Callable:
 DEFAULT_PRECISION_BITS = 192
 DEFAULT_ROUCHE_C = 7.0
 DEFAULT_CIRCLE_POINTS = 256
+# the Rouche transform holds O(lcm(N, 4)) big integers: at most 16 times the default
+MAX_CIRCLE_POINTS = 4096
+# M P of the Rouche circle's transform, M = lcm(N, 4) values at P bits; it
+# holds about 6 M P bits at its peak, so this bounds it near 100 MB
+MAX_CIRCLE_BITS = 2**27
 DEFAULT_SPANNING_TREE_CAP = 10**6
 DEFAULT_EPSILON = 0.05  # the few-leaves lemma's slack in weight_experiment
 DEFAULT_TOLERANCE = 1e-9  # the slack of the tree root bound in tree_root_check
 
 samples = _at_least(1)
 threads = _at_least(1)
-circle_points = _at_least(1)
 cap = _at_least(0)
 tree_cap = _at_least(0)
 k_max = _at_least(0)
@@ -73,6 +78,16 @@ finite = _rule(_as_float, "a finite number", math.isfinite)  # epsilon, toleranc
 # the constant of the Rouche construction and of the root bound C / (alpha log n)
 rouche_C = _rule(_as_float, "a finite number greater than 6", lambda c: math.isfinite(c) and c > 6)
 probability = _rule(_as_float, "a finite number in [0, 1]", lambda p: 0 <= p <= 1)
+
+
+def circle_points(value, name: str) -> int:
+    """A positive number of circle points, refused past MAX_CIRCLE_POINTS as over capacity."""
+    value = _at_least(1)(value, name)
+    if value > MAX_CIRCLE_POINTS:
+        raise CapacityError(
+            f"{name} = {value} exceeds the limit of {MAX_CIRCLE_POINTS} circle points"
+        )
+    return value
 
 
 def deviation_order(value, n: int, name: str) -> int:

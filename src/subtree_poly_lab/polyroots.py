@@ -46,11 +46,15 @@ Fiorentino, 2000; Bini and Robol, 2014), which also keeps its iterates
 in the arithmetic of its evaluator.
 
 Also here: the Rouche margin |F(y) - e^{beta y}| / |e^{beta y}| sampled
-on the circle |y| = alpha log(n) / C, with F(y) from the integer
-evaluator on the exact reversed counts s_n, ..., s_1 (each point
-rounded to its integers by _fixed_point) and one division by s_n per
-point, each conjugate pair of points evaluated once, and the
-contrast checks for tree hosts. The exact
+at N points of the circle |y| = alpha log(n) / C and its four axis
+points, all from one discrete Fourier transform on Python integers:
+F(y) and the series of e^{beta y}, cut where a stated tail bound falls
+below the rounding level, are folded modulo M = lcm(N, 4) into Gaussian
+fixed-point integers, transformed by radix-2 steps over the power of two
+in M and Goertzel's recurrence over its odd factor, each value within
+2^-work_bits (F(r) + e^{beta r}) of its exact value; N is at most
+params.MAX_CIRCLE_POINTS, and M times the transform's bits at most
+params.MAX_CIRCLE_BITS. Then the contrast checks for tree hosts. The exact
 Poisson-profile diagnostics (`exact_beta`, `poisson_deviation`) take the
 counts alone and live in `counting`.
 """
@@ -68,7 +72,7 @@ from mpmath.libmp import from_man_exp
 
 from . import params
 from .counting import SubtreeCountVector, counts_for, exact_beta
-from .errors import CertificationError, ValidationError
+from .errors import CapacityError, CertificationError, ValidationError
 from .graphs import Graph, is_connected
 
 # the last polish stage and the certification run at work_bits, this or
@@ -271,9 +275,7 @@ def _top_bits(s: Sequence[int]) -> list[tuple[int, int]]:
     return hull
 
 
-def _fixed_horner(
-    s: Sequence[int], tops: list, x: tuple, bits: int, magnitude: bool = True
-) -> tuple:
+def _fixed_horner(s: Sequence[int], tops: list, x: tuple, bits: int) -> tuple:
     """Q(x) and Q(|x|) for Q(x) = sum_k s[k] x^k, in Gaussian fixed point.
 
     One Horner pass over the exact integer coefficients, on Python
@@ -281,19 +283,16 @@ def _fixed_horner(
     x = (xr + i xi) 2^-t. Returns (p_re, p_im, scale, G, m, trail): p and
     scale are Q(x) and Q(|x|) times 2^G, and trail keeps the fixed-point
     x and the partial sums the pass multiplied by x, from which
-    _fixed_derivative builds Q'(x) only where a caller needs it. With
-    magnitude=False the Q(|x|) recurrence (one product per step, and the
-    square root giving |x|) is skipped and scale is None; p and the other
-    outputs are the same integers either way.
+    _fixed_derivative builds Q'(x) only where a caller needs it.
 
     X = x 2^(F+m) is the triple brought to F = bits + guard fractional
     bits at 1/4 < 2^m |x| < 1 (a shift, exact for a triple of the polish,
-    which holds `bits` bits, and none for one from _fixed_point), so X
-    keeps F bits of x whatever |x|. The partial sum still to be
-    multiplied by x^k is held at scale 2^(G - m k), so each step
-    truncates by less than 3 units of 2^-G in Q(x) (of 2^-(G-m) in
-    Q'(x)). G comes from a lower bound on max_{k>=1} s_k |x|^k, which is
-    below both Q(|x|) and |x| Q'(|x|): the errors stay under
+    which holds `bits` bits), so X keeps F bits of x whatever |x|. The
+    partial sum still to be multiplied by x^k is held at scale
+    2^(G - m k), so each step truncates by less than 3 units of 2^-G in
+    Q(x) (of 2^-(G-m) in Q'(x)). G comes from a lower bound on
+    max_{k>=1} s_k |x|^k, which is below both Q(|x|) and |x| Q'(|x|):
+    the errors stay under
     2^-(bits+guard) Q(|x|) and d 2^-(bits+guard) Q'(|x|), the accuracy of
     mpmath's Horner at `bits` and far below the stop test's threshold
     4 d 2^-bits Q(|x|), with integers no longer than the stage needs.
@@ -317,10 +316,10 @@ def _fixed_horner(
     else:
         xr, xi = xr >> -shift, xi >> -shift
     xsum, xdif = xr + xi, xi - xr
-    a = math.isqrt(xr * xr + xi * xi) if magnitude else None
+    a = math.isqrt(xr * xr + xi * xi)
     shift = G - m * d
     pr = s[-1] << shift if shift >= 0 else s[-1] >> -shift
-    scale = pr if magnitude else None
+    scale = pr
     pi = 0
     sums = []
     for k in range(d - 1, -1, -1):
@@ -330,8 +329,7 @@ def _fixed_horner(
         # a complex product in three multiplications
         t = xr * (pr + pi)
         pr, pi = ((t - pi * xsum) >> F) + c, (t + pr * xdif) >> F
-        if magnitude:
-            scale = ((scale * a) >> F) + c
+        scale = ((scale * a) >> F) + c
     return pr, pi, scale, G, m, (xr, xsum, xdif, F, sums)
 
 
@@ -373,16 +371,6 @@ def _triple(x) -> tuple[int, int, int]:
     (sr, mr, er, _), (si, mi, ei, _) = x._mpc_
     t = -min(er, ei)
     return (-mr if sr else mr) << (er + t), (-mi if si else mi) << (ei + t), t
-
-
-def _fixed_point(x, bits: int, n: int) -> tuple[int, int, int]:
-    """The mpc x as the Gaussian fixed point (xr, xi, t) _fixed_horner reads at `bits`.
-
-    The exact triple of x rounded by _rounded to the F = _guarded(bits, n)
-    bits of _fixed_horner, t = F + m. It is how a point given in mpmath
-    (a Rouche circle point) enters the evaluator.
-    """
-    return _rounded(*_triple(x), _guarded(bits, n))
 
 
 def _dyadic(z: complex) -> tuple[int, int, int]:
@@ -651,13 +639,16 @@ def _work_bits(precision_bits: int, top: int) -> int:
 
 
 def _root_key(x, half_bits: int) -> tuple:
-    """Sort key of a nonzero root: real part on a grid of |x| 2^-half_bits, then imag.
+    """Sort key of a nonzero root: re(x)/|x|, then re(x), on a grid of 2^-half_bits; then imag.
 
     The real parts of a conjugate pair agree only up to rounding noise;
     on the grid they tie, so the pair lists its negative imaginary part
-    first whatever the noise.
+    first whatever the noise. Every negative real root has re(x)/|x| = -1
+    up to the noise of its imaginary part, so the real roots are listed
+    by their real parts.
     """
-    return int(mp.nint(mp.ldexp(x.real / abs(x), half_bits))), x.imag
+    ratio, real = (int(mp.nint(mp.ldexp(v, half_bits))) for v in (x.real / abs(x), x.real))
+    return ratio, real, x.imag
 
 
 def _certified(residuals: list[float], vieta_rel: float) -> bool:
@@ -734,78 +725,231 @@ def rouche_margin(
 
     A finite sample is a falsifiable proxy for the full-circle statement,
     hence the "sampled supremum" label. The four axis points are always
-    included on top of the equally spaced ones. F(y) s_n comes from
-    _fixed_horner on the exact counts at the working precision, and
-    e^{beta y} from mpmath. Also checks the pointwise witness
+    included on top of the N equally spaced ones, y_j = r w^j with
+    w = e^{2 pi i/N}. Also checks the pointwise witness
     |e^{beta y}| >= n^(-1/C) that the comparison relies on.
 
-    The counts and beta are real, so F(conj y) = conj F(y) and
-    e^{beta conj y} = conj e^{beta y}: the margin and |e^{beta y}| are the
-    same at conjugate points. Only the points j <= N/2 of the N on the
-    circle are evaluated, and point N - j takes the margin of point j. The
-    axis points 1, -1 and i take those of the circle points 0, N/2 and N/4
-    where these exist, and -i takes that of i.
+    Both series are evaluated on the circle by one discrete Fourier
+    transform. With the radius r folded into the coefficients, F(r u) =
+    sum_k (s_{n-k}/s_n) r^k u^k and e^{beta r u} = sum_k (beta r)^k/k! u^k,
+    the exponential cut where its tail falls below the rounding level.
+    Folded modulo M = lcm(N, 4), D = F - e and E = e are one sequence of
+    Gaussian fixed-point integers D + iE, and its length-M transform
+    (_circle_dft) gives D and E at every circle point (output j M/N) and
+    every axis point (outputs 0, M/4, M/2, 3M/4) at once. Every step runs
+    on Python integers at P = work_bits + g fractional bits, the guard g
+    the bit length of 64 (L^3 + M), L a bound on the number of terms
+    (each error below is at most 40 (L^3 + M) (F(r) + e^{beta r}) 2^-P):
+    each D and E read from the transform lies within
+    2^-work_bits (F(r) + e^{beta r}) of its exact value (the roundings of
+    r^k and (beta r)^k/k!, the cut tail, the roots of unity and the
+    transform's products; see _circle_series, _unit_roots and
+    _circle_dft). Each margin |D|/|E| is rounded to a double once, from
+    the integers, and the witness compares |E|^2 with
+    (n^(-1/C) (1 - 2^-50))^2 on the integers. mpmath computes only r,
+    n^(-1/C) and e^{2 pi i/M}, whatever N. The transform holds about
+    6 M P bits at its peak; where M P exceeds params.MAX_CIRCLE_BITS,
+    CapacityError is raised before it is built.
+
+    The coefficients are real, so the values at conjugate points are
+    conjugate: point N - j takes the margin of point j, and -i that of i.
     """
     C = params.rouche_C(C, "C")
-    circle_points = params.circle_points(circle_points, "circle_points")
+    N = params.circle_points(circle_points, "circle_points")
     n = counts.n
     if n < 2:
         raise ValidationError("Rouche margin needs n >= 2")
     beta = exact_beta(counts)  # refuses a disconnected source
     work_bits = _work_bits(precision_bits, counts.s(n))
-    reversed_counts = counts.counts[::-1]  # s_n, ..., s_1: F(y) s_n = sum_k s_{n-k} y^k
-    tops = _top_bits(reversed_counts)
     with mp.workprec(work_bits):
-        sn = mp.mpf(counts.s(n))
-        beta_mp = mp.mpf(beta.numerator) / beta.denominator
         radius = mp.mpf(alpha.numerator) / alpha.denominator * mp.log(n) / mp.mpf(C)
         floor = mp.exp(-mp.log(n) / mp.mpf(C))  # n^(-1/C)
-        slack = 1 - mp.mpf(2) ** -50
-        witness_ok = True
-
-        def margin(yv):
-            nonlocal witness_ok
-            pr, pi, _, G, _, _ = _fixed_horner(
-                reversed_counts, tops, _fixed_point(yv, work_bits, n), work_bits, magnitude=False
-            )
-            f = mp.mpc(mp.ldexp(pr, -G), mp.ldexp(pi, -G)) / sn
-            e = mp.exp(beta_mp * yv)
-            mag = abs(e)
-            if mag < floor * slack:
-                witness_ok = False
-            return abs(f - e) / mag
-
-        N = circle_points
-        upper = [margin(radius * mp.exp(2j * mp.pi * mp.mpf(j) / N)) for j in range(N // 2 + 1)]
-        margins = [upper[min(j, N - j)] for j in range(N)]
-        minus_one = upper[N // 2] if N % 2 == 0 else margin(radius * mp.mpc(-1))
-        plus_i = upper[N // 4] if N % 4 == 0 else margin(radius * mp.mpc(0, 1))
-        margins += [upper[0], minus_one, plus_i, plus_i]  # the axis points 1, -1, i, -i
-        max_margin = max(margins)
-        max_index = _first_max_index(margins)
-        report = RoucheReport(
-            n=n,
-            C=float(C),
-            radius=float(radius),
-            beta=beta,
-            circle_points=circle_points,
-            max_margin=float(max_margin),
-            max_margin_index=max_index,
-            margin_below_one=bool(max_margin < 1),
-            witness_ok=witness_ok,
-            witness_floor=float(floor),
-            precision_bits=work_bits,
+        bm, be = (floor * (1 - mp.mpf(2) ** -50)).man_exp
+    rm, re_ = radius.man_exp
+    M = math.lcm(N, 4)
+    step = M // N
+    twice_x = -_floor_scaled(-2 * beta.numerator * rm, re_, beta.denominator)  # ceil(2 beta r)
+    # L: the exponential stops by term max(2e beta r, P) + 2, with P <= 2 work_bits - 2
+    terms = max(n, 3 * twice_x + 3, 2 * work_bits)
+    P = work_bits + (64 * (terms**3 + M)).bit_length()
+    if M * P > params.MAX_CIRCLE_BITS:
+        raise CapacityError(
+            f"the Rouche transform of {N} circle points at {P} bits holds M P = {M * P} "
+            f"bits, over the limit of {params.MAX_CIRCLE_BITS}; lower the circle points "
+            "or the precision"
         )
-    return report
+    z = _circle_series(counts.counts[::-1], (rm, re_), beta, twice_x, P, M)
+    Z = _circle_dft(z, _unit_roots(M, P), P)
+    # the witness fails where |2E 2^P|^2 < (2 bound 2^P)^2 = bm^2 2^shift
+    shift = 2 * (be + P + 1)
+    witness_ok = True
+    margin = {}
+    for m in {j * step for j in range(N // 2 + 1)} | {M // 4, M // 2}:
+        (ar, ai), (br, bi) = Z[m], Z[-m]
+        dr, di, er, ei = ar + br, ai - bi, ai + bi, br - ar  # 2D and 2E at output m
+        mag = er * er + ei * ei
+        witness_ok &= (mag << max(-shift, 0)) >= (bm * bm << max(shift, 0))
+        margin[m] = _root_ratio(dr * dr + di * di, mag)
+    margins = [margin[min(j, N - j) * step] for j in range(N)]
+    margins += [margin[0], margin[M // 2], margin[M // 4], margin[M // 4]]  # 1, -1, i, -i
+    max_margin = max(margins)
+    return RoucheReport(
+        n=n,
+        C=float(C),
+        radius=float(radius),
+        beta=beta,
+        circle_points=N,
+        max_margin=max_margin,
+        max_margin_index=_first_max_index(margins),
+        margin_below_one=max_margin < 1,
+        witness_ok=witness_ok,
+        witness_floor=float(floor),
+        precision_bits=work_bits,
+    )
+
+
+def _floor_scaled(num: int, e: int, den: int = 1) -> int:
+    """floor(num 2^e / den), den > 0."""
+    return (num << e) // den if e >= 0 else num // (den << -e)
+
+
+def _truncated(m: int, e: int, bits: int) -> tuple[int, int]:
+    """m 2^e (m >= 0) with m cut to its leading `bits` bits, as (m', e')."""
+    shift = m.bit_length() - bits
+    return (m >> shift, e + shift) if shift > 0 else (m, e)
+
+
+def _circle_series(
+    c: Sequence[int], r: tuple[int, int], beta: Fraction, twice_x: int, P: int, M: int
+) -> list[tuple[int, int]]:
+    """The packed coefficients (d_b, e_b) of D + iE at 2^-P, folded modulo M.
+
+    c holds s_n, ..., s_1 and r = (rm, re), the radius rm 2^re. d sums
+    c_k r^k / s_n - (beta r)^k/k! and e sums (beta r)^k/k! over k = b mod M.
+    r^k and (beta r)^k/k! are kept as P-bit mantissas with exponents, each
+    step truncating (relative error below 8k 2^-P after k steps), and each
+    term is floored to 2^-P. The exponential stops at the first k >= 2 beta r
+    (twice_x is ceil(2 beta r)) whose term floors to 0: there
+    beta r/(k+1) <= 1/2, so the tail left out is below 3 units of 2^-P.
+    """
+    rm, re_ = r
+    d, e = [0] * M, [0] * M
+    pm, pe = 1, 0  # r^k
+    for k, ck in enumerate(c):
+        d[k % M] += _floor_scaled(ck * pm, pe + P, c[0])
+        pm, pe = _truncated(pm * rm, pe + re_, P)
+    shift = P + beta.denominator.bit_length()
+    xm, xe = _truncated((beta.numerator * rm << shift) // beta.denominator, re_ - shift, P)
+    tm, te, k = 1, 0, 0  # (beta r)^k / k!
+    while True:
+        term = _floor_scaled(tm, te + P)
+        if not term and k >= twice_x:
+            return list(zip(d, e))
+        d[k % M] -= term
+        e[k % M] += term
+        k += 1
+        tm, te = _truncated(tm * xm // k, te + xe, P)
+
+
+def _unit_roots(M: int, P: int) -> list[tuple[int, int]]:
+    """e^{2 pi i k/M} for k < M/2 as (cos, sin) at 2^-P, for 4 | M.
+
+    One mp.cospi/mp.sinpi pair gives e^{2 pi i/M} at T = P + g bits,
+    2^g >= 4M; the recurrence w_{k+1} = w_k w_1, floored at 2^-T, runs
+    over the first quadrant (below 3k units of 2^-T after k < M/4 steps,
+    so under 2^-P/4), each root is rounded to 2^-P, and the second
+    quadrant is the first times i, exactly: each part of every root lies
+    within 2^-P of its exact value.
+    """
+    g = M.bit_length() + 2
+    T = P + g
+    with mp.workprec(T + 16):
+        angle = mp.mpf(2) / M
+        c1, s1 = (int(mp.nint(mp.ldexp(v, T))) for v in (mp.cospi(angle), mp.sinpi(angle)))
+    c, s, half = 1 << T, 0, 1 << (g - 1)
+    quadrant = []
+    for _ in range(M // 4):
+        quadrant.append(((c + half) >> g, (s + half) >> g))
+        c, s = (c * c1 - s * s1) >> T, (c * s1 + s * c1) >> T
+    return quadrant + [(-s, c) for c, s in quadrant]
+
+
+def _circle_dft(z: list, roots: list, P: int) -> list[tuple[int, int]]:
+    """Z_m = sum_b z_b e^{2 pi i b m/M} for m < M = len(z), on Gaussian integers at 2^-P.
+
+    `roots` is _unit_roots(M, P). Radix-2 steps by decimation in time
+    split the transform down to the odd factor q of M; each length-q
+    transform is direct, by _goertzel over its nonzero entries. Each
+    butterfly multiplies by a root in three products and floors, so an
+    output is off by less than 2 units of 2^-P per butterfly beneath it
+    plus 2^-P sqrt(2) times the sum of the |z_b| per radix-2 level, on top
+    of the errors of the inputs and the leaves.
+    """
+    M = len(z)
+    q = M // (M & -M)
+
+    def dft(start: int, stride: int) -> list:
+        if stride * q == M:
+            return _goertzel(z[start::stride], roots[::stride], P)
+        lo, hi = [], []
+        pairs = zip(dft(start, 2 * stride), dft(start + stride, 2 * stride), roots[::stride])
+        for (er, ei), (a, b), (c, s) in pairs:
+            t = c * (a + b)
+            tr, ti = (t - b * (c + s)) >> P, (t + a * (s - c)) >> P
+            lo.append((er + tr, ei + ti))
+            hi.append((er - tr, ei - ti))
+        return lo + hi
+
+    return dft(0, 1)
+
+
+def _goertzel(x: list, roots: list, P: int) -> list[tuple[int, int]]:
+    """X_m = sum_b x_b w^{bm}, m < q = len(x) (odd), w = e^{2 pi i/q}, at 2^-P.
+
+    `roots` holds w^m for m <= q/2. Goertzel's recurrence
+    s_b = x_b + 2 cos(2 pi m/q) s_{b+1} - s_{b+2}, run down from the last
+    nonzero entry, gives both X_m = s_0 - s_1 w^-m and X_{q-m} =
+    s_0 - s_1 w^m: one real product per entry and part. Over l entries,
+    its floors and the rounded root put each output off by less than
+    8 l^3 (1 + sum |x_b|) units of 2^-P.
+    """
+    q, top = len(x), len(x)
+    while top and x[top - 1] == (0, 0):
+        top -= 1
+    entries = x[top - 1 :: -1] if top else []
+    out = [(sum(r for r, _ in entries), sum(i for _, i in entries))] + [None] * (q - 1)
+    for m in range(1, q // 2 + 1):
+        c, s = roots[m]
+        c2 = 2 * c
+        r1 = i1 = r2 = i2 = 0
+        for xr, xi in entries:
+            r1, r2 = xr + ((c2 * r1) >> P) - r2, r1
+            i1, i2 = xi + ((c2 * i1) >> P) - i2, i1
+        u, v, w, t = (r2 * c) >> P, (i2 * s) >> P, (i2 * c) >> P, (r2 * s) >> P
+        out[m] = (r1 - u - v, i1 - w + t)
+        out[q - m] = (r1 - u + v, i1 - w - t)
+    return out
+
+
+def _root_ratio(num: int, den: int) -> float:
+    """sqrt(num/den) for integers num >= 0 < den, rounded once to a double.
+
+    The root's floor at 2^-k has at least 65 bits; doubled, plus one where
+    the root is inexact, it converts to a double as the exact root would.
+    """
+    k = (den.bit_length() - num.bit_length()) // 2 + 66
+    q, rest = divmod(num << 2 * k, den) if k >= 0 else divmod(num, den << -2 * k)
+    root = math.isqrt(q)
+    return math.ldexp(float(2 * root + (rest > 0 or root * root != q)), -k - 1)
 
 
 def _first_max_index(margins: list) -> int:
     """The first index whose margin rounds to the same double as the largest.
 
-    Margins that differ only by rounding noise (at a conjugate pair of
-    points, or an axis point and the circle point it repeats, where each
-    is evaluated on its own) would let the noise pick the member
-    reported; the first one is reported.
+    Several points can share the largest margin (a conjugate pair of
+    points shares one, and an axis point repeats a circle point), and
+    margins that differ only by rounding noise would let the noise pick
+    the member reported; the first one is reported.
     """
     top = float(max(margins))
     return next(i for i, v in enumerate(margins) if float(v) == top)

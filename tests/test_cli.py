@@ -210,6 +210,16 @@ def test_tree_check_past_the_enumeration_cap(capsys):
     assert json.loads(out)["result"]["within_bound"] is True
 
 
+def test_tree_check_lists_real_roots_by_real_part(capsys):
+    # the re-polish drops every mirror on this host, so its three real roots
+    # carry imaginary noise of either sign; the noise must not order them
+    status, out, _ = invoke(capsys, "tree-check", "--graph", "random_tree(150)", "--seed", "1")
+    assert status == 0
+    roots = json.loads(out)["result"]["analysis"]["roots"]
+    real = [float(re) for re, im in roots[1:] if abs(float(im)) < 1e-50]
+    assert len(real) == 3 and real == sorted(real)
+
+
 @pytest.mark.parametrize("command", ["roots", "rouche"])
 def test_precision_bits_floor_in_both_commands(capsys, command):
     status, out, err = invoke(capsys, command, "--graph", "complete(5)", "--precision-bits", "10")
@@ -550,6 +560,28 @@ def test_capacity_exit_code_names_bitmask_width(capsys):
     assert "62-vertex" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["rouche", "--graph", "complete(5)"],
+     ["sweep", "--family", "complete", "--n-list", "5", "--command", "rouche"]],
+)
+def test_circle_points_past_the_limit_exit_2(capsys, argv):
+    # the circle's transform holds O(N) big integers
+    status, out, err = invoke(capsys, *argv, "--circle-points", "4097")
+    assert (status, out) == (2, "")
+    assert "limit of 4096 circle points" in err
+
+
+def test_rouche_transform_past_its_bit_budget_exit_2(capsys):
+    # 4095 points fold into M = 16380 values; at 8200 bits they pass 2^27 bits
+    status, out, err = invoke(
+        capsys, "rouche", "--graph", "complete(12)", "--circle-points", "4095",
+        "--precision-bits", "8200",
+    )
+    assert (status, out) == (2, "")
+    assert "over the limit of 134217728" in err
+
+
 def test_tree_route_refuses_a_star_above_its_vertex_bound(tmp_path, capsys):
     # the tree recursion's work and output grow about 4x per doubling of a
     # star; one vertex over the bound is refused before the recursion runs
@@ -829,7 +861,7 @@ _BOUNDED_VALUES = {
     params.threads: (["1"], ["0"]),
     params.cap: (["0", "3", "62", "100"], []),
     params.tree_cap: (["3", "1000000"], []),
-    params.circle_points: (["1", "16"], ["0"]),
+    params.circle_points: (["1", "16", "4096"], ["0", "4097"]),
     params.k_max: (["0", "1", "3"], []),
     params.precision_bits: (["106", "512"], ["105"]),
     params.finite: (["0", "1e-9", "0.5"], ["1e400"]),

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from subtree_poly_lab import ValidationError, params
+from subtree_poly_lab import CapacityError, ValidationError, params
 
 
 @pytest.mark.parametrize(
@@ -18,6 +18,7 @@ from subtree_poly_lab import ValidationError, params
         (params.rouche_C, [6.5, "7", 12], [6, "6", "nan", math.inf, "x"]),
         (params.probability, [0, "0.5", 1], [-0.1, "1.5", "nan", "inf"]),
         (params.b_grid, ["0.3", "0.2,,0.5", [0.2, 1]], ["", ",", "0", "0.3,nan", [], [0.2, -1], ["x"]]),
+        (params.circle_points, [1, "4096"], [0, "0", "-1", 2.0, "x"]),
     ],
 )
 def test_check_accepts_its_range_and_names_the_parameter(check, accepted, refused):
@@ -33,6 +34,13 @@ def test_checks_return_the_parsed_value():
     assert params.seed(str(2**64 - 1), "seed") == 2**64 - 1
     assert params.rouche_C("7", "C") == 7.0
     assert params.b_grid("0.3,,0.5", "b_grid") == [0.3, 0.5]
+
+
+def test_circle_points_past_the_limit_are_over_capacity():
+    assert params.circle_points(params.MAX_CIRCLE_POINTS, "circle_points") == 4096
+    for value in (4097, "4097", 10**9):
+        with pytest.raises(CapacityError, match=r"^--circle-points = \d+ exceeds the limit of 4096 "):
+            params.circle_points(value, "--circle-points")
 
 
 def test_deviation_order_stays_below_the_host_size():

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subtree_poly_lab import (
+    CapacityError,
     CertificationError,
     Graph,
     SubtreePolynomial,
@@ -46,8 +47,8 @@ from subtree_poly_lab.polyroots import (
     _first_max_index,
     _fixed_derivative,
     _fixed_horner,
-    _fixed_point,
     _float_start,
+    _guarded,
     _horner,
     _modulus,
     _polish,
@@ -56,11 +57,14 @@ from subtree_poly_lab.polyroots import (
     _rounded,
     _require_certified,
     _root_key,
+    _root_ratio,
     _scaled_copy,
     _scaled_ratio,
     _stages,
     _start_step,
     _top_bits,
+    _triple,
+    _unit_roots,
 )
 
 
@@ -342,8 +346,7 @@ def test_fixed_horner_matches_mpmath_horner(s, log_modulus, turn, bits):
     # Q, Q' and Q(|x|) from the integer evaluator against mpmath's Horner at
     # the stage precision; both err by at most a few d 2^-bits of the scale.
     # Q' from the kept partial sums is the same pair of integers as the
-    # recurrence run inside the value pass, and without the magnitude, Q is
-    # the same integers.
+    # recurrence run inside the value pass.
     d = len(s) - 1
     with mp.workprec(bits):
         x = mp.expjpi(mp.mpf(turn) / 180) * mp.ldexp(1, log_modulus)
@@ -354,8 +357,6 @@ def test_fixed_horner_matches_mpmath_horner(s, log_modulus, turn, bits):
     pr, pi, fixed_scale, g, m, trail = _fixed_horner(s, _top_bits(s), point, bits)
     dr, di = _fixed_derivative(trail)
     assert _inline_fixed_horner(s, trail, g, m) == (pr, pi, dr, di)
-    bare = _fixed_horner(s, _top_bits(s), point, bits, magnitude=False)
-    assert bare[:5] == (pr, pi, None, g, m)
     with mp.workprec(4 * bits + 600 * (d + 2) + 2500):
         size = abs(x)
         true_scale = mp.fsum(c * size**k for k, c in enumerate(s))
@@ -364,6 +365,13 @@ def test_fixed_horner_matches_mpmath_horner(s, log_modulus, turn, bits):
         assert abs(mp.mpc(pr, pi) * mp.ldexp(1, -g) - q) <= tol * true_scale
         assert abs(mp.ldexp(fixed_scale, -g) - scale) <= tol * true_scale
         assert abs(mp.mpc(dr, di) * mp.ldexp(1, m - g) - dq) <= tol * dscale
+
+
+def _fixed_point(x, bits: int, n: int) -> tuple[int, int, int]:
+    # the mpc x as the Gaussian fixed point (xr, xi, t) that _fixed_horner
+    # reads at `bits` for n coefficients: its exact triple rounded to the
+    # evaluator's F = _guarded(bits, n) bits
+    return _rounded(*_triple(x), _guarded(bits, n))
 
 
 @settings(max_examples=100, deadline=None)
@@ -477,8 +485,8 @@ def test_top_bits_hull_gives_the_scale_of_all_points():
         assert set(tops) <= set(everything)
         for point in points:
             x = _fixed_point(point, 128, len(s))
-            ours = _fixed_horner(s, tops, x, 128, magnitude=False)
-            theirs = _fixed_horner(s, everything, x, 128, magnitude=False)
+            ours = _fixed_horner(s, tops, x, 128)
+            theirs = _fixed_horner(s, everything, x, 128)
             assert ours[:5] == theirs[:5]
 
 
@@ -549,10 +557,34 @@ def test_root_kernel_work_counts(monkeypatch, n, values, derivatives, fresh):
 
 @pytest.mark.parametrize("circle_points, evaluations", [(256, 129), (8, 5), (6, 5), (7, 6), (1, 3)])
 def test_rouche_evaluates_one_point_per_conjugate_pair(monkeypatch, circle_points, evaluations):
-    # the points j <= N/2 of the circle, plus -1 for odd N and i unless 4 | N
-    calls = _counting_evaluator(monkeypatch)
+    # one margin for the points j <= N/2 of the circle, plus -1 for odd N
+    # and i unless 4 | N
+    margins = Counter()
+    monkeypatch.setattr(polyroots, "_root_ratio", _counted(margins, "margin", _root_ratio))
     rouche_margin(complete_graph_counts(120), Fraction(119, 120), circle_points=circle_points)
-    assert calls["value"] == evaluations
+    assert margins["margin"] == evaluations
+
+
+def test_rouche_takes_no_horner_pass_and_the_same_mpmath_calls_at_every_n(monkeypatch):
+    # the whole circle comes from one transform: mpmath computes the radius,
+    # n^(-1/C) and one root of unity, however many points there are
+    calls = _counting_evaluator(monkeypatch)
+    for name in ("exp", "log", "cospi", "sinpi"):
+        monkeypatch.setattr(mp, name, _counted(calls, name, getattr(mp, name)))
+    per_n = []
+    for circle_points in (1, 7, 256):
+        calls.clear()
+        rouche_margin(complete_graph_counts(120), Fraction(119, 120), circle_points=circle_points)
+        per_n.append(dict(calls))
+    assert per_n[0] == per_n[1] == per_n[2] == {"exp": 1, "log": 2, "cospi": 1, "sinpi": 1}
+
+
+def _counted(calls, name, function):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+
+    return wrapper
 
 
 def _numpy_float_start(s):
@@ -894,13 +926,25 @@ def _mpmath_rouche(counts, alpha, C, circle_points):
 
 
 @settings(max_examples=30, deadline=None)
-@given(host=_dense_hosts(), circle_points=st.sampled_from([1, 2, 3, 6, 8, 10, 32, 64, 256]))
+@given(
+    host=_dense_hosts(),
+    circle_points=st.sampled_from([1, 2, 3, 5, 6, 7, 8, 9, 10, 12, 15, 32, 64, 101, 256]),
+)
 def test_rouche_margin_matches_mpmath_horner(host, circle_points):
     counts, alpha = host
     report = rouche_margin(counts, alpha, circle_points=circle_points)
     assert (report.max_margin, report.max_margin_index) == _mpmath_rouche(
         counts, alpha, 7.0, circle_points
     )
+
+
+def test_rouche_margin_matches_mpmath_horner_at_a_prime_circle():
+    # N = 1009: M = 4036, two radix-2 levels over four Goertzel leaves of
+    # length 1009, each leaf holding a few of the nonzero folded entries
+    g, _ = generate_connected("gnp(9,0.5)", 3)
+    counts, alpha = subtree_counts(g), degree_profile(g).alpha
+    report = rouche_margin(counts, alpha, circle_points=1009)
+    assert (report.max_margin, report.max_margin_index) == _mpmath_rouche(counts, alpha, 7.0, 1009)
 
 
 def test_nan_residual_or_vieta_error_fails_certification():
@@ -947,6 +991,54 @@ def test_rouche_margin_k20():
     assert report.margin_below_one
     assert report.radius == pytest.approx(float(Fraction(19, 20)) * math.log(20) / 7.0)
     assert report.witness_floor == pytest.approx(20 ** (-1 / 7.0))
+
+
+def test_rouche_margin_k40_is_the_double_nearest_the_exact_margin():
+    # mpmath at 2000 bits gives 3.3434617379527453624e-05 at point 0; the
+    # square root of |D|^2/|E|^2 already rounded to a double is one ulp higher
+    report = rouche_margin(complete_graph_counts(40), Fraction(39, 40))
+    assert (report.max_margin, report.max_margin_index) == (3.343461737952745e-05, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=st.integers(0, 2**300), den=st.integers(1, 2**300))
+@example(num=0, den=3)
+@example(num=4 * 3**40, den=3**40)
+def test_root_ratio_rounds_the_exact_root_once(num, den):
+    # the exact root lies between the midpoints to the neighbouring doubles
+    root = _root_ratio(num, den)
+    below, above = (Fraction(math.nextafter(root, to)) for to in (0.0, math.inf))
+    low, high = (Fraction(root) + below) / 2, (Fraction(root) + above) / 2
+    assert low * low <= Fraction(num, den) <= high * high
+
+
+def test_rouche_transform_past_its_bit_budget_is_refused_before_it_is_built(monkeypatch):
+    # N = 4095 folds into M = 16380 values; at 8200 bits (P = 8249) M P
+    # passes 2^27 and is refused before the folded series is built, at
+    # 8000 bits (P = 8048) it is within budget
+    def unbuilt(*args):
+        raise AssertionError("the transform was built")
+
+    monkeypatch.setattr(polyroots, "_circle_series", unbuilt)
+    counts = complete_graph_counts(12)
+    with pytest.raises(CapacityError, match=r"over the limit of 134217728"):
+        rouche_margin(counts, Fraction(11, 12), circle_points=4095, precision_bits=8200)
+    with pytest.raises(AssertionError, match="the transform was built"):
+        rouche_margin(counts, Fraction(11, 12), circle_points=4095, precision_bits=8000)
+
+
+@pytest.mark.parametrize("M, P", [(4, 60), (12, 200), (4036, 100), (2**15, 64), (3 * 2**14, 64)])
+def test_unit_roots_are_within_one_unit(M, P):
+    # each part of e^{2 pi i k/M} within 2^-P, also past M = 2^14, where
+    # the recurrence runs over more than 4096 steps
+    roots = _unit_roots(M, P)
+    assert len(roots) == M // 2
+    with mp.workprec(P + 64):
+        for k in [*range(0, M // 2, max(1, M // 512)), M // 4 - 1, M // 2 - 1]:
+            exact = mp.expjpi(mp.mpf(2 * k) / M)
+            c, s = roots[k]
+            assert abs(mp.ldexp(c, -P) - exact.real) <= mp.ldexp(1, -P)
+            assert abs(mp.ldexp(s, -P) - exact.imag) <= mp.ldexp(1, -P)
 
 
 def test_rouche_margin_rejects_small_C():

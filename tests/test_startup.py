@@ -11,7 +11,8 @@ import pytest
 import subtree_poly_lab
 from subtree_poly_lab.counting import SMALL_HOST_VERTICES
 
-HEAVY = ("numpy", "mpmath", "concurrent.futures")
+# hashlib loads OpenSSL, a few ms per process; only `counts` hashes its host
+HEAVY = ("numpy", "mpmath", "concurrent.futures", "hashlib")
 
 # runs the CLI as `python -m` would, then reports which HEAVY modules it loaded
 _PROBE = """
@@ -73,6 +74,13 @@ def test_version_and_help_load_nothing_heavy(argv):
 )
 def test_closed_form_and_tree_hosts_run_without_numpy(argv, edge_list):
     assert "numpy" not in _loaded(*(a.format(edge_list=edge_list) for a in argv))
+
+
+@pytest.mark.parametrize(
+    "argv", [("roots", "--graph", "complete(12)"), ("rouche", "--graph", "complete(12)")]
+)
+def test_root_commands_load_no_hashlib(argv):
+    assert "hashlib" not in _loaded(*argv)
 
 
 def test_hosts_above_the_small_bound_count_with_numpy(tmp_path):
