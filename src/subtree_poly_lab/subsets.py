@@ -1,4 +1,4 @@
-"""The counting kernel: connected-subset levels and their modular determinants.
+"""The counting kernel: connected-subset levels and their exact determinants.
 
 `counting.subtree_counts` calls into this module for hosts of more than
 `counting.SMALL_HOST_VERTICES` vertices, and `counting.enumerate_connected_subsets`
@@ -10,25 +10,34 @@ the connected k-subsets W, computed one subset size at a time:
 1. Levels. The connected k-subsets are held as one sorted int64 array of
    bitmasks. Level k+1 is every level-k subset grown by one vertex of its
    neighbourhood bitmask, sorted and deduplicated.
-2. Modular elimination. t(G[W]) is a reduced-Laplacian cofactor. The
-   (k-1)x(k-1) minors of a chunk of subsets are stacked in int8 with the
-   batch axis last, and eliminated together modulo one 31-bit prime at a
-   time: division-free, without row swaps, updating only the upper
-   triangle of each symmetric trailing block. One product-tree inverse
-   per chunk and prime clears the pivot products. A pivot that vanishes
-   mod p (p divides a leading principal minor of a positive definite
-   matrix) flags its subset; a subset flagged under any of its chunk's
-   primes adds its exact Bareiss count (`counting._bareiss_determinant`)
-   instead.
-3. Exact counts. By the matrix-tree theorem t(G[W]) is the product of the
-   k-1 nonzero Laplacian eigenvalues over k, and they sum to 2m_W, so AM-GM
-   gives Grimmett's bound t(G[W]) <= (2m_W/(k-1))^(k-1) / k, which grows
-   with m_W. Each chunk takes the fewest primes whose product exceeds the
-   bound at its largest 2m_W (from the adjacency bitmasks): the prime count
-   is proven, not guessed, and a sparse chunk takes fewer primes than a
-   dense one. The residues of each subset become its mixed-radix (Garner)
-   digits, which give its count exactly; the digit columns are summed and
-   weighted by their radices.
+2. Elimination. t(G[W]) is a reduced-Laplacian cofactor. The (k-1)x(k-1)
+   minors of a chunk of subsets are stacked in int8 with the batch axis
+   last and eliminated together without row swaps, updating only the
+   upper triangle of each symmetric trailing block, by one of two routes
+   chosen per chunk:
+   - Float. Where H^2 < 2^53, H the chunk's largest product of the k-2
+     largest degrees of a minor (Hadamard's bound on every minor of a
+     positive definite matrix), Bareiss' fraction-free elimination runs
+     in float64 and every intermediate is an integer below 2^53, so each
+     determinant is exact (`_determinants_float`). On dense hosts of 16
+     vertices this takes about nine subsets in ten.
+   - Modular. Otherwise the chunk is eliminated modulo one 31-bit prime
+     at a time, division-free; one product-tree inverse per chunk and
+     prime clears the pivot products. A pivot that vanishes mod p (p
+     divides a leading principal minor of a positive definite matrix)
+     flags its subset; a subset flagged under any of its chunk's primes
+     adds its exact Bareiss count (`counting._bareiss_determinant`)
+     instead.
+3. Exact counts on the modular route. By the matrix-tree theorem t(G[W])
+   is the product of the k-1 nonzero Laplacian eigenvalues over k, and
+   they sum to 2m_W, so AM-GM gives Grimmett's bound
+   t(G[W]) <= (2m_W/(k-1))^(k-1) / k, which grows with m_W. Each chunk
+   takes the fewest primes whose product exceeds the bound at its largest
+   2m_W (from the adjacency bitmasks): the prime count is proven, not
+   guessed, and a sparse chunk takes fewer primes than a dense one. The
+   residues of each subset become its mixed-radix (Garner) digits, which
+   give its count exactly; the digit columns are summed and weighted by
+   their radices.
 """
 
 from __future__ import annotations
@@ -49,10 +58,14 @@ _PRIMES = (
     2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
     2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
 )
-# int64 entries in one elimination tensor (one prime at a time)
-_CHUNK_ELEMENTS = 1 << 16
+# entries in one elimination tensor (one prime at a time), and the fewest
+# matrices in one: below it, per-call overhead dominates large minors
+_CHUNK_ELEMENTS = 1 << 17
+_CHUNK_FLOOR = 256
 # entries a strip of rows of the trailing block gathers into one numpy update
 _STRIP_ELEMENTS = 1 << 12
+# float64 holds every integer below this exactly
+_FLOAT_EXACT = 1 << 53
 
 
 def _connected_levels(g: Graph) -> Iterator[np.ndarray]:
@@ -201,6 +214,68 @@ def _determinants_mod(minors: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
     return _mul_mod(prefix, _inverse_mod(denominator, p), p), ok
 
 
+def _determinants_float(minors: np.ndarray) -> np.ndarray:
+    """det(minors[:, :, b]) for a (m, m, B) stack of reduced Laplacians, exactly.
+
+    Bareiss' fraction-free elimination in float64, in the strip layout of
+    `_determinants_mod`: row c+1.. of the trailing block takes
+    a_ij <- (a_cc a_ij - a_ic a_cj) / prev, prev the pivot before a_cc,
+    and the last pivot is the determinant. It is exact on a chunk whose
+    `_hadamard_bound` H has H^2 < 2^53:
+
+    - every entry is a minor det A[I, J] of the reduced Laplacian A
+      (Sylvester's identity), and each pivot a leading principal minor;
+    - A is positive definite, so its compound matrices are too, and
+      |det A[I, J]| <= max(det A[I, I], det A[J, J]); by Hadamard's
+      inequality that is at most the product of the |I| largest diagonal
+      entries, all >= 1;
+    - with P_j the product of the j largest diagonal entries, each
+      product multiplies two minors of order c+1 <= m-1, so it is an
+      integer of size at most P_(c+1)^2 <= H^2 < 2^53, held exactly; the
+      difference is prev (order c) times an entry of order c+2, at most
+      P_c P_(c+2) <= P_(c+1)^2, so it is exact too, and so is the
+      quotient, an integer;
+    - the pivots are positive, so no division is by zero and no subset
+      is flagged.
+
+    The lower corner of a strip is updated but never read.
+    """
+    m, batch = minors.shape[0], minors.shape[2]
+    a = minors.astype(np.float64)
+    for c in range(m - 1):
+        pivot = a[c, c]
+        row = a[c]
+        i = c + 1
+        while i < m:
+            j = min(m, i + max(1, _STRIP_ELEMENTS // ((m - i) * batch)))
+            # row c lies outside the strip, so it updates in place
+            block = a[i:j, i:]
+            block *= pivot
+            block -= row[i:j, None] * row[i:]
+            if c:
+                block /= a[c - 1, c - 1]
+            i = j
+    return a[m - 1, m - 1]
+
+
+def _hadamard_bound(minors: np.ndarray) -> int:
+    """The largest, over a chunk, product of the m-1 largest diagonal entries.
+
+    `minors` is the (m, m, B) stack of reduced Laplacians, whose diagonals
+    are the degrees inside each subset. The products of all m entries are
+    taken in int64 saturating at 2^56, below which they are exact; one
+    that saturates leaves at least 2^56 / 61 > 2^50 after the smallest
+    entry is divided out, and so does the true product. So the result is
+    exact up to 2^50 and can only be overestimated above it.
+    """
+    m = minors.shape[0]
+    diagonal = minors[np.arange(m), np.arange(m)]
+    product = np.ones(minors.shape[2], dtype=np.int64)
+    for degrees in diagonal:
+        np.minimum(product * degrees, 1 << 56, out=product)
+    return int((product // diagonal.min(axis=0)).max())
+
+
 def _primes_for(bound: int) -> tuple[int, ...]:
     """The fewest leading _PRIMES whose product exceeds `bound`."""
     product = 1
@@ -240,18 +315,28 @@ def _mixed_radix_digits(residues: list[np.ndarray], primes: tuple[int, ...]) -> 
     return digits
 
 
+def _chunk_matrices(k: int) -> int:
+    """Subsets per chunk at size k: _CHUNK_ELEMENTS entries, at least _CHUNK_FLOOR."""
+    return max(_CHUNK_FLOOR, _CHUNK_ELEMENTS // (k - 1) ** 2)
+
+
 def _level_tree_total(adj: np.ndarray, adj_bits: np.ndarray, masks: np.ndarray, k: int) -> int:
     """Exact sum of t(G[W]) over the connected k-subsets W in `masks`, k >= 2.
 
     `adj` is the dense int8 adjacency matrix and `adj_bits` the adjacency
     bitmask of every vertex.
     """
-    chunk = max(1, _CHUNK_ELEMENTS // (k - 1) ** 2)
+    chunk = _chunk_matrices(k)
     total = 0
     for lo in range(0, masks.size, chunk):
         part = masks[lo:lo + chunk]
         vertices = _mask_vertices(part, k)
         minors = _laplacian_minors(adj, vertices)
+        if _hadamard_bound(minors) ** 2 < _FLOAT_EXACT:
+            # each count is below 2^53 and k^(k-2), so a chunk's sum fits
+            # in int64 (test_float_chunk_sums_fit_in_int64)
+            total += int(_determinants_float(minors).astype(np.int64).sum())
+            continue
         primes = _primes_for(_chunk_tree_bound(adj_bits, part, vertices))
         residues, ok = [], np.ones(part.size, dtype=bool)
         for p in primes:
@@ -259,7 +344,7 @@ def _level_tree_total(adj: np.ndarray, adj_bits: np.ndarray, masks: np.ndarray, 
             residues.append(det)
             ok &= ok_p
         # every count is below the product of the primes, so its digits
-        # give it exactly; a column of at most 2^16 digits below 2^31 sums
+        # give it exactly; a column of at most 2^17 digits below 2^31 sums
         # in int64. A subset flagged under any prime adds its exact Bareiss
         # determinant instead.
         radix = 1

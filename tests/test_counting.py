@@ -38,10 +38,14 @@ from subtree_poly_lab.counting import (
     subset_spanning_tree_count,
 )
 from subtree_poly_lab.subsets import (
+    _FLOAT_EXACT,
     _PRIMES,
+    _chunk_matrices,
     _chunk_tree_bound,
     _connected_levels,
+    _determinants_float,
     _determinants_mod,
+    _hadamard_bound,
     _laplacian_minors,
     _mask_vertices,
     _mixed_radix_digits,
@@ -288,7 +292,8 @@ def test_subtree_counts_small_primes_take_the_exact_route(monkeypatch):
     # primes below 100 make zero pivots common; every flagged subset must
     # take its exact Bareiss count and the totals stay exact. The kernel is
     # called directly: subtree_counts would count the two hosts at or below
-    # SMALL_HOST_VERTICES without it.
+    # SMALL_HOST_VERTICES without it. A float limit of 0 sends every chunk
+    # to the modular route, which these small hosts would otherwise skip.
     hosts = [generate(f"gnp({n},{q})", seed=seed) for n, q, seed in ((9, 0.5, 1), (10, 0.6, 2), (11, 0.4, 3))]
     expected = [
         tuple(
@@ -305,6 +310,7 @@ def test_subtree_counts_small_primes_take_the_exact_route(monkeypatch):
 
     small = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))
     monkeypatch.setattr(subsets, "_PRIMES", small)
+    monkeypatch.setattr(subsets, "_FLOAT_EXACT", 0)
     monkeypatch.setattr(counting, "_bareiss_determinant", counted)
     assert [tuple(subsets.level_counts(g)) for g in hosts] == expected
     assert calls
@@ -350,13 +356,19 @@ def test_chunk_tree_bound_covers_every_subset(n, p, seed, chunk):
 
 
 @pytest.mark.parametrize(
-    "spec, eliminations",
-    [("gnp(16,0.5)", 66), ("complete_minus_perfect_matching(16)", 73)],
+    "spec, float_chunks, modular_calls",
+    [("gnp(16,0.5)", 30, 10), ("complete_minus_perfect_matching(16)", 26, 16)],
 )
-def test_count_dense_hosts_take_pinned_eliminations(monkeypatch, spec, eliminations):
-    # one _determinants_mod call per chunk and prime: a prime choice that
-    # takes more primes than the chunk bound needs changes these integers
-    calls = []
+def test_count_dense_hosts_take_pinned_eliminations(monkeypatch, spec, float_chunks, modular_calls):
+    # one _determinants_float call per float chunk and one _determinants_mod
+    # call per modular chunk and prime: a routing or chunking change, or a
+    # prime choice that takes more primes than the chunk bound needs,
+    # changes these integers
+    floats, calls = [], []
+
+    def counted_float(minors):
+        floats.append(minors.shape[2])
+        return _determinants_float(minors)
 
     def counted(minors, p):
         calls.append(p)
@@ -364,9 +376,73 @@ def test_count_dense_hosts_take_pinned_eliminations(monkeypatch, spec, eliminati
 
     g = generate(spec, seed=1)
     expected = subtree_counts(g).counts
+    monkeypatch.setattr(subsets, "_determinants_float", counted_float)
     monkeypatch.setattr(subsets, "_determinants_mod", counted)
     assert tuple(subsets.level_counts(g)) == expected
-    assert len(calls) == eliminations
+    assert (len(floats), len(calls)) == (float_chunks, modular_calls)
+
+
+def _dense_adjacency(g):
+    bits = np.array(g.adjacency_bits, dtype=np.int64)
+    return ((bits[:, None] >> np.arange(g.n)) & 1).astype(np.int8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(4, 14),
+    p=st.floats(0.6, 1.0),
+    seed=st.integers(0, 10**6),
+    chunk=st.integers(1, 300),
+)
+def test_float_route_matches_bareiss(n, p, seed, chunk):
+    # every chunk whose Hadamard bound admits the float route gives each
+    # subset's exact Bareiss determinant
+    g = generate(f"gnp({n},{p})", seed=seed)
+    adj = _dense_adjacency(g)
+    checked = 0
+    for k, masks in enumerate(_connected_levels(g), start=1):
+        if k == 1:
+            continue
+        for lo in range(0, masks.size, chunk):
+            minors = _laplacian_minors(adj, _mask_vertices(masks[lo:lo + chunk], k))
+            if _hadamard_bound(minors) ** 2 >= _FLOAT_EXACT:
+                continue
+            det = _determinants_float(minors)
+            for b in range(minors.shape[2]):
+                assert det[b] == _bareiss_determinant(minors[:, :, b].tolist())
+            checked += 1
+    assume(checked)
+
+
+@pytest.mark.parametrize("n, route", [(10, "float"), (11, "modular")])
+def test_complete_level_switches_route_at_the_float_limit(monkeypatch, n, route):
+    # the full K_n minor has degrees n-1, so H = (n-1)^(n-2): 9^8 squared
+    # is about 1.85e15 < 2^53, 10^9 squared is 1e18 > 2^53
+    g = generate(f"complete({n})")
+    full = np.array([(1 << n) - 1], dtype=np.int64)
+    minor = _laplacian_minors(_dense_adjacency(g), _mask_vertices(full, n))
+    assert _hadamard_bound(minor) == (n - 1) ** (n - 2)
+    sizes = {"float": [], "modular": []}
+
+    def counted_float(minors):
+        sizes["float"].append(minors.shape[0])
+        return _determinants_float(minors)
+
+    def counted(minors, p):
+        sizes["modular"].append(minors.shape[0])
+        return _determinants_mod(minors, p)
+
+    monkeypatch.setattr(subsets, "_determinants_float", counted_float)
+    monkeypatch.setattr(subsets, "_determinants_mod", counted)
+    assert subsets.level_counts(g) == list(complete_graph_counts(n).counts)
+    assert [route for route, ms in sizes.items() if n - 1 in ms] == [route]
+
+
+def test_float_chunk_sums_fit_in_int64():
+    # a float chunk's counts are each below 2^53 and t(K_k) = k^(k-2), and
+    # _level_tree_total sums them in int64
+    for k in range(2, MAX_BITMASK_VERTICES + 1):
+        assert _chunk_matrices(k) * min(_FLOAT_EXACT, k ** (k - 2)) < 2**63, k
 
 
 def test_disconnected_and_single_vertex_vectors():
@@ -438,7 +514,8 @@ def test_tree_route_matches_path_closed_form():
 
 
 def test_complete_graph_counts_match_enumeration():
-    for n in range(1, 9):
+    # past SMALL_HOST_VERTICES the numpy kernel counts, on both routes
+    for n in range(1, 19):
         assert complete_graph_counts(n).counts == subtree_counts(generate(f"complete({n})")).counts
 
 
