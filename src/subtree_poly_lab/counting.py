@@ -15,10 +15,11 @@ two routes by the host's size. A host of at most
 SMALL_HOST_VERTICES vertices is counted here on Python integers: its
 connected-subset levels are sets of bitmasks and each subset adds its
 exact Bareiss count. A larger host runs in the numpy kernel of the
-`subsets` module, which holds that algorithm (bitmask levels, modular
-elimination under a proven per-chunk prime count, each subset's count
-rebuilt exactly from its residues); `subtree_counts` loads it only for
-the larger hosts, `enumerate_connected_subsets` for every host.
+`subsets` module, which holds that algorithm (bitmask levels cut into
+chunks of vertex arrays; each chunk's minors eliminated exactly, in
+float64 under a proven Hadamard bound, else modulo a proven number of
+primes with each count rebuilt from its residues); `subtree_counts` loads
+it only for the larger hosts, `enumerate_connected_subsets` for every host.
 
 The diagnostics of the Poisson profile take the counts alone and stay in
 exact rationals: `exact_beta` (s_{n-1}/s_n), `poisson_deviation` (the

@@ -9,12 +9,13 @@ the connected k-subsets W, computed one subset size at a time:
 
 1. Levels. The connected k-subsets are held as one sorted int64 array of
    bitmasks. Level k+1 is every level-k subset grown by one vertex of its
-   neighbourhood bitmask, sorted and deduplicated.
+   neighbourhood bitmask, sorted and deduplicated. `_mask_vertices` cuts
+   each level into chunks of (k, B) ascending vertex arrays, the last step
+   that reads a mask: `_chunk_total` reads them and the adjacency matrix.
 2. Elimination. t(G[W]) is a reduced-Laplacian cofactor. The (k-1)x(k-1)
-   minors of a chunk of subsets are stacked in int8 with the batch axis
-   last and eliminated together without row swaps, updating only the
-   upper triangle of each symmetric trailing block, by one of two routes
-   chosen per chunk:
+   minors of a chunk are stacked in int8 with the batch axis last and
+   eliminated together without row swaps, updating only the upper
+   triangle of each symmetric trailing block, by one of two routes:
    - Float. Where H^2 < 2^53, H the chunk's largest product of the k-2
      largest degrees of a minor (Hadamard's bound on every minor of a
      positive definite matrix), Bareiss' fraction-free elimination runs
@@ -26,22 +27,20 @@ the connected k-subsets W, computed one subset size at a time:
      prime clears the pivot products. A pivot that vanishes mod p (p
      divides a leading principal minor of a positive definite matrix)
      flags its subset; a subset flagged under any of its chunk's primes
-     adds its exact Bareiss count (`counting._bareiss_determinant`)
-     instead.
+     adds its exact Bareiss count instead (`counting._bareiss_determinant`).
 3. Exact counts on the modular route. By the matrix-tree theorem t(G[W])
    is the product of the k-1 nonzero Laplacian eigenvalues over k, and
    they sum to 2m_W, so AM-GM gives Grimmett's bound
    t(G[W]) <= (2m_W/(k-1))^(k-1) / k, which grows with m_W. Each chunk
    takes the fewest primes whose product exceeds the bound at its largest
-   2m_W (from the adjacency bitmasks): the prime count is proven, not
-   guessed, and a sparse chunk takes fewer primes than a dense one. The
-   residues of each subset become its mixed-radix (Garner) digits, which
-   give its count exactly; the digit columns are summed and weighted by
-   their radices.
+   2m_W (read from its minors): the prime count is proven, not guessed.
+   The residues of each subset become its mixed-radix (Garner) digits,
+   which give its count exactly.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -263,10 +262,11 @@ def _hadamard_bound(minors: np.ndarray) -> int:
 
     `minors` is the (m, m, B) stack of reduced Laplacians, whose diagonals
     are the degrees inside each subset. The products of all m entries are
-    taken in int64 saturating at 2^56, below which they are exact; one
-    that saturates leaves at least 2^56 / 61 > 2^50 after the smallest
-    entry is divided out, and so does the true product. So the result is
-    exact up to 2^50 and can only be overestimated above it.
+    taken in int64 saturating at 2^56, below which they are exact. int8
+    holds every degree up to 127, so one that saturates leaves at least
+    2^56 / 127 > 2^49 after the smallest entry is divided out, and so does
+    the true product. So the result is exact up to 2^49, far above the
+    float limit 2^26.5, and can only be overestimated above it.
     """
     m = minors.shape[0]
     diagonal = minors[np.arange(m), np.arange(m)]
@@ -286,17 +286,15 @@ def _primes_for(bound: int) -> tuple[int, ...]:
     raise CapacityError(f"no {len(_PRIMES)}-prime product exceeds {bound}")
 
 
-def _chunk_tree_bound(adj_bits: np.ndarray, masks: np.ndarray, vertices: np.ndarray) -> int:
-    """An integer at least t(G[W]) for every k-subset W of a chunk, k >= 2.
+def _grimmett_bound(minors: np.ndarray) -> int:
+    """Grimmett's bound (step 3) at a chunk's largest 2m_W: at least every t(G[W]).
 
-    `vertices` is the (k, B) member array of `masks`. Grimmett's bound
-    (2m_W/(k-1))^(k-1) / k (step 3 of the module docstring; equal to
-    k^(k-2) on K_k) grows with m_W, so it is taken at the chunk's largest
-    2m_W, each member's degree inside W summed.
+    Each row of a reduced Laplacian sums to its vertex's edge to the deleted
+    min(W), so the trace plus all the entries of a minor is 2m_W.
     """
-    k = vertices.shape[0]
-    two_m = int(np.bitwise_count(adj_bits[vertices] & masks).sum(axis=0).max())
-    return two_m ** (k - 1) // (k * (k - 1) ** (k - 1))
+    m = minors.shape[0]
+    two_m = np.trace(minors, dtype=np.int64) + minors.sum(axis=(0, 1), dtype=np.int64)
+    return int(two_m.max()) ** m // ((m + 1) * m ** m)
 
 
 def _mixed_radix_digits(residues: list[np.ndarray], primes: tuple[int, ...]) -> list[np.ndarray]:
@@ -317,61 +315,53 @@ def _mixed_radix_digits(residues: list[np.ndarray], primes: tuple[int, ...]) -> 
 
 def _chunk_matrices(k: int) -> int:
     """Subsets per chunk at size k: _CHUNK_ELEMENTS entries, at least _CHUNK_FLOOR."""
-    return max(_CHUNK_FLOOR, _CHUNK_ELEMENTS // (k - 1) ** 2)
+    return max(_CHUNK_FLOOR, _CHUNK_ELEMENTS // max(k - 1, 1) ** 2)
 
 
-def _level_tree_total(adj: np.ndarray, adj_bits: np.ndarray, masks: np.ndarray, k: int) -> int:
-    """Exact sum of t(G[W]) over the connected k-subsets W in `masks`, k >= 2.
+def _chunk_total(adj: np.ndarray, vertices: np.ndarray) -> int:
+    """Exact sum of t(G[W]) over the columns W of a (k, B) vertex array.
 
-    `adj` is the dense int8 adjacency matrix and `adj_bits` the adjacency
-    bitmask of every vertex.
+    `adj` is the dense int8 adjacency matrix. Each column holds a connected
+    k-subset in ascending order, and B is at most `_chunk_matrices(k)`.
     """
-    chunk = _chunk_matrices(k)
-    total = 0
-    for lo in range(0, masks.size, chunk):
-        part = masks[lo:lo + chunk]
-        vertices = _mask_vertices(part, k)
-        minors = _laplacian_minors(adj, vertices)
-        if _hadamard_bound(minors) ** 2 < _FLOAT_EXACT:
-            # each count is below 2^53 and k^(k-2), so a chunk's sum fits
-            # in int64 (test_float_chunk_sums_fit_in_int64)
-            total += int(_determinants_float(minors).astype(np.int64).sum())
-            continue
-        primes = _primes_for(_chunk_tree_bound(adj_bits, part, vertices))
-        residues, ok = [], np.ones(part.size, dtype=bool)
-        for p in primes:
-            det, ok_p = _determinants_mod(minors, p)
-            residues.append(det)
-            ok &= ok_p
-        # every count is below the product of the primes, so its digits
-        # give it exactly; a column of at most 2^17 digits below 2^31 sums
-        # in int64. A subset flagged under any prime adds its exact Bareiss
-        # determinant instead.
-        radix = 1
-        for p, digit in zip(primes, _mixed_radix_digits(residues, primes)):
-            total += radix * int(digit[ok].sum())
-            radix *= p
-        total += sum(
-            counting._bareiss_determinant(minors[:, :, b].tolist()) for b in np.flatnonzero(~ok)
-        )
-    return total
+    k, batch = vertices.shape
+    if k == 1:
+        return batch
+    minors = _laplacian_minors(adj, vertices)
+    if _hadamard_bound(minors) ** 2 < _FLOAT_EXACT:
+        # each count is below 2^53 and k^(k-2), so a chunk's sum fits in
+        # int64 (test_float_chunk_sums_fit_in_int64)
+        return int(_determinants_float(minors).astype(np.int64).sum())
+    primes = _primes_for(_grimmett_bound(minors))
+    residues, oks = zip(*(_determinants_mod(minors, p) for p in primes))
+    ok = np.logical_and.reduce(oks)
+    # every count is below the product of the primes, so its digits give it
+    # exactly; a column of at most 2^17 digits below 2^31 sums in int64. A
+    # subset flagged under any prime adds its exact Bareiss determinant instead.
+    total, radix = 0, 1
+    for p, digit in zip(primes, _mixed_radix_digits(residues, primes)):
+        total += radix * int(digit[ok].sum())
+        radix *= p
+    flagged = np.flatnonzero(~ok)
+    return total + sum(counting._bareiss_determinant(minors[:, :, b].tolist()) for b in flagged)
+
+
+def _chunked_levels(g: Graph) -> Iterator[Iterator[np.ndarray]]:
+    """Each connected-subset level as (k, B) vertex arrays of at most _chunk_matrices(k) subsets."""
+    for k, masks in enumerate(_connected_levels(g), start=1):
+        chunk = _chunk_matrices(k)
+        yield (_mask_vertices(masks[lo:lo + chunk], k) for lo in range(0, masks.size, chunk))
 
 
 def level_counts(g: Graph) -> list[int]:
     """s_1..s_n of g: the connected k-subsets, weighted by t(G[W]) for k >= 2."""
     bits = np.array(g.adjacency_bits, dtype=np.int64)
     adj = ((bits[:, None] >> np.arange(g.n)) & 1).astype(np.int8)
-    counts = [0] * g.n
-    for k, masks in enumerate(_connected_levels(g), start=1):
-        counts[k - 1] = masks.size if k == 1 else _level_tree_total(adj, bits, masks, k)
-    return counts
+    counts = [sum(_chunk_total(adj, part) for part in chunks) for chunks in _chunked_levels(g)]
+    return counts + [0] * (g.n - len(counts))
 
 
 def connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """The connected k-subsets of g as ascending vertex tuples, by bitmask value."""
-    for size, masks in enumerate(_connected_levels(g), start=1):
-        if size == k:
-            chunk = max(1, _CHUNK_ELEMENTS // g.n)
-            for lo in range(0, masks.size, chunk):
-                yield from map(tuple, _mask_vertices(masks[lo:lo + chunk], k).T.tolist())
-            return
+    for vertices in next(islice(_chunked_levels(g), k - 1, None), ()):
+        yield from map(tuple, vertices.T.tolist())

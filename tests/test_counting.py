@@ -41,10 +41,12 @@ from subtree_poly_lab.subsets import (
     _FLOAT_EXACT,
     _PRIMES,
     _chunk_matrices,
-    _chunk_tree_bound,
+    _chunk_total,
+    _chunked_levels,
     _connected_levels,
     _determinants_float,
     _determinants_mod,
+    _grimmett_bound,
     _hadamard_bound,
     _laplacian_minors,
     _mask_vertices,
@@ -321,9 +323,8 @@ def test_prime_table_covers_every_bitmask_width():
         assert p < 2**31 and all(p % d for d in range(2, math.isqrt(p) + 1))
     # the chunk bound is largest on a complete subset of the widest host
     n = MAX_BITMASK_VERTICES
-    bits = np.array(generate(f"complete({n})").adjacency_bits, dtype=np.int64)
-    mask = np.array([(1 << n) - 1], dtype=np.int64)
-    worst = _chunk_tree_bound(bits, mask, _mask_vertices(mask, n))
+    minor = _laplacian_minors(_dense_adjacency(generate(f"complete({n})")), np.arange(n)[:, None])
+    worst = _grimmett_bound(minor)
     assert worst == n ** (n - 2)
     assert math.prod(_primes_for(worst)) > worst
 
@@ -336,23 +337,29 @@ def test_prime_table_covers_every_bitmask_width():
     chunk=st.integers(1, 64),
 )
 def test_chunk_tree_bound_covers_every_subset(n, p, seed, chunk):
-    # Grimmett's bound at the chunk's largest edge count is at least each
-    # member's tree count, and exactly k^(k-2) on a complete k-subset
+    # Grimmett's bound at the chunk's largest edge count, read from the
+    # minors, is the bound at the largest 2m_W counted from the adjacency
+    # bitmasks (so a chunk takes the same primes), at least each member's
+    # tree count, and exactly k^(k-2) on a complete k-subset
     g = generate(f"gnp({n},{p})", seed=seed)
     bits = np.array(g.adjacency_bits, dtype=np.int64)
+    adj = _dense_adjacency(g)
     for k, masks in enumerate(_connected_levels(g), start=1):
         if k == 1:
             continue
         for lo in range(0, masks.size, chunk):
             part = masks[lo:lo + chunk]
             vertices = _mask_vertices(part, k)
-            bound = _chunk_tree_bound(bits, part, vertices)
-            for mask, w in zip(part.tolist(), vertices.T.tolist()):
+            minors = _laplacian_minors(adj, vertices)
+            bound = _grimmett_bound(minors)
+            # the oracle: each member's degree inside W, by popcount, summed
+            two_m = int(np.bitwise_count(bits[vertices] & part).sum(axis=0).max())
+            assert bound == two_m ** (k - 1) // (k * (k - 1) ** (k - 1))
+            for b, (mask, w) in enumerate(zip(part.tolist(), vertices.T.tolist())):
                 count = subset_spanning_tree_count(g, w)
                 assert bound >= count
                 if all((g.adjacency_bits[v] | 1 << v) & mask == mask for v in w):
-                    single = np.array([mask], dtype=np.int64)
-                    assert _chunk_tree_bound(bits, single, _mask_vertices(single, k)) == k ** (k - 2) == count
+                    assert _grimmett_bound(minors[:, :, b:b + 1]) == k ** (k - 2) == count
 
 
 @pytest.mark.parametrize(
@@ -440,9 +447,70 @@ def test_complete_level_switches_route_at_the_float_limit(monkeypatch, n, route)
 
 def test_float_chunk_sums_fit_in_int64():
     # a float chunk's counts are each below 2^53 and t(K_k) = k^(k-2), and
-    # _level_tree_total sums them in int64
+    # _chunk_total sums them in int64; the level walk cuts every level into
+    # chunks of at most _chunk_matrices(k) subsets
     for k in range(2, MAX_BITMASK_VERTICES + 1):
         assert _chunk_matrices(k) * min(_FLOAT_EXACT, k ** (k - 2)) < 2**63, k
+    for k, chunks in enumerate(_chunked_levels(generate("gnp(16,0.5)", seed=1)), start=1):
+        sizes = [vertices.shape for vertices in chunks]
+        assert all(size[0] == k and size[1] <= _chunk_matrices(k) for size in sizes), k
+        assert len(sizes) == -(-sum(size[1] for size in sizes) // _chunk_matrices(k)), k
+
+
+def test_chunk_total_on_complements_in_complete_graph():
+    # the complement of the empty set and of each single vertex of K_30,
+    # built as vertex arrays: s_30 = 30^28 and s_29 = 30 * 29^27
+    n = 30
+    adj = _dense_adjacency(generate(f"complete({n})"))
+    everything = np.arange(n)[:, None]
+    singles = np.array([[v for v in range(n) if v != r] for r in range(n)]).T
+    assert _chunk_total(adj, everything) == n ** (n - 2)
+    assert _chunk_total(adj, singles) == n * (n - 1) ** (n - 3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(2, 14),
+    p=st.floats(0.3, 1.0),
+    seed=st.integers(0, 10**6),
+    chunk=st.integers(1, 200),
+)
+def test_chunk_total_on_vertex_arrays_matches_bareiss(n, p, seed, chunk):
+    # ascending vertex arrays in lexicographic order, never bitmasks, cut
+    # into chunks of any size: each chunk's total is its members' exact
+    # tree counts summed, on either elimination route
+    g, _ = generate_connected(f"gnp({n},{p})", seed=seed)
+    adj = _dense_adjacency(g)
+    for k in range(1, n + 1):
+        subsets = _connected_filter_oracle(g, k)
+        for lo in range(0, len(subsets), chunk):
+            part = subsets[lo:lo + chunk]
+            vertices = np.array(part, dtype=np.int64).T.copy()
+            expected = sum(subset_spanning_tree_count(g, list(w)) for w in part)
+            assert _chunk_total(adj, vertices) == expected, (k, lo)
+
+
+@pytest.mark.parametrize(
+    "spec, total, sizes",
+    [
+        (
+            "gnp(16,0.5)",
+            62_577,
+            [16, 65, 312, 1245, 3592, 7349, 11041, 12692, 11384, 7997, 4367, 1820, 560, 120, 16, 1],
+        ),
+        (
+            "complete_minus_perfect_matching(16)",
+            65_527,
+            [16, 112, 560, 1820, 4368, 8008, 11440, 12870, 11440, 8008, 4368, 1820, 560, 120, 16, 1],
+        ),
+    ],
+)
+def test_count_dense_hosts_have_pinned_level_sizes(spec, total, sizes):
+    # the connected subsets per k of the two count-dense hosts: a change to
+    # level growth that drops, repeats or adds a subset moves these integers
+    got = [masks.size for masks in _connected_levels(generate(spec, seed=1))]
+    assert got == sizes
+    assert sum(got) == total
 
 
 def test_disconnected_and_single_vertex_vectors():
@@ -588,14 +656,15 @@ def test_count_vector_validation():
         SubtreeCountVector(n=1, counts=(-1,))
 
 
-def test_parallel_anchor_partition_consistency():
-    # anchors partition the subset stream: per-anchor sums reduce to the total
+def test_per_anchor_tree_sums_reduce_to_counts():
+    # the numpy enumeration, grouped by each subset's smallest vertex and
+    # weighted per subset, sums to the Python small-host route's s_k
     g = generate("gnp(9,0.5)", seed=7)
+    assert g.n <= SMALL_HOST_VERTICES
     counts = subtree_counts(g)
-    for k in range(2, g.n + 1):
+    for k in range(1, g.n + 1):
         by_anchor = {}
         for subset in enumerate_connected_subsets(g, k):
-            by_anchor.setdefault(subset[0], []).append(subset)
-        assert sum(len(v) for v in by_anchor.values()) == len(
-            list(enumerate_connected_subsets(g, k))
-        )
+            t = subset_spanning_tree_count(g, list(subset))
+            by_anchor[subset[0]] = by_anchor.get(subset[0], 0) + t
+        assert sum(by_anchor.values()) == counts.s(k), k
