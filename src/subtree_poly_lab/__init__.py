@@ -46,7 +46,6 @@ _EXPORTS = {
     "is_connected": "graphs",
     "parse_family": "graphs",
     "RootAnalysis": "polyroots",
-    "SubtreePolynomial": "polyroots",
     "build_polynomial": "polyroots",
     "find_roots": "polyroots",
     "root_bound": "polyroots",

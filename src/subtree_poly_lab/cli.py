@@ -328,10 +328,10 @@ def _cmd_sample(args, graph, family):
 def _cmd_roots(args, graph, family):
     import mpmath as mp
 
-    from .polyroots import build_polynomial, find_roots
+    from .polyroots import find_roots
 
     counts = counts_for(graph, family, args.cap)
-    analysis = find_roots(build_polynomial(counts), precision_bits=args.precision_bits)
+    analysis = find_roots(counts, precision_bits=args.precision_bits)
     with mp.workprec(analysis.precision_bits):  # the modulus of the root's own digits
         rows = [
             [i, _mp_str(r.real), _mp_str(r.imag), repr(res), _mp_str(abs(r))]
@@ -462,9 +462,9 @@ def _sweep_counts(args, graph, family) -> list:
 
 
 def _sweep_roots(args, graph, family) -> list:
-    from .polyroots import build_polynomial, find_roots
+    from .polyroots import find_roots
 
-    analysis = find_roots(build_polynomial(counts_for(graph, family, args.cap)))
+    analysis = find_roots(counts_for(graph, family, args.cap))
     return [graph.n, repr(analysis.max_modulus), repr(analysis.vieta_relative_error),
             analysis.iterations]
 

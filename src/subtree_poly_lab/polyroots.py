@@ -1,4 +1,4 @@
-"""Subtree polynomial: construction, certified roots, and diagnostics.
+"""Subtree polynomial: certified roots and diagnostics.
 
 The polynomial S(x) = sum_{k=1}^n s_k x^k always has the simple forced
 root x = 0. The remaining n-1 roots are started on the reversed series
@@ -87,27 +87,13 @@ MAX_POLISH_SWEEPS = 60  # Aberth sweeps per polish stage
 MAX_ESCALATIONS = 2  # re-polishes at twice the precision before certification fails
 
 
-@dataclass(frozen=True)
-class SubtreePolynomial:
-    """Coefficients s_1..s_n of S(x); no constant term, so 0 is a root."""
+def build_polynomial(counts: SubtreeCountVector) -> SubtreeCountVector:
+    """The counts themselves: `find_roots` takes the count vector.
 
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValidationError("polynomial needs at least the linear coefficient")
-        if self.coefficients[0] < 1:
-            raise ValidationError("s_1 must be positive (every vertex is a subtree)")
-        if any(c < 0 for c in self.coefficients):
-            raise ValidationError("subtree polynomial coefficients are nonnegative")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients)
-
-
-def build_polynomial(counts: SubtreeCountVector) -> SubtreePolynomial:
-    return SubtreePolynomial(coefficients=counts.counts)
+    It stays only because perfbench/layers.py calls it; no module of the
+    lab does. ROADMAP item 2 deletes it with that file's replays.
+    """
+    return counts
 
 
 @dataclass(frozen=True)
@@ -556,7 +542,7 @@ def _polish(
 
 
 def find_roots(
-    p: SubtreePolynomial,
+    counts: SubtreeCountVector,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> RootAnalysis:
     """All roots of S(x), certified; the count equals the true degree.
@@ -568,8 +554,9 @@ def find_roots(
     times; then it raises CertificationError (carrying the best iterates
     and residuals) instead of returning dubious roots.
     """
-    s = p.coefficients
-    n = p.degree
+    s, n = counts.counts, counts.n
+    if s[0] < 1:
+        raise ValidationError("s_1 must be positive (every vertex is a subtree)")
     while n > 1 and s[n - 1] == 0:
         n -= 1
     s = s[:n]
@@ -979,7 +966,7 @@ def tree_root_check(tree: Graph, tolerance: float = params.DEFAULT_TOLERANCE) ->
     if tree.m != tree.n - 1 or not is_connected(tree):
         raise ValidationError("tree_root_check needs a tree (connected, m = n - 1)")
     counts = counts_for(tree)
-    analysis = find_roots(build_polynomial(counts))
+    analysis = find_roots(counts)
     within = analysis.max_modulus <= TREE_ROOT_BOUND + tolerance
     n = tree.n
     if n >= 2:

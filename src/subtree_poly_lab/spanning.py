@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from . import params
 from .counting import spanning_tree_count, subset_spanning_tree_count
 from .errors import CapacityError, ValidationError
-from .graphs import Graph, is_connected
+from .graphs import Graph, degree_profile, is_connected
 
 if TYPE_CHECKING:
     import numpy as np
@@ -398,7 +398,7 @@ class _WeightHistogram:
 
     def __init__(self, g: Graph, counts: Counter):
         lcm, _ = _leaf_scales(g)
-        n, delta = g.n, min(g.degrees)
+        n, delta = g.n, degree_profile(g).min_degree
         self.g, self.counts, self.lcm = g, counts, lcm
         self.num = sum(counts.values())
         self.total = sum(w * c for (w, _), c in counts.items())
@@ -548,8 +548,8 @@ def _tail_status(tail: float, bound: float, samples: int) -> str:
 
 def _tails_report(h: _WeightHistogram, seed: int, b_grid: Sequence[float]) -> ConcentrationReport:
     g, num = h.g, h.num
-    delta = min(g.degrees)
-    alpha = Fraction(delta, g.n)
+    profile = degree_profile(g)
+    delta, alpha = profile.min_degree, profile.alpha
     rows = []
     for b in b_grid:
         # |w(T) - mean| >= b, compared exactly

@@ -82,22 +82,18 @@ def _connected_levels(g: Graph) -> Iterator[np.ndarray]:
 
 def _grow_level(masks: np.ndarray, adj: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """Connected (k+1)-subsets from the sorted connected k-subsets `masks`."""
-    # the neighbourhood of each subset, less the subset itself
-    frontier = np.zeros_like(masks)
-    for bit, row in zip(bits, adj):
-        frontier[(masks & bit) != 0] |= row
-    frontier &= ~masks
+    # v grows every subset that holds a neighbour of v and not v itself.
     # Each grown subset arises once per removable vertex. Filling one
     # preallocated array and deduplicating it in place keeps the peak
     # memory at one copy of the duplicates.
-    hits = [(frontier & bit) != 0 for bit in bits]
+    hits = [((masks & row) != 0) & ((masks & bit) == 0) for bit, row in zip(bits, adj)]
     grown = np.empty(sum(int(np.count_nonzero(hit)) for hit in hits), dtype=np.int64)
     end = 0
     for bit, hit in zip(bits, hits):
         part = masks[hit]
         grown[end:end + part.size] = part | bit
         end += part.size
-    del frontier, hits
+    del hits
     grown.sort()
     first = np.empty(grown.size, dtype=bool)
     first[:1] = True

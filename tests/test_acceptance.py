@@ -25,7 +25,6 @@ from subtree_poly_lab import (
     brute_force_subtree_count,
     check_ratio_inequalities,
     complete_graph_counts,
-    build_polynomial,
     degree_profile,
     enumerate_spanning_trees,
     estimate_beta,
@@ -221,8 +220,8 @@ def test_criterion_09_poisson_trend(suite):
 
 def test_criterion_10_root_certification():
     started = time.perf_counter()
-    p3 = find_roots(build_polynomial(subtree_counts(generate("path(3)"))))
-    k3 = find_roots(build_polynomial(subtree_counts(generate("complete(3)"))))
+    p3 = find_roots(subtree_counts(generate("path(3)")))
+    k3 = find_roots(subtree_counts(generate("complete(3)")))
     VIETA_POOL.extend([p3, k3])
     sqrt2 = math.sqrt(2)
     targets_p3 = [complex(-1, sqrt2), complex(-1, -sqrt2), 0j]
@@ -244,7 +243,7 @@ def test_criterion_11_root_clustering_trend():
     started = time.perf_counter()
     mods = []
     for n in [6, 8, 10, 12, 14, 16, 18, 20]:
-        analysis = find_roots(build_polynomial(complete_graph_counts(n)))
+        analysis = find_roots(complete_graph_counts(n))
         VIETA_POOL.append(analysis)
         assert analysis.vieta_relative_error <= 1e-8
         mods.append(analysis.max_modulus)

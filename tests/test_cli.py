@@ -19,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subtree_poly_lab
-from subtree_poly_lab import CertificationError, Graph, generate
+from subtree_poly_lab import CertificationError, Graph, SubtreeCountVector, generate
 from subtree_poly_lab import cli, params, polyroots
 from subtree_poly_lab.cli import run
 from subtree_poly_lab.counting import MAX_TREE_VERTICES
+from subtree_poly_lab.graphs import FAMILY_NAMES
 
 
 def invoke(capsys, *argv):
@@ -107,7 +108,7 @@ def test_roots_path3(capsys):
 def test_roots_vieta_fields_print_past_double_range():
     # S(x) = x + 2^1200 x^2: the product of the nonzero root moduli and its
     # target s_1/s_2 = 2^-1200 are below double range (they printed as 0.0)
-    analysis = polyroots.find_roots(polyroots.SubtreePolynomial(coefficients=(1, 2**1200)))
+    analysis = polyroots.find_roots(SubtreeCountVector(n=2, counts=(1, 2**1200)))
     doc = cli._json(analysis)
     with mp.workprec(analysis.precision_bits):
         target = mp.nstr(mp.ldexp(1, -1200), 25)
@@ -786,6 +787,17 @@ def test_help_golden_bytes(monkeypatch, capsys, argv, digest):
         run(argv.split())
     assert exit_info.value.code == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_help_names_every_family(monkeypatch, capsys):
+    # the graph-source epilog lists the families by hand; a new family must
+    # appear there as name(args)
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        run(["--help"])
+    out = capsys.readouterr().out
+    for name in FAMILY_NAMES:
+        assert f" {name}(" in " ".join(out.split()), name
 
 
 def test_complete_family_routes_through_closed_form(capsys):

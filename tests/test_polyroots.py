@@ -17,7 +17,7 @@ from subtree_poly_lab import (
     CapacityError,
     CertificationError,
     Graph,
-    SubtreePolynomial,
+    SubtreeCountVector,
     ValidationError,
     build_polynomial,
     complete_graph_counts,
@@ -72,6 +72,10 @@ def star(n):
     return Graph.from_edges(n, [(0, i) for i in range(1, n)])
 
 
+def _vector(*coefficients):
+    return SubtreeCountVector(n=len(coefficients), counts=coefficients)
+
+
 def _closest(roots, target):
     return min(abs(complex(r) - target) for r in roots)
 
@@ -80,16 +84,19 @@ def _closest(roots, target):
 
 
 def test_build_polynomial_examples():
-    assert build_polynomial(subtree_counts(generate("path(3)"))).coefficients == (3, 2, 1)
-    assert build_polynomial(subtree_counts(generate("complete(3)"))).coefficients == (3, 3, 3)
-    assert build_polynomial(subtree_counts(generate("complete(1)"))).coefficients == (1,)
+    # the coefficients of S(x) are the count vector itself
+    for family, coefficients in [("path(3)", (3, 2, 1)), ("complete(3)", (3, 3, 3)),
+                                 ("complete(1)", (1,))]:
+        c = subtree_counts(generate(family))
+        assert build_polynomial(c) is c
+        assert c.counts == coefficients
 
 
 def test_polynomial_validation():
     with pytest.raises(ValidationError):
-        SubtreePolynomial(coefficients=())
-    with pytest.raises(ValidationError):
-        SubtreePolynomial(coefficients=(0, 1))
+        SubtreeCountVector(n=0, counts=())
+    with pytest.raises(ValidationError, match="s_1 must be positive"):
+        find_roots(SubtreeCountVector(n=2, counts=(0, 1)))
 
 
 def test_reversed_series_invariants():
@@ -109,7 +116,7 @@ def test_reversed_series_invariants():
 
 def test_p3_roots_closed_form():
     # x^2 + 2x + 3 = 0 -> -1 +/- i sqrt(2)
-    analysis = find_roots(build_polynomial(subtree_counts(generate("path(3)"))))
+    analysis = find_roots(subtree_counts(generate("path(3)")))
     assert len(analysis.roots) == 3
     assert _closest(analysis.roots, 0) == 0
     assert _closest(analysis.roots, complex(-1, math.sqrt(2))) < 1e-12
@@ -118,7 +125,7 @@ def test_p3_roots_closed_form():
 
 
 def test_k3_roots_cube_roots_of_unity():
-    analysis = find_roots(build_polynomial(subtree_counts(generate("complete(3)"))))
+    analysis = find_roots(subtree_counts(generate("complete(3)")))
     w = complex(-0.5, math.sqrt(3) / 2)
     assert _closest(analysis.roots, w) < 1e-12
     assert _closest(analysis.roots, w.conjugate()) < 1e-12
@@ -126,13 +133,13 @@ def test_k3_roots_cube_roots_of_unity():
 
 
 def test_single_vertex_polynomial():
-    analysis = find_roots(SubtreePolynomial(coefficients=(1,)))
+    analysis = find_roots(_vector(1))
     assert [complex(r) for r in analysis.roots] == [0j]
     assert analysis.max_modulus == 0.0
 
 
 def test_p2_roots():
-    analysis = find_roots(build_polynomial(subtree_counts(generate("path(2)"))))
+    analysis = find_roots(subtree_counts(generate("path(2)")))
     assert _closest(analysis.roots, -2.0) < 1e-14
     assert analysis.max_modulus == pytest.approx(2.0)
 
@@ -141,7 +148,7 @@ def test_disconnected_source_trims_trailing_zeros():
     # 2K_2 has no 3- or 4-vertex subtrees: S = 4x + 2x^2, true degree 2
     counts = subtree_counts(Graph.from_edges(4, [(0, 1), (2, 3)]))
     assert counts.counts == (4, 2, 0, 0)
-    analysis = find_roots(build_polynomial(counts))
+    analysis = find_roots(counts)
     assert len(analysis.roots) == 2
     assert _closest(analysis.roots, -2.0) < 1e-14
 
@@ -149,7 +156,7 @@ def test_disconnected_source_trims_trailing_zeros():
 def test_root_count_and_certification_fields():
     for family in ["cycle(6)", "complete(7)", "path(8)", "gnp(8,0.7)"]:
         counts = subtree_counts(generate(family, seed=3))
-        analysis = find_roots(build_polynomial(counts))
+        analysis = find_roots(counts)
         assert len(analysis.roots) == counts.n
         assert all(r <= 1e-20 for r in analysis.residuals)
         assert analysis.vieta_relative_error <= 1e-8
@@ -158,7 +165,7 @@ def test_root_count_and_certification_fields():
 
 def test_conjugate_symmetry():
     for family in ["complete(9)", "cycle(8)", "gnp(9,0.6)"]:
-        analysis = find_roots(build_polynomial(subtree_counts(generate(family, seed=5))))
+        analysis = find_roots(subtree_counts(generate(family, seed=5)))
         pool = [complex(r) for r in analysis.roots]
         for r in pool:
             assert min(abs(r.conjugate() - q) for q in pool) < 1e-18
@@ -196,7 +203,7 @@ def test_roots_are_closed_under_conjugation_bit_for_bit(host):
     spec = parse_family(family)
     counts = counts_for(generate_connected(spec, seed)[0] if family.startswith("gnp")
                         else generate(spec, seed=seed), spec)
-    analysis = find_roots(build_polynomial(counts))
+    analysis = find_roots(counts)
     assert analysis.precision_bits == max(DEFAULT_PRECISION_BITS, max(counts.counts).bit_length() + 64)
     roots, residuals = analysis.roots[1:], analysis.residuals[1:]
     residual_of = {(x.real._mpf_, x.imag._mpf_): r for x, r in zip(roots, residuals)}
@@ -224,7 +231,7 @@ def test_conjugate_pair_order_ignores_noise_in_real_parts():
 
 def test_roots_list_each_pair_negative_imaginary_first():
     for n in (12, 40):
-        roots = find_roots(build_polynomial(complete_graph_counts(n))).roots[1:]
+        roots = find_roots(complete_graph_counts(n)).roots[1:]
         i = 0
         while i < len(roots):
             x = roots[i]
@@ -237,20 +244,20 @@ def test_roots_list_each_pair_negative_imaginary_first():
 
 def test_vieta_product_value():
     counts = subtree_counts(generate("complete(6)"))
-    analysis = find_roots(build_polynomial(counts))
+    analysis = find_roots(counts)
     target = counts.s(1) / counts.s(6)
     assert analysis.vieta_product == pytest.approx(target, rel=1e-12)
 
 
 def test_cluster_reporting_total_multiplicity():
     counts = subtree_counts(generate("complete(5)"))
-    analysis = find_roots(build_polynomial(counts))
+    analysis = find_roots(counts)
     assert sum(mult for _, mult in analysis.clusters) == counts.n
 
 
 def test_precision_floor_enforced():
     with pytest.raises(ValidationError, match="at least 106"):
-        find_roots(SubtreePolynomial(coefficients=(3, 2, 1)), precision_bits=64)
+        find_roots(_vector(3, 2, 1), precision_bits=64)
     with pytest.raises(ValidationError, match="at least 106"):
         rouche_margin(complete_graph_counts(5), Fraction(4, 5), precision_bits=10)
 
@@ -260,7 +267,7 @@ def test_extended_range_closed_form():
     # reversed series has the ratio s_1/s_3 = 2^-1200/3, far below double
     # range, and the roots x = 1/y must still come out to 25 digits
     scale = 2**600
-    analysis = find_roots(SubtreePolynomial(coefficients=(1, 2 * scale, 3 * scale**2)))
+    analysis = find_roots(_vector(1, 2 * scale, 3 * scale**2))
     with mp.workprec(256):
         v = [1 / (r * scale) for r in analysis.roots[1:]]
         for target in (mp.mpc(-1, mp.sqrt(2)), mp.mpc(-1, -mp.sqrt(2))):
@@ -282,7 +289,7 @@ def test_quadratic_roots_past_double_range(coefficients):
     # s_1/s_n rounds to 0 or overflows in doubles; the scaled start must not,
     # and where no power of two brings the ratios into range (roots 2^-3000
     # and 2^3000 apart) the polish must still get there from a cold start
-    analysis = find_roots(SubtreePolynomial(coefficients=coefficients))
+    analysis = find_roots(_vector(*coefficients))
     assert analysis.vieta_relative_error <= 1e-8
     with mp.workprec(256):
         for target in _quadratic_roots(*coefficients):
@@ -292,7 +299,7 @@ def test_quadratic_roots_past_double_range(coefficients):
 def test_k80_certifies_and_meets_vieta():
     # K_80 once let two Newton iterates settle on one root (Vieta error 38)
     counts = complete_graph_counts(80)
-    analysis = find_roots(build_polynomial(counts))
+    analysis = find_roots(counts)
     assert len(analysis.roots) == 80
     assert max(analysis.residuals) <= 1e-20
     s = counts.counts
@@ -410,7 +417,7 @@ def test_roots_match_mpmath_polyroots(n, p, seed):
     # the same multiset of roots
     g, _ = generate_connected(f"gnp({n},{p})", seed)
     counts = subtree_counts(g)
-    ours = list(find_roots(build_polynomial(counts)).roots)
+    ours = list(find_roots(counts).roots)
     s = counts.counts
     with mp.workprec(256):
         reference = [mp.mpc(0)] + list(mp.polyroots(s[::-1], maxsteps=200, extraprec=512))
@@ -536,7 +543,7 @@ def test_root_kernel_work_counts(monkeypatch, n, values, derivatives, fresh):
     # one pass for both roots of a pair
     calls = _counting_evaluator(monkeypatch)
     counts = complete_graph_counts(n)
-    analysis = find_roots(build_polynomial(counts))
+    analysis = find_roots(counts)
     iterations_after_start = analysis.iterations - _float_start(counts.counts)[2]
     assert calls["polish"] == values
     assert calls["derivative"] == derivatives == iterations_after_start
@@ -800,7 +807,7 @@ def _mpmath_residuals(s, roots, work_bits):
 @given(host=_dense_hosts())
 def test_residuals_match_mpmath_horner(host):
     counts, _ = host
-    analysis = find_roots(build_polynomial(counts))
+    analysis = find_roots(counts)
     s, work_bits = counts.counts, analysis.precision_bits
     oracle = _mpmath_residuals(s, analysis.roots[1:], work_bits)
     tolerance = 8 * (len(s) - 1) * 2.0**-work_bits
@@ -825,7 +832,7 @@ def test_residuals_off_the_roots_match_mpmath_horner(monkeypatch, family):
     spec = parse_family(family)
     counts = counts_for(generate(spec, seed=1), spec)
     with pytest.raises(CertificationError) as failure:
-        find_roots(build_polynomial(counts))
+        find_roots(counts)
     roots, residuals = failure.value.roots, failure.value.residuals
     s = counts.counts
     work_bits = max(DEFAULT_PRECISION_BITS, max(s).bit_length() + 64)
@@ -840,7 +847,7 @@ def test_large_tree_certifies_after_a_re_polish_at_twice_the_precision():
     # rounding level but the Vieta error is 4.2e-8, on clustered roots; the
     # re-polish of the iterates at 384 bits certifies them
     counts = counts_for(generate("random_tree(210)", seed=0))
-    analysis = find_roots(build_polynomial(counts))
+    analysis = find_roots(counts)
     assert analysis.precision_bits == 2 * DEFAULT_PRECISION_BITS
     assert analysis.vieta_relative_error <= VIETA_RELATIVE_TOLERANCE
     assert max(analysis.residuals) <= RESIDUAL_THRESHOLD
@@ -860,7 +867,7 @@ def test_failed_certification_re_polishes_at_most_twice(monkeypatch):
 
     monkeypatch.setattr(polyroots, "_polish", nudged)
     with pytest.raises(CertificationError) as failure:
-        find_roots(build_polynomial(complete_graph_counts(12)))
+        find_roots(complete_graph_counts(12))
     assert ladders == [[128, 192], [384], [768]]
     assert min(failure.value.residuals[1:]) > RESIDUAL_THRESHOLD
 
@@ -881,7 +888,7 @@ def test_failed_certification_drops_the_mirrors_at_twice_the_precision(monkeypat
         return xs, corrections, evaluated
 
     monkeypatch.setattr(polyroots, "_polish", nudged)
-    analysis = find_roots(build_polynomial(complete_graph_counts(12)))
+    analysis = find_roots(complete_graph_counts(12))
     d = 11
     (ladder, start_mirrors, _, _), (stages, mirrors, xs, evaluated) = calls
     assert (ladder, stages) == ([128, 192], [384])

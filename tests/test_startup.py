@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -115,7 +116,7 @@ complete_graph_counts enumerate_connected_subsets spanning_tree_count subtree_co
 CapacityError CertificationError EdgeListParseError SubtreeLabError ValidationError
 DegreeProfile FamilySpec Graph degree_profile from_edge_list generate
 generate_connected induced_subgraph is_connected parse_family
-RootAnalysis SubtreePolynomial build_polynomial find_roots poisson_deviation
+RootAnalysis build_polynomial find_roots poisson_deviation
 root_bound rouche_margin tree_root_check RandomStream stream
 BetaEstimate SpanningTree WeightSample enumerate_spanning_trees
 estimate_beta exact_beta leaf_weight verify_weight_identity
@@ -132,3 +133,14 @@ def test_package_names_resolve_on_first_access():
 
     with pytest.raises(AttributeError):
         subtree_poly_lab.no_such_name
+
+
+def test_readme_python_example_holds():
+    # the README's library example runs as written, and its commented
+    # claim about beta on K_12 is exact
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(example, namespace)
+    assert namespace["beta"] == Fraction(11, 12) ** 9
+    assert len(namespace["roots"].roots) == 12
