@@ -54,7 +54,7 @@ from itertools import compress
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import params
-from .counting import spanning_tree_count, subset_spanning_tree_count
+from .counting import _laplacian_minor, spanning_tree_count, subset_spanning_tree_count
 from .errors import CapacityError, ValidationError
 from .graphs import Graph, degree_profile, is_connected
 
@@ -194,8 +194,7 @@ def _expected_draws(g: Graph) -> int:
     n = g.n
     if n < 2:
         return 1
-    adjacency = [[(bits >> u) & 1 for u in range(n)] for bits in g.adjacency_bits]
-    grounded = (np.diag(g.degrees) - np.array(adjacency, dtype=float))[1:, 1:]
+    grounded = np.array(_laplacian_minor(g, list(range(n))), dtype=float)
     resistance = np.diag(np.linalg.inv(grounded))
     steps = float(np.dot(g.degrees[1:], resistance))
     draws_per_step = max((1 << (d - 1).bit_length()) / d for d in g.degrees)

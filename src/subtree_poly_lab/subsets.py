@@ -18,10 +18,10 @@ the connected k-subsets W, computed one subset size at a time:
    triangle of each symmetric trailing block, by one of two routes:
    - Float. Where H^2 < 2^53, H the chunk's largest product of the k-2
      largest degrees of a minor (Hadamard's bound on every minor of a
-     positive definite matrix), Bareiss' fraction-free elimination runs
-     in float64 and every intermediate is an integer below 2^53, so each
-     determinant is exact (`_determinants_float`). On dense hosts of 16
-     vertices this takes about nine subsets in ten.
+     positive definite matrix, taken exactly in float64), Bareiss'
+     elimination runs in float64 and every intermediate is an integer
+     below 2^53, so each determinant is exact (`_determinants_float`).
+     On dense hosts of 16 vertices this takes about nine subsets in ten.
    - Modular. Otherwise the chunk is eliminated modulo one 31-bit prime
      at a time, division-free; one product-tree inverse per chunk and
      prime clears the pivot products. A pivot that vanishes mod p (p
@@ -254,22 +254,21 @@ def _determinants_float(minors: np.ndarray) -> np.ndarray:
 
 
 def _hadamard_bound(minors: np.ndarray) -> int:
-    """The largest, over a chunk, product of the m-1 largest diagonal entries.
+    """H: the largest, over a chunk, product of the m-1 largest diagonal entries.
 
     `minors` is the (m, m, B) stack of reduced Laplacians, whose diagonals
-    are the degrees inside each subset. The products of all m entries are
-    taken in int64 saturating at 2^56, below which they are exact. int8
-    holds every degree up to 127, so one that saturates leaves at least
-    2^56 / 127 > 2^49 after the smallest entry is divided out, and so does
-    the true product. So the result is exact up to 2^49, far above the
-    float limit 2^26.5, and can only be overestimated above it.
+    are the degrees inside each subset, 1 to m <= 61. Each column's product
+    is taken in float64 and divided by its smallest entry. Every entry is at
+    least 1, so below 2^53 every partial product is exact, and so is H.
+    Rounding is monotone and 2^53 a float, so at or above 2^53 the computed
+    product is too, and the computed H, like the true one, is at least 2^47
+    (2^53 / 61 > 2^47). So the float route is refused exactly when the true
+    H^2 >= 2^53.
     """
     m = minors.shape[0]
     diagonal = minors[np.arange(m), np.arange(m)]
-    product = np.ones(minors.shape[2], dtype=np.int64)
-    for degrees in diagonal:
-        np.minimum(product * degrees, 1 << 56, out=product)
-    return int((product // diagonal.min(axis=0)).max())
+    product = diagonal.prod(axis=0, dtype=np.float64)
+    return int((product / diagonal.min(axis=0)).max())
 
 
 def _primes_for(bound: int) -> tuple[int, ...]:

@@ -445,6 +445,41 @@ def test_complete_level_switches_route_at_the_float_limit(monkeypatch, n, route)
     assert [route for route, ms in sizes.items() if n - 1 in ms] == [route]
 
 
+def _diagonal_stack(diagonals):
+    """(m, m, B) int8 stack whose column b has diagonal diagonals[b], zeros elsewhere."""
+    m = len(diagonals[0])
+    minors = np.zeros((m, m, len(diagonals)), dtype=np.int8)
+    minors[np.arange(m), np.arange(m)] = np.array(diagonals, dtype=np.int8).T
+    return minors
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data(), m=st.integers(1, 61), top=st.integers(1, 61), batch=st.integers(1, 8))
+def test_hadamard_bound_matches_exact_product(data, m, top, batch):
+    # diagonals of 1..61, the degrees inside a subset of at most 62 vertices;
+    # the oracle is the Python-int product of each column's m-1 largest
+    # entries, maxed over the batch: exact below 2^53, refused above it
+    column = st.lists(st.integers(1, top), min_size=m, max_size=m)
+    diagonals = data.draw(st.lists(column, min_size=batch, max_size=batch))
+    oracle = max(math.prod(sorted(d)[1:]) for d in diagonals)
+    bound = _hadamard_bound(_diagonal_stack(diagonals))
+    if oracle < _FLOAT_EXACT:
+        assert bound == oracle
+    else:
+        assert bound >= 2**47
+
+
+@pytest.mark.parametrize(
+    "diagonal, bound, route",
+    [([1, 5, 8, 11, 13, 16, 17, 61], 94_906_240, "float"), ([1, 8, 9, 9, 49, 49, 61], 94_906_728, "modular")],
+)
+def test_hadamard_bound_at_the_float_limit(diagonal, bound, route):
+    # the two 61-smooth integers closest to 2^26.5 = 94,906,265.6, one on each side
+    got = _hadamard_bound(_diagonal_stack([diagonal, [1] * len(diagonal)]))
+    assert got == bound
+    assert ("float" if got**2 < _FLOAT_EXACT else "modular") == route
+
+
 def test_float_chunk_sums_fit_in_int64():
     # a float chunk's counts are each below 2^53 and t(K_k) = k^(k-2), and
     # _chunk_total sums them in int64; the level walk cuts every level into
