@@ -48,7 +48,7 @@ from .counting import (
 )
 from .errors import CapacityError, CertificationError, SubtreeLabError, ValidationError
 from .graphs import (
-    FAMILY_NAMES,
+    FAMILIES,
     FamilySpec,
     Graph,
     degree_profile,
@@ -163,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="CSV columns: "
         + "; ".join(f"{name} -> {header}" for name, (_, header) in _SWEEP.items()),
     )
-    p.add_argument("--family", required=True, choices=FAMILY_NAMES)
+    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     _numeric(p, "--p", checks.probability, 0.5, help="edge probability for gnp sweeps")
     p.add_argument("--n-list", required=True, help="comma-separated vertex counts, may be empty")
     p.add_argument("--command", required=True, dest="inner", choices=tuple(_SWEEP))
@@ -505,13 +505,12 @@ def _cmd_sweep(args) -> tuple[str, int]:
         n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
     except ValueError:
         raise ValidationError(f"bad n-list {args.n_list!r}, expected comma-separated integers")
+    extra = {name: getattr(args, name) for name in FAMILIES[args.family].args[1:]}  # p from --p
     params = {
         "family": args.family, "n_list": n_list, "inner_command": args.inner,
         "cap": args.cap, "samples": args.samples, "C": args.C,
-        "circle_points": args.circle_points, "k_max": args.k_max,
+        "circle_points": args.circle_points, "k_max": args.k_max, **extra,
     }
-    if args.family == "gnp":
-        params["p"] = args.p
     row_for, header = _SWEEP[args.inner]
     columns = header.split(",")
     if args.inner == "poisson":
@@ -519,7 +518,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
         columns[1:2] = [f"dev_{k}" for k in range(args.k_max + 1)]
     rows = []
     for n in n_list:
-        family = FamilySpec(args.family, (n, args.p) if args.family == "gnp" else (n,))
+        family = FamilySpec(args.family, (n, *extra.values()))
         try:
             rows.append(row_for(args, generate(family, args.seed), family))
         except SubtreeLabError as err:

@@ -148,11 +148,12 @@ def _laplacian_minor(g: Graph, vertices: list[int]) -> list[list[int]]:
 
 
 def spanning_tree_count(g: Graph) -> int:
-    """Matrix-tree count: any Laplacian cofactor, exact integers.
+    """Matrix-tree count: the Laplacian cofactor without the last vertex, exact integers.
 
-    Returns 0 iff the graph is disconnected; 1 for a single vertex.
+    Returns 0 iff the graph is disconnected; 1 for a single vertex. s_n of
+    `subtree_counts` deletes vertex 0, so each is a check of the other.
     """
-    return subset_spanning_tree_count(g, list(range(g.n)))
+    return subset_spanning_tree_count(g, [g.n - 1, *range(g.n - 1)])
 
 
 def subset_spanning_tree_count(g: Graph, vertices: list[int]) -> int:

@@ -13,19 +13,10 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import params
 from .errors import EdgeListParseError, ValidationError
-
-FAMILY_NAMES = (
-    "complete",
-    "cycle",
-    "path",
-    "gnp",
-    "random_tree",
-    "complete_minus_perfect_matching",
-)
 
 
 @dataclass(frozen=True)
@@ -207,78 +198,43 @@ def parse_family(text: str) -> FamilySpec:
     return FamilySpec(name=name, args=tuple(args))
 
 
-def _require_size(spec: FamilySpec, count: int) -> None:
-    if len(spec.args) != count or not isinstance(spec.args[0], int):
-        raise ValidationError(f"family {spec.name} expects {count} argument(s), got {spec.args}")
-    if spec.args[0] < 1:
-        raise ValidationError(f"family {spec.name} needs n >= 1, got {spec.args[0]}")
+def _complete(n: int, seed: int) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def generate(spec: FamilySpec | str, seed: int = 0) -> Graph:
-    """Deterministic graph from a family spec and a 64-bit seed.
+def _path(n: int, seed: int) -> list[tuple[int, int]]:
+    return [(i, i + 1) for i in range(n - 1)]
 
-    gnp includes each pair independently with probability p; random_tree is
-    uniform over labeled trees via Prufer decoding. Connectedness is not
-    enforced here; callers that need it should use generate_connected.
-    """
-    if isinstance(spec, str):
-        spec = parse_family(spec)
-    name = spec.name
-    if name == "complete":
-        _require_size(spec, 1)
-        n = spec.args[0]
-        return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    if name == "path":
-        _require_size(spec, 1)
-        n = spec.args[0]
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    if name == "cycle":
-        _require_size(spec, 1)
-        n = spec.args[0]
-        if n < 3:
-            raise ValidationError("cycle needs n >= 3 to stay a simple graph")
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
-    if name == "complete_minus_perfect_matching":
-        _require_size(spec, 1)
-        n = spec.args[0]
-        if n % 2 != 0:
-            raise ValidationError("complete_minus_perfect_matching needs even n")
-        removed = {(2 * i, 2 * i + 1) for i in range(n // 2)}
-        return Graph.from_edges(
-            n,
-            [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if (u, v) not in removed
-            ],
-        )
-    if name == "gnp":
-        _require_size(spec, 2)
-        n, p = spec.args[0], params.probability(spec.args[1], "p")
-        from .rng import stream
 
-        rs = stream(seed)
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rs.uniform() < p
-        ]
-        return Graph.from_edges(n, edges)
-    if name == "random_tree":
-        _require_size(spec, 1)
-        n = spec.args[0]
-        if n == 1:
-            return Graph.from_edges(1, [])
-        if n == 2:
-            return Graph.from_edges(2, [(0, 1)])
-        from .rng import stream
+def _cycle(n: int, seed: int) -> list[tuple[int, int]]:
+    if n < 3:
+        raise ValidationError("cycle needs n >= 3 to stay a simple graph")
+    return _path(n, seed) + [(0, n - 1)]
 
-        rs = stream(seed)
-        prufer = [rs.randint(n) for _ in range(n - 2)]
-        return Graph.from_edges(n, _prufer_decode(prufer, n))
-    raise ValidationError(f"unknown family {name!r}")
+
+def _complete_minus_perfect_matching(n: int, seed: int) -> list[tuple[int, int]]:
+    if n % 2 != 0:
+        raise ValidationError("complete_minus_perfect_matching needs even n")
+    return [(u, v) for u, v in _complete(n, seed) if not (u % 2 == 0 and v == u + 1)]
+
+
+def _gnp(n: int, p: float, seed: int) -> list[tuple[int, int]]:
+    """Each pair independently with probability p, one draw per pair in order."""
+    p = params.probability(p, "p")
+    from .rng import stream
+
+    rs = stream(seed)
+    return [edge for edge in _complete(n, seed) if rs.uniform() < p]
+
+
+def _random_tree(n: int, seed: int) -> list[tuple[int, int]]:
+    """Uniform over labeled trees via Prufer decoding; n <= 2 draws nothing."""
+    if n <= 2:
+        return _path(n, seed)
+    from .rng import stream
+
+    rs = stream(seed)
+    return _prufer_decode([rs.randint(n) for _ in range(n - 2)], n)
 
 
 def _prufer_decode(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
@@ -299,6 +255,38 @@ def _prufer_decode(seq: Sequence[int], n: int) -> list[tuple[int, int]]:
     v = heapq.heappop(leaves)
     edges.append((min(u, v), max(u, v)))
     return edges
+
+
+class Family(NamedTuple):
+    args: tuple[str, ...]  # argument names, n first; sweep sets the rest from flags of the same name
+    edges: Callable[..., list[tuple[int, int]]]  # (*args, seed) -> edges, refusing what the family cannot build
+
+
+# one row per family; a new family is one row here plus its entry in the CLI's --help epilog
+FAMILIES = {
+    "complete": Family(("n",), _complete),
+    "cycle": Family(("n",), _cycle),
+    "path": Family(("n",), _path),
+    "gnp": Family(("n", "p"), _gnp),
+    "random_tree": Family(("n",), _random_tree),
+    "complete_minus_perfect_matching": Family(("n",), _complete_minus_perfect_matching),
+}
+FAMILY_NAMES = tuple(FAMILIES)
+
+
+def generate(spec: FamilySpec | str, seed: int = 0) -> Graph:
+    """Deterministic graph from a family spec and a 64-bit seed, possibly disconnected."""
+    if isinstance(spec, str):
+        spec = parse_family(spec)
+    family = FAMILIES.get(spec.name)
+    if family is None:
+        raise ValidationError(f"unknown family {spec.name!r}")
+    if len(spec.args) != len(family.args) or not isinstance(spec.args[0], int):
+        raise ValidationError(f"family {spec.name} expects {len(family.args)} argument(s), got {spec.args}")
+    n = spec.args[0]
+    if n < 1:
+        raise ValidationError(f"family {spec.name} needs n >= 1, got {n}")
+    return Graph.from_edges(n, family.edges(*spec.args, seed))
 
 
 def generate_connected(

@@ -23,7 +23,7 @@ from subtree_poly_lab import CertificationError, Graph, SubtreeCountVector, gene
 from subtree_poly_lab import cli, params, polyroots
 from subtree_poly_lab.cli import run
 from subtree_poly_lab.counting import MAX_TREE_VERTICES
-from subtree_poly_lab.graphs import FAMILY_NAMES
+from subtree_poly_lab.graphs import FAMILIES
 
 
 def invoke(capsys, *argv):
@@ -79,6 +79,29 @@ def test_verify_takes_the_matrix_tree_count_once(capsys, monkeypatch):
     assert calls == [8]
     base = json.loads(out)["result"]["base_checks"]
     assert base["s_n_equals_matrix_tree"] and base["tree_count_matches_matrix_tree"]
+
+
+def test_verify_matrix_tree_check_factors_two_minors(capsys, monkeypatch, tmp_path):
+    # s_n (counted on the enumeration) and the matrix-tree count must come
+    # from different cofactors, or s_n_equals_matrix_tree compares a
+    # determinant with itself
+    from subtree_poly_lab import counting
+
+    path = tmp_path / "paw_with_tail.txt"
+    path.write_text("5 5\n0 1\n0 2\n0 3\n1 2\n3 4\n")
+    minors, determinant = [], counting._bareiss_determinant
+
+    def recorded(mat):
+        if len(mat) == 4:
+            minors.append([row[:] for row in mat])
+        return determinant(mat)
+
+    monkeypatch.setattr(counting, "_bareiss_determinant", recorded)
+    _, out, _ = invoke(capsys, "verify", "--edge-list", str(path))
+    assert json.loads(out)["result"]["base_checks"]["s_n_equals_matrix_tree"]
+    # a minor's diagonal is the degree sequence without its deleted vertex
+    diagonals = sorted([row[i] for i, row in enumerate(minor)] for minor in minors)
+    assert diagonals == [[2, 2, 2, 1], [3, 2, 2, 2]]  # vertex 0 out on one side, 4 on the other
 
 
 def test_verify_disconnected_flagged(capsys):
@@ -790,14 +813,15 @@ def test_help_golden_bytes(monkeypatch, capsys, argv, digest):
 
 
 def test_help_names_every_family(monkeypatch, capsys):
-    # the graph-source epilog lists the families by hand; a new family must
-    # appear there as name(args)
+    # the graph-source epilog lists the families by hand; each row of the
+    # family table must appear there as name(args), with the row's argument names
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit):
         run(["--help"])
-    out = capsys.readouterr().out
-    for name in FAMILY_NAMES:
-        assert f" {name}(" in " ".join(out.split()), name
+    out = " ".join(capsys.readouterr().out.split())
+    for name, family in FAMILIES.items():
+        form = f"{name}({','.join(family.args)})"
+        assert f" {form}" in out, form
 
 
 def test_complete_family_routes_through_closed_form(capsys):

@@ -1,6 +1,7 @@
 """Graph construction, generators, and edge-list ingestion."""
 
 import itertools
+import re
 import time
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from subtree_poly_lab import (
     is_connected,
     parse_family,
 )
+from subtree_poly_lab.graphs import FAMILIES, FAMILY_NAMES, FamilySpec
 
 
 def test_edge_list_path():
@@ -115,10 +117,76 @@ def test_matching_removed():
         generate("complete_minus_perfect_matching(5)")
 
 
-@pytest.mark.parametrize("family", ["complete(0)", "path(0)", "gnp(0,0.5)"])
+@pytest.mark.parametrize(
+    "family",
+    ["complete(0)", "path(0)", "gnp(0,0.5)", "cycle(0)", "random_tree(0)",
+     "complete_minus_perfect_matching(0)", "gnp(-1,2.0)"],
+)
 def test_zero_vertices_rejected(family):
-    with pytest.raises(ValidationError):
-        generate(family)
+    # n >= 1 is checked once for every family, before the family's own refusals
+    spec = parse_family(family)
+    with pytest.raises(ValidationError, match=re.escape(f"family {spec.name} needs n >= 1, got {spec.args[0]}")):
+        generate(spec)
+
+
+# every row of the family table: edges at two sizes (two seeds where the
+# family draws), recorded from the generators that preceded the table, and
+# the row's own refusals with their messages
+_FAMILY_EDGES = {
+    "complete": [
+        ("complete(3)", 0, [(0, 1), (0, 2), (1, 2)]),
+        ("complete(4)", 0, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    ],
+    "cycle": [
+        ("cycle(3)", 0, [(0, 1), (0, 2), (1, 2)]),
+        ("cycle(5)", 0, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]),
+    ],
+    "path": [("path(1)", 0, []), ("path(4)", 0, [(0, 1), (1, 2), (2, 3)])],
+    "gnp": [
+        ("gnp(5,0.5)", 0, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 4), (3, 4)]),
+        ("gnp(5,0.5)", 1, [(0, 1), (0, 3), (0, 4), (1, 3), (2, 3), (2, 4), (3, 4)]),
+        ("gnp(6,0.3)", 0, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 5), (2, 3), (2, 5), (3, 5)]),
+        ("gnp(6,0.3)", 1, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (2, 4), (4, 5)]),
+    ],
+    "random_tree": [
+        ("random_tree(5)", 0, [(0, 3), (1, 2), (1, 4), (2, 3)]),
+        ("random_tree(5)", 1, [(0, 2), (1, 2), (2, 4), (3, 4)]),
+        ("random_tree(7)", 0, [(0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 6)]),
+        ("random_tree(7)", 1, [(0, 2), (1, 4), (1, 6), (2, 3), (2, 4), (5, 6)]),
+    ],
+    "complete_minus_perfect_matching": [
+        ("complete_minus_perfect_matching(4)", 0, [(0, 2), (0, 3), (1, 2), (1, 3)]),
+        ("complete_minus_perfect_matching(6)", 0, [
+            (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3),
+            (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5),
+        ]),
+    ],
+}
+_FAMILY_REFUSALS = {
+    "cycle": [("cycle(2)", "cycle needs n >= 3 to stay a simple graph")],
+    "gnp": [
+        ("gnp(5,1.5)", "p must be a finite number in [0, 1], got 1.5"),
+        ("gnp(5,-0.1)", "p must be a finite number in [0, 1], got -0.1"),
+    ],
+    "complete_minus_perfect_matching": [
+        ("complete_minus_perfect_matching(5)", "complete_minus_perfect_matching needs even n"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_family_table_row(name):
+    for spec, seed, edges in _FAMILY_EDGES[name]:
+        assert generate(spec, seed).edges() == edges, (spec, seed)
+    count = len(FAMILIES[name].args)
+    for args in [(), (4,) * (count + 1), (4.0,) + (1,) * (count - 1)]:
+        with pytest.raises(ValidationError) as err:
+            generate(FamilySpec(name, args))
+        assert str(err.value) == f"family {name} expects {count} argument(s), got {args}"
+    for spec, message in _FAMILY_REFUSALS.get(name, []):
+        with pytest.raises(ValidationError) as err:
+            generate(spec)
+        assert str(err.value) == message, spec
 
 
 def test_cycle_needs_three_vertices():
@@ -133,6 +201,9 @@ def test_family_parse_errors():
         parse_family("complete[4]")
     with pytest.raises(ValidationError):
         parse_family("gnp(4,oops)")
+    # parse_family refuses an unknown name first; a hand-built spec reaches generate
+    with pytest.raises(ValidationError, match=re.escape("unknown family 'torus'")):
+        generate(FamilySpec("torus", (3,)))
 
 
 @pytest.mark.parametrize(
