@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -164,7 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
         + "; ".join(f"{name} -> {header}" for name, (_, header) in _SWEEP.items()),
     )
     p.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    _numeric(p, "--p", checks.probability, 0.5, help="edge probability for gnp sweeps")
+    # no default, so that a family without a p can refuse the flag; gnp reads 0.5
+    _numeric(p, "--p", checks.probability, None, help="edge probability for gnp sweeps")
     p.add_argument("--n-list", required=True, help="comma-separated vertex counts, may be empty")
     p.add_argument("--command", required=True, dest="inner", choices=tuple(_SWEEP))
     _numeric(p, "--samples", checks.samples, 10000)
@@ -214,19 +214,17 @@ def _mp_str(x, digits: int = 20) -> str:
 
 
 def _json(report):
-    """A library report as JSON: its dataclass fields in order, each under its
-    own name unless `_FORMATS` has a rule for it; a Fraction as its exact
-    string, a tuple as a list, a nested report as its own document."""
+    """A library report as JSON: its fields in order, each under its own name
+    unless `_FORMATS` has a rule for it; a Fraction as its exact string, a
+    tuple as a list, a nested report as its own document."""
     if isinstance(report, Fraction):
         return str(report)
-    if isinstance(report, tuple):
-        return [_json(v) for v in report]
-    if not dataclasses.is_dataclass(report):
-        return report
+    names = getattr(report, "_fields", None)  # a report is a named tuple, so test it first
+    if names is None:
+        return [_json(v) for v in report] if isinstance(report, tuple) else report
     rules = _FORMATS.get(type(report).__name__, {})
-    names = [f.name for f in dataclasses.fields(report)]
     doc = {}
-    for name in names + [name for name in rules if name not in names]:
+    for name in names + tuple(name for name in rules if name not in names):
         value = getattr(report, name)
         doc.update(rules[name](value) if name in rules else {name: _json(value)})
     return doc
@@ -332,13 +330,15 @@ def _cmd_roots(args, graph, family):
 
     counts = counts_for(graph, family, args.cap)
     analysis = find_roots(counts, precision_bits=args.precision_bits)
+    params = {"cap": args.cap, "precision_bits": args.precision_bits}
+    if args.format != "csv":  # each CSV row takes three mp.nstr calls, so build only one form
+        return params, _json(analysis), []
     with mp.workprec(analysis.precision_bits):  # the modulus of the root's own digits
         rows = [
             [i, _mp_str(r.real), _mp_str(r.imag), repr(res), _mp_str(abs(r))]
             for i, (r, res) in enumerate(zip(analysis.roots, analysis.residuals))
         ]
-    params = {"cap": args.cap, "precision_bits": args.precision_bits}
-    return params, _json(analysis), rows
+    return params, None, rows
 
 
 def _cmd_rouche(args, graph, family):
@@ -505,7 +505,10 @@ def _cmd_sweep(args) -> tuple[str, int]:
         n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
     except ValueError:
         raise ValidationError(f"bad n-list {args.n_list!r}, expected comma-separated integers")
-    extra = {name: getattr(args, name) for name in FAMILIES[args.family].args[1:]}  # p from --p
+    takes_p = "p" in FAMILIES[args.family].args
+    if args.p is not None and not takes_p:
+        raise ValidationError(f"--p does not apply to family {args.family}")
+    extra = {"p": 0.5 if args.p is None else args.p} if takes_p else {}
     params = {
         "family": args.family, "n_list": n_list, "inner_command": args.inner,
         "cap": args.cap, "samples": args.samples, "C": args.C,

@@ -35,10 +35,9 @@ they can disagree loudly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import params
 from .errors import CapacityError, ValidationError
@@ -60,18 +59,23 @@ MAX_TREE_VERTICES = 2048
 SMALL_HOST_VERTICES = 10
 
 
-@dataclass(frozen=True)
-class SubtreeCountVector:
-    """Exact counts s_1..s_n; the coefficient list of the subtree polynomial."""
-
+class _CountFields(NamedTuple):
     n: int
     counts: tuple[int, ...]  # counts[k-1] = s_k
 
-    def __post_init__(self):
-        if self.n < 1 or len(self.counts) != self.n:
+
+class SubtreeCountVector(_CountFields):
+    """Exact counts s_1..s_n; the coefficient list of the subtree polynomial."""
+
+    __slots__ = ()
+
+    # a NamedTuple body cannot define __new__, so the checks live on this subclass
+    def __new__(cls, n: int, counts: tuple[int, ...]):
+        if n < 1 or len(counts) != n:
             raise ValidationError("count vector must hold exactly n entries")
-        if any(c < 0 for c in self.counts):
+        if any(c < 0 for c in counts):
             raise ValidationError("subtree counts must be nonnegative")
+        return super().__new__(cls, n, counts)
 
     def s(self, k: int) -> int:
         """s_k, 1-based; 0 for k outside [1, n]."""
@@ -343,8 +347,7 @@ def brute_force_subtree_count(g: Graph, k: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(NamedTuple):
     kind: str  # "ratio" or "partial_sum"
     index: int
     lhs: Fraction
@@ -352,8 +355,7 @@ class InequalityCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class RatioInequalityReport:
+class RatioInequalityReport(NamedTuple):
     precondition_ok: bool
     all_passed: bool
     checks: tuple[InequalityCheck, ...]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -19,8 +18,7 @@ from . import params
 from .errors import EdgeListParseError, ValidationError
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     n: int
     m: int
     neighbors: tuple[tuple[int, ...], ...]
@@ -76,8 +74,7 @@ class Graph:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     min_degree: int
     max_degree: int
     alpha: Fraction  # min_degree / n, kept exact
@@ -161,8 +158,7 @@ def from_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     name: str
     args: tuple
 

@@ -63,9 +63,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp
@@ -96,8 +95,7 @@ def build_polynomial(counts: SubtreeCountVector) -> SubtreeCountVector:
     return counts
 
 
-@dataclass(frozen=True)
-class RootAnalysis:
+class RootAnalysis(NamedTuple):
     roots: tuple  # mpc values, n entries, forced 0 first, then by real part; see _root_key
     residuals: tuple[float, ...]
     max_modulus: float
@@ -685,8 +683,7 @@ def root_bound(alpha: Fraction, n: int, C: float = params.DEFAULT_ROUCHE_C) -> f
     return C / (float(alpha) * math.log(n))
 
 
-@dataclass(frozen=True)
-class RoucheReport:
+class RoucheReport(NamedTuple):
     n: int
     C: float
     radius: float
@@ -942,8 +939,7 @@ def _first_max_index(margins: list) -> int:
     return next(i for i, v in enumerate(margins) if float(v) == top)
 
 
-@dataclass(frozen=True)
-class TreeRootReport:
+class TreeRootReport(NamedTuple):
     n: int
     max_modulus: float
     bound: float

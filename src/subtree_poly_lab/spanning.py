@@ -48,10 +48,9 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from . import params
 from .counting import _laplacian_minor, spanning_tree_count, subset_spanning_tree_count
@@ -66,8 +65,7 @@ if TYPE_CHECKING:
 DEFAULT_SPANNING_TREE_CAP = params.DEFAULT_SPANNING_TREE_CAP
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(NamedTuple):
     n: int
     edges: frozenset[tuple[int, int]]
     leaf_set: frozenset[int]
@@ -92,14 +90,12 @@ def _tree(n: int, edges, tree_degree: Sequence[int]) -> SpanningTree:
     )
 
 
-@dataclass(frozen=True)
-class WeightSample:
+class WeightSample(NamedTuple):
     weight: Fraction
     leaf_count: int
 
 
-@dataclass(frozen=True)
-class BetaEstimate:
+class BetaEstimate(NamedTuple):
     mean: Fraction
     standard_error: float
     samples: int
@@ -475,8 +471,7 @@ def estimate_beta(g: Graph, samples: int, seed: int, threads: int = 1) -> BetaEs
     return _beta_report(_run_weight_samples(g, samples, seed, threads), seed)
 
 
-@dataclass(frozen=True)
-class LeafCountStats:
+class LeafCountStats(NamedTuple):
     samples: int
     seed: int
     mean: Fraction
@@ -508,8 +503,7 @@ def _leaf_stats_report(h: _WeightHistogram, seed: int, epsilon: float) -> LeafCo
     )
 
 
-@dataclass(frozen=True)
-class ConcentrationRow:
+class ConcentrationRow(NamedTuple):
     b: float
     tail_count: int
     empirical_tail: float
@@ -519,8 +513,7 @@ class ConcentrationRow:
     status_alpha_form: str
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
+class ConcentrationReport(NamedTuple):
     samples: int
     seed: int
     mean: Fraction
@@ -765,8 +758,7 @@ def enumerate_spanning_trees(
     return trees()
 
 
-@dataclass(frozen=True)
-class WeightIdentityReport:
+class WeightIdentityReport(NamedTuple):
     n: int
     tree_count: int
     weight_sum: Fraction  # sum of w(T) over all spanning trees

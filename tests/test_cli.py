@@ -378,6 +378,24 @@ def test_sweep_checks_row_flags_before_any_row(capsys, inner, flag, value):
         assert err.startswith(f"error: {flag} must be ") and err.endswith(f", got {value}\n")
 
 
+@pytest.mark.parametrize("n_list", ["", "5,3"])
+def test_sweep_refuses_p_for_a_family_without_p(capsys, n_list):
+    # it used to exit 0 and print the rows of a sweep without --p
+    status, out, err = invoke(
+        capsys, "sweep", "--family", "complete", "--n-list", n_list, "--command", "counts", "--p", "0.7"
+    )
+    assert (status, out) == (1, "")
+    assert err == "error: --p does not apply to family complete\n"
+
+
+def test_sweep_gnp_reads_an_absent_p_as_one_half(capsys):
+    argv = ["sweep", "--family", "gnp", "--n-list", "5,7", "--seed", "2", "--command", "counts"]
+    status, out, _ = invoke(capsys, *argv)
+    assert status == 0
+    assert '"p": 0.5}' in out.splitlines()[0]
+    assert invoke(capsys, *argv, "--p", "0.5") == (status, out, "")
+
+
 @pytest.mark.parametrize("flag", [["--format", "json"], ["--format=json"]])
 def test_sweep_refuses_json(capsys, flag):
     # sweep writes only its CSV table; it used to print that table for a
@@ -458,7 +476,8 @@ def _strict_json(text):
         "experiment --graph complete(5) --samples 50 --epsilon nan",
         "tree-check --graph path(3) --tolerance nan",
         "tree-check --graph path(3) --tolerance inf",
-        # the sweep spec echoes --C and --p even where no row reads them
+        # the sweep spec echoes --C even where no row reads it, and a gnp
+        # sweep echoes --p; the flag's own check runs before either
         "sweep --family complete --n-list 5 --command counts --C nan",
         "sweep --family complete --n-list 5 --command counts --p inf",
         'sweep --family gnp --n-list "" --command counts --p inf',

@@ -15,7 +15,12 @@ from subtree_poly_lab.counting import SMALL_HOST_VERTICES
 # hashlib loads OpenSSL, a few ms per process; only `counts` hashes its host
 HEAVY = ("numpy", "mpmath", "concurrent.futures", "hashlib")
 
-# runs the CLI as `python -m` would, then reports which HEAVY modules it loaded
+# the cost of building records as dataclasses: `dataclasses` imports
+# `inspect`, about 10 ms per process
+RECORD_BUILDERS = ("dataclasses", "inspect")
+
+# runs the CLI as `python -m` would, then reports which HEAVY and
+# RECORD_BUILDERS modules it loaded
 _PROBE = """
 import json, runpy, sys
 sys.argv = ["subtree-poly-lab", *sys.argv[1:]]
@@ -24,7 +29,7 @@ try:
 except SystemExit as exc:
     status = exc.code
 print(json.dumps([status, [m for m in {heavy!r} if m in sys.modules]]))
-""".format(heavy=HEAVY)
+""".format(heavy=HEAVY + RECORD_BUILDERS)
 
 
 def _loaded(*argv):
@@ -75,6 +80,23 @@ def test_version_and_help_load_nothing_heavy(argv):
 )
 def test_closed_form_and_tree_hosts_run_without_numpy(argv, edge_list):
     assert "numpy" not in _loaded(*(a.format(edge_list=edge_list) for a in argv))
+
+
+# numpy imports inspect itself, so commands that load numpy are out of scope;
+# --version and --help are checked above, where they load no probed module
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("roots", "--graph", "complete(12)"),
+        ("rouche", "--graph", "complete(12)"),
+        ("poisson", "--graph", "complete(12)"),
+        ("tree-check", "--graph", "path(9)"),
+        ("verify", "--edge-list", "{edge_list}"),
+    ],
+)
+def test_records_load_no_dataclasses(argv, edge_list):
+    loaded = _loaded(*(a.format(edge_list=edge_list) for a in argv))
+    assert not loaded & set(RECORD_BUILDERS)
 
 
 @pytest.mark.parametrize(
