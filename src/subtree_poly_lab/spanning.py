@@ -30,13 +30,14 @@ distinct pair, and workers merge by adding histograms. Rationals and
 floats appear only in final reports.
 
 Enumeration includes and excludes edges depth first with the tree
-degrees and the forest's scaled leaf sum W kept in step. Once the forest
-has three components, the trees below are the forest plus each pair of
-undecided edges that join different pairs of components: the walk
-labels the components in two searches and yields that cut without
-further branching. ``enumerate_spanning_trees`` expands each cut's
-pairs in lexicographic edge order into trees; the identity check adds
-up each pair's W from its tree degrees in one loop, building no tree.
+degrees, the forest's scaled leaf sum W and each vertex's component
+label kept in step. Once the forest has four components, the trees below
+are the forest plus each triple of undecided edges that join distinct
+pairs of components and together touch all four: the walk tags each
+edge with the labels of its ends and yields that cut without further
+branching. ``enumerate_spanning_trees`` expands each cut's triples in
+lexicographic edge order into trees; the identity check adds up each
+triple's W from its tree degrees in one loop, building no tree.
 A sampling run takes one chunk of samples per worker process, and one
 worker runs in-process.
 Only the sampling functions import numpy and the random streams, so
@@ -623,25 +624,30 @@ def _spanning_cuts(
     Edge inclusion/exclusion in depth-first order. An edge is excluded
     when it closes a cycle in the forest built so far, or when it is not
     a bridge of that forest plus the edges not yet decided, so every
-    branch holds a tree. The walk stops where the forest spans (n <= 2)
-    or has three components, and yields that cut: the forest, its tree
+    branch holds a tree. The walk stops where the forest spans (n <= 3)
+    or has four components, and yields that cut: the forest, its tree
     degrees and its scaled leaf sum W (over `gain`, see `_degree_gains`),
     and the undecided edges with ends in two components, in edge order,
-    each tagged with its pair of components. The trees below a cut are
-    the forest itself when nothing crosses, and otherwise the forest
-    plus each pair e1 < e2 of crossing edges with different tags: an edge
-    inside a component closes a cycle, and two edges of one pair leave
-    the third component apart. When e1 is a bridge of the forest plus
-    the undecided edges, no pair leaves it out, so the pairs need no
+    each tagged with the bits of both components. The trees below a cut
+    are the forest itself when nothing crosses, and otherwise the forest
+    plus each triple e1 < e2 < e3 of crossing edges whose tags differ
+    pairwise and together cover every vertex: an edge inside a component
+    closes a cycle, three edges joining distinct pairs of four components
+    form a tree unless they form a triangle, and a triangle leaves the
+    fourth component apart. When e1 is a bridge of the forest plus the
+    undecided edges, no triple leaves it out, so the triples need no
     bridge test.
 
-    The forest is kept as adjacency bitmasks, tree degrees and W, rolled
-    back in step. An edge added at a vertex of tree degree 0 adds that
-    vertex's scale to W, one at tree degree 1 takes it away, and one at
-    a higher degree leaves W as it is; each include saves W for its
-    undo. The yielded edge and degree lists are shared: a consumer may
-    change them, and restores them before the next cut. Callers guard
-    the size up front with `_guarded_tree_count`.
+    The forest is kept as tree degrees, W and `comp`, each vertex's
+    component as bits, rolled back in step: an include merges the two
+    components in a new `comp` list and saves the old one and W for its
+    undo. So the cycle test compares two labels, and the bridge test of
+    an undo grows whole components over the undecided edges. An edge
+    added at a vertex of tree degree 0 adds that vertex's scale to W,
+    one at tree degree 1 takes it away, and one at a higher degree
+    leaves W as it is. The yielded edge and degree lists are shared: a
+    consumer may change them, and restores them before the next cut.
+    Callers guard the size up front with `_guarded_tree_count`.
     """
     n = g.n
     edges = g.edges()
@@ -652,72 +658,58 @@ def _spanning_cuts(
         row[v] |= 1 << u
         suffix.append(row)
     suffix.reverse()
-    forest = [0] * n  # adjacency bitmasks of the included edges
+    comp = [1 << x for x in range(n)]  # comp[x]: x's forest component, as bits
     tree_degree = [0] * n
     included: list[tuple[int, int]] = []
     w = 0
-    everyone = (1 << n) - 1
 
     def joined(u: int, v: int, rest: list[int]) -> bool:
         """Whether the forest plus the edges in `rest` connects u to v."""
-        seen = frontier = 1 << u
+        target = comp[v]
+        seen = frontier = comp[u]
         while frontier:
             reach = 0
             while frontier:
                 low = frontier & -frontier
-                x = low.bit_length() - 1
-                reach |= rest[x] | forest[x]
+                reach |= rest[low.bit_length() - 1]
                 frontier ^= low
-            if (reach >> v) & 1:
+            if reach & target:
                 return True
-            frontier = reach & ~seen
+            reach &= ~seen
+            while reach:  # take in the whole component of each vertex reached
+                low = reach & -reach
+                side = comp[low.bit_length() - 1]
+                frontier |= side
+                reach &= ~side
             seen |= frontier
         return False
 
-    def component(x: int) -> int:
-        """The forest component of x, as bits."""
-        side = frontier = 1 << x
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= forest[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & ~side
-            side |= frontier
-        return side
-
-    todo = [(0, n, None)]  # (next edge, components, W to restore after an include)
+    todo = [(0, n, None)]  # (next edge, components, (W, comp) to restore after an include)
     while todo:
         idx, components, saved = todo.pop()
         if saved is not None:  # back from including edges[idx]: undo; exclude it unless a bridge
             u, v = included.pop()
-            forest[u] ^= 1 << v
-            forest[v] ^= 1 << u
             tree_degree[u] -= 1
             tree_degree[v] -= 1
-            w = saved
+            w, comp = saved
             if joined(u, v, suffix[idx + 1]):
                 todo.append((idx + 1, components, None))
             continue
-        if components == 3 or components == 1:  # a cut; one component only when n <= 2
-            first = component(0)
-            rest = everyone ^ first
-            second = component((rest & -rest).bit_length() - 1) if rest else 0
-            label = [1 if first >> x & 1 else 2 if second >> x & 1 else 4 for x in range(n)]
+        if components == 4 or components == 1:  # a cut; one component only when n <= 3
             crossing = [
-                (u, v, label[u] | label[v]) for u, v in edges[idx:] if label[u] != label[v]
+                (u, v, comp[u] | comp[v]) for u, v in edges[idx:] if comp[u] != comp[v]
             ]
             yield included, tree_degree, w, crossing
             continue
         u, v = edges[idx]
-        while joined(u, v, suffix[-1]):  # a cycle edge; a crossing edge remains, as the rest connects
+        while comp[u] == comp[v]:  # a cycle edge; a crossing edge remains, as the rest connects
             idx += 1
             u, v = edges[idx]
-        todo.append((idx, components, w))
+        todo.append((idx, components, (w, comp)))
         w += gain[u][tree_degree[u]] + gain[v][tree_degree[v]]
-        forest[u] |= 1 << v
-        forest[v] |= 1 << u
+        a, b = comp[u], comp[v]
+        merged = a | b
+        comp = [merged if c == a or c == b else c for c in comp]
         tree_degree[u] += 1
         tree_degree[v] += 1
         included.append((u, v))
@@ -730,28 +722,40 @@ def enumerate_spanning_trees(
     """Each spanning tree of connected g exactly once; host and cap checked on the call.
 
     The trees come from the cuts of `_spanning_cuts`, in edge order: a
-    spanning forest as it is, and otherwise the forest plus each pair
-    e1 < e2 of crossing edges of different tags, in lexicographic order,
-    the order an include-first walk down to the last edge would take.
+    spanning forest as it is, and otherwise the forest plus each triple
+    e1 < e2 < e3 of crossing edges whose tags differ pairwise and cover
+    every vertex, in lexicographic order, the order an include-first walk
+    down to the last edge would take.
     """
     _guarded_tree_count(g, cap)
     n = g.n
+    everyone = (1 << n) - 1
 
     def trees() -> Iterator[SpanningTree]:
         # the trees read no W, so every gain is 0
         for included, degree, _, crossing in _spanning_cuts(g, _degree_gains([0] * n)):
             if not crossing:  # the forest spans
                 yield _tree(n, included, degree)
-            for i, (a, b, tag) in enumerate(crossing):
+            for i, (a, b, r) in enumerate(crossing):
                 degree[a] += 1
                 degree[b] += 1
-                for x, y, other in crossing[i + 1 :]:
-                    if other != tag:
-                        degree[x] += 1
-                        degree[y] += 1
-                        yield _tree(n, (*included, (a, b), (x, y)), degree)
-                        degree[x] -= 1
-                        degree[y] -= 1
+                for j, (c, d, s) in enumerate(crossing[i + 1 :], i + 1):
+                    if s == r:
+                        continue
+                    degree[c] += 1
+                    degree[d] += 1
+                    # the component r | s leaves out, which e3 must reach;
+                    # none when r and s are disjoint, and e3 need only differ
+                    missing = everyone ^ (r | s)
+                    for e, f, t in crossing[j + 1 :]:
+                        if t & missing if missing else t != r and t != s:
+                            degree[e] += 1
+                            degree[f] += 1
+                            yield _tree(n, (*included, (a, b), (c, d), (e, f)), degree)
+                            degree[e] -= 1
+                            degree[f] -= 1
+                    degree[c] -= 1
+                    degree[d] -= 1
                 degree[a] -= 1
                 degree[b] -= 1
 
@@ -773,7 +777,7 @@ def verify_weight_identity(
     """Check sum_{T} w(T) = s_{n-1}(G) exactly.
 
     The left side visits every spanning tree once, as a cut of
-    `_spanning_cuts` plus a pair of its crossing edges, and adds the
+    `_spanning_cuts` plus a triple of its crossing edges, and adds the
     tree's scaled leaf weight W, read from its own tree degrees, in one
     loop per cut, dividing by L once; the right side computes s_{n-1}
     as the sum of matrix-tree counts of the vertex-deleted subgraphs, a
@@ -783,19 +787,30 @@ def verify_weight_identity(
     matrix_tree_count = _guarded_tree_count(g, cap)
     lcm, scale = _leaf_scales(g)
     gain = _degree_gains(scale)
+    everyone = (1 << n) - 1
     scaled_sum = tree_count = 0
     for _, degree, w, crossing in _spanning_cuts(g, gain):
         if not crossing:  # the forest spans
             scaled_sum += w
             tree_count += 1
-        for i, (a, b, tag) in enumerate(crossing):
+        # the triples `enumerate_spanning_trees` expands
+        for i, (a, b, r) in enumerate(crossing):
             first_w = w + gain[a][degree[a]] + gain[b][degree[b]]
             degree[a] += 1
             degree[b] += 1
-            for x, y, other in crossing[i + 1 :]:
-                if other != tag:
-                    scaled_sum += first_w + gain[x][degree[x]] + gain[y][degree[y]]
-                    tree_count += 1
+            for j, (c, d, s) in enumerate(crossing[i + 1 :], i + 1):
+                if s == r:
+                    continue
+                second_w = first_w + gain[c][degree[c]] + gain[d][degree[d]]
+                degree[c] += 1
+                degree[d] += 1
+                missing = everyone ^ (r | s)
+                for e, f, t in crossing[j + 1 :]:
+                    if t & missing if missing else t != r and t != s:
+                        scaled_sum += second_w + gain[e][degree[e]] + gain[f][degree[f]]
+                        tree_count += 1
+                degree[c] -= 1
+                degree[d] -= 1
             degree[a] -= 1
             degree[b] -= 1
     weight_sum = Fraction(scaled_sum, lcm)

@@ -346,10 +346,15 @@ def _brute_force_spanning_trees(g):
 
 
 def _check_walk(g):
-    seen = [frozenset(tree.edges) for tree in enumerate_spanning_trees(g)]
+    """The walk's trees are the brute-force trees sorted by their edge indices.
+
+    That is the include-first order, stated without a digest.
+    """
+    index = {e: i for i, e in enumerate(g.edges())}
+    seen = [tuple(sorted(index[e] for e in tree.edges)) for tree in enumerate_spanning_trees(g)]
+    brute = [tuple(sorted(index[e] for e in tree)) for tree in _brute_force_spanning_trees(g)]
     assert len(seen) == spanning_tree_count(g)
-    assert set(seen) == _brute_force_spanning_trees(g)
-    assert len(set(seen)) == len(seen)
+    assert seen == sorted(brute)
 
 
 @pytest.mark.parametrize(
@@ -360,10 +365,13 @@ def _check_walk(g):
         generate("random_tree(7)", seed=5),
         generate("cycle(6)"),
         generate("complete(4)"),
+        generate("cycle(4)"),
+        generate("path(4)"),
     ],
-    ids=["n1", "n2", "tree", "cycle6", "k4"],
+    ids=["n1", "n2", "tree", "cycle6", "k4", "cycle4", "path4"],
 )
 def test_tree_walk_matches_brute_force_on_small_hosts(host):
+    # on four vertices the first cut is the empty forest: every tree is a triple
     _check_walk(host)
 
 
@@ -419,10 +427,12 @@ def _check_identity_sum(g):
         Graph.from_edges(1, []),
         Graph.from_edges(2, [(0, 1)]),
         generate("complete(3)"),
+        generate("complete(4)"),
+        generate("cycle(4)"),
         generate("random_tree(7)", seed=5),
         generate("cycle(6)"),
     ],
-    ids=["n1", "n2", "n3", "tree", "cycle6"],
+    ids=["n1", "n2", "n3", "k4", "cycle4", "tree", "cycle6"],
 )
 def test_identity_sum_matches_walk_and_brute_force_on_small_hosts(host):
     _check_identity_sum(host)
@@ -437,11 +447,11 @@ def test_identity_sum_matches_walk_and_brute_force_on_gnp_hosts(n, p, seed):
 
 
 @pytest.mark.parametrize(
-    "spec, cuts", [("complete_minus_perfect_matching(8)", 10842), ("complete(7)", 1577)]
+    "spec, cuts", [("complete_minus_perfect_matching(8)", 2169), ("complete(7)", 290)]
 )
 def test_tree_walk_branches_to_pinned_cuts(monkeypatch, spec, cuts):
-    # the walk branches down to three components and expands each cut's
-    # pairs without branching; a walk that branched per tree would yield
+    # the walk branches down to four components and expands each cut's
+    # triples without branching; a walk that branched further would yield
     # more cuts, and both consumers read the same ones
     g = generate(spec)
     original, seen = spanning._spanning_cuts, []
@@ -453,7 +463,7 @@ def test_tree_walk_branches_to_pinned_cuts(monkeypatch, spec, cuts):
 
     monkeypatch.setattr(spanning, "_spanning_cuts", counted)
     assert verify_weight_identity(g).tree_count == spanning_tree_count(g)
-    assert len(seen) == cuts and set(seen) == {g.n - 3}
+    assert len(seen) == cuts and set(seen) == {g.n - 4}
     seen.clear()
     assert sum(1 for _ in enumerate_spanning_trees(g)) == spanning_tree_count(g)
     assert len(seen) == cuts
