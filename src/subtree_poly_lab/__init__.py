@@ -42,7 +42,6 @@ _EXPORTS = {
     "from_edge_list": "graphs",
     "generate": "graphs",
     "generate_connected": "graphs",
-    "induced_subgraph": "graphs",
     "is_connected": "graphs",
     "parse_family": "graphs",
     "RootAnalysis": "polyroots",

@@ -8,9 +8,11 @@ output. Exit codes: 0 success, 1 validation error, 2 capacity error,
 
 Commands are rows of two tables, `_COMMANDS` (graph commands) and
 `_SWEEP` (sweep rows); `_render` is the one place that writes either
-format, and the help text's CSV columns are read from the tables. The
-library's reports carry no output format: `_json` writes each one, and
-its table `_FORMATS` holds every key or value that differs from a field.
+format, and the help text's CSV columns are read from the tables. A
+sweep row and its command's document project one report, computed by one
+function such as `_roots`. The library's reports carry no output format:
+`_json` writes each one, and its table `_FORMATS` holds every key or
+value that differs from a field.
 
 Each numeric flag is parsed by the library's check of its parameter
 (`params`), so a value out of range exits 1 before any work starts.
@@ -160,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common, caps],
         help="one CSV row per n for a family template",
         description="CSV columns: "
-        + "; ".join(f"{name} -> {header}" for name, (_, header) in _SWEEP.items()),
+        + "; ".join(f"{name} -> {header}" for name, (_, header, _) in _SWEEP.items()),
     )
     p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     # no default, so that a family without a p can refuse the flag; gnp reads 0.5
@@ -171,6 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _numeric(p, "--C", checks.rouche_C, checks.DEFAULT_ROUCHE_C)
     _numeric(p, "--circle-points", checks.circle_points, checks.DEFAULT_CIRCLE_POINTS)
     _numeric(p, "--k-max", checks.k_max, 3)
+    # the roots and rouche rows run at the commands' default precision; no flag
+    p.set_defaults(precision_bits=checks.DEFAULT_PRECISION_BITS)
     return parser
 
 
@@ -224,8 +228,7 @@ def _json(report):
         return [_json(v) for v in report] if isinstance(report, tuple) else report
     rules = _FORMATS.get(type(report).__name__, {})
     doc = {}
-    for name in names + tuple(name for name in rules if name not in names):
-        value = getattr(report, name)
+    for name, value in zip(names, report):
         doc.update(rules[name](value) if name in rules else {name: _json(value)})
     return doc
 
@@ -240,10 +243,9 @@ def _with_exact(key: str):
     return lambda value: {key: float(value), key + "_exact": str(value)}
 
 
-# report type -> {field or derived property: rule}, every place a document
-# differs from its report's fields. A rule maps a value to its entries in the
-# document; a name that is no field prints after the fields. Keyed by type
-# name, so that building the table imports no library module.
+# report type -> {field: rule}, every place a document differs from its
+# report's fields. A rule maps a value to its entries in the document. Keyed
+# by type name, so that building the table imports no library module.
 _FORMATS = {
     # decimal strings: counts outgrow the integers a JSON reader keeps exact
     "SubtreeCountVector": {"counts": _as("counts", lambda counts: [str(c) for c in counts])},
@@ -252,8 +254,7 @@ _FORMATS = {
     "LeafCountStats": {"mean": _with_exact("mean"),
                        "bound_violations": _as("weight_bound_violations")},
     "ConcentrationReport": {"mean": _with_exact("mean"),
-                            "bound_violations": _as("weight_bound_violations"),
-                            "any_violation": _as("any_violation")},
+                            "bound_violations": _as("weight_bound_violations")},
     "WeightIdentityReport": {"weight_sum": _as("lhs_weight_sum"),
                              "s_n_minus_1": _as("rhs_s_n_minus_1", str),
                              # read by verify's base checks, not printed
@@ -271,8 +272,17 @@ _FORMATS = {
 }
 
 
+def _counts(args, graph, family):
+    return counts_for(graph, family, args.cap)
+
+
+def _counts_row(args, counts) -> list:
+    beta = repr(float(exact_beta(counts))) if counts.s(counts.n) else ""
+    return [str(counts.s(2)), str(counts.s(counts.n)), beta]
+
+
 def _cmd_counts(args, graph, family):
-    counts = counts_for(graph, family, args.cap)
+    counts = _counts(args, graph, family)
     result = _json(counts)
     result["fingerprint"] = graph.fingerprint()
     result["connected"] = counts.s(counts.n) > 0
@@ -280,23 +290,25 @@ def _cmd_counts(args, graph, family):
     return {"cap": args.cap}, result, rows
 
 
-def _estimate_beta(args, graph):
-    """The estimate and its CSV row, shared by `beta` and the beta sweep."""
+def _beta(args, graph, family):
     from .spanning import estimate_beta
 
-    est = estimate_beta(graph, args.samples, args.seed, threads=args.threads)
-    return est, [graph.n, repr(float(est.mean)), repr(est.standard_error), est.samples, est.seed]
+    return estimate_beta(graph, args.samples, args.seed, threads=args.threads)
+
+
+def _beta_row(args, est) -> list:
+    return [repr(float(est.mean)), repr(est.standard_error), est.samples, est.seed]
 
 
 def _cmd_beta(args, graph, family):
-    estimate, row = _estimate_beta(args, graph)
+    estimate = _beta(args, graph, family)
     result = _json(estimate)
     closed = closed_form_counts(family)
     if closed is not None:
         exact = exact_beta(closed)
         result["exact"] = float(exact)
         result["exact_fraction"] = str(exact)
-    return {"samples": args.samples}, result, [row]
+    return {"samples": args.samples}, result, [[graph.n, *_beta_row(args, estimate)]]
 
 
 def _cmd_sample(args, graph, family):
@@ -323,13 +335,16 @@ def _cmd_sample(args, graph, family):
     return {"samples": args.samples}, {"trees": trees}, rows
 
 
+def _roots(args, graph, family):
+    from .polyroots import find_roots
+
+    return find_roots(_counts(args, graph, family), precision_bits=args.precision_bits)
+
+
 def _cmd_roots(args, graph, family):
     import mpmath as mp
 
-    from .polyroots import find_roots
-
-    counts = counts_for(graph, family, args.cap)
-    analysis = find_roots(counts, precision_bits=args.precision_bits)
+    analysis = _roots(args, graph, family)
     params = {"cap": args.cap, "precision_bits": args.precision_bits}
     if args.format != "csv":  # each CSV row takes three mp.nstr calls, so build only one form
         return params, _json(analysis), []
@@ -341,24 +356,39 @@ def _cmd_roots(args, graph, family):
     return params, None, rows
 
 
-def _cmd_rouche(args, graph, family):
+def _rouche(args, graph, family):
     from .polyroots import rouche_margin
 
-    counts = counts_for(graph, family, args.cap)
-    report = rouche_margin(
-        counts, degree_profile(graph).alpha, C=args.C, circle_points=args.circle_points,
-        precision_bits=args.precision_bits,
-    )
+    return rouche_margin(_counts(args, graph, family), degree_profile(graph).alpha, C=args.C,
+                         circle_points=args.circle_points, precision_bits=args.precision_bits)
+
+
+def _rouche_row(args, report) -> list:
+    return [repr(report.radius), repr(float(report.beta)), repr(report.max_margin), report.witness_ok]
+
+
+def _cmd_rouche(args, graph, family):
+    report = _rouche(args, graph, family)
     params = {"C": args.C, "circle_points": args.circle_points, "cap": args.cap,
               "precision_bits": args.precision_bits}
-    rows = [[report.n, repr(report.C), repr(report.radius), repr(float(report.beta)),
-             repr(report.max_margin), report.witness_ok]]
+    rows = [[report.n, repr(report.C), *_rouche_row(args, report)]]
     return params, _json(report), rows, 0 if report.witness_ok else 3
+
+
+def _poisson(args, graph, family):
+    # k < n only: the command refuses a larger --k-max first, a sweep row stops at n - 1
+    return poisson_deviation(_counts(args, graph, family), min(args.k_max, graph.n - 1))
+
+
+def _poisson_row(args, devs) -> list:  # nan for each k >= n
+    floats = [float(d) for d in devs] + [float("nan")] * (args.k_max + 1 - len(devs))
+    max_abs = max((abs(float(d)) for d in devs[1:]), default=0.0)
+    return [repr(v) for v in floats] + [repr(max_abs)]
 
 
 def _cmd_poisson(args, graph, family):
     checks.deviation_order(args.k_max, graph.n, "--k-max")  # before the counts are taken
-    devs = poisson_deviation(counts_for(graph, family, args.cap), args.k_max)
+    devs = _poisson(args, graph, family)
     result = {
         "k_max": args.k_max,
         "deviations": [float(d) for d in devs],
@@ -376,7 +406,7 @@ def _cmd_verify(args, graph, family):
         return params, {"connected": False, "checks_run": False}, [], 1
     from .spanning import verify_weight_identity
 
-    counts = counts_for(graph, family, args.cap)
+    counts = _counts(args, graph, family)
     profile = degree_profile(graph)
     identity = verify_weight_identity(graph, cap=args.tree_cap)
     inequalities = check_ratio_inequalities(counts, profile.alpha, profile.min_degree)
@@ -454,47 +484,17 @@ def _run_graph_command(args) -> tuple[str, int]:
     return output, status[0] if status else 0
 
 
-def _sweep_counts(args, graph, family) -> list:
-    n = graph.n
-    counts = counts_for(graph, family, args.cap)
-    beta = repr(float(exact_beta(counts))) if counts.s(n) else ""
-    return [n, str(counts.s(2)), str(counts.s(n)), beta]
-
-
-def _sweep_roots(args, graph, family) -> list:
-    from .polyroots import find_roots
-
-    analysis = find_roots(counts_for(graph, family, args.cap))
-    return [graph.n, repr(analysis.max_modulus), repr(analysis.vieta_relative_error),
-            analysis.iterations]
-
-
-def _sweep_rouche(args, graph, family) -> list:
-    from .polyroots import rouche_margin
-
-    counts = counts_for(graph, family, args.cap)
-    report = rouche_margin(counts, degree_profile(graph).alpha, C=args.C,
-                           circle_points=args.circle_points)
-    return [graph.n, repr(report.radius), repr(float(report.beta)),
-            repr(report.max_margin), report.witness_ok]
-
-
-def _sweep_poisson(args, graph, family) -> list:
-    n = graph.n
-    devs = poisson_deviation(counts_for(graph, family, args.cap), min(args.k_max, n - 1))
-    floats = [float(d) for d in devs] + [float("nan")] * (args.k_max + 1 - len(devs))
-    max_abs = max((abs(float(d)) for d in devs[1:]), default=0.0)
-    return [n] + [repr(v) for v in floats] + [repr(max_abs)]
-
-
-# inner command -> (function of (args, graph, family) to one CSV row, CSV
-# header); dev_0..dev_kmax stands for one column per k up to --k-max
+# inner command -> (its command's report function, CSV header, projection of
+# (args, report) to the columns after n); beta's and rouche's projections are
+# their commands' CSV rows after n (and C); dev_0..dev_kmax stands for one
+# column per k up to --k-max
 _SWEEP = {
-    "counts": (_sweep_counts, "n,m,s_n,beta"),
-    "beta": (lambda args, graph, family: _estimate_beta(args, graph)[1], _COMMANDS["beta"][1]),
-    "roots": (_sweep_roots, "n,max_modulus,vieta_relative_error,iterations"),
-    "rouche": (_sweep_rouche, "n,radius,beta,max_margin,witness_ok"),
-    "poisson": (_sweep_poisson, "n,dev_0..dev_kmax,max_abs_dev"),
+    "counts": (_counts, "n,m,s_n,beta", _counts_row),
+    "beta": (_beta, _COMMANDS["beta"][1], _beta_row),
+    "roots": (_roots, "n,max_modulus,vieta_relative_error,iterations",
+              lambda args, a: [repr(a.max_modulus), repr(a.vieta_relative_error), a.iterations]),
+    "rouche": (_rouche, "n,radius,beta,max_margin,witness_ok", _rouche_row),
+    "poisson": (_poisson, "n,dev_0..dev_kmax,max_abs_dev", _poisson_row),
 }
 
 
@@ -514,7 +514,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
         "cap": args.cap, "samples": args.samples, "C": args.C,
         "circle_points": args.circle_points, "k_max": args.k_max, **extra,
     }
-    row_for, header = _SWEEP[args.inner]
+    report_for, header, project = _SWEEP[args.inner]
     columns = header.split(",")
     if args.inner == "poisson":
         checks.sweep_order(args.k_max, n_list, "--k-max")  # before the header is built
@@ -523,7 +523,7 @@ def _cmd_sweep(args) -> tuple[str, int]:
     for n in n_list:
         family = FamilySpec(args.family, (n, *extra.values()))
         try:
-            rows.append(row_for(args, generate(family, args.seed), family))
+            rows.append([n, *project(args, report_for(args, generate(family, args.seed), family))])
         except SubtreeLabError as err:
             # same object, so a certification failure keeps its iterates
             err.args = (f"sweep aborted at n={n}: {err}",)

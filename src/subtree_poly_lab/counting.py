@@ -19,7 +19,8 @@ exact Bareiss count. A larger host runs in the numpy kernel of the
 chunks of vertex arrays; each chunk's minors eliminated exactly, in
 float64 under a proven Hadamard bound, else modulo a proven number of
 primes with each count rebuilt from its residues); `subtree_counts` loads
-it only for the larger hosts, `enumerate_connected_subsets` for every host.
+it only for the larger hosts. `enumerate_connected_subsets` lists the
+connected k-subsets of every host from the kernel's k-th level.
 
 The diagnostics of the Poisson profile take the counts alone and stay in
 exact rationals: `exact_beta` (s_{n-1}/s_n), `poisson_deviation` (the
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator, NamedTuple
 
 from . import params
@@ -183,9 +184,10 @@ def enumerate_connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     if not 1 <= k <= g.n:
         raise ValidationError(f"subset size {k} out of range [1, {g.n}]")
     _require_bitmask_width(g)
-    from .subsets import connected_subsets
+    from .subsets import _chunked_levels
 
-    yield from connected_subsets(g, k)
+    for vertices in next(islice(_chunked_levels(g), k - 1, None), ()):
+        yield from map(tuple, vertices.T.tolist())
 
 
 def subtree_counts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> SubtreeCountVector:

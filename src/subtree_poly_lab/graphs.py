@@ -182,8 +182,10 @@ def parse_family(text: str) -> FamilySpec:
         raise ValidationError(
             f"unknown family {name!r}, expected one of {', '.join(FAMILY_NAMES)}"
         )
+    # no argument reaches generate's arity check; an empty one is a bad argument
+    pieces = raw_args.split(",") if raw_args.strip() else []
     args = []
-    for piece in filter(None, (p.strip() for p in raw_args.split(","))):
+    for piece in map(str.strip, pieces):
         try:
             args.append(int(piece))
         except ValueError:
@@ -302,23 +304,3 @@ def generate_connected(
     raise ValidationError(
         f"no connected instance of {spec} within {max_attempts} seeds from {seed}"
     )
-
-
-def induced_subgraph(g: Graph, vertex_subset: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph on a vertex subset, relabeled 0..|W|-1.
-
-    Returns (subgraph, label_map) where label_map[new_id] = old_id.
-    """
-    subset = sorted(set(vertex_subset))
-    if not subset:
-        raise ValidationError("vertex subset must be nonempty")
-    if subset[0] < 0 or subset[-1] >= g.n:
-        raise ValidationError(f"vertex ids must lie in [0, {g.n})")
-    index = {old: new for new, old in enumerate(subset)}
-    edges = [
-        (index[u], index[v])
-        for u in subset
-        for v in g.neighbors[u]
-        if u < v and v in index
-    ]
-    return Graph.from_edges(len(subset), edges), tuple(subset)

@@ -520,12 +520,7 @@ class ConcentrationReport(NamedTuple):
     mean: Fraction
     rows: tuple[ConcentrationRow, ...]
     bound_violations: int
-
-    @property
-    def any_violation(self) -> bool:
-        return any(
-            "violation" in (r.status_min_degree, r.status_alpha_form) for r in self.rows
-        )
+    any_violation: bool  # a row with a "violation" status under either bound
 
 
 def _tail_status(tail: float, bound: float, samples: int) -> str:
@@ -564,7 +559,8 @@ def _tails_report(h: _WeightHistogram, seed: int, b_grid: Sequence[float]) -> Co
             )
         )
     return ConcentrationReport(
-        samples=num, seed=seed, mean=h.mean, rows=tuple(rows), bound_violations=h.violations
+        samples=num, seed=seed, mean=h.mean, rows=tuple(rows), bound_violations=h.violations,
+        any_violation=any("violation" in (r.status_min_degree, r.status_alpha_form) for r in rows),
     )
 
 

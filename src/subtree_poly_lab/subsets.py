@@ -1,9 +1,10 @@
 """The counting kernel: connected-subset levels and their exact determinants.
 
 `counting.subtree_counts` calls into this module for hosts of more than
-`counting.SMALL_HOST_VERTICES` vertices, and `counting.enumerate_connected_subsets`
-for every host; only they load it, so that numpy is imported only where
-this enumeration runs. Smaller hosts are counted in `counting` on Python
+`counting.SMALL_HOST_VERTICES` vertices, and `counting.enumerate_connected_subsets`,
+which lists the connected k-subsets, reads `_chunked_levels` for every
+host; only they load it, so that numpy is imported only where this
+enumeration runs. Smaller hosts are counted in `counting` on Python
 integers, faster than importing numpy. s_k(G) is the sum of t(G[W]) over
 the connected k-subsets W, computed one subset size at a time:
 
@@ -40,7 +41,6 @@ the connected k-subsets W, computed one subset size at a time:
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -354,9 +354,3 @@ def level_counts(g: Graph) -> list[int]:
     adj = ((bits[:, None] >> np.arange(g.n)) & 1).astype(np.int8)
     counts = [sum(_chunk_total(adj, part) for part in chunks) for chunks in _chunked_levels(g)]
     return counts + [0] * (g.n - len(counts))
-
-
-def connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
-    """The connected k-subsets of g as ascending vertex tuples, by bitmask value."""
-    for vertices in next(islice(_chunked_levels(g), k - 1, None), ()):
-        yield from map(tuple, vertices.T.tolist())

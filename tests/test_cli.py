@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -312,6 +313,43 @@ def test_sweep_poisson(capsys):
     assert first[0] == "10" and float(first[1]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "inner, flags",
+    [("counts", []), ("beta", ["--samples", "200"]), ("roots", []), ("rouche", []),
+     ("poisson", ["--k-max", "3"])],
+)
+def test_sweep_row_is_its_commands_output(capsys, inner, flags):
+    # a sweep row projects the report its command prints for the same host and flags
+    status, out, _ = invoke(
+        capsys, "sweep", "--family", "complete", "--n-list", "5,7", "--command", inner, *flags
+    )
+    assert status == 0
+    header, *rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [cells[0] for cells in rows] == ["5", "7"]
+    for cells in rows:
+        n = int(cells[0])
+        command = [inner, "--graph", f"complete({n})", *flags]
+        if inner in ("beta", "rouche"):
+            status, single, _ = invoke(capsys, *command, "--format", "csv")
+            assert status == 0
+            own = single.splitlines()[2].split(",")
+            assert cells == (own if inner == "beta" else own[:1] + own[2:])  # rouche's row has C
+            continue
+        row = dict(zip(header, cells))
+        status, single, _ = invoke(capsys, *command)
+        assert status == 0
+        result = json.loads(single)["result"]
+        if inner == "roots":
+            for key in ("max_modulus", "vieta_relative_error", "iterations"):
+                assert json.loads(row[key]) == result[key]
+        elif inner == "counts":
+            counts = result["counts"]
+            assert (row["m"], row["s_n"]) == (counts[1], counts[n - 1])
+            assert row["beta"] == repr(float(Fraction(int(counts[n - 2]), int(counts[n - 1]))))
+        else:
+            assert [float(row[f"dev_{k}"]) for k in range(4)] == result["deviations"]
+
+
 @pytest.mark.parametrize("n_list, k_max, largest", [("4,6", "7", 6), ("", "1", 0), ("", "1000000000", 0)])
 def test_sweep_poisson_refuses_k_max_above_the_largest_n(monkeypatch, capsys, n_list, k_max, largest):
     # one column per k <= --k-max: a k_max past every host only pads nan,
@@ -319,7 +357,7 @@ def test_sweep_poisson_refuses_k_max_above_the_largest_n(monkeypatch, capsys, n_
     def refuse(*args, **kwargs):
         raise AssertionError("a sweep row ran before --k-max was checked")
 
-    monkeypatch.setitem(cli._SWEEP, "poisson", (refuse, cli._SWEEP["poisson"][1]))
+    monkeypatch.setitem(cli._SWEEP, "poisson", (refuse, *cli._SWEEP["poisson"][1:]))
     status, out, err = invoke(
         capsys, "sweep", "--family", "complete", "--n-list", n_list, "--command", "poisson", "--k-max", k_max
     )

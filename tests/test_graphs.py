@@ -17,7 +17,6 @@ from subtree_poly_lab import (
     from_edge_list,
     generate,
     generate_connected,
-    induced_subgraph,
     is_connected,
     parse_family,
 )
@@ -201,6 +200,10 @@ def test_family_parse_errors():
         parse_family("complete[4]")
     with pytest.raises(ValidationError):
         parse_family("gnp(4,oops)")
+    # an empty argument is refused, not dropped
+    for spec in ("complete(,5)", "gnp(5,,0.5)", "complete(5,)"):
+        with pytest.raises(ValidationError, match=re.escape(f"bad argument '' in family spec {spec!r}")):
+            parse_family(spec)
     # parse_family refuses an unknown name first; a hand-built spec reaches generate
     with pytest.raises(ValidationError, match=re.escape("unknown family 'torus'")):
         generate(FamilySpec("torus", (3,)))
@@ -223,34 +226,6 @@ def test_connectivity():
     assert is_connected(generate("complete(4)"))
     assert is_connected(Graph.from_edges(1, []))
     assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
-
-
-def test_induced_subgraph_examples():
-    k4 = generate("complete(4)")
-    sub, labels = induced_subgraph(k4, {0, 1, 2})
-    assert sub.edges() == [(0, 1), (0, 2), (1, 2)]
-    assert labels == (0, 1, 2)
-
-    p3 = generate("path(3)")
-    sub, labels = induced_subgraph(p3, {0, 2})
-    assert sub.m == 0 and sub.n == 2
-
-    c5 = generate("cycle(5)")
-    sub, labels = induced_subgraph(c5, {0, 1, 2})
-    # by hand: of the C_5 edges only 0-1 and 1-2 survive
-    assert sub.edges() == [(0, 1), (1, 2)]
-
-
-def test_induced_subgraph_full_set_identity():
-    g = generate("gnp(8,0.5)", seed=2)
-    sub, labels = induced_subgraph(g, range(8))
-    assert sub.edges() == g.edges()
-    assert labels == tuple(range(8))
-
-
-def test_induced_subgraph_rejects_empty():
-    with pytest.raises(ValidationError):
-        induced_subgraph(generate("complete(3)"), set())
 
 
 def test_generate_connected_counts_rejections():

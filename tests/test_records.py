@@ -33,7 +33,7 @@ _RECORDS = [
     (spanning.ConcentrationRow,
      "b tail_count empirical_tail bound_min_degree bound_alpha_form status_min_degree "
      "status_alpha_form"),
-    (spanning.ConcentrationReport, "samples seed mean rows bound_violations"),
+    (spanning.ConcentrationReport, "samples seed mean rows bound_violations any_violation"),
     (spanning.WeightIdentityReport,
      "n tree_count weight_sum s_n_minus_1 equal matrix_tree_count"),
 ]

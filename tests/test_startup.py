@@ -1,5 +1,6 @@
 """What a CLI process loads: each command pays only for the code it runs."""
 
+import ast
 import json
 import os
 import subprocess
@@ -137,7 +138,7 @@ SubtreeCountVector brute_force_subtree_count check_ratio_inequalities
 complete_graph_counts enumerate_connected_subsets spanning_tree_count subtree_counts
 CapacityError CertificationError EdgeListParseError SubtreeLabError ValidationError
 DegreeProfile FamilySpec Graph degree_profile from_edge_list generate
-generate_connected induced_subgraph is_connected parse_family
+generate_connected is_connected parse_family
 RootAnalysis build_polynomial find_roots poisson_deviation
 root_bound rouche_margin tree_root_check RandomStream stream
 BetaEstimate SpanningTree WeightSample enumerate_spanning_trees
@@ -155,6 +156,30 @@ def test_package_names_resolve_on_first_access():
 
     with pytest.raises(AttributeError):
         subtree_poly_lab.no_such_name
+
+
+# the dependencies in pyproject.toml; scipy, sympy or networkx may be
+# installed beside them, but the package must not need them
+DEPENDENCIES = {"numpy", "mpmath"}
+
+
+def test_package_imports_only_the_standard_library_and_its_dependencies():
+    package = Path(subtree_poly_lab.__file__).resolve().parent
+    imported = {}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # relative imports stay inside
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.partition(".")[0], path.name)
+    assert {"numpy", "mpmath", "math"} <= imported.keys()
+    foreign = {name: where for name, where in imported.items()
+               if name not in sys.stdlib_module_names and name not in DEPENDENCIES}
+    assert not foreign
 
 
 def test_readme_python_example_holds():
