@@ -39,7 +39,6 @@ from functools import partial
 from . import __version__
 from . import params as checks
 from .counting import (
-    DEFAULT_ENUMERATION_CAP,
     MAX_BITMASK_VERTICES,
     check_ratio_inequalities,
     closed_form_counts,
@@ -122,8 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     caps = argparse.ArgumentParser(add_help=False)
     _numeric(
-        caps, "--cap", checks.cap, DEFAULT_ENUMERATION_CAP,
-        help=f"vertex cap for exact counting (default {DEFAULT_ENUMERATION_CAP}; "
+        caps, "--cap", checks.cap, checks.DEFAULT_ENUMERATION_CAP,
+        help=f"vertex cap for exact counting (default {checks.DEFAULT_ENUMERATION_CAP}; "
         f"at most {MAX_BITMASK_VERTICES}, the width of the subset bitmasks)",
     )
 

@@ -44,7 +44,7 @@ from . import params
 from .errors import CapacityError, ValidationError
 from .graphs import FamilySpec, Graph, is_connected
 
-DEFAULT_ENUMERATION_CAP = 24
+DEFAULT_ENUMERATION_CAP = params.DEFAULT_ENUMERATION_CAP
 BRUTE_FORCE_GUARD = 10**8
 # subsets are int64 bitmasks, with the sign bit and bit 62 kept clear
 MAX_BITMASK_VERTICES = 62

@@ -63,6 +63,7 @@ MAX_CIRCLE_POINTS = 4096
 # M P of the Rouche circle's transform, M = lcm(N, 4) values at P bits; it
 # holds about 6 M P bits at its peak, so this bounds it near 100 MB
 MAX_CIRCLE_BITS = 2**27
+DEFAULT_ENUMERATION_CAP = 24  # vertices counted by subset enumeration
 DEFAULT_SPANNING_TREE_CAP = 10**6
 DEFAULT_EPSILON = 0.05  # the few-leaves lemma's slack in weight_experiment
 DEFAULT_TOLERANCE = 1e-9  # the slack of the tree root bound in tree_root_check

@@ -30,14 +30,15 @@ distinct pair, and workers merge by adding histograms. Rationals and
 floats appear only in final reports.
 
 Enumeration includes and excludes edges depth first with the tree
-degrees, the forest's scaled leaf sum W and each vertex's component
-label kept in step. Once the forest has four components, the trees below
-are the forest plus each triple of undecided edges that join distinct
-pairs of components and together touch all four: the walk tags each
-edge with the labels of its ends and yields that cut without further
-branching. ``enumerate_spanning_trees`` expands each cut's triples in
-lexicographic edge order into trees; the identity check adds up each
-triple's W from its tree degrees in one loop, building no tree.
+degrees and each vertex's component label kept in step. Once the forest
+has four components, the trees below are the forest plus each triple of
+undecided edges that join distinct pairs of components and together
+touch all four: the walk tags each edge with the labels of its ends and
+yields that cut without further branching. ``enumerate_spanning_trees``
+tests each triple of a cut against that definition, in lexicographic
+edge order; the identity check reads the forest's W with `_leaf_form`
+and adds up each triple's W from its tree degrees in one loop, building
+no tree.
 A sampling run takes one chunk of samples per worker process, and one
 worker runs in-process.
 Only the sampling functions import numpy and the random streams, so
@@ -50,7 +51,7 @@ import math
 import os
 from collections import Counter
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from . import params
@@ -606,43 +607,39 @@ def _degree_gains(scale: Sequence[int]) -> list[tuple[int, ...]]:
     """gain[x][d]: the change in W when an edge meets x at tree degree d.
 
     x's scale (see `_leaf_form`) at degree 0, as x becomes a leaf; minus
-    it at degree 1, as x stops being one; 0 above.
+    it at degree 1, as x stops being one; 0 above. `verify_weight_identity`
+    steps a forest's W to each tree's with them.
     """
     n = len(scale)
     return [(s, -s) + (0,) * n for s in scale]
 
 
-def _spanning_cuts(
-    g: Graph, gain: Sequence[Sequence[int]]
-) -> Iterator[tuple[list, list[int], int, list[tuple[int, int, int]]]]:
-    """Yield (forest edges, tree degrees, W, crossing) for each cut of connected g.
+def _spanning_cuts(g: Graph) -> Iterator[tuple[list, list[int], list[tuple[int, int, int]]]]:
+    """Yield (forest edges, tree degrees, crossing) for each cut of connected g.
 
     Edge inclusion/exclusion in depth-first order. An edge is excluded
     when it closes a cycle in the forest built so far, or when it is not
     a bridge of that forest plus the edges not yet decided, so every
     branch holds a tree. The walk stops where the forest spans (n <= 3)
     or has four components, and yields that cut: the forest, its tree
-    degrees and its scaled leaf sum W (over `gain`, see `_degree_gains`),
-    and the undecided edges with ends in two components, in edge order,
-    each tagged with the bits of both components. The trees below a cut
-    are the forest itself when nothing crosses, and otherwise the forest
-    plus each triple e1 < e2 < e3 of crossing edges whose tags differ
-    pairwise and together cover every vertex: an edge inside a component
-    closes a cycle, three edges joining distinct pairs of four components
-    form a tree unless they form a triangle, and a triangle leaves the
-    fourth component apart. When e1 is a bridge of the forest plus the
-    undecided edges, no triple leaves it out, so the triples need no
-    bridge test.
+    degrees, and the undecided edges with ends in two components, in
+    edge order, each tagged with the bits of both components. The trees
+    below a cut are the forest itself when nothing crosses, and
+    otherwise the forest plus each triple e1 < e2 < e3 of crossing edges
+    whose tags differ pairwise and together cover every vertex: an edge
+    inside a component closes a cycle, three edges joining distinct
+    pairs of four components form a tree unless they form a triangle,
+    and a triangle leaves the fourth component apart. When e1 is a
+    bridge of the forest plus the undecided edges, no triple leaves it
+    out, so the triples need no bridge test.
 
-    The forest is kept as tree degrees, W and `comp`, each vertex's
+    The forest is kept as tree degrees and `comp`, each vertex's
     component as bits, rolled back in step: an include merges the two
-    components in a new `comp` list and saves the old one and W for its
-    undo. So the cycle test compares two labels, and the bridge test of
-    an undo grows whole components over the undecided edges. An edge
-    added at a vertex of tree degree 0 adds that vertex's scale to W,
-    one at tree degree 1 takes it away, and one at a higher degree
-    leaves W as it is. The yielded edge and degree lists are shared: a
-    consumer may change them, and restores them before the next cut.
+    components in a new `comp` list and saves the old one for its undo.
+    So the cycle test compares two labels, and the bridge test of an
+    undo grows whole components over the undecided edges. The yielded
+    edge and degree lists are shared: a consumer may change them, and
+    restores them before the next cut.
     Callers guard the size up front with `_guarded_tree_count`.
     """
     n = g.n
@@ -657,7 +654,6 @@ def _spanning_cuts(
     comp = [1 << x for x in range(n)]  # comp[x]: x's forest component, as bits
     tree_degree = [0] * n
     included: list[tuple[int, int]] = []
-    w = 0
 
     def joined(u: int, v: int, rest: list[int]) -> bool:
         """Whether the forest plus the edges in `rest` connects u to v."""
@@ -680,14 +676,14 @@ def _spanning_cuts(
             seen |= frontier
         return False
 
-    todo = [(0, n, None)]  # (next edge, components, (W, comp) to restore after an include)
+    todo = [(0, n, None)]  # (next edge, components, comp to restore after an include)
     while todo:
         idx, components, saved = todo.pop()
         if saved is not None:  # back from including edges[idx]: undo; exclude it unless a bridge
             u, v = included.pop()
             tree_degree[u] -= 1
             tree_degree[v] -= 1
-            w, comp = saved
+            comp = saved
             if joined(u, v, suffix[idx + 1]):
                 todo.append((idx + 1, components, None))
             continue
@@ -695,14 +691,13 @@ def _spanning_cuts(
             crossing = [
                 (u, v, comp[u] | comp[v]) for u, v in edges[idx:] if comp[u] != comp[v]
             ]
-            yield included, tree_degree, w, crossing
+            yield included, tree_degree, crossing
             continue
         u, v = edges[idx]
         while comp[u] == comp[v]:  # a cycle edge; a crossing edge remains, as the rest connects
             idx += 1
             u, v = edges[idx]
-        todo.append((idx, components, (w, comp)))
-        w += gain[u][tree_degree[u]] + gain[v][tree_degree[v]]
+        todo.append((idx, components, comp))
         a, b = comp[u], comp[v]
         merged = a | b
         comp = [merged if c == a or c == b else c for c in comp]
@@ -719,41 +714,25 @@ def enumerate_spanning_trees(
 
     The trees come from the cuts of `_spanning_cuts`, in edge order: a
     spanning forest as it is, and otherwise the forest plus each triple
-    e1 < e2 < e3 of crossing edges whose tags differ pairwise and cover
-    every vertex, in lexicographic order, the order an include-first walk
-    down to the last edge would take.
+    e1 < e2 < e3 of crossing edges that join distinct pairs of the four
+    components and together touch all four, the definition of a tree on
+    them. The triples come in lexicographic order, the order an
+    include-first walk down to the last edge would take.
     """
     _guarded_tree_count(g, cap)
     n = g.n
     everyone = (1 << n) - 1
 
     def trees() -> Iterator[SpanningTree]:
-        # the trees read no W, so every gain is 0
-        for included, degree, _, crossing in _spanning_cuts(g, _degree_gains([0] * n)):
+        for included, degree, crossing in _spanning_cuts(g):
             if not crossing:  # the forest spans
                 yield _tree(n, included, degree)
-            for i, (a, b, r) in enumerate(crossing):
-                degree[a] += 1
-                degree[b] += 1
-                for j, (c, d, s) in enumerate(crossing[i + 1 :], i + 1):
-                    if s == r:
-                        continue
-                    degree[c] += 1
-                    degree[d] += 1
-                    # the component r | s leaves out, which e3 must reach;
-                    # none when r and s are disjoint, and e3 need only differ
-                    missing = everyone ^ (r | s)
-                    for e, f, t in crossing[j + 1 :]:
-                        if t & missing if missing else t != r and t != s:
-                            degree[e] += 1
-                            degree[f] += 1
-                            yield _tree(n, (*included, (a, b), (c, d), (e, f)), degree)
-                            degree[e] -= 1
-                            degree[f] -= 1
-                    degree[c] -= 1
-                    degree[d] -= 1
-                degree[a] -= 1
-                degree[b] -= 1
+            for (a, b, r), (c, d, s), (e, f, t) in combinations(crossing, 3):
+                if r != s != t != r and r | s | t == everyone:
+                    tree_degree = list(degree)
+                    for x in (a, b, c, d, e, f):
+                        tree_degree[x] += 1
+                    yield _tree(n, (*included, (a, b), (c, d), (e, f)), tree_degree)
 
     return trees()
 
@@ -773,9 +752,10 @@ def verify_weight_identity(
     """Check sum_{T} w(T) = s_{n-1}(G) exactly.
 
     The left side visits every spanning tree once, as a cut of
-    `_spanning_cuts` plus a triple of its crossing edges, and adds the
-    tree's scaled leaf weight W, read from its own tree degrees, in one
-    loop per cut, dividing by L once; the right side computes s_{n-1}
+    `_spanning_cuts` plus a triple of its crossing edges. It reads the
+    forest's scaled leaf sum W with `_leaf_form`, steps it to each
+    tree's W with `_degree_gains` as the triple raises tree degrees, in
+    one loop per cut, and divides by L once; the right side computes s_{n-1}
     as the sum of matrix-tree counts of the vertex-deleted subgraphs, a
     fully independent route.
     """
@@ -785,11 +765,12 @@ def verify_weight_identity(
     gain = _degree_gains(scale)
     everyone = (1 << n) - 1
     scaled_sum = tree_count = 0
-    for _, degree, w, crossing in _spanning_cuts(g, gain):
+    for _, degree, crossing in _spanning_cuts(g):
+        w = _leaf_form(degree, scale)[0]
         if not crossing:  # the forest spans
             scaled_sum += w
             tree_count += 1
-        # the triples `enumerate_spanning_trees` expands
+        # the triples `enumerate_spanning_trees` tests, found pair by pair
         for i, (a, b, r) in enumerate(crossing):
             first_w = w + gain[a][degree[a]] + gain[b][degree[b]]
             degree[a] += 1
@@ -800,6 +781,8 @@ def verify_weight_identity(
                 second_w = first_w + gain[c][degree[c]] + gain[d][degree[d]]
                 degree[c] += 1
                 degree[d] += 1
+                # the component r | s leaves out, which e3 must reach;
+                # none when r and s are disjoint, and e3 need only differ
                 missing = everyone ^ (r | s)
                 for e, f, t in crossing[j + 1 :]:
                     if t & missing if missing else t != r and t != s:

@@ -234,6 +234,47 @@ def _stacked_minors(g, subsets):
     return np.array(mats, dtype=np.int8).transpose(1, 2, 0).copy()
 
 
+def _fraction_determinant(mat):
+    """Determinant by Gaussian elimination over Fractions."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Small square integer matrices, zero entries common; some with a repeated row."""
+    size = draw(st.integers(0, 5))
+    mat = [draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)) for _ in range(size)]
+    if size > 1 and draw(st.booleans()):
+        mat[-1] = list(mat[draw(st.integers(0, size - 2))])  # singular
+    return mat
+
+
+@pytest.mark.parametrize("mat, det", [([], 1), ([[0, 1], [1, 0]], -1), ([[0, 0], [0, 1]], 0)])
+def test_bareiss_determinant_fixed_cases(mat, det):
+    # the 0x0 matrix, a row swap, and a column with no pivot
+    assert _bareiss_determinant(mat) == det
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(mat=_integer_matrices())
+def test_bareiss_determinant_matches_fraction_elimination(mat):
+    # Laplacian minors never need a row swap; general matrices do
+    assert _bareiss_determinant([row[:] for row in mat]) == _fraction_determinant(mat)
+
+
 def test_modular_determinant_crt_matches_bareiss():
     k24 = _laplacian_minor(generate("complete(24)"), list(range(24)))
     exact = _bareiss_determinant([row[:] for row in k24])

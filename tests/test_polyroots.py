@@ -779,6 +779,36 @@ def test_integer_aberth_step_is_newton_where_its_denominator_vanishes():
     assert (sr, si) == (2 << t, 0)
 
 
+@pytest.mark.parametrize(
+    "p, q, m, t, r, bits, right_shift",
+    [
+        ((2**300, 0), (1, 0), 0, -10, (0, 0, 0), 128, True),
+        ((-(2**300) - 1, 3), (1, 0), 0, -10, (0, 0, 0), 128, True),
+        ((2**300 + 12345, 7 - 2**299), (3, -5), -4, -40, (0, 0, 0), 128, True),
+        ((2**300, 0), (1, 0), 0, -1, (0, 0, 0), 128, True),
+        ((2**300, 0), (1, 0), 0, 0, (0, 0, 0), 128, False),
+        ((3, 1), (1, 2), 2, 5, (3, -1, 4), 64, False),
+    ],
+)
+def test_integer_aberth_step_is_the_floor_of_the_exact_step(p, q, m, t, r, bits, right_shift):
+    # p = Q 2^G, q = Q' 2^(G-m) and R = (rr + i ri) 2^-k, so the step
+    # Q/(Q' - Q R) is p/(q 2^m - p R); the triple holds the floors of its
+    # parts at 2^t'. A step far above the point's grid (t' + h < 0)
+    # divides by a shifted denominator instead of shifting the numerator
+    sr, si, t_out = _aberth_step(p, q, m, t, r, bits)
+    assert (t_out + max(r[2], -m) < 0) == right_shift
+    rr, ri, k = r
+    scale = Fraction(2) ** m
+    big_r = (Fraction(rr, 2**k), Fraction(ri, 2**k))
+    dr = q[0] * scale - (p[0] * big_r[0] - p[1] * big_r[1])
+    di = q[1] * scale - (p[0] * big_r[1] + p[1] * big_r[0])
+    den = dr * dr + di * di
+    step_r = (p[0] * dr + p[1] * di) / den
+    step_i = (p[1] * dr - p[0] * di) / den
+    unit = Fraction(2) ** t_out
+    assert (sr, si) == (math.floor(step_r * unit), math.floor(step_i * unit))
+
+
 def _dense_hosts():
     # (counts, alpha) of K_n for n <= 40, or of a connected gnp host, n <= 10
     complete = st.integers(2, 40).map(

@@ -348,10 +348,15 @@ def _brute_force_spanning_trees(g):
 def _check_walk(g):
     """The walk's trees are the brute-force trees sorted by their edge indices.
 
-    That is the include-first order, stated without a digest.
+    That is the include-first order, stated without a digest. Each tree's
+    leaves are the vertices of degree 1 among its own edges.
     """
     index = {e: i for i, e in enumerate(g.edges())}
-    seen = [tuple(sorted(index[e] for e in tree.edges)) for tree in enumerate_spanning_trees(g)]
+    trees = list(enumerate_spanning_trees(g))
+    for tree in trees:
+        degrees = Graph.from_edges(g.n, tree.edges).degrees
+        assert tree.leaf_set == {v for v, d in enumerate(degrees) if d == 1}
+    seen = [tuple(sorted(index[e] for e in tree.edges)) for tree in trees]
     brute = [tuple(sorted(index[e] for e in tree)) for tree in _brute_force_spanning_trees(g)]
     assert len(seen) == spanning_tree_count(g)
     assert seen == sorted(brute)
@@ -540,6 +545,23 @@ def test_concentration_no_violations_k8():
     _, _, report = weight_experiment(generate("complete(8)"), 5000, 9, [0.2, 0.3, 0.5])
     assert not report.any_violation
     assert report.bound_violations == 0
+
+
+@pytest.mark.parametrize(
+    "tail, bound, status",
+    [
+        (0.25, 0.5, "pass"),
+        (0.5, 0.5, "pass"),
+        (0.625, 0.5, "inconclusive"),
+        (0.875, 0.5, "inconclusive"),  # exactly bound + 3 se
+        (math.nextafter(0.875, 1.0), 0.5, "violation"),
+        (0.01, 0.0, "violation"),  # a zero bound has no noise band
+    ],
+)
+def test_tail_status_verdicts(tail, bound, status):
+    # 16 samples at bound 1/2: se = sqrt(1/4 / 16) = 1/8 exactly, so the
+    # inconclusive band ends at 1/2 + 3/8
+    assert spanning._tail_status(tail, bound, 16) == status
 
 
 def test_concentration_validation():
