@@ -107,7 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--edge-list", help="path to an edge-list document")
 
     common = argparse.ArgumentParser(add_help=False)
-    _numeric(common, "--seed", checks.seed, 0, help="64-bit seed (default 0)")
+    _numeric(common, "--seed", checks.seed, checks.DEFAULT_SEED,
+             help=f"64-bit seed (default {checks.DEFAULT_SEED})")
     # no default, so that sweep can tell a request for JSON from no request;
     # every other command reads an absent --format as json
     common.add_argument("--format", choices=("json", "csv"))
@@ -115,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=partial(checks.threads, name=f"--threads (default from {THREADS_ENV})"),
-        default=os.environ.get(THREADS_ENV, "1"),
+        default=os.environ.get(THREADS_ENV, str(checks.DEFAULT_THREADS)),
         help="cap on module parallelism (execution knob, results unchanged)",
     )
 

@@ -272,7 +272,7 @@ FAMILIES = {
 FAMILY_NAMES = tuple(FAMILIES)
 
 
-def generate(spec: FamilySpec | str, seed: int = 0) -> Graph:
+def generate(spec: FamilySpec | str, seed: int = params.DEFAULT_SEED) -> Graph:
     """Deterministic graph from a family spec and a 64-bit seed, possibly disconnected."""
     if isinstance(spec, str):
         spec = parse_family(spec)
@@ -288,7 +288,7 @@ def generate(spec: FamilySpec | str, seed: int = 0) -> Graph:
 
 
 def generate_connected(
-    spec: FamilySpec | str, seed: int = 0, max_attempts: int = 10_000
+    spec: FamilySpec | str, seed: int = params.DEFAULT_SEED, max_attempts: int = 10_000
 ) -> tuple[Graph, int]:
     """Resample with incremented seed until connected.
 

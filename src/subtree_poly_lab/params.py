@@ -67,6 +67,8 @@ DEFAULT_ENUMERATION_CAP = 24  # vertices counted by subset enumeration
 DEFAULT_SPANNING_TREE_CAP = 10**6
 DEFAULT_EPSILON = 0.05  # the few-leaves lemma's slack in weight_experiment
 DEFAULT_TOLERANCE = 1e-9  # the slack of the tree root bound in tree_root_check
+DEFAULT_SEED = 0
+DEFAULT_THREADS = 1  # worker processes of the sampling pool
 
 samples = _at_least(1)
 threads = _at_least(1)

@@ -33,17 +33,17 @@ corrected, and `iterations` counts one per slot corrected (plus the
 start's sweeps). A start pair that crosses the axis is reflected back;
 a polish pair whose imaginary part changes sign splits into two real
 slots. The roots are certified at the working precision by
-scale-normalized residuals |Q(x)| / Q(|x|), taken from the last
-evaluation of the final polish stage, which also gives the mirror's
-(a root moved after it is evaluated afresh, one pass for a pair), plus
-a Vieta product check in mpmath on the roots built exactly from the
-integers. Where certification fails, the roots are polished again from
-their own iterates at twice the precision with every mirror dropped
-(each slot corrected on its own, as an iteration that knows nothing of
-conjugates), at most MAX_ESCALATIONS times; a failure after that
-raises, it is never silent. The design follows MPSolve (Bini and
-Fiorentino, 2000; Bini and Robol, 2014), which also keeps its iterates
-in the arithmetic of its evaluator.
+scale-normalized residuals |Q(x)| / Q(|x|), doubles rounded once from
+the integers of the final polish stage's last evaluation, which also
+gives the mirror's (a root moved after it is evaluated afresh, one pass
+for a pair), plus a Vieta product check in mpmath on the roots built
+exactly from the integers. Where certification fails, the roots are
+polished again from their own iterates at twice the precision with every
+mirror dropped (each slot corrected on its own, as an iteration that
+knows nothing of conjugates), at most MAX_ESCALATIONS times; a failure
+after that raises, it is never silent. The design follows MPSolve (Bini
+and Fiorentino, 2000; Bini and Robol, 2014), which also keeps its
+iterates in the arithmetic of its evaluator.
 
 Also here: the Rouche margin |F(y) - e^{beta y}| / |e^{beta y}| sampled
 at N points of the circle |y| = alpha log(n) / C and its four axis
@@ -579,22 +579,30 @@ def find_roots(
         # positive (Q has nonnegative coefficients and Q(0) = s_1 >= 1).
         # A root the polish left where it last evaluated it at work_bits
         # takes those integers; one it moved afterwards is evaluated afresh,
-        # and the pass serves its exact conjugate too.
+        # and the pass serves its exact conjugate too. Each residual is
+        # rounded once to a double, from the integers.
         residuals = [0.0]
+        for x in xs:
+            if x not in evaluated:
+                pr, pi, scale = _fixed_horner(s, tops, x, work_bits)[:3]
+                evaluated[x], evaluated[_conjugate(x)] = (pr, pi, scale), (pr, -pi, scale)
+            pr, pi, scale = evaluated[x]
+            residuals.append(_root_ratio(pr * pr + pi * pi, scale * scale))
+        roots = [mp.mpc(0)] + [_exact(x) for x in xs]
         with mp.workprec(work_bits):
-            for x in xs:
-                if x not in evaluated:
-                    pr, pi, scale = _fixed_horner(s, tops, x, work_bits)[:3]
-                    evaluated[x], evaluated[_conjugate(x)] = (pr, pi, scale), (pr, -pi, scale)
-                pr, pi, scale = evaluated[x]
-                residuals.append(float(abs(mp.mpc(pr, pi)) / scale))
-            roots = [mp.mpc(0)] + [_exact(x) for x in xs]
             vieta_product = mp.fprod(abs(x) for x in roots[1:])
             vieta_target = mp.mpf(s[0]) / mp.mpf(s[-1])
             vieta_rel = float(abs(vieta_product - vieta_target) / vieta_target)
         if _certified(residuals, vieta_rel):
             break
-    _require_certified(roots, residuals, vieta_rel)
+    else:
+        worst = max(residuals, key=lambda r: (math.isnan(r), r))
+        raise CertificationError(
+            f"root certification failed: max residual {worst:.3e}, "
+            f"Vieta relative error {vieta_rel:.3e}",
+            roots=roots,
+            residuals=residuals,
+        )
     with mp.workprec(work_bits):
         half_bits = work_bits // 2
         pairs = sorted(zip(roots[1:], residuals[1:]), key=lambda t: _root_key(t[0], half_bits))
@@ -640,18 +648,6 @@ def _certified(residuals: list[float], vieta_rel: float) -> bool:
     """Every residual and the Vieta error within tolerance; a NaN fails."""
     residuals_ok = all(r <= RESIDUAL_THRESHOLD for r in residuals)
     return residuals_ok and vieta_rel <= VIETA_RELATIVE_TOLERANCE
-
-
-def _require_certified(roots: list, residuals: list[float], vieta_rel: float) -> None:
-    """Raise unless every residual and the Vieta error are within tolerance."""
-    if not _certified(residuals, vieta_rel):
-        worst = max(residuals, key=lambda r: (math.isnan(r), r))
-        raise CertificationError(
-            f"root certification failed: max residual {worst:.3e}, "
-            f"Vieta relative error {vieta_rel:.3e}",
-            roots=roots,
-            residuals=residuals,
-        )
 
 
 def _cluster(roots) -> tuple[tuple[complex, int], ...]:
@@ -776,6 +772,7 @@ def rouche_margin(
         margin[m] = _root_ratio(dr * dr + di * di, mag)
     margins = [margin[min(j, N - j) * step] for j in range(N)]
     margins += [margin[0], margin[M // 2], margin[M // 4], margin[M // 4]]  # 1, -1, i, -i
+    # doubles rounded once, so points sharing the largest tie exactly; the first is reported
     max_margin = max(margins)
     return RoucheReport(
         n=n,
@@ -784,7 +781,7 @@ def rouche_margin(
         beta=beta,
         circle_points=N,
         max_margin=max_margin,
-        max_margin_index=_first_max_index(margins),
+        max_margin_index=margins.index(max_margin),
         margin_below_one=max_margin < 1,
         witness_ok=witness_ok,
         witness_floor=float(floor),
@@ -925,18 +922,6 @@ def _root_ratio(num: int, den: int) -> float:
     q, rest = divmod(num << 2 * k, den) if k >= 0 else divmod(num, den << -2 * k)
     root = math.isqrt(q)
     return math.ldexp(float(2 * root + (rest > 0 or root * root != q)), -k - 1)
-
-
-def _first_max_index(margins: list) -> int:
-    """The first index whose margin rounds to the same double as the largest.
-
-    Several points can share the largest margin (a conjugate pair of
-    points shares one, and an axis point repeats a circle point), and
-    margins that differ only by rounding noise would let the noise pick
-    the member reported; the first one is reported.
-    """
-    top = float(max(margins))
-    return next(i for i, v in enumerate(margins) if float(v) == top)
 
 
 class TreeRootReport(NamedTuple):

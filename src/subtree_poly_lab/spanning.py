@@ -420,7 +420,9 @@ class _WeightHistogram:
         return math.sqrt(float(variance) / num)
 
 
-def _run_weight_samples(g: Graph, samples: int, seed: int, threads: int = 1) -> _WeightHistogram:
+def _run_weight_samples(
+    g: Graph, samples: int, seed: int, threads: int = params.DEFAULT_THREADS
+) -> _WeightHistogram:
     if g.n < 2:
         raise ValidationError("sampling needs n >= 2")
     samples = params.samples(samples, "samples")
@@ -464,7 +466,9 @@ def _beta_report(h: _WeightHistogram, seed: int) -> BetaEstimate:
     )
 
 
-def estimate_beta(g: Graph, samples: int, seed: int, threads: int = 1) -> BetaEstimate:
+def estimate_beta(
+    g: Graph, samples: int, seed: int, threads: int = params.DEFAULT_THREADS
+) -> BetaEstimate:
     """Monte Carlo mean of w(T) over uniform spanning trees.
 
     Unbiased for beta = s_{n-1}/s_n by the double-counting identity;
@@ -571,7 +575,7 @@ def weight_experiment(
     seed: int,
     b_grid: Sequence[float],
     epsilon: float = params.DEFAULT_EPSILON,
-    threads: int = 1,
+    threads: int = params.DEFAULT_THREADS,
 ) -> tuple[BetaEstimate, LeafCountStats, ConcentrationReport]:
     """One sampling pass feeding three reports on the same samples.
 

@@ -617,6 +617,13 @@ def test_missing_graph_source(capsys):
     assert "graph source" in err
 
 
+def test_no_command(capsys):
+    status, out, err = invoke(capsys)
+    assert (status, out) == (1, "")
+    assert err.startswith("usage: ")
+    assert err.endswith("error: a command is required\n")
+
+
 def test_unknown_command(capsys):
     status, _, _ = invoke(capsys, "frobnicate")
     assert status == 1

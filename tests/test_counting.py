@@ -600,6 +600,8 @@ def test_complete_graph_counts_closed_form():
     assert complete_graph_counts(4).counts == (4, 6, 12, 16)
     assert complete_graph_counts(3).counts == (3, 3, 3)
     assert complete_graph_counts(1).counts == (1,)
+    with pytest.raises(ValidationError, match="n >= 1"):
+        complete_graph_counts(0)
 
 
 def test_complete_graph_counts_build_no_graph(monkeypatch):
@@ -667,6 +669,10 @@ def test_brute_force_guard():
     big = generate("complete(24)")
     with pytest.raises(CapacityError):
         brute_force_subtree_count(big, 12)
+    g = generate("path(3)")
+    for k in (0, g.n + 1):
+        with pytest.raises(ValidationError, match="out of range"):
+            brute_force_subtree_count(g, k)
 
 
 def test_brute_force_k1_and_path():

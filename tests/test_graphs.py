@@ -46,6 +46,8 @@ def test_edge_list_triangle_degree_sums():
     [
         ("", "empty"),
         ("3\n0 1", "header"),
+        ("3 x", "header must be two integers"),
+        ("3 -1", "edge count must be nonnegative"),
         ("3 1\n0 1 2", "edge line"),
         ("3 1\nx y", "two integers"),
         ("3 1\n1 1", "self-loop"),
@@ -232,6 +234,9 @@ def test_generate_connected_counts_rejections():
     g, rejections = generate_connected("gnp(8,0.3)", seed=5)
     assert is_connected(g)
     assert rejections >= 0
+    # G(6, 0) has no edges at any seed
+    with pytest.raises(ValidationError, match="no connected instance"):
+        generate_connected("gnp(6,0)", max_attempts=3)
 
 
 def test_graph_rejects_bad_edges():
@@ -241,6 +246,8 @@ def test_graph_rejects_bad_edges():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValidationError):
         Graph.from_edges(3, [(0, 5)])
+    with pytest.raises(ValidationError, match="at least one vertex"):
+        Graph.from_edges(0, [])
 
 
 def test_neighbors_sorted_whatever_the_edge_order():

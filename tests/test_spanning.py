@@ -126,6 +126,8 @@ def test_leaf_weight_rejects_non_subgraph():
     not_subtree = SpanningTree.from_edges(4, [(0, 2), (2, 1), (1, 3)])
     with pytest.raises(ValidationError):
         leaf_weight(not_subtree, p4)
+    with pytest.raises(ValidationError, match="disagree on vertex count"):
+        leaf_weight(SpanningTree.from_edges(4, [(0, 1), (1, 2), (2, 3)]), generate("path(5)"))
 
 
 def test_spanning_tree_validation():
@@ -133,6 +135,8 @@ def test_spanning_tree_validation():
         SpanningTree.from_edges(4, [(0, 1), (1, 2)])  # too few edges
     with pytest.raises(ValidationError):
         SpanningTree.from_edges(4, [(0, 1), (0, 1), (2, 3)])  # duplicate collapses
+    with pytest.raises(ValidationError, match="not connected"):
+        SpanningTree.from_edges(4, [(0, 1), (0, 2), (1, 2)])  # a triangle and vertex 3
 
 
 # ---------------------------------------------------------------- estimates
@@ -646,6 +650,8 @@ def test_stream_index_range_checked():
         family.fill(np.empty((1, 8), dtype=np.uint64), [-1])
     with pytest.raises(ValueError):
         family.fill(np.empty((2, 8), dtype=np.uint64), range(2**56 - 1, 2**56 + 1))
+    with pytest.raises(ValueError, match="randint bound must be positive"):
+        stream(0).randint(0)
 
 
 # ------------------------------------------------- the batched Wilson kernel
