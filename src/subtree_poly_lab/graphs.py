@@ -89,11 +89,11 @@ def degree_profile(g: Graph) -> DegreeProfile:
     )
 
 
-def is_connected(g: Graph) -> bool:
-    """Single-component test; a one-vertex graph counts as connected."""
-    seen = 1  # bitset of visited vertices, start at 0
-    frontier = 1
-    full = (1 << g.n) - 1
+def is_connected(g: Graph, keep: int | None = None) -> bool:
+    """Single-component test of g, or of its subgraph on the vertex bitmask
+    `keep`; one vertex counts as connected."""
+    full = (1 << g.n) - 1 if keep is None else keep
+    seen = frontier = full & -full  # bitset of visited vertices, from the lowest
     while frontier:
         nxt = 0
         v = frontier
@@ -101,7 +101,7 @@ def is_connected(g: Graph) -> bool:
             low = v & -v
             nxt |= g.adjacency_bits[low.bit_length() - 1]
             v ^= low
-        frontier = nxt & ~seen
+        frontier = nxt & full & ~seen
         seen |= frontier
     return seen == full
 

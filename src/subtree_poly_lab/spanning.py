@@ -36,9 +36,15 @@ undecided edges that join distinct pairs of components and together
 touch all four: the walk tags each edge with the labels of its ends and
 yields that cut without further branching. ``enumerate_spanning_trees``
 tests each triple of a cut against that definition, in lexicographic
-edge order; the identity check reads the forest's W with `_leaf_form`
-and adds up each triple's W from its tree degrees in one loop, building
-no tree.
+edge order; it is the only code that lists triples. The identity check
+lists none: the trees below a cut are the forest plus a spanning tree of
+the quotient multigraph on its four components, so their number is the
+quotient's matrix-tree count over the six classes of crossing edges, and
+their W sums in closed form by three cases on a vertex's forest degree.
+Degree 1: a leaf exactly when the tree takes none of its crossing edges,
+in as many trees as the quotient has without them. Degree 0: a component
+of its own, a leaf exactly when that component is a leaf of the quotient
+tree. Degree 2 or more: never a leaf.
 A sampling run takes one chunk of samples per worker process, and one
 worker runs in-process.
 Only the sampling functions import numpy and the random streams, so
@@ -607,33 +613,25 @@ def _guarded_tree_count(g: Graph, cap: int) -> int:
     return total
 
 
-def _degree_gains(scale: Sequence[int]) -> list[tuple[int, ...]]:
-    """gain[x][d]: the change in W when an edge meets x at tree degree d.
-
-    x's scale (see `_leaf_form`) at degree 0, as x becomes a leaf; minus
-    it at degree 1, as x stops being one; 0 above. `verify_weight_identity`
-    steps a forest's W to each tree's with them.
-    """
-    n = len(scale)
-    return [(s, -s) + (0,) * n for s in scale]
-
-
-def _spanning_cuts(g: Graph) -> Iterator[tuple[list, list[int], list[tuple[int, int, int]]]]:
-    """Yield (forest edges, tree degrees, crossing) for each cut of connected g.
+def _spanning_cuts(
+    g: Graph,
+) -> Iterator[tuple[list, list[int], list[int], list[tuple[int, int, int]]]]:
+    """Yield (forest edges, tree degrees, comp, crossing) for each cut of connected g.
 
     Edge inclusion/exclusion in depth-first order. An edge is excluded
     when it closes a cycle in the forest built so far, or when it is not
     a bridge of that forest plus the edges not yet decided, so every
     branch holds a tree. The walk stops where the forest spans (n <= 3)
     or has four components, and yields that cut: the forest, its tree
-    degrees, and the undecided edges with ends in two components, in
-    edge order, each tagged with the bits of both components. The trees
-    below a cut are the forest itself when nothing crosses, and
-    otherwise the forest plus each triple e1 < e2 < e3 of crossing edges
-    whose tags differ pairwise and together cover every vertex: an edge
-    inside a component closes a cycle, three edges joining distinct
-    pairs of four components form a tree unless they form a triangle,
-    and a triangle leaves the fourth component apart. When e1 is a
+    degrees, each vertex's component as bits, and the undecided edges
+    with ends in two components, in edge order, each tagged with the
+    bits of both components. The trees below a cut are the forest itself
+    when nothing crosses, and otherwise the forest plus each triple
+    e1 < e2 < e3 of crossing edges whose tags differ pairwise and
+    together cover every vertex: an edge inside a component closes a
+    cycle, three edges joining distinct pairs of four components form a
+    tree unless they form a triangle, and a triangle leaves the fourth
+    component apart. When e1 is a
     bridge of the forest plus the undecided edges, no triple leaves it
     out, so the triples need no bridge test.
 
@@ -642,8 +640,8 @@ def _spanning_cuts(g: Graph) -> Iterator[tuple[list, list[int], list[tuple[int, 
     components in a new `comp` list and saves the old one for its undo.
     So the cycle test compares two labels, and the bridge test of an
     undo grows whole components over the undecided edges. The yielded
-    edge and degree lists are shared: a consumer may change them, and
-    restores them before the next cut.
+    edge, degree and component lists are shared: a consumer may change
+    them, and restores them before the next cut.
     Callers guard the size up front with `_guarded_tree_count`.
     """
     n = g.n
@@ -695,7 +693,7 @@ def _spanning_cuts(g: Graph) -> Iterator[tuple[list, list[int], list[tuple[int, 
             crossing = [
                 (u, v, comp[u] | comp[v]) for u, v in edges[idx:] if comp[u] != comp[v]
             ]
-            yield included, tree_degree, crossing
+            yield included, tree_degree, comp, crossing
             continue
         u, v = edges[idx]
         while comp[u] == comp[v]:  # a cycle edge; a crossing edge remains, as the rest connects
@@ -728,7 +726,7 @@ def enumerate_spanning_trees(
     everyone = (1 << n) - 1
 
     def trees() -> Iterator[SpanningTree]:
-        for included, degree, crossing in _spanning_cuts(g):
+        for included, degree, _, crossing in _spanning_cuts(g):
             if not crossing:  # the forest spans
                 yield _tree(n, included, degree)
             for (a, b, r), (c, d, s), (e, f, t) in combinations(crossing, 3):
@@ -739,6 +737,78 @@ def enumerate_spanning_trees(
                     yield _tree(n, (*included, (a, b), (c, d), (e, f)), tree_degree)
 
     return trees()
+
+
+def _quotient_trees(xa: int, xb: int, xc: int, ya: int, yb: int, yc: int) -> int:
+    """Spanning trees of a multigraph on four vertices X, A, B, C.
+
+    xa, xb, xc edges join X to A, B, C, and ya, yb, yc edges join the pair
+    opposite each: B-C, A-C, A-B. A tree takes at most one edge of each
+    pair, so this is the 3x3 matrix-tree determinant expanded over K_4's
+    16 trees, grouped by the degree of X: the star at X, xa xb xc; X of
+    degree two, the third vertex hung on either neighbour, xa xb (ya + yb)
+    and its two turns; X a leaf on a tree of the other three,
+    (xa + xb + xc) (ya yb + yb yc + yc ya).
+    """
+    return (
+        xa * xb * (xc + ya + yb)
+        + xc * (xa * (yc + ya) + xb * (yb + yc))
+        + (xa + xb + xc) * (ya * yb + yb * yc + yc * ya)
+    )
+
+
+def _cut_leaf_sum(
+    degree: list[int], comp: list[int], crossing: list[tuple[int, int, int]], scale: Sequence[int]
+) -> tuple[int, int]:
+    """(trees, W) of one cut of `_spanning_cuts`: how many trees lie below
+    it, and the sum of their scaled leaf sums W (see `_leaf_form`).
+
+    A spanning forest F is its one tree. Otherwise the trees are F plus
+    a spanning tree of the quotient on F's four components, whose edges
+    are the crossing edges, in six classes, one per tag; there are tau
+    of them, the quotient's count (`_quotient_trees`). A vertex v of F with
+    - degree 1 is a leaf of a tree exactly when the tree takes none of
+      v's crossing edges, in tau' trees, the quotient's tau without
+      them: tau itself when v has none;
+    - degree 0 is a component X alone, and a leaf exactly when X is a
+      leaf of the quotient tree: one of X's crossing edges joins it to a
+      tree of the other three components;
+    - degree 2 or more is never a leaf.
+    So W is tau times F's W plus, for each vertex of degree at most 1
+    with crossing edges, L/d(v) times tau' - tau or times X's leaf count.
+    """
+    forest_w = _leaf_form(degree, scale)[0]
+    if not crossing:  # the forest spans
+        return 1, forest_w
+    count: dict[int, int] = {}  # crossing edges per class, by tag
+    reach: dict[int, int] = {}  # crossing neighbours, as bits, of each vertex of forest degree <= 1
+    for u, v, t in crossing:
+        count[t] = count.get(t, 0) + 1
+        if degree[u] < 2:
+            reach[u] = reach.get(u, 0) | 1 << v
+        if degree[v] < 2:
+            reach[v] = reach.get(v, 0) | 1 << u
+    labels = set(comp)
+    x, a, b, c = labels  # tau seen from any component
+    trees = _quotient_trees(
+        count.get(x | a, 0), count.get(x | b, 0), count.get(x | c, 0),
+        count.get(b | c, 0), count.get(a | c, 0), count.get(a | b, 0),
+    )
+    w = trees * forest_w
+    for v, bits in reach.items():
+        x = comp[v]
+        a, b, c = labels - {x}
+        xa, xb, xc = count.get(x | a, 0), count.get(x | b, 0), count.get(x | c, 0)
+        ya, yb, yc = count.get(b | c, 0), count.get(a | c, 0), count.get(a | b, 0)
+        if degree[v]:
+            kept = _quotient_trees(
+                xa - (bits & a).bit_count(), xb - (bits & b).bit_count(),
+                xc - (bits & c).bit_count(), ya, yb, yc,
+            )
+            w += scale[v] * (kept - trees)
+        else:
+            w += scale[v] * (xa + xb + xc) * (ya * yb + yb * yc + yc * ya)
+    return trees, w
 
 
 class WeightIdentityReport(NamedTuple):
@@ -756,50 +826,32 @@ def verify_weight_identity(
     """Check sum_{T} w(T) = s_{n-1}(G) exactly.
 
     The left side visits every spanning tree once, as a cut of
-    `_spanning_cuts` plus a triple of its crossing edges. It reads the
-    forest's scaled leaf sum W with `_leaf_form`, steps it to each
-    tree's W with `_degree_gains` as the triple raises tree degrees, in
-    one loop per cut, and divides by L once; the right side computes s_{n-1}
-    as the sum of matrix-tree counts of the vertex-deleted subgraphs, a
-    fully independent route.
+    `_spanning_cuts` and a spanning tree of its four-component quotient,
+    and lists none: `_cut_leaf_sum` counts each cut's trees and sums
+    their scaled leaf sums W in closed form, by three cases on a vertex's
+    forest degree. Degree 1: a leaf exactly when none of its crossing
+    edges is taken. Degree 0: a component of its own, a leaf exactly when
+    that component is a leaf of the quotient tree. Degree 2 or more:
+    never a leaf. The sum of W is divided by L once. The right side
+    computes s_{n-1} as the sum of matrix-tree counts of the
+    vertex-deleted subgraphs, a fully independent route; a vertex whose
+    deletion disconnects g leaves no spanning tree, so a bitmask search
+    skips its determinant.
     """
     n = g.n
     matrix_tree_count = _guarded_tree_count(g, cap)
     lcm, scale = _leaf_scales(g)
-    gain = _degree_gains(scale)
-    everyone = (1 << n) - 1
     scaled_sum = tree_count = 0
-    for _, degree, crossing in _spanning_cuts(g):
-        w = _leaf_form(degree, scale)[0]
-        if not crossing:  # the forest spans
-            scaled_sum += w
-            tree_count += 1
-        # the triples `enumerate_spanning_trees` tests, found pair by pair
-        for i, (a, b, r) in enumerate(crossing):
-            first_w = w + gain[a][degree[a]] + gain[b][degree[b]]
-            degree[a] += 1
-            degree[b] += 1
-            for j, (c, d, s) in enumerate(crossing[i + 1 :], i + 1):
-                if s == r:
-                    continue
-                second_w = first_w + gain[c][degree[c]] + gain[d][degree[d]]
-                degree[c] += 1
-                degree[d] += 1
-                # the component r | s leaves out, which e3 must reach;
-                # none when r and s are disjoint, and e3 need only differ
-                missing = everyone ^ (r | s)
-                for e, f, t in crossing[j + 1 :]:
-                    if t & missing if missing else t != r and t != s:
-                        scaled_sum += second_w + gain[e][degree[e]] + gain[f][degree[f]]
-                        tree_count += 1
-                degree[c] -= 1
-                degree[d] -= 1
-            degree[a] -= 1
-            degree[b] -= 1
+    for _, degree, comp, crossing in _spanning_cuts(g):
+        trees, w = _cut_leaf_sum(degree, comp, crossing, scale)
+        tree_count += trees
+        scaled_sum += w
     weight_sum = Fraction(scaled_sum, lcm)
+    everyone = (1 << n) - 1
     s_n_minus_1 = 0  # s_0 counts no subtree
     for v in range(n if n > 1 else 0):
-        s_n_minus_1 += subset_spanning_tree_count(g, [u for u in range(n) if u != v])
+        if is_connected(g, everyone ^ 1 << v):
+            s_n_minus_1 += subset_spanning_tree_count(g, [u for u in range(n) if u != v])
     return WeightIdentityReport(
         n=n,
         tree_count=tree_count,

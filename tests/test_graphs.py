@@ -228,6 +228,11 @@ def test_connectivity():
     assert is_connected(generate("complete(4)"))
     assert is_connected(Graph.from_edges(1, []))
     assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
+    # the subgraph on a vertex bitmask: path 0-1-2-3-4 without an end or a middle vertex
+    path = generate("path(5)")
+    assert is_connected(path, 0b11110) and is_connected(path, 0b01111)
+    assert not is_connected(path, 0b11011)
+    assert is_connected(path, 0b00100)
 
 
 def test_generate_connected_counts_rejections():

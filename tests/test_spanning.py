@@ -37,10 +37,12 @@ from subtree_poly_lab import spanning
 from subtree_poly_lab.graphs import is_connected
 from subtree_poly_lab.rng import DOMAIN_SAMPLE, RandomStream, StreamFamily, stream
 from subtree_poly_lab.spanning import (
+    _cut_leaf_sum,
     _expected_draws,
     _leaf_form,
     _leaf_scales,
     _parent_degrees,
+    _quotient_trees,
     _weight_chunk,
     _wilson_batch,
     _wilson_parents,
@@ -476,6 +478,108 @@ def test_tree_walk_branches_to_pinned_cuts(monkeypatch, spec, cuts):
     seen.clear()
     assert sum(1 for _ in enumerate_spanning_trees(g)) == spanning_tree_count(g)
     assert len(seen) == cuts
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(counts=st.lists(st.integers(0, 5), min_size=6, max_size=6))
+def test_quotient_trees_counts_the_trees_of_the_four_vertex_multigraph(counts):
+    # vertices X, A, B, C = 0, 1, 2, 3; each triple of the six pairs that
+    # connects all four is a tree, taking one edge of each of its pairs
+    pairs = [(0, 1), (0, 2), (0, 3), (2, 3), (1, 3), (1, 2)]
+    trees = 0
+    for triple in combinations(range(6), 3):
+        if is_connected(Graph.from_edges(4, [pairs[i] for i in triple])):
+            trees += math.prod(counts[i] for i in triple)
+    assert _quotient_trees(*counts) == trees
+
+
+def _cut_sums_against_oracle(g):
+    """Each cut's (trees, W) from `_cut_leaf_sum`, and from the trees that
+    `enumerate_spanning_trees` lists on that cut, with each tree's W read
+    from its own degrees; and the cases of `_cut_leaf_sum` the cuts reach."""
+    _, scale = _leaf_scales(g)
+    formula, listed, cases = [], [], set()
+    original = spanning._spanning_cuts
+
+    def marked(*args):
+        for cut in original(*args):
+            _, degree, comp, crossing = cut
+            formula.append(_cut_leaf_sum(degree, comp, crossing, scale))
+            listed.append((0, 0))
+            ends = {x for u, v, _ in crossing for x in (u, v)}
+            if not crossing:
+                cases.add("spans")
+            for v, d in enumerate(degree):
+                if d == 0:
+                    cases.add("alone")
+                elif d == 1:
+                    cases.add("leaf crossed" if v in ends else "leaf kept")
+            yield cut
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spanning, "_spanning_cuts", marked)
+        for tree in enumerate_spanning_trees(g):
+            trees, w = listed[-1]
+            listed[-1] = trees + 1, w + _leaf_form(Graph.from_edges(g.n, tree.edges).degrees, scale)[0]
+    assert formula == listed
+    return cases
+
+
+_CUT_HOSTS = {
+    "n1": Graph.from_edges(1, []),
+    "n2": Graph.from_edges(2, [(0, 1)]),
+    "path3": generate("path(3)"),
+    "k3": generate("complete(3)"),
+    "k4": generate("complete(4)"),
+    "star6": star(6),
+    "tree": generate("random_tree(7)", seed=5),
+    "cycle6": generate("cycle(6)"),
+    "cmpm8": generate("complete_minus_perfect_matching(8)"),
+    "gnp9": generate("gnp(9,0.6)", seed=2),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_CUT_HOSTS))
+def test_cut_leaf_sum_matches_the_trees_listed_on_each_cut(spec):
+    _cut_sums_against_oracle(_CUT_HOSTS[spec])
+
+
+def test_cut_hosts_reach_every_case():
+    # spanning forests (n <= 3), singleton components, and forest leaves
+    # with and without crossing edges
+    small = [g for g in _CUT_HOSTS.values() if g.n <= 7]
+    cases = set().union(*map(_cut_sums_against_oracle, small))
+    assert cases == {"spans", "alone", "leaf crossed", "leaf kept"}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=st.integers(4, 7), p=st.sampled_from([0.3, 0.5, 0.7]), seed=st.integers(0, 10**6))
+def test_cut_leaf_sum_matches_the_trees_listed_on_gnp_cuts(n, p, seed):
+    # n <= 3 is a spanning forest, which the fixed hosts cover
+    g, _ = generate_connected(f"gnp({n},{p})", seed=seed)
+    _cut_sums_against_oracle(g)
+
+
+@pytest.mark.parametrize(
+    "spec, seed, calls", [("path(12)", 0, 2), ("path(80)", 0, 2), ("random_tree(40)", 3, None), ("cycle(9)", 0, 9)]
+)
+def test_identity_right_side_skips_cut_vertices(monkeypatch, spec, seed, calls):
+    # deleting a cut vertex leaves no spanning tree, and no determinant is
+    # taken for it: on a tree host only its leaves remain, each of which
+    # leaves a subtree of n - 1 vertices, and on a cycle every vertex does
+    g = generate(spec, seed=seed)
+    original, seen = spanning.subset_spanning_tree_count, []
+
+    def counted(host, vertices):
+        seen.append(len(vertices))
+        return original(host, vertices)
+
+    monkeypatch.setattr(spanning, "subset_spanning_tree_count", counted)
+    report = verify_weight_identity(g)
+    if calls is None:
+        calls = sum(1 for d in g.degrees if d == 1)
+    assert len(seen) == calls and set(seen) == {g.n - 1}
+    assert report.equal and report.s_n_minus_1 == calls
 
 
 # ------------------------------------------------------------- leaf counts
