@@ -44,7 +44,6 @@ from . import params
 from .errors import CapacityError, ValidationError
 from .graphs import FamilySpec, Graph, is_connected
 
-DEFAULT_ENUMERATION_CAP = params.DEFAULT_ENUMERATION_CAP
 BRUTE_FORCE_GUARD = 10**8
 # subsets are int64 bitmasks, with the sign bit and bit 62 kept clear
 MAX_BITMASK_VERTICES = 62
@@ -190,7 +189,7 @@ def enumerate_connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
         yield from map(tuple, vertices.T.tolist())
 
 
-def subtree_counts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> SubtreeCountVector:
+def subtree_counts(g: Graph, cap: int = params.DEFAULT_ENUMERATION_CAP) -> SubtreeCountVector:
     """Exact s_1..s_n by summing spanning-tree counts over connected subsets.
 
     A host of at most SMALL_HOST_VERTICES vertices takes `_small_host_counts`
@@ -290,7 +289,7 @@ def _tree_counts(g: Graph) -> SubtreeCountVector:
 
 
 def counts_for(
-    g: Graph, family: FamilySpec | None = None, cap: int = DEFAULT_ENUMERATION_CAP
+    g: Graph, family: FamilySpec | None = None, cap: int = params.DEFAULT_ENUMERATION_CAP
 ) -> SubtreeCountVector:
     """Exact s_1..s_n of g (generated from `family`, or None) by its cheapest route.
 

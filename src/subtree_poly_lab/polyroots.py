@@ -74,9 +74,6 @@ from .counting import SubtreeCountVector, counts_for, exact_beta
 from .errors import CapacityError, CertificationError, ValidationError
 from .graphs import Graph, is_connected
 
-# the last polish stage and the certification run at work_bits, this or
-# the coefficient bits + 64 if larger; earlier stages start at 128 bits
-DEFAULT_PRECISION_BITS = params.DEFAULT_PRECISION_BITS
 RESIDUAL_THRESHOLD = 1e-20
 VIETA_RELATIVE_TOLERANCE = 1e-8
 CLUSTER_TOLERANCE = 1e-7
@@ -541,7 +538,7 @@ def _polish(
 
 def find_roots(
     counts: SubtreeCountVector,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
+    precision_bits: int = params.DEFAULT_PRECISION_BITS,
 ) -> RootAnalysis:
     """All roots of S(x), certified; the count equals the true degree.
 
@@ -699,7 +696,7 @@ def rouche_margin(
     alpha: Fraction,
     C: float = params.DEFAULT_ROUCHE_C,
     circle_points: int = params.DEFAULT_CIRCLE_POINTS,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
+    precision_bits: int = params.DEFAULT_PRECISION_BITS,
 ) -> RoucheReport:
     """Sampled max of |F(y) - e^{beta y}| / |e^{beta y}| on |y| = alpha log(n)/C.
 

@@ -5,10 +5,12 @@ The weight of a spanning tree T of a host graph G is
     w(T) = sum over leaves v of T of 1/d(v),
 
 with d(v) the degree of v in the HOST graph. Averaged over uniform
-spanning trees this equals s_{n-1}/s_n exactly, which is what the
-double-counting identity check below verifies by full enumeration.
+spanning trees this equals s_{n-1}/s_n exactly, by a double count: v is
+a leaf of exactly d(v) tau(G - v) spanning trees, and s_{n-1} is the sum
+of tau(G - v). The identity check below verifies that count for every
+vertex, over all spanning trees.
 
-Both hot paths reduce a tree to the integer pair (W, leaves), where
+The sampler reduces a tree to the integer pair (W, leaves), where
 W = sum over leaves v of L/d(v) and L = lcm of the host degrees, so that
 w(T) = W/L exactly and no rational is built per tree.
 
@@ -40,11 +42,12 @@ edge order; it is the only code that lists triples. The identity check
 lists none: the trees below a cut are the forest plus a spanning tree of
 the quotient multigraph on its four components, so their number is the
 quotient's matrix-tree count over the six classes of crossing edges, and
-their W sums in closed form by three cases on a vertex's forest degree.
-Degree 1: a leaf exactly when the tree takes none of its crossing edges,
-in as many trees as the quotient has without them. Degree 0: a component
-of its own, a leaf exactly when that component is a leaf of the quotient
-tree. Degree 2 or more: never a leaf.
+how many of them have a given vertex as a leaf follows in closed form by
+three cases on its forest degree. Degree 1: a leaf exactly when the tree
+takes none of its crossing edges, in as many trees as the quotient has
+without them. Degree 0: a component of its own, a leaf exactly when that
+component is a leaf of the quotient tree. Degree 2 or more: never a
+leaf. Each vertex's total over the cuts must be d(v) tau(G - v).
 A sampling run takes one chunk of samples per worker process, and one
 worker runs in-process.
 Only the sampling functions import numpy and the random streams, so
@@ -69,9 +72,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .rng import RandomStream
-
-DEFAULT_SPANNING_TREE_CAP = params.DEFAULT_SPANNING_TREE_CAP
-
 
 class SpanningTree(NamedTuple):
     n: int
@@ -710,7 +710,7 @@ def _spanning_cuts(
 
 
 def enumerate_spanning_trees(
-    g: Graph, cap: int = DEFAULT_SPANNING_TREE_CAP
+    g: Graph, cap: int = params.DEFAULT_SPANNING_TREE_CAP
 ) -> Iterator[SpanningTree]:
     """Each spanning tree of connected g exactly once; host and cap checked on the call.
 
@@ -758,57 +758,53 @@ def _quotient_trees(xa: int, xb: int, xc: int, ya: int, yb: int, yc: int) -> int
 
 
 def _cut_leaf_sum(
-    degree: list[int], comp: list[int], crossing: list[tuple[int, int, int]], scale: Sequence[int]
-) -> tuple[int, int]:
-    """(trees, W) of one cut of `_spanning_cuts`: how many trees lie below
-    it, and the sum of their scaled leaf sums W (see `_leaf_form`).
+    degree: list[int], comp: list[int], crossing: list[tuple[int, int, int]], leaf_sum: list[int]
+) -> int:
+    """The number of trees below one cut of `_spanning_cuts`; adds to
+    leaf_sum[v], for each vertex v, the number of them that have v as a leaf.
 
     A spanning forest F is its one tree. Otherwise the trees are F plus
     a spanning tree of the quotient on F's four components, whose edges
     are the crossing edges, in six classes, one per tag; there are tau
     of them, the quotient's count (`_quotient_trees`). A vertex v of F with
     - degree 1 is a leaf of a tree exactly when the tree takes none of
-      v's crossing edges, in tau' trees, the quotient's tau without
-      them: tau itself when v has none;
+      v's crossing edges, in the quotient's tau without them: tau itself
+      when v has none;
     - degree 0 is a component X alone, and a leaf exactly when X is a
       leaf of the quotient tree: one of X's crossing edges joins it to a
       tree of the other three components;
     - degree 2 or more is never a leaf.
-    So W is tau times F's W plus, for each vertex of degree at most 1
-    with crossing edges, L/d(v) times tau' - tau or times X's leaf count.
     """
-    forest_w = _leaf_form(degree, scale)[0]
-    if not crossing:  # the forest spans
-        return 1, forest_w
     count: dict[int, int] = {}  # crossing edges per class, by tag
-    reach: dict[int, int] = {}  # crossing neighbours, as bits, of each vertex of forest degree <= 1
+    reach: dict[int, int] = {}  # crossing neighbours, as bits, of each vertex of forest degree 1
     for u, v, t in crossing:
         count[t] = count.get(t, 0) + 1
-        if degree[u] < 2:
+        if degree[u] == 1:
             reach[u] = reach.get(u, 0) | 1 << v
-        if degree[v] < 2:
+        if degree[v] == 1:
             reach[v] = reach.get(v, 0) | 1 << u
-    labels = set(comp)
-    x, a, b, c = labels  # tau seen from any component
-    trees = _quotient_trees(
-        count.get(x | a, 0), count.get(x | b, 0), count.get(x | c, 0),
-        count.get(b | c, 0), count.get(a | c, 0), count.get(a | b, 0),
-    )
-    w = trees * forest_w
-    for v, bits in reach.items():
-        x = comp[v]
-        a, b, c = labels - {x}
-        xa, xb, xc = count.get(x | a, 0), count.get(x | b, 0), count.get(x | c, 0)
-        ya, yb, yc = count.get(b | c, 0), count.get(a | c, 0), count.get(a | b, 0)
-        if degree[v]:
-            kept = _quotient_trees(
-                xa - (bits & a).bit_count(), xb - (bits & b).bit_count(),
-                xc - (bits & c).bit_count(), ya, yb, yc,
-            )
-            w += scale[v] * (kept - trees)
-        else:
-            w += scale[v] * (xa + xb + xc) * (ya * yb + yb * yc + yc * ya)
-    return trees, w
+    trees, seen = 1, {}  # a spanning forest is its one tree
+    if crossing:
+        labels = set(comp)
+        for x in labels:  # per component X: the other three, and the six class counts from X
+            a, b, c = labels - {x}
+            seen[x] = (a, b, c, count.get(x | a, 0), count.get(x | b, 0), count.get(x | c, 0),
+                       count.get(b | c, 0), count.get(a | c, 0), count.get(a | b, 0))
+        trees = _quotient_trees(*seen[x][3:])  # the same from any component
+    for v, d in enumerate(degree):
+        if d == 1 and v not in reach:
+            leaf_sum[v] += trees
+        elif d < 2 and crossing:
+            a, b, c, xa, xb, xc, ya, yb, yc = seen[comp[v]]
+            if d:
+                bits = reach[v]
+                leaf_sum[v] += _quotient_trees(
+                    xa - (bits & a).bit_count(), xb - (bits & b).bit_count(),
+                    xc - (bits & c).bit_count(), ya, yb, yc,
+                )
+            else:
+                leaf_sum[v] += (xa + xb + xc) * (ya * yb + yb * yc + yc * ya)
+    return trees
 
 
 class WeightIdentityReport(NamedTuple):
@@ -816,47 +812,47 @@ class WeightIdentityReport(NamedTuple):
     tree_count: int
     weight_sum: Fraction  # sum of w(T) over all spanning trees
     s_n_minus_1: int  # independent matrix-tree route
-    equal: bool
+    equal: bool  # each vertex is a leaf of d(v) tau(G - v) trees, not only the sums agree
     matrix_tree_count: int  # the cap guard's count, which tree_count must equal
 
 
 def verify_weight_identity(
-    g: Graph, cap: int = DEFAULT_SPANNING_TREE_CAP
+    g: Graph, cap: int = params.DEFAULT_SPANNING_TREE_CAP
 ) -> WeightIdentityReport:
-    """Check sum_{T} w(T) = s_{n-1}(G) exactly.
+    """Check sum_{T} w(T) = s_{n-1}(G) exactly, one vertex at a time.
+
+    A vertex v is a leaf of exactly N_v = d(v) tau(G - v) spanning trees:
+    such a tree is a spanning tree of G - v plus one of v's d(v) host
+    edges. Summed with weight 1/d(v), that is the identity. `equal` holds
+    only when N_v agrees for every vertex, so leaf credit given to the
+    wrong vertex shows even where the sums, or the degrees, agree.
 
     The left side visits every spanning tree once, as a cut of
     `_spanning_cuts` and a spanning tree of its four-component quotient,
-    and lists none: `_cut_leaf_sum` counts each cut's trees and sums
-    their scaled leaf sums W in closed form, by three cases on a vertex's
-    forest degree. Degree 1: a leaf exactly when none of its crossing
-    edges is taken. Degree 0: a component of its own, a leaf exactly when
-    that component is a leaf of the quotient tree. Degree 2 or more:
-    never a leaf. The sum of W is divided by L once. The right side
-    computes s_{n-1} as the sum of matrix-tree counts of the
-    vertex-deleted subgraphs, a fully independent route; a vertex whose
-    deletion disconnects g leaves no spanning tree, so a bitmask search
-    skips its determinant.
+    and lists none: `_cut_leaf_sum` counts each cut's trees and, for each
+    vertex, those that have it as a leaf, in closed form by three cases
+    on its forest degree. `weight_sum` is the sum of N_v/d(v). The right
+    side takes each tau(G - v) as the matrix-tree count of the
+    vertex-deleted subgraph, a fully independent route, and
+    `s_n_minus_1` is their sum; a vertex whose deletion disconnects g
+    leaves no spanning tree, so a bitmask search skips its determinant.
     """
     n = g.n
     matrix_tree_count = _guarded_tree_count(g, cap)
-    lcm, scale = _leaf_scales(g)
-    scaled_sum = tree_count = 0
+    leaf_sum, tree_count = [0] * n, 0  # leaf_sum[v]: N_v
     for _, degree, comp, crossing in _spanning_cuts(g):
-        trees, w = _cut_leaf_sum(degree, comp, crossing, scale)
-        tree_count += trees
-        scaled_sum += w
-    weight_sum = Fraction(scaled_sum, lcm)
+        tree_count += _cut_leaf_sum(degree, comp, crossing, leaf_sum)
     everyone = (1 << n) - 1
-    s_n_minus_1 = 0  # s_0 counts no subtree
-    for v in range(n if n > 1 else 0):
-        if is_connected(g, everyone ^ 1 << v):
-            s_n_minus_1 += subset_spanning_tree_count(g, [u for u in range(n) if u != v])
+    deleted = [  # tau(G - v): none where deleting v disconnects g; s_0 counts no subtree
+        subset_spanning_tree_count(g, [u for u in range(n) if u != v])
+        if n > 1 and is_connected(g, everyone ^ 1 << v) else 0
+        for v in range(n)
+    ]
     return WeightIdentityReport(
         n=n,
         tree_count=tree_count,
-        weight_sum=weight_sum,
-        s_n_minus_1=s_n_minus_1,
-        equal=weight_sum == s_n_minus_1,
+        weight_sum=sum((Fraction(k, d) for k, d in zip(leaf_sum, g.degrees) if d), Fraction(0)),
+        s_n_minus_1=sum(deleted),
+        equal=leaf_sum == [d * t for d, t in zip(g.degrees, deleted)],
         matrix_tree_count=matrix_tree_count,
     )

@@ -35,8 +35,8 @@ from subtree_poly_lab import (
 )
 from subtree_poly_lab import polyroots
 from subtree_poly_lab.counting import counts_for
+from subtree_poly_lab.params import DEFAULT_PRECISION_BITS
 from subtree_poly_lab.polyroots import (
-    DEFAULT_PRECISION_BITS,
     MAX_START_SWEEPS,
     RESIDUAL_THRESHOLD,
     TREE_ROOT_BOUND,

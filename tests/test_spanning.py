@@ -494,18 +494,18 @@ def test_quotient_trees_counts_the_trees_of_the_four_vertex_multigraph(counts):
 
 
 def _cut_sums_against_oracle(g):
-    """Each cut's (trees, W) from `_cut_leaf_sum`, and from the trees that
-    `enumerate_spanning_trees` lists on that cut, with each tree's W read
-    from its own degrees; and the cases of `_cut_leaf_sum` the cuts reach."""
-    _, scale = _leaf_scales(g)
+    """Each cut's tree count and per-vertex leaf counts from `_cut_leaf_sum`,
+    and from the `leaf_set`s of the trees that `enumerate_spanning_trees`
+    lists on that cut; and the cases of `_cut_leaf_sum` the cuts reach."""
     formula, listed, cases = [], [], set()
     original = spanning._spanning_cuts
 
     def marked(*args):
         for cut in original(*args):
             _, degree, comp, crossing = cut
-            formula.append(_cut_leaf_sum(degree, comp, crossing, scale))
-            listed.append((0, 0))
+            leaf_sum = [0] * g.n
+            formula.append([_cut_leaf_sum(degree, comp, crossing, leaf_sum), leaf_sum])
+            listed.append([0, [0] * g.n])
             ends = {x for u, v, _ in crossing for x in (u, v)}
             if not crossing:
                 cases.add("spans")
@@ -519,8 +519,9 @@ def _cut_sums_against_oracle(g):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spanning, "_spanning_cuts", marked)
         for tree in enumerate_spanning_trees(g):
-            trees, w = listed[-1]
-            listed[-1] = trees + 1, w + _leaf_form(Graph.from_edges(g.n, tree.edges).degrees, scale)[0]
+            listed[-1][0] += 1
+            for v in tree.leaf_set:
+                listed[-1][1][v] += 1
     assert formula == listed
     return cases
 
@@ -558,6 +559,35 @@ def test_cut_leaf_sum_matches_the_trees_listed_on_gnp_cuts(n, p, seed):
     # n <= 3 is a spanning forest, which the fixed hosts cover
     g, _ = generate_connected(f"gnp({n},{p})", seed=seed)
     _cut_sums_against_oracle(g)
+
+
+def _check_leaf_sums(g):
+    """Each vertex v is a leaf of d(v) tau(G - v) spanning trees: a spanning
+    tree of G - v plus one of v's host edges. Summed over the cuts as
+    `verify_weight_identity` sums them, against the matrix-tree count of
+    each vertex-deleted graph, built as a graph of its own."""
+    leaf_sum = [0] * g.n
+    for _, degree, comp, crossing in spanning._spanning_cuts(g):
+        _cut_leaf_sum(degree, comp, crossing, leaf_sum)
+    expected = []
+    for v, d in enumerate(g.degrees):
+        label = {u: i for i, u in enumerate(u for u in range(g.n) if u != v)}
+        rest = [(label[a], label[b]) for a, b in g.edges() if v not in (a, b)]
+        expected.append(d and d * spanning_tree_count(Graph.from_edges(g.n - 1, rest)))
+    assert leaf_sum == expected
+    assert verify_weight_identity(g).equal
+
+
+@pytest.mark.parametrize("spec", sorted(_CUT_HOSTS))
+def test_each_vertex_is_a_leaf_of_its_degree_times_the_trees_without_it(spec):
+    _check_leaf_sums(_CUT_HOSTS[spec])
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=st.integers(4, 7), p=st.sampled_from([0.3, 0.5, 0.7]), seed=st.integers(0, 10**6))
+def test_each_vertex_is_a_leaf_of_its_degree_times_the_trees_without_it_on_gnp_hosts(n, p, seed):
+    g, _ = generate_connected(f"gnp({n},{p})", seed=seed)
+    _check_leaf_sums(g)
 
 
 @pytest.mark.parametrize(
