@@ -47,7 +47,6 @@ _EXPORTS = {
     "RootAnalysis": "polyroots",
     "build_polynomial": "polyroots",
     "find_roots": "polyroots",
-    "root_bound": "polyroots",
     "rouche_margin": "polyroots",
     "tree_root_check": "polyroots",
     "RandomStream": "rng",

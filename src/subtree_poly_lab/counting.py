@@ -178,7 +178,9 @@ def _require_bitmask_width(g: Graph) -> None:
 def enumerate_connected_subsets(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """Stream every vertex subset W with |W| = k and g[W] connected, once each.
 
-    Subsets come as ascending vertex tuples, ordered by bitmask value.
+    Subsets come as ascending vertex tuples, ordered by bitmask value. No
+    command calls it; it stays because perfbench's traced replay imports
+    it (ROADMAP item 2).
     """
     if not 1 <= k <= g.n:
         raise ValidationError(f"subset size {k} out of range [1, {g.n}]")

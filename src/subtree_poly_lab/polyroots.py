@@ -666,16 +666,6 @@ def _cluster(roots) -> tuple[tuple[complex, int], ...]:
     return tuple(clusters)
 
 
-def root_bound(alpha: Fraction, n: int, C: float = params.DEFAULT_ROUCHE_C) -> float:
-    """The dense-graph root bound C / (alpha log n), natural log."""
-    C = params.rouche_C(C, "C")
-    if n < 2:
-        raise ValidationError("root bound needs n >= 2")
-    if alpha <= 0:
-        raise ValidationError("alpha must be positive")
-    return C / (float(alpha) * math.log(n))
-
-
 class RoucheReport(NamedTuple):
     n: int
     C: float
@@ -700,10 +690,12 @@ def rouche_margin(
 ) -> RoucheReport:
     """Sampled max of |F(y) - e^{beta y}| / |e^{beta y}| on |y| = alpha log(n)/C.
 
-    A finite sample is a falsifiable proxy for the full-circle statement,
-    hence the "sampled supremum" label. The four axis points are always
-    included on top of the N equally spaced ones, y_j = r w^j with
-    w = e^{2 pi i/N}. Also checks the pointwise witness
+    Where the margin is below 1 on the whole circle, F has no zero in the
+    disk, so every nonzero root x of S has |x| < 1/radius: the paper's
+    root bound. A finite sample is a falsifiable proxy for the full-circle
+    statement, hence the "sampled supremum" label. The four axis points
+    are always included on top of the N equally spaced ones, y_j = r w^j
+    with w = e^{2 pi i/N}. Also checks the pointwise witness
     |e^{beta y}| >= n^(-1/C) that the comparison relies on.
 
     Both series are evaluated on the circle by one discrete Fourier
@@ -737,6 +729,8 @@ def rouche_margin(
     if n < 2:
         raise ValidationError("Rouche margin needs n >= 2")
     beta = exact_beta(counts)  # refuses a disconnected source
+    if alpha <= 0:
+        raise ValidationError("alpha must be positive")
     work_bits = _work_bits(precision_bits, counts.s(n))
     with mp.workprec(work_bits):
         radius = mp.mpf(alpha.numerator) / alpha.denominator * mp.log(n) / mp.mpf(C)

@@ -235,6 +235,7 @@ def _wilson_batch(g: Graph, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Row b of `words` is the start of sample b's stream, of any unsigned
     dtype wide enough for the table's stride (see `StreamFamily.fill`).
+    The host has at least two vertices and `words` at least one row.
     Returns the `(B, n)` parent arrays, each what `_wilson_parents` gives
     on the same stream, and the words each sample drew. A sample that ran
     out of words shows width + 1: its row is unfinished, and the sample
@@ -261,8 +262,6 @@ def _wilson_batch(g: Graph, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in_tree = np.zeros((count + 1) * n, dtype=bool)
     in_tree[: count * n : n] = True
     used = np.zeros(count, dtype=np.int64)
-    if n < 2 or count == 0:
-        return parent[: count * n].reshape(count, n), used
     table, stride = _step_table(g)
     low = stride - 1
     flat_words = words.reshape(-1)

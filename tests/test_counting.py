@@ -367,7 +367,11 @@ def test_prime_table_covers_every_bitmask_width():
     minor = _laplacian_minors(_dense_adjacency(generate(f"complete({n})")), np.arange(n)[:, None])
     worst = _grimmett_bound(minor)
     assert worst == n ** (n - 2)
-    assert math.prod(_primes_for(worst)) > worst
+    # the widest host takes all twelve distinct primes; a larger bound is refused
+    assert len(set(_PRIMES)) == 12 and math.prod(_PRIMES).bit_length() == 372
+    assert _primes_for(worst) == _PRIMES and math.prod(_PRIMES) > worst
+    with pytest.raises(CapacityError, match="no 12-prime product exceeds"):
+        _primes_for(math.prod(_PRIMES))
 
 
 @settings(max_examples=40, deadline=None)

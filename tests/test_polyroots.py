@@ -28,7 +28,6 @@ from subtree_poly_lab import (
     generate_connected,
     parse_family,
     poisson_deviation,
-    root_bound,
     rouche_margin,
     subtree_counts,
     tree_root_check,
@@ -929,6 +928,24 @@ def test_failed_certification_drops_the_mirrors_at_twice_the_precision(monkeypat
     assert max(analysis.residuals) <= RESIDUAL_THRESHOLD
 
 
+def test_polish_skips_a_slot_whose_derivative_is_zero(monkeypatch):
+    # Q'(x) = 0 leaves no Aberth step: the slot is skipped for the sweep,
+    # and the polish still certifies the same roots at the same precision
+    expected = find_roots(complete_graph_counts(12))
+    fixed_derivative = polyroots._fixed_derivative
+    calls = []
+
+    def flat_once(trail):
+        calls.append(trail)
+        return (0, 0) if len(calls) == 1 else fixed_derivative(trail)
+
+    monkeypatch.setattr(polyroots, "_fixed_derivative", flat_once)
+    analysis = find_roots(complete_graph_counts(12))
+    assert len(calls) > 1
+    assert analysis.precision_bits == expected.precision_bits == 192
+    assert analysis.roots == expected.roots
+
+
 def _mpmath_rouche(counts, alpha, C, circle_points):
     # (max margin, its index under the shared tie rule) with F from
     # mpmath's Horner on the rounded ratios s_{n-k}/s_n: the route
@@ -978,30 +995,6 @@ def test_nan_residual_or_vieta_error_fails_certification():
     assert not _certified([0.0, math.nan], 0.0)
     assert not _certified([0.0, 0.0], math.nan)
     assert _certified([0.0, 1e-30], 1e-12)
-
-
-# -------------------------------------------------------------- root bound
-
-
-def test_root_bound_values():
-    # frozen by direct substitution into C / (alpha ln n)
-    assert root_bound(Fraction(99, 100), 100, 7.0) == pytest.approx(1.5353845320, abs=1e-9)
-    assert root_bound(Fraction(3, 4), 4, 7.0) == pytest.approx(6.7325768575, abs=1e-9)
-
-
-def test_root_bound_monotone_in_n():
-    values = [root_bound(Fraction(1, 2), n, 7.0) for n in [10, 20, 40, 80]]
-    assert values == sorted(values, reverse=True)
-
-
-def test_root_bound_validation():
-    for C in (6.0, math.nan, math.inf):
-        with pytest.raises(ValidationError):
-            root_bound(Fraction(1, 2), 100, C)
-    with pytest.raises(ValidationError):
-        root_bound(Fraction(1, 2), 1, 7.0)
-    with pytest.raises(ValidationError):
-        root_bound(Fraction(0), 10, 7.0)
 
 
 # ------------------------------------------------------------ rouche margin
@@ -1067,8 +1060,38 @@ def test_unit_roots_are_within_one_unit(M, P):
 
 def test_rouche_margin_rejects_small_C():
     counts = complete_graph_counts(10)
-    with pytest.raises(ValidationError):
-        rouche_margin(counts, Fraction(9, 10), C=6.0)
+    for C in (6.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            rouche_margin(counts, Fraction(9, 10), C=C)
+    with pytest.raises(ValidationError, match="n >= 2"):
+        rouche_margin(complete_graph_counts(1), Fraction(1))
+    for alpha in (Fraction(0), Fraction(-9, 10)):
+        with pytest.raises(ValidationError, match="alpha must be positive"):
+            rouche_margin(counts, alpha)
+    # a disconnected source (alpha 0) is refused as disconnected
+    with pytest.raises(ValidationError, match="disconnected"):
+        rouche_margin(SubtreeCountVector(4, (4, 2, 0, 0)), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [("complete(40)", 0), ("complete(60)", 0), ("complete(80)", 0), ("complete(120)", 0),
+     ("gnp(16,0.5)", 1), ("gnp(14,0.5)", 1), ("complete_minus_perfect_matching(16)", 0),
+     ("K_{6,10}", 0), ("cycle(12)", 0), ("path(10)", 0), ("random_tree(12)", 3)],
+)
+def test_certified_roots_lie_inside_the_rouche_radius(spec, seed):
+    # the paper's conclusion at C = 7: the margin below 1 on |y| = alpha ln(n)/C
+    # puts every nonzero root inside |x| < 1/radius. The margin is sampled, not
+    # proven (ROADMAP items 11 and 20); max_modulus * radius runs from 0.008
+    # (K_120) to 0.059 (cycle(12))
+    if spec == "K_{6,10}":  # no family: counted from its edge list
+        g, family = Graph.from_edges(16, [(u, v) for u in range(6) for v in range(6, 16)]), None
+    else:
+        g, family = generate(spec, seed=seed), parse_family(spec)
+    counts = counts_for(g, family)
+    report = rouche_margin(counts, degree_profile(g).alpha, C=7.0)
+    assert report.margin_below_one
+    assert find_roots(counts).max_modulus < 1 / report.radius
 
 
 def test_rouche_point_count_includes_axis():

@@ -140,7 +140,7 @@ CapacityError CertificationError EdgeListParseError SubtreeLabError ValidationEr
 DegreeProfile FamilySpec Graph degree_profile from_edge_list generate
 generate_connected is_connected parse_family
 RootAnalysis build_polynomial find_roots poisson_deviation
-root_bound rouche_margin tree_root_check RandomStream stream
+rouche_margin tree_root_check RandomStream stream
 BetaEstimate SpanningTree WeightSample enumerate_spanning_trees
 estimate_beta exact_beta leaf_weight verify_weight_identity
 weight_experiment wilson_sample __version__
