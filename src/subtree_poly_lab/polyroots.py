@@ -12,8 +12,8 @@ taken from the bit lengths of s_1 and s_n so that the coefficients stay
 in double range; each root freezes once |F| is at the level of rounding
 error. The roots are mapped back to x = 1/y and polished by Gauss-Seidel
 Aberth corrections on a precision ladder: 128, 256, 512, ... bits,
-ending at exactly the working precision, each stage stopping every root
-at its rounding level. The polish holds each root as Gaussian
+ending at exactly the requested precision_bits, each stage stopping
+every root at its rounding level. The polish holds each root as Gaussian
 fixed-point integers (xr, xi, t), x = (xr + i xi) 2^-t, rounded to the
 stage's bits, and runs on Python integers alone: each step evaluates
 Q(x) = S(x)/x on the exact integer coefficients, builds Q'(x) from the
@@ -37,13 +37,23 @@ scale-normalized residuals |Q(x)| / Q(|x|), doubles rounded once from
 the integers of the final polish stage's last evaluation, which also
 gives the mirror's (a root moved after it is evaluated afresh, one pass
 for a pair), plus a Vieta product check in mpmath on the roots built
-exactly from the integers. Where certification fails, the roots are
-polished again from their own iterates at twice the precision with every
-mirror dropped (each slot corrected on its own, as an iteration that
-knows nothing of conjugates), at most MAX_ESCALATIONS times; a failure
-after that raises, it is never silent. The design follows MPSolve (Bini
-and Fiorentino, 2000; Bini and Robol, 2014), which also keeps its
-iterates in the arithmetic of its evaluator.
+exactly from the integers.
+
+precision_bits is an accuracy target. The polish stops at it where the
+roots certify and their Weierstrass inclusion disks (_inclusion_disks,
+on the same integers and in doubles) are pairwise disjoint, each of
+radius at most 2^-(precision_bits - 64) |x|: each disk then holds
+exactly one root, which is proven to precision_bits - 64 bits.
+Otherwise the polish goes on from its iterates, pairs and real slots at
+twice the precision, up to the cap _work_bits (the coefficients' size
+plus 64 bits), where the roots need only certify. Where certification
+fails at the cap, the roots are polished again from their own iterates
+at twice the precision with every mirror dropped (each slot corrected on
+its own, as an iteration that knows nothing of conjugates), at most
+MAX_ESCALATIONS times; a failure after that raises, it is never silent.
+The design follows MPSolve (Bini and Fiorentino, 2000; Bini and Robol,
+2014), which also keeps its iterates in the arithmetic of its evaluator
+and raises the precision only where the roots are not yet proven.
 
 Also here: the Rouche margin |F(y) - e^{beta y}| / |e^{beta y}| sampled
 at N points of the circle |y| = alpha log(n) / C and its four axis
@@ -81,6 +91,7 @@ TREE_ROOT_BOUND = 1.0 + 3.0 ** (1.0 / 3.0)
 MAX_START_SWEEPS = 500  # double-precision Aberth sweeps before the polish takes over
 MAX_POLISH_SWEEPS = 60  # Aberth sweeps per polish stage
 MAX_ESCALATIONS = 2  # re-polishes at twice the precision before certification fails
+_LOG_SLACK = 2.0**-24  # the safe-side slack of each log2 in the inclusion disks
 
 
 def build_polynomial(counts: SubtreeCountVector) -> SubtreeCountVector:
@@ -447,17 +458,19 @@ def _conjugate(x: tuple) -> tuple[int, int, int]:
 
 def _polish(
     s: Sequence[int], tops: list, xs: list, e: int, stages: list[int], mirrors: list
-) -> tuple[list, list[int], dict]:
+) -> tuple[list, list[int], dict, list]:
     """Gauss-Seidel Aberth corrections on Q(x) = S(x)/x, on Gaussian fixed-point integers.
 
     `tops` is _top_bits(s), xs the start points as triples (xr, xi, t)
     (x = (xr + i xi) 2^-t) and e the exponent that brings 2^e x into
     double range for the repulsion. Returns the points polished to the
-    last of `stages` (the polish precisions, _stages(work_bits) from a
-    cold start), the number of corrections at each stage, and the last
-    stage's evaluations: each triple it evaluated maps to the integers
-    (p_re, p_im, scale) of _fixed_horner there, so the certification
-    re-evaluates only a root that moved after its last evaluation.
+    last of `stages` (the polish precisions, _stages(bits) from a cold
+    start), the number of corrections at each stage, the last stage's
+    evaluations (each triple it evaluated maps to the integers
+    (p_re, p_im, scale, G) of _fixed_horner there, so the certification
+    re-evaluates only a root that moved after its last evaluation) and
+    the slots' kinds after the last stage, which a further call takes as
+    its `mirrors` so that a pair split into two real slots stays split.
 
     `mirrors` gives each slot's kind. Q has real coefficients, so its
     roots are closed under conjugation: a pair leader j < mirrors[j] is
@@ -498,11 +511,11 @@ def _polish(
             for j in active:
                 x, k = xs[j], mirrors[j]
                 leader = k is not None and j < k
-                pr, pi, scale, _, m, trail = _fixed_horner(s, tops, x, bits)
+                pr, pi, scale, G, m, trail = _fixed_horner(s, tops, x, bits)
                 if bits == stages[-1]:
-                    evaluated[x] = pr, pi, scale
+                    evaluated[x] = pr, pi, scale, G
                     if leader:
-                        evaluated[_conjugate(x)] = pr, -pi, scale
+                        evaluated[_conjugate(x)] = pr, -pi, scale, G
                 if (pr * pr + pi * pi) << (2 * bits) <= (4 * d * scale) ** 2:
                     continue
                 q = _fixed_derivative(trail)
@@ -533,7 +546,7 @@ def _polish(
                     still.append(j)
             active = still
         corrections.append(count)
-    return xs, corrections, evaluated
+    return xs, corrections, evaluated, mirrors
 
 
 def find_roots(
@@ -543,11 +556,17 @@ def find_roots(
     """All roots of S(x), certified; the count equals the true degree.
 
     Trailing zero coefficients (a disconnected source leaves s_n = 0)
-    are trimmed first. Where a residual stays above threshold or the
-    Vieta product check misses, the roots are polished again from their
-    own iterates at twice the working precision, at most MAX_ESCALATIONS
-    times; then it raises CertificationError (carrying the best iterates
-    and residuals) instead of returning dubious roots.
+    are trimmed first. The polish climbs the ladder to precision_bits
+    and stops there where the roots certify and their inclusion disks
+    (_inclusion_disks) prove each of them to precision_bits - 64 bits:
+    the disks pairwise disjoint, each radius at most
+    2^-(precision_bits - 64) |x|. Otherwise it polishes on at twice the
+    precision, up to the cap _work_bits, where the roots need only
+    certify. Where a residual stays above threshold or the Vieta product
+    check misses at the cap, the roots are polished again from their own
+    iterates at twice the precision, at most MAX_ESCALATIONS times; then
+    it raises CertificationError (carrying the best iterates and
+    residuals) instead of returning dubious roots.
     """
     s, n = counts.counts, counts.n
     if s[0] < 1:
@@ -555,20 +574,18 @@ def find_roots(
     while n > 1 and s[n - 1] == 0:
         n -= 1
     s = s[:n]
-    work_bits = _work_bits(precision_bits, max(s))
+    precision_bits = params.precision_bits(precision_bits, "precision_bits")
+    cap = _work_bits(precision_bits, max(s))
     tops = _top_bits(s)
     u, e, sweeps = _float_start(s) if n > 1 else ([], 0, 0)  # S(x) = s_1 x: only the root 0
-    stages = _stages(work_bits)
+    stages = _stages(precision_bits)
     xs = [_reciprocal(uj, e, stages[0]) for uj in u]
     d = len(xs)
     mirrors = [d - 1 - j for j in range(d)]  # the start's pairs: slot d-1-j mirrors slot j
     iterations = sweeps
-    for escalation in range(MAX_ESCALATIONS + 1):
-        if escalation:
-            # every mirror dropped: each slot is corrected on its own, so a
-            # pair that split wrongly or stalled cannot stay as it was
-            stages, mirrors = [2 * work_bits], [None] * d
-        xs, corrections, evaluated = _polish(s, tops, xs, e, stages, mirrors)
+    escalations = 0
+    while True:
+        xs, corrections, evaluated, mirrors = _polish(s, tops, xs, e, stages, mirrors)
         iterations += sum(corrections)
         work_bits = stages[-1]
         # scale-normalized residuals |S(x)| / S(|x|) = |Q(x)| / Q(|x|), the
@@ -581,25 +598,36 @@ def find_roots(
         residuals = [0.0]
         for x in xs:
             if x not in evaluated:
-                pr, pi, scale = _fixed_horner(s, tops, x, work_bits)[:3]
-                evaluated[x], evaluated[_conjugate(x)] = (pr, pi, scale), (pr, -pi, scale)
-            pr, pi, scale = evaluated[x]
+                pr, pi, scale, G = _fixed_horner(s, tops, x, work_bits)[:4]
+                evaluated[x], evaluated[_conjugate(x)] = (pr, pi, scale, G), (pr, -pi, scale, G)
+            pr, pi, scale, _ = evaluated[x]
             residuals.append(_root_ratio(pr * pr + pi * pi, scale * scale))
         roots = [mp.mpc(0)] + [_exact(x) for x in xs]
         with mp.workprec(work_bits):
             vieta_product = mp.fprod(abs(x) for x in roots[1:])
             vieta_target = mp.mpf(s[0]) / mp.mpf(s[-1])
             vieta_rel = float(abs(vieta_product - vieta_target) / vieta_target)
-        if _certified(residuals, vieta_rel):
+        certified = _certified(residuals, vieta_rel)
+        if work_bits < cap:
+            accuracy = precision_bits - 64
+            if certified and _inclusion_disks(s, xs, mirrors, evaluated, accuracy) is not None:
+                break
+            stages = [min(2 * work_bits, cap)]  # the pairs and real slots carried on
+        elif certified:
             break
-    else:
-        worst = max(residuals, key=lambda r: (math.isnan(r), r))
-        raise CertificationError(
-            f"root certification failed: max residual {worst:.3e}, "
-            f"Vieta relative error {vieta_rel:.3e}",
-            roots=roots,
-            residuals=residuals,
-        )
+        elif escalations < MAX_ESCALATIONS:
+            escalations += 1
+            # every mirror dropped: each slot is corrected on its own, so a
+            # pair that split wrongly or stalled cannot stay as it was
+            stages, mirrors = [2 * work_bits], [None] * d
+        else:
+            worst = max(residuals, key=lambda r: (math.isnan(r), r))
+            raise CertificationError(
+                f"root certification failed: max residual {worst:.3e}, "
+                f"Vieta relative error {vieta_rel:.3e}",
+                roots=roots,
+                residuals=residuals,
+            )
     with mp.workprec(work_bits):
         half_bits = work_bits // 2
         pairs = sorted(zip(roots[1:], residuals[1:]), key=lambda t: _root_key(t[0], half_bits))
@@ -619,10 +647,77 @@ def find_roots(
     )
 
 
-def _work_bits(precision_bits: int, top: int) -> int:
-    """The working precision: precision_bits, raised to hold `top` with 64 bits to spare.
+def _inclusion_disks(
+    s: Sequence[int], xs: list, mirrors: list, evaluated: dict, accuracy: float
+) -> list | None:
+    """log2 of an inclusion radius for each root of Q where they prove every root; else None.
 
-    find_roots and rouche_margin share this check of the requested precision.
+    For the polished roots z_i of Q (degree d, leading coefficient s_n),
+    the Weierstrass corrections W_i = Q(z_i) / (s_n prod_{j != i} (z_i - z_j))
+    give d disks D(z_i, d |W_i|) whose union holds every root of Q, a
+    connected component of m disks holding exactly m of them
+    (Carstensen, Numer. Math. 59, 1991). The radii are returned only where
+    the disks are pairwise disjoint, so that each holds exactly one root,
+    and each is at most 2^-accuracy |z_i|; each returned r_i bounds
+    log2(d |W_i|) from above:
+
+    - |Q(z_i)| from the integers (p_re, p_im, G) of z_i's evaluation in
+      `evaluated`, at the precision z_i is held to, so that _fixed_horner
+      reads z_i exactly: its value p lies within 3(d+1) units of
+      Q(z_i) 2^G (below 3 units for each of its d + 1 truncations, each
+      multiplied afterwards by powers of 2^m z_i, of modulus below 1), so
+      |Q(z_i)| 2^G <= |p| + 3(d+1) <= |(|p_re| + 3(d+1)) + i(|p_im| + 3(d+1))|;
+    - each |z_i - z_j| from below, from the exact difference of the two
+      triples on the finest grid 2^-T among them.
+
+    Every log2 here is of an exact integer and within 2^-32 of its exact
+    value (the integer rounded once to a double, then one libm log2, of a
+    value below 2^20: integers of under a million bits), and each of the
+    few sums after it rounds by less than 2^-30 (values below 2^22). Each
+    distance and modulus is lowered by _LOG_SLACK = 2^-24 and each radius
+    raised by d of them, which covers those roundings many times over.
+    Two disks are disjoint where the distance of their centers exceeds
+    twice the larger radius; so all are where each center lies farther
+    than twice its own radius from its nearest neighbour. Only leaders,
+    real slots and free slots are computed, on Python integers and
+    doubles: a mirror's disk is its leader's, conjugated, at the same
+    distances (the centers are closed under conjugation wherever a slot
+    has a mirror). The first disk that proves nothing ends the computation.
+    """
+    d = len(xs)
+    T = max((t for _, _, t in xs), default=0)
+    grid = [(xr << (T - t), xi << (T - t)) for xr, xi, t in xs]
+    if len(set(grid)) < d:
+        return None  # two centers coincide
+    err = 3 * (d + 1)
+    radii = [0.0] * d
+    for i, k in enumerate(mirrors):
+        if k is not None and k < i:
+            continue  # a mirror
+        ar, ai = grid[i]
+        pr, pi, _, G = evaluated[xs[i]]
+        # log2 of the squared distances to the other centers on the grid:
+        # log2 |z_i - z_j| = logs_j / 2 - T
+        logs = [math.log2((ar - br) ** 2 + (ai - bi) ** 2) for br, bi in grid[:i] + grid[i + 1 :]]
+        top = d * d * ((abs(pr) + err) ** 2 + (abs(pi) + err) ** 2)
+        # d |W_i| = sqrt(top) 2^-G / (s_n prod |z_i - z_j|)
+        radius = 0.5 * (math.log2(top) - math.fsum(logs)) + (d - 1) * T - G - math.log2(s[-1])
+        radius += d * _LOG_SLACK
+        size = ar * ar + ai * ai
+        modulus = 0.5 * math.log2(size) - T - _LOG_SLACK if size else -math.inf
+        nearest = 0.5 * min(logs, default=math.inf) - T - _LOG_SLACK
+        if radius > modulus - accuracy or radius + 1 >= nearest:
+            return None
+        radii[i] = radii[k if k is not None else i] = radius
+    return radii
+
+
+def _work_bits(precision_bits: int, top: int) -> int:
+    """precision_bits, raised to hold `top` with 64 bits to spare.
+
+    rouche_margin works at this precision. For find_roots it is only the
+    cap of the polish: below it the roots stop where their inclusion
+    disks prove them, and at it they need only certify.
     """
     precision_bits = params.precision_bits(precision_bits, "precision_bits")
     return max(precision_bits, top.bit_length() + 64)

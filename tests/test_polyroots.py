@@ -49,6 +49,7 @@ from subtree_poly_lab.polyroots import (
     _float_start,
     _guarded,
     _horner,
+    _inclusion_disks,
     _modulus,
     _polish,
     _reciprocal,
@@ -63,6 +64,7 @@ from subtree_poly_lab.polyroots import (
     _top_bits,
     _triple,
     _unit_roots,
+    _work_bits,
 )
 
 
@@ -439,14 +441,15 @@ def test_final_polish_stage_corrects_each_root_at_most_once_on_average(n):
     s = complete_graph_counts(n).counts
     work_bits = max(DEFAULT_PRECISION_BITS, max(c.bit_length() for c in s) + 64)
     u, e, _ = _float_start(s)
-    _, corrections, _ = _ladder_polish(s, _top_bits(s), u, e, work_bits)
+    _, corrections, _, _ = _ladder_polish(s, _top_bits(s), u, e, work_bits)
     assert len(corrections) == len(_stages(work_bits)) >= 2
     assert corrections[-1] <= n - 1
 
 
 def test_polish_makes_no_mpmath_call():
-    # every test, Newton quotient and Aberth step of the K_40 polish runs on
-    # Python integers: no function of the mpmath package is entered
+    # every test, Newton quotient and Aberth step of the K_40 polish, and its
+    # inclusion disks, run on Python integers and doubles: no function of
+    # the mpmath package is entered
     s = complete_graph_counts(40).counts
     work_bits = max(DEFAULT_PRECISION_BITS, max(s).bit_length() + 64)
     u, e, _ = _float_start(s)
@@ -459,10 +462,15 @@ def test_polish_makes_no_mpmath_call():
 
     sys.setprofile(profile)
     try:
-        _, corrections, _ = _ladder_polish(s, _top_bits(s), u, e, work_bits)
+        xs, corrections, evaluated, mirrors = _ladder_polish(s, _top_bits(s), u, e, work_bits)
+        for x in xs:
+            if x not in evaluated:
+                evaluated[x] = _fixed_horner(s, _top_bits(s), x, work_bits)[:4]
+        radii = _inclusion_disks(s, xs, mirrors, evaluated, DEFAULT_PRECISION_BITS - 64)
     finally:
         sys.setprofile(None)
     assert not entered
+    assert radii is not None
     # one correction per leader or real slot corrected: [66, 39, 6] while
     # both roots of a pair were corrected
     assert corrections == [33, 20, 3]
@@ -531,8 +539,10 @@ def _counting_evaluator(monkeypatch):
 
 @pytest.mark.parametrize(
     # (221, 111, 6), (429, 256, 0) and (960, 644, 0) while both roots of a
-    # pair were evaluated and corrected
-    "n, values, derivatives, fresh", [(40, 113, 56, 3), (60, 223, 135, 0), (80, 500, 340, 0)]
+    # pair were evaluated and corrected; (113, 56, 3), (223, 135, 0) and
+    # (500, 340, 0) while every polish climbed to the cap _work_bits
+    # (267, 407 and 558 bits) where it now stops at 192
+    "n, values, derivatives, fresh", [(40, 93, 53, 0), (60, 163, 105, 0), (80, 347, 267, 0)]
 )
 def test_root_kernel_work_counts(monkeypatch, n, values, derivatives, fresh):
     # deterministic work of find_roots on K_n: the polish's value passes, a
@@ -667,8 +677,8 @@ def test_float_start_polishes_to_the_roots_of_the_numpy_start(s):
     u, e, _ = _float_start(s)
     reference_u, reference_e, _ = _numpy_float_start(s)
     assert (e, len(u)) == (reference_e, len(reference_u))
-    ours, _, _ = _ladder_polish(s, tops, u, e, work_bits)
-    theirs, _, _ = _ladder_polish(s, tops, [complex(v) for v in reference_u], e, work_bits)
+    ours, _, _, _ = _ladder_polish(s, tops, u, e, work_bits)
+    theirs, _, _, _ = _ladder_polish(s, tops, [complex(v) for v in reference_u], e, work_bits)
     with mp.workprec(work_bits):
         for x in theirs:
             pr, pi, scale, _, _, _ = _fixed_horner(s, tops, x, work_bits)
@@ -731,7 +741,7 @@ def test_integer_aberth_step_matches_mpmath(s, data):
     if data.draw(st.booleans()):
         xs = [_reciprocal(uj, e, bits) for uj in u]
     else:
-        xs, _, _ = _ladder_polish(s, tops, u, e, work_bits)
+        xs, _, _, _ = _ladder_polish(s, tops, u, e, work_bits)
         k = data.draw(st.integers(4, bits // 2 + 8))
         cr, ci = data.draw(st.integers(-256, 256)), data.draw(st.integers(-256, 256))
         xr, xi, t = xs[j]
@@ -853,8 +863,8 @@ def test_residuals_off_the_roots_match_mpmath_horner(monkeypatch, family):
     polish = polyroots._polish
 
     def nudged(*args):
-        xs, corrections, evaluated = polish(*args)
-        return [(xr + (xr >> 20), xi + (xi >> 20), t) for xr, xi, t in xs], corrections, evaluated
+        xs, *rest = polish(*args)
+        return [(xr + (xr >> 20), xi + (xi >> 20), t) for xr, xi, t in xs], *rest
 
     monkeypatch.setattr(polyroots, "_polish", nudged)
     spec = parse_family(family)
@@ -890,8 +900,8 @@ def test_failed_certification_re_polishes_at_most_twice(monkeypatch):
 
     def nudged(s, tops, xs, e, stages, mirrors):
         ladders.append(stages)
-        xs, corrections, evaluated = polish(s, tops, xs, e, stages, mirrors)
-        return [(xr + (xr >> 20), xi + (xi >> 20), t) for xr, xi, t in xs], corrections, evaluated
+        xs, *rest = polish(s, tops, xs, e, stages, mirrors)
+        return [(xr + (xr >> 20), xi + (xi >> 20), t) for xr, xi, t in xs], *rest
 
     monkeypatch.setattr(polyroots, "_polish", nudged)
     with pytest.raises(CertificationError) as failure:
@@ -909,11 +919,11 @@ def test_failed_certification_drops_the_mirrors_at_twice_the_precision(monkeypat
 
     def nudged(s, tops, xs, e, stages, mirrors):
         calls.append((stages, mirrors, xs))
-        xs, corrections, evaluated = polish(s, tops, xs, e, stages, mirrors)
+        xs, corrections, evaluated, mirrors = polish(s, tops, xs, e, stages, mirrors)
         calls[-1] += (evaluated,)
         if len(calls) == 1:
             xs = [(xr + (xr >> 20), xi + (xi >> 20), t) for xr, xi, t in xs]
-        return xs, corrections, evaluated
+        return xs, corrections, evaluated, mirrors
 
     monkeypatch.setattr(polyroots, "_polish", nudged)
     analysis = find_roots(complete_graph_counts(12))
@@ -944,6 +954,178 @@ def test_polish_skips_a_slot_whose_derivative_is_zero(monkeypatch):
     assert len(calls) > 1
     assert analysis.precision_bits == expected.precision_bits == 192
     assert analysis.roots == expected.roots
+
+
+def _host_counts(family, seed=0):
+    # s_1..s_n of the host, a gnp draw conditioned on being connected
+    spec = parse_family(family)
+    if family.startswith("gnp"):
+        return counts_for(generate_connected(spec, seed)[0], spec).counts
+    return counts_for(generate(spec, seed=seed), spec).counts
+
+
+def _disks_at(s, bits, accuracy=0):
+    # the ladder's roots at `bits` from the double start and their
+    # inclusion disks (log2 radii, or None where two may meet or a radius
+    # exceeds 2^-accuracy |x|), every root evaluated at `bits` as the
+    # certification of find_roots leaves it; and a polish of those roots
+    # on at four times the precision
+    tops = _top_bits(s)
+    u, e, _ = _float_start(s)
+    xs, _, evaluated, mirrors = _ladder_polish(s, tops, u, e, bits)
+    for x in xs:
+        if x not in evaluated:
+            evaluated[x] = _fixed_horner(s, tops, x, bits)[:4]
+
+    def refine():
+        return _polish(s, tops, xs, e, [4 * bits], mirrors)[0]
+
+    return xs, _inclusion_disks(s, xs, mirrors, evaluated, accuracy), refine
+
+
+_DISK_HOSTS = [
+    ("complete(40)", 0, 192),
+    ("complete(60)", 0, 192),
+    ("complete(80)", 0, 192),
+    ("complete(120)", 0, 192),
+    ("complete(120)", 0, 384),
+    ("complete(160)", 0, 192),
+    ("complete(160)", 0, 384),
+    ("gnp(14,0.5)", 1, 192),
+    ("cycle(20)", 0, 192),
+    ("random_tree(100)", 2, 192),
+]
+
+
+@pytest.mark.parametrize("family, seed, bits", _DISK_HOSTS)
+def test_each_root_lies_in_its_own_inclusion_disk_and_in_no_other(family, seed, bits):
+    # the roots polished on at four times the precision, with residuals
+    # below 2^-(3 bits) there: each lies in exactly one disk, and each disk
+    # holds exactly one of them. A root farther from a center than the
+    # disk's radius plus 2^-40 times their moduli, in doubles, lies outside
+    # it; every other pair is compared in mpmath
+    s = _host_counts(family, seed)
+    xs, radii, refine = _disks_at(s, bits)
+    assert radii is not None
+    refined = refine()
+    for x in refined:
+        pr, pi, scale = _fixed_horner(s, _top_bits(s), x, 4 * bits)[:3]
+        assert _root_ratio(pr * pr + pi * pi, scale * scale) <= 2.0 ** -(3 * bits)
+    inside = []
+    with mp.workprec(4 * bits):
+        disks = [(_exact(x), complex(_exact(x)), r) for x, r in zip(xs, radii)]
+        for z in map(_exact, refined):
+            w = complex(z)
+            row = []
+            for c, v, r in disks:
+                gap = abs(w - v) - 2.0**r - 2.0**-40 * (abs(w) + abs(v))
+                row.append(gap <= 0 and abs(z - c) <= mp.mpf(2) ** r)
+            inside.append(row)
+    assert all(sum(row) == 1 for row in inside)
+    assert all(sum(column) == 1 for column in zip(*inside))
+
+
+def _exact_value(s, x):
+    # Q(x) 2^(t d) for the triple x = (xr + i xi) 2^-t, exactly: Horner on
+    # Gaussian integers with every term on the grid of 2^-(t d)
+    xr, xi, t = x
+    vr, vi = s[-1], 0
+    for k in range(len(s) - 2, -1, -1):
+        vr, vi = vr * xr - vi * xi + (s[k] << (t * (len(s) - 1 - k))), vr * xi + vi * xr
+    return vr, vi
+
+
+@pytest.mark.parametrize(
+    "family, seed",
+    [("complete(40)", 0), ("complete(120)", 0), ("gnp(14,0.5)", 1), ("cycle(20)", 0),
+     ("random_tree(100)", 2)],
+)
+def test_inclusion_radius_bounds_d_times_the_exact_weierstrass_correction(family, seed):
+    # each returned radius is at least log2(d |W_i|), W_i = Q(z_i) / (s_n
+    # prod_{j != i} (z_i - z_j)), with Q(z_i) exact on the integers and the
+    # rest in mpmath at twice the precision. At a polished root |Q(z_i)| is
+    # about as small as the evaluator's truncations, so a bound that took
+    # its value without their error term would fall below d |W_i| here,
+    # as would one without the factor d
+    s = _host_counts(family, seed)
+    d = len(s) - 1
+    xs, radii, _ = _disks_at(s, DEFAULT_PRECISION_BITS)
+    assert radii is not None
+    with mp.workprec(2 * DEFAULT_PRECISION_BITS):
+        centers = [_exact(x) for x in xs]
+        for i, (x, z) in enumerate(zip(xs, centers)):
+            vr, vi = _exact_value(s, x)
+            q = abs(mp.mpc(vr, vi)) * mp.mpf(2) ** (-x[2] * d)
+            product = mp.fprod(abs(z - c) for j, c in enumerate(centers) if j != i)
+            assert d * q / (s[-1] * product) <= mp.mpf(2) ** radii[i]
+
+
+def test_inclusion_disks_prove_nothing_on_a_double_root_or_past_their_accuracy():
+    # 2^200 (x + 1)^2: both disks hold the double root, so they meet at
+    # every precision, and find_roots climbs to the cap _work_bits. The
+    # disks of K_160 at 192 bits are disjoint (the test above), but with
+    # radii up to 2^-57 |x| they do not prove its roots to 128 bits
+    assert _disks_at(_host_counts("complete(160)"), 192, 128)[1] is None
+    s = [2**200, 2**201, 2**200]
+    for bits in (192, 384):
+        assert _disks_at(s, bits)[1] is None
+    analysis = find_roots(SubtreeCountVector(n=3, counts=tuple(s)))
+    assert analysis.precision_bits == _work_bits(DEFAULT_PRECISION_BITS, 2**201) == 266
+
+
+@pytest.mark.parametrize("n, bits", [(40, 192), (60, 192), (80, 192), (120, 384), (160, 384)])
+def test_find_roots_stops_where_the_disks_prove_the_roots(n, bits):
+    # the default request: each root proven to 192 - 64 bits, on K_40..K_80
+    # at 192 bits, where the cap _work_bits is 267..558, and on K_120 and
+    # K_160 at 384 (at 192 their largest radii are 2^-88 and 2^-57 |x|)
+    counts = complete_graph_counts(n)
+    analysis = find_roots(counts)
+    assert analysis.precision_bits == bits < _work_bits(DEFAULT_PRECISION_BITS, max(counts.counts))
+    assert max(analysis.residuals) <= RESIDUAL_THRESHOLD
+
+
+def test_find_roots_climbs_to_the_cap_where_the_disks_prove_nothing(monkeypatch):
+    # random_tree(200) seed 0 asked for 106 bits: the pass at 106 and the
+    # one at its cap of 170 do not certify (clustered roots), and the
+    # re-polish at twice the cap does, as the ladder of the cap alone did
+    counts = SubtreeCountVector(n=200, counts=tuple(_host_counts("random_tree(200)", 0)))
+    polish = polyroots._polish
+    ladders = []
+
+    def recorded(s, tops, xs, e, stages, mirrors):
+        ladders.append(stages)
+        return polish(s, tops, xs, e, stages, mirrors)
+
+    monkeypatch.setattr(polyroots, "_polish", recorded)
+    analysis = find_roots(counts, 106)
+    assert _work_bits(106, max(counts.counts)) == 170
+    assert ladders == [[106], [170], [340]]
+    assert analysis.precision_bits == 340
+
+
+def test_split_pairs_stay_real_slots_up_the_ladder(monkeypatch):
+    # random_tree(100) seed 2 asked for 106 bits: the pass at 106 splits a
+    # pair into two real slots and certifies, its disks do not prove the
+    # roots, and the pass at the cap of 112 starts from the slots' kinds
+    # the first pass left: every real slot stays real, on the axis
+    counts = SubtreeCountVector(n=100, counts=tuple(_host_counts("random_tree(100)", 2)))
+    polish = polyroots._polish
+    calls = []
+
+    def recorded(s, tops, xs, e, stages, mirrors):
+        result = polish(s, tops, xs, e, stages, mirrors)
+        calls.append((stages, list(mirrors), result[0], result[3]))
+        return result
+
+    monkeypatch.setattr(polyroots, "_polish", recorded)
+    analysis = find_roots(counts, 106)
+    assert [stages for stages, _, _, _ in calls] == [[106], [112]]
+    (_, first_in, _, first_out), (_, second_in, xs, second_out) = calls
+    real = [j for j, k in enumerate(first_out) if k == j]
+    assert len(real) > sum(1 for j, k in enumerate(first_in) if k == j)
+    assert second_in == first_out
+    assert all(second_out[j] == j and xs[j][1] == 0 for j in real)
+    assert analysis.precision_bits == 112
 
 
 def _mpmath_rouche(counts, alpha, C, circle_points):
