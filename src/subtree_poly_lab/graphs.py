@@ -76,17 +76,12 @@ class Graph(NamedTuple):
 
 class DegreeProfile(NamedTuple):
     min_degree: int
-    max_degree: int
     alpha: Fraction  # min_degree / n, kept exact
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
-    degs = g.degrees
-    return DegreeProfile(
-        min_degree=min(degs),
-        max_degree=max(degs),
-        alpha=Fraction(min(degs), g.n),
-    )
+    delta = min(g.degrees)
+    return DegreeProfile(min_degree=delta, alpha=Fraction(delta, g.n))
 
 
 def is_connected(g: Graph, keep: int | None = None) -> bool:

@@ -12,16 +12,16 @@ taken from the bit lengths of s_1 and s_n so that the coefficients stay
 in double range; each root freezes once |F| is at the level of rounding
 error. The roots are mapped back to x = 1/y and polished by Gauss-Seidel
 Aberth corrections on a precision ladder: 128, 256, 512, ... bits,
-ending at exactly the requested precision_bits, each stage stopping
-every root at its rounding level. The polish holds each root as Gaussian
-fixed-point integers (xr, xi, t), x = (xr + i xi) 2^-t, rounded to the
-stage's bits, and runs on Python integers alone: each step evaluates
-Q(x) = S(x)/x on the exact integer coefficients, builds Q'(x) from the
-same pass's partial sums only when the root moves, and takes the Aberth
-step Q/(Q' - Q R) by one integer division, the repulsion R summed in
-double precision and read exactly; the simultaneous correction keeps
-two iterates from settling on one root. mpmath sums only R, for a root
-whose repulsion leaves double range.
+reaching exactly the requested precision_bits, one polish per rung,
+each stopping every root at its rounding level. The polish holds each
+root as Gaussian fixed-point integers (xr, xi, t), x = (xr + i xi) 2^-t,
+rounded to the rung's bits, and runs on Python integers alone: each step
+evaluates Q(x) = S(x)/x on the exact integer coefficients, builds Q'(x)
+from the same pass's partial sums only when the root moves, and takes
+the Aberth step Q/(Q' - Q R) by one integer division, the repulsion R
+summed in double precision and read exactly; the simultaneous
+correction keeps two iterates from settling on one root. mpmath sums
+only R, for a root whose repulsion leaves double range.
 
 S has real coefficients, so its roots are closed under conjugation, and
 the start and the polish work on one root of each pair. The start
@@ -34,10 +34,10 @@ start's sweeps). A start pair that crosses the axis is reflected back;
 a polish pair whose imaginary part changes sign splits into two real
 slots. The roots are certified at the working precision by
 scale-normalized residuals |Q(x)| / Q(|x|), doubles rounded once from
-the integers of the final polish stage's last evaluation, which also
-gives the mirror's (a root moved after it is evaluated afresh, one pass
-for a pair), plus a Vieta product check in mpmath on the roots built
-exactly from the integers.
+the integers of the last rung's last evaluation, which also gives the
+mirror's (a root moved after it is evaluated afresh, one pass for a
+pair), plus a Vieta product check in mpmath on the roots built exactly
+from the integers.
 
 precision_bits is an accuracy target. The polish stops at it where the
 roots certify and their Weierstrass inclusion disks (_inclusion_disks,
@@ -89,7 +89,7 @@ VIETA_RELATIVE_TOLERANCE = 1e-8
 CLUSTER_TOLERANCE = 1e-7
 TREE_ROOT_BOUND = 1.0 + 3.0 ** (1.0 / 3.0)
 MAX_START_SWEEPS = 500  # double-precision Aberth sweeps before the polish takes over
-MAX_POLISH_SWEEPS = 60  # Aberth sweeps per polish stage
+MAX_POLISH_SWEEPS = 60  # Aberth sweeps per _polish call
 MAX_ESCALATIONS = 2  # re-polishes at twice the precision before certification fails
 _LOG_SLACK = 2.0**-24  # the safe-side slack of each log2 in the inclusion disks
 
@@ -107,7 +107,7 @@ class RootAnalysis(NamedTuple):
     roots: tuple  # mpc values, n entries, forced 0 first, then by real part; see _root_key
     residuals: tuple[float, ...]
     max_modulus: float
-    iterations: int  # start sweeps + polish corrections (one per slot corrected), all stages
+    iterations: int  # start sweeps + polish corrections (one per slot corrected), all rungs
     precision_bits: int
     vieta_product: mp.mpf  # product of the root moduli, at precision_bits
     vieta_target: mp.mpf  # s_1 / s_n, at precision_bits
@@ -221,16 +221,6 @@ def _float_start(s: Sequence[int]) -> tuple[list[complex], int, int]:
     return [zj if cmath.isfinite(zj) else z0j for zj, z0j in zip(z, z0)], e, sweeps
 
 
-def _stages(work_bits: int) -> list[int]:
-    """Polish precisions: 128, 256, 512, ... bits below work_bits, then work_bits."""
-    stages = []
-    bits = 128
-    while bits < work_bits:
-        stages.append(bits)
-        bits *= 2
-    return stages + [work_bits]
-
-
 def _guarded(bits: int, n: int) -> int:
     """F = bits + guard bits: the bits _fixed_horner keeps of x for n coefficients."""
     return bits + 2 * (4 * n).bit_length()
@@ -287,7 +277,7 @@ def _fixed_horner(s: Sequence[int], tops: list, x: tuple, bits: int) -> tuple:
     the errors stay under
     2^-(bits+guard) Q(|x|) and d 2^-(bits+guard) Q'(|x|), the accuracy of
     mpmath's Horner at `bits` and far below the stop test's threshold
-    4 d 2^-bits Q(|x|), with integers no longer than the stage needs.
+    4 d 2^-bits Q(|x|), with integers no longer than the polish needs.
     """
     d = len(s) - 1
     xr, xi, point = x
@@ -457,20 +447,19 @@ def _conjugate(x: tuple) -> tuple[int, int, int]:
 
 
 def _polish(
-    s: Sequence[int], tops: list, xs: list, e: int, stages: list[int], mirrors: list
-) -> tuple[list, list[int], dict, list]:
-    """Gauss-Seidel Aberth corrections on Q(x) = S(x)/x, on Gaussian fixed-point integers.
+    s: Sequence[int], tops: list, xs: list, e: int, bits: int, mirrors: list
+) -> tuple[list, int, dict, list]:
+    """Gauss-Seidel Aberth corrections on Q(x) = S(x)/x at `bits` bits, on fixed-point integers.
 
     `tops` is _top_bits(s), xs the start points as triples (xr, xi, t)
     (x = (xr + i xi) 2^-t) and e the exponent that brings 2^e x into
-    double range for the repulsion. Returns the points polished to the
-    last of `stages` (the polish precisions, _stages(bits) from a cold
-    start), the number of corrections at each stage, the last stage's
-    evaluations (each triple it evaluated maps to the integers
-    (p_re, p_im, scale, G) of _fixed_horner there, so the certification
-    re-evaluates only a root that moved after its last evaluation) and
-    the slots' kinds after the last stage, which a further call takes as
-    its `mirrors` so that a pair split into two real slots stays split.
+    double range for the repulsion. Returns the polished points, the
+    number of corrections, the evaluations (each triple evaluated maps
+    to the integers (p_re, p_im, scale, G) of _fixed_horner, so the
+    certification re-evaluates only a root that moved after its last
+    evaluation) and the slots' kinds after the polish, which the next
+    call takes as its `mirrors` so that a pair split into two real slots
+    stays split.
 
     `mirrors` gives each slot's kind. Q has real coefficients, so its
     roots are closed under conjugation: a pair leader j < mirrors[j] is
@@ -483,69 +472,65 @@ def _polish(
     vanishes) in a correction cannot reach two real roots as a pair: it
     splits into two real slots, one on each side of its real part.
 
-    Each stage rounds the points to its bits and runs at most
-    MAX_POLISH_SWEEPS sweeps, each correction using the roots already
-    corrected. A root freezes for the stage when
-    |Q(x)| <= 4 d 2^-bits Q(|x|) (rounding level; Q has nonnegative
-    coefficients) or its step falls below 2^-(bits-16)|x|. Q'(x) is
-    built only after the freeze test fails. Frozen roots still repel the
-    others. Every test and step runs on the integers; mpmath sums only
-    the repulsion of a root whose double sum leaves double range.
+    The points are rounded to `bits` bits, and at most MAX_POLISH_SWEEPS
+    sweeps run, each correction using the roots already corrected. A
+    root freezes when |Q(x)| <= 4 d 2^-bits Q(|x|) (rounding level; Q
+    has nonnegative coefficients) or its step falls below
+    2^-(bits-16)|x|. Q'(x) is built only after the freeze test fails.
+    Frozen roots still repel the others. Every test and step runs on the
+    integers; mpmath sums only the repulsion of a root whose double sum
+    leaves double range.
     """
     d = len(s) - 1
     mirrors = list(mirrors)
     scaled = [_scaled_copy(x, e) for x in xs]
-    corrections = []
+    xs = [_rounded(*x, bits) for x in xs]
+    for j, k in enumerate(mirrors):
+        if k is not None and j < k:
+            xs[k], scaled[k] = _conjugate(xs[j]), scaled[j].conjugate()
+    corrections = 0
     evaluated = {}
-    for bits in stages:
-        xs = [_rounded(*x, bits) for x in xs]
-        for j, k in enumerate(mirrors):
-            if k is not None and j < k:
+    active = [j for j, k in enumerate(mirrors) if k is None or j <= k]
+    for _ in range(MAX_POLISH_SWEEPS):
+        if not active:
+            break
+        still = []
+        for j in active:
+            x, k = xs[j], mirrors[j]
+            leader = k is not None and j < k
+            pr, pi, scale, G, m, trail = _fixed_horner(s, tops, x, bits)
+            evaluated[x] = pr, pi, scale, G
+            if leader:
+                evaluated[_conjugate(x)] = pr, -pi, scale, G
+            if (pr * pr + pi * pi) << (2 * bits) <= (4 * d * scale) ** 2:
+                continue
+            q = _fixed_derivative(trail)
+            if not any(q):
+                continue
+            r = _repulsion(scaled, j, e)
+            if r is None:
+                r = _exact_repulsion(xs, j, bits)
+            sr, si, ts = _aberth_step((pr, pi), q, m, x[2], r, bits)
+            if j == k:
+                si = 0  # the step at a real point is real; its imaginary part is noise
+            # the point on the step's grid, where the subtraction is exact
+            xi0 = x[1] << (ts - x[2])
+            xr, xi = (x[0] << (ts - x[2])) - sr, xi0 - si
+            corrections += 1
+            if leader and xi * xi0 <= 0:
+                h = max(abs(xi0), abs(xi))
+                xs[j], xs[k] = _rounded(xr - h, 0, ts, bits), _rounded(xr + h, 0, ts, bits)
+                scaled[j], scaled[k] = _scaled_copy(xs[j], e), _scaled_copy(xs[k], e)
+                mirrors[j], mirrors[k] = j, k
+                still += [j, k]
+                continue
+            xs[j] = _rounded(xr, xi, ts, bits)
+            scaled[j] = _scaled_copy(xs[j], e)
+            if leader:
                 xs[k], scaled[k] = _conjugate(xs[j]), scaled[j].conjugate()
-        count = 0
-        active = [j for j, k in enumerate(mirrors) if k is None or j <= k]
-        for _ in range(MAX_POLISH_SWEEPS):
-            if not active:
-                break
-            still = []
-            for j in active:
-                x, k = xs[j], mirrors[j]
-                leader = k is not None and j < k
-                pr, pi, scale, G, m, trail = _fixed_horner(s, tops, x, bits)
-                if bits == stages[-1]:
-                    evaluated[x] = pr, pi, scale, G
-                    if leader:
-                        evaluated[_conjugate(x)] = pr, -pi, scale, G
-                if (pr * pr + pi * pi) << (2 * bits) <= (4 * d * scale) ** 2:
-                    continue
-                q = _fixed_derivative(trail)
-                if not any(q):
-                    continue
-                r = _repulsion(scaled, j, e)
-                if r is None:
-                    r = _exact_repulsion(xs, j, bits)
-                sr, si, ts = _aberth_step((pr, pi), q, m, x[2], r, bits)
-                if j == k:
-                    si = 0  # the step at a real point is real; its imaginary part is noise
-                # the point on the step's grid, where the subtraction is exact
-                xi0 = x[1] << (ts - x[2])
-                xr, xi = (x[0] << (ts - x[2])) - sr, xi0 - si
-                count += 1
-                if leader and xi * xi0 <= 0:
-                    h = max(abs(xi0), abs(xi))
-                    xs[j], xs[k] = _rounded(xr - h, 0, ts, bits), _rounded(xr + h, 0, ts, bits)
-                    scaled[j], scaled[k] = _scaled_copy(xs[j], e), _scaled_copy(xs[k], e)
-                    mirrors[j], mirrors[k] = j, k
-                    still += [j, k]
-                    continue
-                xs[j] = _rounded(xr, xi, ts, bits)
-                scaled[j] = _scaled_copy(xs[j], e)
-                if leader:
-                    xs[k], scaled[k] = _conjugate(xs[j]), scaled[j].conjugate()
-                if (sr * sr + si * si) << (2 * (bits - 16)) > xr * xr + xi * xi:
-                    still.append(j)
-            active = still
-        corrections.append(count)
+            if (sr * sr + si * si) << (2 * (bits - 16)) > xr * xr + xi * xi:
+                still.append(j)
+        active = still
     return xs, corrections, evaluated, mirrors
 
 
@@ -556,17 +541,18 @@ def find_roots(
     """All roots of S(x), certified; the count equals the true degree.
 
     Trailing zero coefficients (a disconnected source leaves s_n = 0)
-    are trimmed first. The polish climbs the ladder to precision_bits
-    and stops there where the roots certify and their inclusion disks
-    (_inclusion_disks) prove each of them to precision_bits - 64 bits:
-    the disks pairwise disjoint, each radius at most
-    2^-(precision_bits - 64) |x|. Otherwise it polishes on at twice the
-    precision, up to the cap _work_bits, where the roots need only
-    certify. Where a residual stays above threshold or the Vieta product
-    check misses at the cap, the roots are polished again from their own
-    iterates at twice the precision, at most MAX_ESCALATIONS times; then
-    it raises CertificationError (carrying the best iterates and
-    residuals) instead of returning dubious roots.
+    are trimmed first. Each _polish call runs at one precision, `bits`,
+    on the ladder: it starts at min(128, precision_bits) and doubles up to
+    precision_bits with no test. From there it stops where the roots
+    certify and their inclusion disks (_inclusion_disks) prove each of
+    them to precision_bits - 64 bits: the disks pairwise disjoint, each
+    radius at most 2^-(precision_bits - 64) |x|. Otherwise it doubles up
+    to the cap _work_bits, where certification alone stops it. Where a
+    residual stays above threshold or the Vieta product check misses at
+    the cap, the roots are polished again from their own iterates at
+    twice the precision with every mirror dropped, at most
+    MAX_ESCALATIONS times; then it raises CertificationError (carrying
+    the best iterates and residuals) instead of returning dubious roots.
     """
     s, n = counts.counts, counts.n
     if s[0] < 1:
@@ -578,48 +564,50 @@ def find_roots(
     cap = _work_bits(precision_bits, max(s))
     tops = _top_bits(s)
     u, e, sweeps = _float_start(s) if n > 1 else ([], 0, 0)  # S(x) = s_1 x: only the root 0
-    stages = _stages(precision_bits)
-    xs = [_reciprocal(uj, e, stages[0]) for uj in u]
+    bits = min(128, precision_bits)
+    xs = [_reciprocal(uj, e, bits) for uj in u]
     d = len(xs)
     mirrors = [d - 1 - j for j in range(d)]  # the start's pairs: slot d-1-j mirrors slot j
     iterations = sweeps
     escalations = 0
     while True:
-        xs, corrections, evaluated, mirrors = _polish(s, tops, xs, e, stages, mirrors)
-        iterations += sum(corrections)
-        work_bits = stages[-1]
+        xs, corrections, evaluated, mirrors = _polish(s, tops, xs, e, bits, mirrors)
+        iterations += corrections
+        if bits < precision_bits:
+            bits = min(2 * bits, precision_bits)
+            continue
         # scale-normalized residuals |S(x)| / S(|x|) = |Q(x)| / Q(|x|), the
         # |x| factors cancelling; the scale is free of cancellation and
         # positive (Q has nonnegative coefficients and Q(0) = s_1 >= 1).
-        # A root the polish left where it last evaluated it at work_bits
-        # takes those integers; one it moved afterwards is evaluated afresh,
-        # and the pass serves its exact conjugate too. Each residual is
-        # rounded once to a double, from the integers.
+        # A root the polish left where it last evaluated it takes those
+        # integers; one it moved afterwards is evaluated afresh, and the
+        # pass serves its exact conjugate too. Each residual is rounded
+        # once to a double, from the integers.
         residuals = [0.0]
         for x in xs:
             if x not in evaluated:
-                pr, pi, scale, G = _fixed_horner(s, tops, x, work_bits)[:4]
+                pr, pi, scale, G = _fixed_horner(s, tops, x, bits)[:4]
                 evaluated[x], evaluated[_conjugate(x)] = (pr, pi, scale, G), (pr, -pi, scale, G)
             pr, pi, scale, _ = evaluated[x]
             residuals.append(_root_ratio(pr * pr + pi * pi, scale * scale))
         roots = [mp.mpc(0)] + [_exact(x) for x in xs]
-        with mp.workprec(work_bits):
+        with mp.workprec(bits):
             vieta_product = mp.fprod(abs(x) for x in roots[1:])
             vieta_target = mp.mpf(s[0]) / mp.mpf(s[-1])
             vieta_rel = float(abs(vieta_product - vieta_target) / vieta_target)
         certified = _certified(residuals, vieta_rel)
-        if work_bits < cap:
+        if bits < cap:
             accuracy = precision_bits - 64
             if certified and _inclusion_disks(s, xs, mirrors, evaluated, accuracy) is not None:
                 break
-            stages = [min(2 * work_bits, cap)]  # the pairs and real slots carried on
+            bits = min(2 * bits, cap)  # the pairs and real slots carried on
         elif certified:
             break
         elif escalations < MAX_ESCALATIONS:
             escalations += 1
             # every mirror dropped: each slot is corrected on its own, so a
             # pair that split wrongly or stalled cannot stay as it was
-            stages, mirrors = [2 * work_bits], [None] * d
+            bits, mirrors = 2 * bits, [None] * d
         else:
             worst = max(residuals, key=lambda r: (math.isnan(r), r))
             raise CertificationError(
@@ -628,9 +616,8 @@ def find_roots(
                 roots=roots,
                 residuals=residuals,
             )
-    with mp.workprec(work_bits):
-        half_bits = work_bits // 2
-        pairs = sorted(zip(roots[1:], residuals[1:]), key=lambda t: _root_key(t[0], half_bits))
+    with mp.workprec(bits):
+        pairs = sorted(zip(roots[1:], residuals[1:]), key=lambda t: _root_key(t[0], bits // 2))
         max_modulus = float(max(abs(x) for x in roots))
     ordered = [roots[0]] + [x for x, _ in pairs]
     ordered_residuals = (0.0,) + tuple(r for _, r in pairs)
@@ -639,7 +626,7 @@ def find_roots(
         residuals=ordered_residuals,
         max_modulus=max_modulus,
         iterations=iterations,
-        precision_bits=work_bits,
+        precision_bits=bits,
         vieta_product=vieta_product,
         vieta_target=vieta_target,
         vieta_relative_error=vieta_rel,
@@ -713,13 +700,12 @@ def _inclusion_disks(
 
 
 def _work_bits(precision_bits: int, top: int) -> int:
-    """precision_bits, raised to hold `top` with 64 bits to spare.
+    """precision_bits (checked by the caller), raised to hold `top` with 64 bits to spare.
 
     rouche_margin works at this precision. For find_roots it is only the
     cap of the polish: below it the roots stop where their inclusion
     disks prove them, and at it they need only certify.
     """
-    precision_bits = params.precision_bits(precision_bits, "precision_bits")
     return max(precision_bits, top.bit_length() + 64)
 
 
@@ -820,6 +806,7 @@ def rouche_margin(
     """
     C = params.rouche_C(C, "C")
     N = params.circle_points(circle_points, "circle_points")
+    precision_bits = params.precision_bits(precision_bits, "precision_bits")
     n = counts.n
     if n < 2:
         raise ValidationError("Rouche margin needs n >= 2")

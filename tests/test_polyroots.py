@@ -59,7 +59,6 @@ from subtree_poly_lab.polyroots import (
     _root_ratio,
     _scaled_copy,
     _scaled_ratio,
-    _stages,
     _start_step,
     _top_bits,
     _triple,
@@ -256,8 +255,9 @@ def test_cluster_reporting_total_multiplicity():
 
 
 def test_precision_floor_enforced():
-    with pytest.raises(ValidationError, match="at least 106"):
-        find_roots(_vector(3, 2, 1), precision_bits=64)
+    for bits in (64, 105):
+        with pytest.raises(ValidationError, match="at least 106"):
+            find_roots(_vector(3, 2, 1), precision_bits=bits)
     with pytest.raises(ValidationError, match="at least 106"):
         rouche_margin(complete_graph_counts(5), Fraction(4, 5), precision_bits=10)
 
@@ -312,12 +312,26 @@ def test_k80_certifies_and_meets_vieta():
         assert abs(total - target) < 1e-8 * abs(target)
 
 
-def test_polish_stages_double_from_128_and_end_at_work_bits():
-    assert _stages(106) == [106]
-    assert _stages(128) == [128]
-    assert _stages(192) == [128, 192]
-    assert _stages(558) == [128, 256, 512, 558]
-    assert _stages(1221) == [128, 256, 512, 1024, 1221]
+@pytest.mark.parametrize(
+    "n, precision_bits, ladder",
+    [(40, 106, [106]), (40, 512, [128, 256, 512]), (80, 192, [128, 192]),
+     (120, 192, [128, 192, 384]), (160, 192, [128, 192, 384])],
+)
+def test_find_roots_polishes_once_per_rung_from_128(monkeypatch, n, precision_bits, ladder):
+    # one _polish call per rung: min(128, precision_bits), doubled up to
+    # precision_bits, then doubled on where the inclusion disks prove nothing
+    # (K_120 and K_160 at 192 bits; their caps are 880 and 1221)
+    polish = polyroots._polish
+    rungs = []
+
+    def recorded(s, tops, xs, e, bits, mirrors):
+        rungs.append(bits)
+        return polish(s, tops, xs, e, bits, mirrors)
+
+    monkeypatch.setattr(polyroots, "_polish", recorded)
+    analysis = find_roots(complete_graph_counts(n), precision_bits)
+    assert rungs == ladder
+    assert analysis.precision_bits == ladder[-1]
 
 
 def _inline_fixed_horner(s, trail, g, m):
@@ -427,12 +441,26 @@ def test_roots_match_mpmath_polyroots(n, p, seed):
     assert not ours
 
 
+def _rungs(work_bits):
+    # the ladder up to work_bits: 128, 256, 512, ... below it, then work_bits
+    rungs = [min(128, work_bits)]
+    while rungs[-1] < work_bits:
+        rungs.append(min(2 * rungs[-1], work_bits))
+    return rungs
+
+
 def _ladder_polish(s, tops, u, e, work_bits):
-    # the polish of find_roots from the double start u: the whole ladder,
-    # slot d-1-j the mirror of slot j as on the symmetric start circle
-    stages = _stages(work_bits)
-    xs = [_reciprocal(uj, e, stages[0]) for uj in u]
-    return _polish(s, tops, xs, e, stages, [len(u) - 1 - j for j in range(len(u))])
+    # the polish of find_roots from the double start u, one _polish call per
+    # rung up to work_bits, slot d-1-j the mirror of slot j as on the
+    # symmetric start circle; the corrections are counted per rung
+    rungs = _rungs(work_bits)
+    xs = [_reciprocal(uj, e, rungs[0]) for uj in u]
+    mirrors = [len(u) - 1 - j for j in range(len(u))]
+    corrections = []
+    for bits in rungs:
+        xs, count, evaluated, mirrors = _polish(s, tops, xs, e, bits, mirrors)
+        corrections.append(count)
+    return xs, corrections, evaluated, mirrors
 
 
 @pytest.mark.parametrize("n", [40, 60, 80])
@@ -442,7 +470,7 @@ def test_final_polish_stage_corrects_each_root_at_most_once_on_average(n):
     work_bits = max(DEFAULT_PRECISION_BITS, max(c.bit_length() for c in s) + 64)
     u, e, _ = _float_start(s)
     _, corrections, _, _ = _ladder_polish(s, _top_bits(s), u, e, work_bits)
-    assert len(corrections) == len(_stages(work_bits)) >= 2
+    assert len(corrections) == len(_rungs(work_bits)) >= 2
     assert corrections[-1] <= n - 1
 
 
@@ -735,8 +763,7 @@ def test_integer_aberth_step_matches_mpmath(s, data):
     work_bits = max(DEFAULT_PRECISION_BITS, max(s).bit_length() + 64)
     tops = _top_bits(s)
     u, e, _ = _float_start(s)
-    stages = _stages(work_bits)
-    bits = data.draw(st.sampled_from(stages))
+    bits = data.draw(st.sampled_from(_rungs(work_bits)))
     j = data.draw(st.integers(0, len(u) - 1))
     if data.draw(st.booleans()):
         xs = [_reciprocal(uj, e, bits) for uj in u]
@@ -896,40 +923,41 @@ def test_failed_certification_re_polishes_at_most_twice(monkeypatch):
     # roots moved off after every polish never certify: the polish runs
     # the ladder, then once at twice and once at four times work_bits
     polish = polyroots._polish
-    ladders = []
+    ladder = []
 
-    def nudged(s, tops, xs, e, stages, mirrors):
-        ladders.append(stages)
-        xs, *rest = polish(s, tops, xs, e, stages, mirrors)
+    def nudged(s, tops, xs, e, bits, mirrors):
+        ladder.append(bits)
+        xs, *rest = polish(s, tops, xs, e, bits, mirrors)
         return [(xr + (xr >> 20), xi + (xi >> 20), t) for xr, xi, t in xs], *rest
 
     monkeypatch.setattr(polyroots, "_polish", nudged)
     with pytest.raises(CertificationError) as failure:
         find_roots(complete_graph_counts(12))
-    assert ladders == [[128, 192], [384], [768]]
+    assert ladder == [128, 192, 384, 768]
     assert min(failure.value.residuals[1:]) > RESIDUAL_THRESHOLD
 
 
 def test_failed_certification_drops_the_mirrors_at_twice_the_precision(monkeypatch):
-    # roots moved off after the first polish only: the re-polish runs once,
-    # at twice work_bits with every slot free (each evaluated and corrected
-    # on its own, no mirror and no real slot), and certifies
+    # roots moved off after the polish at precision_bits only (the 192 rung
+    # would repair a nudge at 128): the re-polish runs once, at twice
+    # work_bits with every slot free (each evaluated and corrected on its
+    # own, no mirror and no real slot), and certifies
     polish = polyroots._polish
     calls = []
 
-    def nudged(s, tops, xs, e, stages, mirrors):
-        calls.append((stages, mirrors, xs))
-        xs, corrections, evaluated, mirrors = polish(s, tops, xs, e, stages, mirrors)
+    def nudged(s, tops, xs, e, bits, mirrors):
+        calls.append((bits, mirrors, xs))
+        xs, corrections, evaluated, mirrors = polish(s, tops, xs, e, bits, mirrors)
         calls[-1] += (evaluated,)
-        if len(calls) == 1:
+        if len(calls) == 2:
             xs = [(xr + (xr >> 20), xi + (xi >> 20), t) for xr, xi, t in xs]
         return xs, corrections, evaluated, mirrors
 
     monkeypatch.setattr(polyroots, "_polish", nudged)
     analysis = find_roots(complete_graph_counts(12))
     d = 11
-    (ladder, start_mirrors, _, _), (stages, mirrors, xs, evaluated) = calls
-    assert (ladder, stages) == ([128, 192], [384])
+    (first, start_mirrors, _, _), (second, _, _, _), (bits, mirrors, xs, evaluated) = calls
+    assert (first, second, bits) == (128, 192, 384)
     assert start_mirrors == [d - 1 - j for j in range(d)]
     assert mirrors == [None] * d
     # every slot was evaluated where the re-polish started it
@@ -978,7 +1006,7 @@ def _disks_at(s, bits, accuracy=0):
             evaluated[x] = _fixed_horner(s, tops, x, bits)[:4]
 
     def refine():
-        return _polish(s, tops, xs, e, [4 * bits], mirrors)[0]
+        return _polish(s, tops, xs, e, 4 * bits, mirrors)[0]
 
     return xs, _inclusion_disks(s, xs, mirrors, evaluated, accuracy), refine
 
@@ -1073,6 +1101,25 @@ def test_inclusion_disks_prove_nothing_on_a_double_root_or_past_their_accuracy()
     assert analysis.precision_bits == _work_bits(DEFAULT_PRECISION_BITS, 2**201) == 266
 
 
+def test_inclusion_disks_prove_nothing_where_two_centers_coincide():
+    # K_12's polished roots as free slots; slot 1 then takes slot 0's point,
+    # held on a grid one bit finer: on the common grid the two centers are
+    # equal, so no disk is proven (and their distance has no log2)
+    s = complete_graph_counts(12).counts
+    tops = _top_bits(s)
+    u, e, _ = _float_start(s)
+    xs, _, evaluated, _ = _ladder_polish(s, tops, u, e, DEFAULT_PRECISION_BITS)
+    d = len(xs)
+    for x in xs:
+        if x not in evaluated:
+            evaluated[x] = _fixed_horner(s, tops, x, DEFAULT_PRECISION_BITS)[:4]
+    assert _inclusion_disks(s, xs, [None] * d, evaluated, 0) is not None
+    xr, xi, t = xs[0]
+    xs[1] = (2 * xr, 2 * xi, t + 1)
+    evaluated[xs[1]] = _fixed_horner(s, tops, xs[1], DEFAULT_PRECISION_BITS)[:4]
+    assert _inclusion_disks(s, xs, [None] * d, evaluated, 0) is None
+
+
 @pytest.mark.parametrize("n, bits", [(40, 192), (60, 192), (80, 192), (120, 384), (160, 384)])
 def test_find_roots_stops_where_the_disks_prove_the_roots(n, bits):
     # the default request: each root proven to 192 - 64 bits, on K_40..K_80
@@ -1090,16 +1137,16 @@ def test_find_roots_climbs_to_the_cap_where_the_disks_prove_nothing(monkeypatch)
     # re-polish at twice the cap does, as the ladder of the cap alone did
     counts = SubtreeCountVector(n=200, counts=tuple(_host_counts("random_tree(200)", 0)))
     polish = polyroots._polish
-    ladders = []
+    ladder = []
 
-    def recorded(s, tops, xs, e, stages, mirrors):
-        ladders.append(stages)
-        return polish(s, tops, xs, e, stages, mirrors)
+    def recorded(s, tops, xs, e, bits, mirrors):
+        ladder.append(bits)
+        return polish(s, tops, xs, e, bits, mirrors)
 
     monkeypatch.setattr(polyroots, "_polish", recorded)
     analysis = find_roots(counts, 106)
     assert _work_bits(106, max(counts.counts)) == 170
-    assert ladders == [[106], [170], [340]]
+    assert ladder == [106, 170, 340]
     assert analysis.precision_bits == 340
 
 
@@ -1112,14 +1159,14 @@ def test_split_pairs_stay_real_slots_up_the_ladder(monkeypatch):
     polish = polyroots._polish
     calls = []
 
-    def recorded(s, tops, xs, e, stages, mirrors):
-        result = polish(s, tops, xs, e, stages, mirrors)
-        calls.append((stages, list(mirrors), result[0], result[3]))
+    def recorded(s, tops, xs, e, bits, mirrors):
+        result = polish(s, tops, xs, e, bits, mirrors)
+        calls.append((bits, list(mirrors), result[0], result[3]))
         return result
 
     monkeypatch.setattr(polyroots, "_polish", recorded)
     analysis = find_roots(counts, 106)
-    assert [stages for stages, _, _, _ in calls] == [[106], [112]]
+    assert [bits for bits, _, _, _ in calls] == [106, 112]
     (_, first_in, _, first_out), (_, second_in, xs, second_out) = calls
     real = [j for j, k in enumerate(first_out) if k == j]
     assert len(real) > sum(1 for j, k in enumerate(first_in) if k == j)
@@ -1250,6 +1297,8 @@ def test_rouche_margin_rejects_small_C():
     for alpha in (Fraction(0), Fraction(-9, 10)):
         with pytest.raises(ValidationError, match="alpha must be positive"):
             rouche_margin(counts, alpha)
+    with pytest.raises(ValidationError, match="at least 106"):
+        rouche_margin(counts, Fraction(9, 10), precision_bits=105)
     # a disconnected source (alpha 0) is refused as disconnected
     with pytest.raises(ValidationError, match="disconnected"):
         rouche_margin(SubtreeCountVector(4, (4, 2, 0, 0)), Fraction(0))

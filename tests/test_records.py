@@ -10,7 +10,7 @@ from subtree_poly_lab.cli import _json
 # every record with its field names, in the order the documents print them
 _RECORDS = [
     (graphs.Graph, "n m neighbors adjacency_bits"),
-    (graphs.DegreeProfile, "min_degree max_degree alpha"),
+    (graphs.DegreeProfile, "min_degree alpha"),
     (graphs.FamilySpec, "name args"),
     (counting.SubtreeCountVector, "n counts"),
     (counting.InequalityCheck, "kind index lhs rhs passed"),
