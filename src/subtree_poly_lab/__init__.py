@@ -6,13 +6,13 @@ Library layout:
     subsets    - the numpy kernel of the counting enumeration
     spanning   - Wilson sampling, leaf weights, identity verification
     polyroots  - subtree polynomial, certified roots, margin diagnostics
+    dyadic     - the root reports' roundings, decimal strings and series
     params     - the accepted range of each numeric parameter, one check per rule
     cli        - batch experiment driver
 
 Importing the package loads none of its modules: each exported name is
 imported from its module on first access (PEP 562), so a process pays
-only for what it uses, and only the routes that need numpy or mpmath
-load them.
+only for what it uses, and only the routes that need numpy load it.
 """
 
 import importlib

@@ -20,8 +20,8 @@ Each numeric flag is parsed by the library's check of its parameter
 The --threads flag caps module parallelism; it is an execution knob, not
 part of the experiment spec, and never changes results or output bytes.
 
-Each handler imports the lab modules it runs (and mpmath, numpy through
-them) when it is called, so a process loads only what its command uses.
+Each handler imports the lab modules it runs (and numpy through them)
+when it is called, so a process loads only what its command uses.
 """
 
 from __future__ import annotations
@@ -211,10 +211,10 @@ def _render(spec: dict, header: list[str], result: dict | None, rows: list[list]
     return out.getvalue()
 
 
-def _mp_str(x, digits: int = 20) -> str:
-    import mpmath as mp
+def _nstr(x: tuple[int, int], digits: int = 20) -> str:
+    from .dyadic import nstr  # a dyadic (m, e), written as mpmath's nstr writes m 2^e
 
-    return mp.nstr(x, digits)
+    return nstr(x, digits)
 
 
 def _json(report):
@@ -260,11 +260,11 @@ _FORMATS = {
                              # read by verify's base checks, not printed
                              "matrix_tree_count": lambda value: {}},
     "RootAnalysis": {
-        "roots": _as("roots", lambda roots: [[_mp_str(r.real, 25), _mp_str(r.imag, 25)]
-                                             for r in roots]),
+        "roots": _as("roots", lambda roots: [[_nstr((xr, -t), 25), _nstr((xi, -t), 25)]
+                                             for xr, xi, t in roots]),
         # taken at the working precision: they leave double range (K_160's are 9e-347)
-        "vieta_product": _as("vieta_product", lambda v: _mp_str(v, 25)),
-        "vieta_target": _as("vieta_target", lambda v: _mp_str(v, 25)),
+        "vieta_product": _as("vieta_product", lambda v: _nstr(v, 25)),
+        "vieta_target": _as("vieta_target", lambda v: _nstr(v, 25)),
         "clusters": _as("clusters", lambda clusters: [[repr(c.real), repr(c.imag), mult]
                                                       for c, mult in clusters]),
     },
@@ -342,17 +342,15 @@ def _roots(args, graph, family):
 
 
 def _cmd_roots(args, graph, family):
-    import mpmath as mp
+    from .polyroots import root_modulus
 
     analysis = _roots(args, graph, family)
     params = {"cap": args.cap, "precision_bits": args.precision_bits}
-    if args.format != "csv":  # each CSV row takes three mp.nstr calls, so build only one form
+    if args.format != "csv":  # each CSV row writes three numbers, so build only one form
         return params, _json(analysis), []
-    with mp.workprec(analysis.precision_bits):  # the modulus of the root's own digits
-        rows = [
-            [i, _mp_str(r.real), _mp_str(r.imag), repr(res), _mp_str(abs(r))]
-            for i, (r, res) in enumerate(zip(analysis.roots, analysis.residuals))
-        ]
+    bits = analysis.precision_bits  # the modulus of the root's own digits
+    rows = [[i, _nstr((xr, -t)), _nstr((xi, -t)), repr(res), _nstr(root_modulus((xr, xi, t), bits))]
+            for i, ((xr, xi, t), res) in enumerate(zip(analysis.roots, analysis.residuals))]
     return params, None, rows
 
 
@@ -563,8 +561,8 @@ def run(argv=None) -> int:
 
 
 def _worst_iterates(err: CertificationError) -> list[str]:
-    """The largest residuals (NaN first) with their indices and iterates."""
-    import mpmath as mp
+    """The largest residuals (NaN first) with their indices and iterates (xr, xi, t)."""
+    from .dyadic import rounded
 
     residuals = err.residuals
     ranked = sorted(
@@ -572,11 +570,9 @@ def _worst_iterates(err: CertificationError) -> list[str]:
     )[:WORST_ITERATES_SHOWN]
     lines = [f"worst {len(ranked)} of {len(residuals)} residuals:"]
     for i in ranked:
-        z = mp.mpc(err.roots[i])
-        lines.append(
-            f"  index {i}  residual {residuals[i]:.3e}  "
-            f"iterate ({_mp_str(z.real)}, {_mp_str(z.imag)})"
-        )
+        xr, xi, t = err.roots[i]
+        re, im = (_nstr(rounded(v, -t, 53)) for v in (xr, xi))  # each part at a double's 53 bits
+        lines.append(f"  index {i}  residual {residuals[i]:.3e}  iterate ({re}, {im})")
     return lines
 
 

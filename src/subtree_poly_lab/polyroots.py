@@ -19,9 +19,9 @@ rounded to the rung's bits, and runs on Python integers alone: each step
 evaluates Q(x) = S(x)/x on the exact integer coefficients, builds Q'(x)
 from the same pass's partial sums only when the root moves, and takes
 the Aberth step Q/(Q' - Q R) by one integer division, the repulsion R
-summed in double precision and read exactly; the simultaneous
-correction keeps two iterates from settling on one root. mpmath sums
-only R, for a root whose repulsion leaves double range.
+summed in double precision and read exactly (on the integers, for a
+root whose repulsion leaves double range); the simultaneous correction
+keeps two iterates from settling on one root.
 
 S has real coefficients, so its roots are closed under conjugation, and
 the start and the polish work on one root of each pair. The start
@@ -36,8 +36,10 @@ slots. The roots are certified at the working precision by
 scale-normalized residuals |Q(x)| / Q(|x|), doubles rounded once from
 the integers of the last rung's last evaluation, which also gives the
 mirror's (a root moved after it is evaluated afresh, one pass for a
-pair), plus a Vieta product check in mpmath on the roots built exactly
-from the integers.
+pair), plus a Vieta product check on the triples. The roots are
+returned as the triples themselves; the Vieta product, its target and
+each modulus are rounded at the working precision by `dyadic`, in
+mpmath's rounding modes, so they print the digits mpmath gives.
 
 precision_bits is an accuracy target. The polish stops at it where the
 roots certify and their Weierstrass inclusion disks (_inclusion_disks,
@@ -76,10 +78,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-import mpmath as mp
-from mpmath.libmp import from_man_exp
-
-from . import params
+from . import dyadic, params
 from .counting import SubtreeCountVector, counts_for, exact_beta
 from .errors import CapacityError, CertificationError, ValidationError
 from .graphs import Graph, is_connected
@@ -104,13 +103,16 @@ def build_polynomial(counts: SubtreeCountVector) -> SubtreeCountVector:
 
 
 class RootAnalysis(NamedTuple):
-    roots: tuple  # mpc values, n entries, forced 0 first, then by real part; see _root_key
+    # exact triples (xr, xi, t), x = (xr + i xi) 2^-t, n entries: the forced
+    # 0 first as (0, 0, 0), then by real part; see _root_key
+    roots: tuple[tuple[int, int, int], ...]
     residuals: tuple[float, ...]
     max_modulus: float
     iterations: int  # start sweeps + polish corrections (one per slot corrected), all rungs
     precision_bits: int
-    vieta_product: mp.mpf  # product of the root moduli, at precision_bits
-    vieta_target: mp.mpf  # s_1 / s_n, at precision_bits
+    # dyadics (m, e), the value m 2^e, rounded at precision_bits as mpmath rounds
+    vieta_product: tuple[int, int]  # product of the root moduli (root_modulus)
+    vieta_target: tuple[int, int]  # s_1 / s_n
     vieta_relative_error: float
     clusters: tuple[tuple[complex, int], ...]  # (center, multiplicity)
 
@@ -348,13 +350,6 @@ def _rounded(xr: int, xi: int, t: int, bits: int) -> tuple[int, int, int]:
     return (xr + half) >> -shift, (xi + half) >> -shift, t + shift
 
 
-def _triple(x) -> tuple[int, int, int]:
-    """The mpc x exactly as a triple (xr, xi, t), x = (xr + i xi) 2^-t."""
-    (sr, mr, er, _), (si, mi, ei, _) = x._mpc_
-    t = -min(er, ei)
-    return (-mr if sr else mr) << (er + t), (-mi if si else mi) << (ei + t), t
-
-
 def _dyadic(z: complex) -> tuple[int, int, int]:
     """A finite complex double exactly as (zr, zi, k): z = (zr + i zi) 2^-k."""
     (ar, da), (ai, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
@@ -378,12 +373,6 @@ def _scaled_copy(x: tuple, e: int) -> complex:
     return complex(_scaled_ratio(xr, 1, e - t), _scaled_ratio(xi, 1, e - t))
 
 
-def _exact(x: tuple):
-    """The triple's point as an mpc, exactly (its parts need no rounding)."""
-    xr, xi, t = x
-    return mp.make_mpc((from_man_exp(xr, -t), from_man_exp(xi, -t)))
-
-
 def _repulsion(scaled: list, j: int, e: int) -> tuple[int, int, int] | None:
     """R = sum_{k != j} 1/(x_j - x_k) from the double copies c = x 2^e, or None.
 
@@ -403,13 +392,25 @@ def _repulsion(scaled: list, j: int, e: int) -> tuple[int, int, int] | None:
 
 
 def _exact_repulsion(xs: list, j: int, bits: int) -> tuple[int, int, int]:
-    """R of _repulsion summed in mpmath at `bits` over the exact iterates, as (rr, ri, k).
+    """R of _repulsion summed on the integers of the exact iterates, as (rr, ri, k).
 
-    For a root whose double copy or double sum left double range.
+    For a root whose double copy or double sum left double range. On the
+    finest grid 2^-T of the triples each difference is a Gaussian integer
+    D, and 1/(x_j - x_k) = conj(D) 2^T / |D|^2 is floored at 2^-k, k
+    chosen so that the largest term holds `bits` bits: R is off by less
+    than d units of 2^-k, well inside the double accuracy it needs.
     """
-    with mp.workprec(bits):
-        xj = _exact(xs[j])
-        return _triple(mp.mpc(mp.fsum(1 / (xj - xk) for xk in map(_exact, xs) if xk != xj)))
+    T = max(t for _, _, t in xs)
+    grid = [(xr << (T - t), xi << (T - t)) for xr, xi, t in xs]
+    ar, ai = grid[j]
+    # itself (and an exact duplicate) repels nothing
+    diffs = [(ar - br, ai - bi) for br, bi in grid if (br, bi) != (ar, ai)]
+    if not diffs:
+        return 0, 0, 0
+    k = bits + 2 - T + min(dr * dr + di * di for dr, di in diffs).bit_length() // 2
+    rr = sum((dr << (T + k)) // (dr * dr + di * di) for dr, di in diffs)
+    ri = sum((-di << (T + k)) // (dr * dr + di * di) for dr, di in diffs)
+    return rr, ri, k
 
 
 def _aberth_step(p: tuple, q: tuple, m: int, t: int, r: tuple, bits: int) -> tuple[int, int, int]:
@@ -478,8 +479,8 @@ def _polish(
     has nonnegative coefficients) or its step falls below
     2^-(bits-16)|x|. Q'(x) is built only after the freeze test fails.
     Frozen roots still repel the others. Every test and step runs on the
-    integers; mpmath sums only the repulsion of a root whose double sum
-    leaves double range.
+    integers and doubles; the repulsion of a root whose double sum leaves
+    double range is summed on the integers (_exact_repulsion).
     """
     d = len(s) - 1
     mirrors = list(mirrors)
@@ -590,11 +591,7 @@ def find_roots(
                 evaluated[x], evaluated[_conjugate(x)] = (pr, pi, scale, G), (pr, -pi, scale, G)
             pr, pi, scale, _ = evaluated[x]
             residuals.append(_root_ratio(pr * pr + pi * pi, scale * scale))
-        roots = [mp.mpc(0)] + [_exact(x) for x in xs]
-        with mp.workprec(bits):
-            vieta_product = mp.fprod(abs(x) for x in roots[1:])
-            vieta_target = mp.mpf(s[0]) / mp.mpf(s[-1])
-            vieta_rel = float(abs(vieta_product - vieta_target) / vieta_target)
+        vieta_product, vieta_target, vieta_rel = _vieta(xs, s[0], s[-1], bits)
         certified = _certified(residuals, vieta_rel)
         if bits < cap:
             accuracy = precision_bits - 64
@@ -613,18 +610,16 @@ def find_roots(
             raise CertificationError(
                 f"root certification failed: max residual {worst:.3e}, "
                 f"Vieta relative error {vieta_rel:.3e}",
-                roots=roots,
+                roots=[(0, 0, 0)] + xs,
                 residuals=residuals,
             )
-    with mp.workprec(bits):
-        pairs = sorted(zip(roots[1:], residuals[1:]), key=lambda t: _root_key(t[0], bits // 2))
-        max_modulus = float(max(abs(x) for x in roots))
-    ordered = [roots[0]] + [x for x, _ in pairs]
+    pairs = sorted(zip(xs, residuals[1:]), key=lambda t: _root_key(t[0], bits))
+    ordered = [(0, 0, 0)] + [x for x, _ in pairs]
     ordered_residuals = (0.0,) + tuple(r for _, r in pairs)
     return RootAnalysis(
         roots=tuple(ordered),
         residuals=ordered_residuals,
-        max_modulus=max_modulus,
+        max_modulus=max((dyadic.to_float(root_modulus(x, bits)) for x in xs), default=0.0),
         iterations=iterations,
         precision_bits=bits,
         vieta_product=vieta_product,
@@ -632,6 +627,23 @@ def find_roots(
         vieta_relative_error=vieta_rel,
         clusters=_cluster(ordered),
     )
+
+
+def _vieta(xs: list, s1: int, sn: int, bits: int) -> tuple:
+    """The product of the root moduli, its target s_1/s_n and their relative error.
+
+    The product and the target are dyadics (m, e), each operation rounded
+    to nearest at `bits` as mpmath's fprod and division rounded it: the
+    moduli (root_modulus) multiplied from 1 in the order of xs, and s_1 and
+    s_n rounded before their quotient. The relative error |P - T| / T is
+    rounded to a double.
+    """
+    product = (1, 0)
+    for x in xs:
+        product = dyadic.mul(product, root_modulus(x, bits), bits)
+    target = dyadic.div(dyadic.rounded(s1, 0, bits), dyadic.rounded(sn, 0, bits), bits)
+    gap = dyadic.add(product, (-target[0], target[1]), bits)
+    return product, target, dyadic.to_float(dyadic.div((abs(gap[0]), gap[1]), target, bits))
 
 
 def _inclusion_disks(
@@ -709,17 +721,33 @@ def _work_bits(precision_bits: int, top: int) -> int:
     return max(precision_bits, top.bit_length() + 64)
 
 
-def _root_key(x, half_bits: int) -> tuple:
-    """Sort key of a nonzero root: re(x)/|x|, then re(x), on a grid of 2^-half_bits; then imag.
+def root_modulus(x: tuple, bits: int) -> tuple[int, int]:
+    """|x| of a triple as the dyadic (m, e), rounded at `bits` as mpmath's abs rounds it."""
+    xr, xi, t = x
+    return dyadic.hypot((xr, -t), (xi, -t), bits)
+
+
+def _complex(x: tuple) -> complex:
+    """The triple's point as a Python complex, each part rounded to nearest."""
+    xr, xi, t = x
+    return complex(dyadic.to_float((xr, -t)), dyadic.to_float((xi, -t)))
+
+
+def _root_key(x: tuple, bits: int) -> tuple:
+    """Sort key of a nonzero root: re(x)/|x|, then re(x), on a grid of 2^-(bits // 2); then imag.
 
     The real parts of a conjugate pair agree only up to rounding noise;
     on the grid they tie, so the pair lists its negative imaginary part
     first whatever the noise. Every negative real root has re(x)/|x| = -1
     up to the noise of its imaginary part, so the real roots are listed
-    by their real parts.
+    by their real parts. The quotient and the modulus are rounded at
+    `bits`, and each grid point to `bits` bits, as mpmath rounded them.
     """
-    ratio, real = (int(mp.nint(mp.ldexp(v, half_bits))) for v in (x.real / abs(x), x.real))
-    return ratio, real, x.imag
+    xr, xi, t = x
+    half = bits // 2
+    m, e = dyadic.div((xr, -t), root_modulus(x, bits), bits)
+    ratio, real = dyadic.nint((m, e + half), bits), dyadic.nint((xr, half - t), bits)
+    return ratio, real, xi * Fraction(2) ** -t
 
 
 def _certified(residuals: list[float], vieta_rel: float) -> bool:
@@ -730,7 +758,7 @@ def _certified(residuals: list[float], vieta_rel: float) -> bool:
 
 def _cluster(roots) -> tuple[tuple[complex, int], ...]:
     """Group roots closer than CLUSTER_TOLERANCE; near-multiples stay honest."""
-    remaining = [complex(r) for r in roots]
+    remaining = [_complex(r) for r in roots]
     clusters = []
     used = [False] * len(remaining)
     for i, base in enumerate(remaining):
@@ -796,8 +824,15 @@ def rouche_margin(
     transform's products; see _circle_series, _unit_roots and
     _circle_dft). Each margin |D|/|E| is rounded to a double once, from
     the integers, and the witness compares |E|^2 with
-    (n^(-1/C) (1 - 2^-50))^2 on the integers. mpmath computes only r,
-    n^(-1/C) and e^{2 pi i/M}, whatever N. The transform holds about
+    (n^(-1/C) (1 - 2^-50))^2 on the integers. r, n^(-1/C) and
+    e^{2 pi i/M} come from integer series (dyadic.ln, dyadic.exp and
+    dyadic.cos_sin), once whatever N. With ln n within 2 units of
+    2^-(work_bits + 8), r is alpha ln(n)/C rounded to nearest at
+    work_bits bits (the radius as rounded at work_bits), and
+    n^(-1/C) = e^{-ln(n)/C} is within 3 units of 2^-(work_bits + 8): far
+    inside the 2^-60 relative that keeps (1 - 2^-50) n^(-1/C) below the
+    exact value (n^(-1/C) > 2^-10 for n < 2^60, as C > 6), so the
+    witness bound stays a lower bound. The transform holds about
     6 M P bits at its peak; where M P exceeds params.MAX_CIRCLE_BITS,
     CapacityError is raised before it is built.
 
@@ -814,11 +849,12 @@ def rouche_margin(
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
     work_bits = _work_bits(precision_bits, counts.s(n))
-    with mp.workprec(work_bits):
-        radius = mp.mpf(alpha.numerator) / alpha.denominator * mp.log(n) / mp.mpf(C)
-        floor = mp.exp(-mp.log(n) / mp.mpf(C))  # n^(-1/C)
-        bm, be = (floor * (1 - mp.mpf(2) ** -50)).man_exp
-    rm, re_ = radius.man_exp
+    w = work_bits + 8
+    log_n = dyadic.ln(n, w)
+    cn, cd = C.as_integer_ratio()
+    rm, re_ = dyadic.div((alpha.numerator * cd * log_n, -w), (alpha.denominator * cn, 0), work_bits)
+    floor = dyadic.exp(-(log_n * cd // cn), w)  # n^(-1/C) at 2^-w
+    bm, be = floor * ((1 << 50) - 1), -w - 50
     M = math.lcm(N, 4)
     step = M // N
     twice_x = -_floor_scaled(-2 * beta.numerator * rm, re_, beta.denominator)  # ceil(2 beta r)
@@ -850,14 +886,14 @@ def rouche_margin(
     return RoucheReport(
         n=n,
         C=float(C),
-        radius=float(radius),
+        radius=dyadic.to_float((rm, re_)),
         beta=beta,
         circle_points=N,
         max_margin=max_margin,
         max_margin_index=margins.index(max_margin),
         margin_below_one=max_margin < 1,
         witness_ok=witness_ok,
-        witness_floor=float(floor),
+        witness_floor=dyadic.to_float((floor, -w)),
         precision_bits=work_bits,
     )
 
@@ -908,18 +944,16 @@ def _circle_series(
 def _unit_roots(M: int, P: int) -> list[tuple[int, int]]:
     """e^{2 pi i k/M} for k < M/2 as (cos, sin) at 2^-P, for 4 | M.
 
-    One mp.cospi/mp.sinpi pair gives e^{2 pi i/M} at T = P + g bits,
-    2^g >= 4M; the recurrence w_{k+1} = w_k w_1, floored at 2^-T, runs
-    over the first quadrant (below 3k units of 2^-T after k < M/4 steps,
-    so under 2^-P/4), each root is rounded to 2^-P, and the second
-    quadrant is the first times i, exactly: each part of every root lies
-    within 2^-P of its exact value.
+    dyadic.cos_sin gives e^{2 pi i/M} at T = P + g bits, 2^g >= 4M, each
+    part within one unit of 2^-T; the recurrence w_{k+1} = w_k w_1,
+    floored at 2^-T, runs over the first quadrant (below 3k units of 2^-T
+    after k < M/4 steps, so under 2^-P/4), each root is rounded to 2^-P,
+    and the second quadrant is the first times i, exactly: each part of
+    every root lies within 2^-P of its exact value.
     """
     g = M.bit_length() + 2
     T = P + g
-    with mp.workprec(T + 16):
-        angle = mp.mpf(2) / M
-        c1, s1 = (int(mp.nint(mp.ldexp(v, T))) for v in (mp.cospi(angle), mp.sinpi(angle)))
+    c1, s1 = dyadic.cos_sin(M, T)
     c, s, half = 1 << T, 0, 1 << (g - 1)
     quadrant = []
     for _ in range(M // 4):
@@ -1028,7 +1062,7 @@ def tree_root_check(tree: Graph, tolerance: float = params.DEFAULT_TOLERANCE) ->
     else:
         outer = 0.5
     annulus_ok = all(
-        0.5 - 1e-12 <= abs(complex(r) + 0.5) <= outer + 1e-12 for r in analysis.roots
+        0.5 - 1e-12 <= abs(_complex(r) + 0.5) <= outer + 1e-12 for r in analysis.roots
     )
     return TreeRootReport(
         n=n,

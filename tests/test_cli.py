@@ -33,6 +33,13 @@ def invoke(capsys, *argv):
     return status, captured.out, captured.err
 
 
+def _triple(x):
+    # the mpc x exactly as a root triple (xr, xi, t), x = (xr + i xi) 2^-t
+    (sr, mr, er, _), (si, mi, ei, _) = x._mpc_
+    t = -min(er, ei)
+    return (-mr if sr else mr) << (er + t), (-mi if si else mi) << (ei + t), t
+
+
 def test_counts_json(capsys):
     status, out, _ = invoke(capsys, "counts", "--graph", "complete(4)")
     assert status == 0
@@ -201,7 +208,7 @@ def test_rouche_golden_bytes(capsys):
 
 
 def test_certification_failure_lists_worst_iterates(monkeypatch, capsys):
-    roots = [mp.mpc(0)] + [mp.mpc(-k / 8, k / 4) for k in range(1, 8)]
+    roots = [_triple(mp.mpc(0))] + [_triple(mp.mpc(-k / 8, k / 4)) for k in range(1, 8)]
     residuals = [0.0, 1e-30, 4e-6, math.nan, 2e-21, 1e-25, 3e-3, 1e-22]
 
     def failing(*args, **kwargs):
@@ -219,6 +226,21 @@ def test_certification_failure_lists_worst_iterates(monkeypatch, capsys):
     assert indices == [3, 6, 2, 4, 7]
     assert "residual 3.000e-03" in lines[3]
     assert lines[3].endswith("iterate (-0.75, 1.5)")
+
+
+def test_certification_failure_prints_each_iterate_part_rounded_to_a_double(monkeypatch, capsys):
+    # 20 digits of each part rounded to 53 bits, as mp.mpc(root) printed it:
+    # 1/3 and -2/3 at 200 bits show the digits of their doubles
+    third = (1 << 200) // 3
+    roots = [(0, 0, 0), (third, -2 * third, 200)]
+
+    def failing(*args, **kwargs):
+        raise CertificationError("root certification failed: test", roots=roots, residuals=[0.0, 1.0])
+
+    monkeypatch.setattr(polyroots, "find_roots", failing)
+    status, _, err = invoke(capsys, "roots", "--graph", "complete(8)")
+    assert status == 3
+    assert err.splitlines()[2].endswith("iterate (0.33333333333333331483, -0.66666666666666662966)")
 
 
 def test_tree_check_command(capsys):

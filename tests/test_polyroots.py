@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import mpf_neg
+from mpmath.libmp import from_man_exp, mpf_neg
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -32,7 +32,7 @@ from subtree_poly_lab import (
     subtree_counts,
     tree_root_check,
 )
-from subtree_poly_lab import polyroots
+from subtree_poly_lab import dyadic, polyroots
 from subtree_poly_lab.counting import counts_for
 from subtree_poly_lab.params import DEFAULT_PRECISION_BITS
 from subtree_poly_lab.polyroots import (
@@ -42,7 +42,6 @@ from subtree_poly_lab.polyroots import (
     VIETA_RELATIVE_TOLERANCE,
     _aberth_step,
     _certified,
-    _exact,
     _exact_repulsion,
     _fixed_derivative,
     _fixed_horner,
@@ -61,7 +60,6 @@ from subtree_poly_lab.polyroots import (
     _scaled_ratio,
     _start_step,
     _top_bits,
-    _triple,
     _unit_roots,
     _work_bits,
 )
@@ -75,8 +73,22 @@ def _vector(*coefficients):
     return SubtreeCountVector(n=len(coefficients), counts=coefficients)
 
 
+def _exact(x):
+    # a triple (xr, xi, t) as the mpc (xr + i xi) 2^-t, exactly: the roots of
+    # a RootAnalysis, a polish iterate or a repulsion (rr, ri, k)
+    xr, xi, t = x
+    return mp.make_mpc((from_man_exp(xr, -t), from_man_exp(xi, -t)))
+
+
+def _triple(x):
+    # the mpc x exactly as a triple (xr, xi, t)
+    (sr, mr, er, _), (si, mi, ei, _) = x._mpc_
+    t = -min(er, ei)
+    return (-mr if sr else mr) << (er + t), (-mi if si else mi) << (ei + t), t
+
+
 def _closest(roots, target):
-    return min(abs(complex(r) - target) for r in roots)
+    return min(abs(complex(_exact(r)) - target) for r in roots)
 
 
 # ------------------------------------------------------------ construction
@@ -133,7 +145,7 @@ def test_k3_roots_cube_roots_of_unity():
 
 def test_single_vertex_polynomial():
     analysis = find_roots(_vector(1))
-    assert [complex(r) for r in analysis.roots] == [0j]
+    assert analysis.roots == ((0, 0, 0),)
     assert analysis.max_modulus == 0.0
 
 
@@ -165,7 +177,7 @@ def test_root_count_and_certification_fields():
 def test_conjugate_symmetry():
     for family in ["complete(9)", "cycle(8)", "gnp(9,0.6)"]:
         analysis = find_roots(subtree_counts(generate(family, seed=5)))
-        pool = [complex(r) for r in analysis.roots]
+        pool = [complex(_exact(r)) for r in analysis.roots]
         for r in pool:
             assert min(abs(r.conjugate() - q) for q in pool) < 1e-18
 
@@ -204,7 +216,7 @@ def test_roots_are_closed_under_conjugation_bit_for_bit(host):
                         else generate(spec, seed=seed), spec)
     analysis = find_roots(counts)
     assert analysis.precision_bits == max(DEFAULT_PRECISION_BITS, max(counts.counts).bit_length() + 64)
-    roots, residuals = analysis.roots[1:], analysis.residuals[1:]
+    roots, residuals = [_exact(x) for x in analysis.roots[1:]], analysis.residuals[1:]
     residual_of = {(x.real._mpf_, x.imag._mpf_): r for x, r in zip(roots, residuals)}
     keys = Counter((x.real._mpf_, x.imag._mpf_) for x in roots)
     assert keys == Counter(_conjugate_key(x) for x in roots)
@@ -224,13 +236,13 @@ def test_conjugate_pair_order_ignores_noise_in_real_parts():
         for noise in (mp.ldexp(re, -240), -mp.ldexp(re, -240)):
             pair = [mp.mpc(re + noise, im), mp.mpc(re, -im)]
             for candidates in (pair, pair[::-1]):
-                ordered = sorted(candidates, key=lambda x: _root_key(x, 128))
+                ordered = sorted(candidates, key=lambda x: _root_key(_triple(x), 256))
                 assert [x.imag for x in ordered] == [-im, im]
 
 
 def test_roots_list_each_pair_negative_imaginary_first():
     for n in (12, 40):
-        roots = find_roots(complete_graph_counts(n)).roots[1:]
+        roots = [_exact(x) for x in find_roots(complete_graph_counts(n)).roots[1:]]
         i = 0
         while i < len(roots):
             x = roots[i]
@@ -245,7 +257,7 @@ def test_vieta_product_value():
     counts = subtree_counts(generate("complete(6)"))
     analysis = find_roots(counts)
     target = counts.s(1) / counts.s(6)
-    assert analysis.vieta_product == pytest.approx(target, rel=1e-12)
+    assert math.ldexp(*analysis.vieta_product) == pytest.approx(target, rel=1e-12)
 
 
 def test_cluster_reporting_total_multiplicity():
@@ -269,7 +281,7 @@ def test_extended_range_closed_form():
     scale = 2**600
     analysis = find_roots(_vector(1, 2 * scale, 3 * scale**2))
     with mp.workprec(256):
-        v = [1 / (r * scale) for r in analysis.roots[1:]]
+        v = [1 / (_exact(r) * scale) for r in analysis.roots[1:]]
         for target in (mp.mpc(-1, mp.sqrt(2)), mp.mpc(-1, -mp.sqrt(2))):
             assert min(abs(r - target) for r in v) < mp.mpf(10) ** -25
 
@@ -293,7 +305,7 @@ def test_quadratic_roots_past_double_range(coefficients):
     assert analysis.vieta_relative_error <= 1e-8
     with mp.workprec(256):
         for target in _quadratic_roots(*coefficients):
-            assert min(abs(r - target) for r in analysis.roots[1:]) < abs(target) * mp.mpf(10) ** -40
+            assert min(abs(_exact(r) - target) for r in analysis.roots[1:]) < abs(target) * mp.mpf(10) ** -40
 
 
 def test_k80_certifies_and_meets_vieta():
@@ -304,7 +316,7 @@ def test_k80_certifies_and_meets_vieta():
     assert max(analysis.residuals) <= 1e-20
     s = counts.counts
     with mp.workprec(256):
-        nonzero = analysis.roots[1:]
+        nonzero = [_exact(r) for r in analysis.roots[1:]]
         product = mp.fprod(abs(r) for r in nonzero)
         assert abs(product / (mp.mpf(s[0]) / s[-1]) - 1) < 1e-8
         total = mp.fsum(nonzero)
@@ -431,7 +443,7 @@ def test_roots_match_mpmath_polyroots(n, p, seed):
     # the same multiset of roots
     g, _ = generate_connected(f"gnp({n},{p})", seed)
     counts = subtree_counts(g)
-    ours = list(find_roots(counts).roots)
+    ours = [_exact(r) for r in find_roots(counts).roots]
     s = counts.counts
     with mp.workprec(256):
         reference = [mp.mpc(0)] + list(mp.polyroots(s[::-1], maxsteps=200, extraprec=512))
@@ -591,7 +603,7 @@ def test_root_kernel_work_counts(monkeypatch, n, values, derivatives, fresh):
     with mp.workprec(work_bits):
         for x, residual in zip(analysis.roots[1:], analysis.residuals[1:], strict=True):
             fresh_residuals = set()
-            for point in (x, mp.conj(x)):
+            for point in (_exact(x), mp.conj(_exact(x))):
                 point = _fixed_point(point, work_bits, len(s))
                 pr, pi, scale, _, _, _ = _fixed_horner(s, _top_bits(s), point, work_bits)
                 fresh_residuals.add(float(abs(mp.mpc(pr, pi)) / scale))
@@ -608,18 +620,19 @@ def test_rouche_evaluates_one_point_per_conjugate_pair(monkeypatch, circle_point
     assert margins["margin"] == evaluations
 
 
-def test_rouche_takes_no_horner_pass_and_the_same_mpmath_calls_at_every_n(monkeypatch):
-    # the whole circle comes from one transform: mpmath computes the radius,
-    # n^(-1/C) and one root of unity, however many points there are
+def test_rouche_takes_no_horner_pass_and_the_same_series_at_every_n(monkeypatch):
+    # the whole circle comes from one transform: one integer series each
+    # gives ln n (for the radius and n^(-1/C)), n^(-1/C) and one root of
+    # unity, however many points there are
     calls = _counting_evaluator(monkeypatch)
-    for name in ("exp", "log", "cospi", "sinpi"):
-        monkeypatch.setattr(mp, name, _counted(calls, name, getattr(mp, name)))
+    for name in ("ln", "exp", "cos_sin"):
+        monkeypatch.setattr(dyadic, name, _counted(calls, name, getattr(dyadic, name)))
     per_n = []
     for circle_points in (1, 7, 256):
         calls.clear()
         rouche_margin(complete_graph_counts(120), Fraction(119, 120), circle_points=circle_points)
         per_n.append(dict(calls))
-    assert per_n[0] == per_n[1] == per_n[2] == {"exp": 1, "log": 2, "cospi": 1, "sinpi": 1}
+    assert per_n[0] == per_n[1] == per_n[2] == {"ln": 1, "exp": 1, "cos_sin": 1}
 
 
 def _counted(calls, name, function):
@@ -865,6 +878,7 @@ def _mpmath_residuals(s, roots, work_bits):
     # evaluator replaced
     with mp.workprec(work_bits):
         q = [mp.mpf(c) for c in s]
+        roots = map(_exact, roots)
         return [float(abs(x) * abs(_horner(q, x)) / (abs(x) * _horner(q, abs(x)))) for x in roots]
 
 

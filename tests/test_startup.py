@@ -116,6 +116,22 @@ def test_hosts_above_the_small_bound_count_with_numpy(tmp_path):
     assert "numpy" in _loaded("counts", "--edge-list", str(path))
 
 
+# the root commands round and print their roots from the integers of the
+# polish, on Python integers alone
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("roots", "--graph", "complete(40)"),
+        ("roots", "--graph", "complete(10)", "--format", "csv"),
+        ("rouche", "--graph", "complete(120)"),
+        ("tree-check", "--graph", "random_tree(9)", "--seed", "5"),
+        ("sweep", "--family", "complete", "--n-list", "2,8", "--command", "roots"),
+    ],
+)
+def test_root_commands_load_no_mpmath(argv):
+    assert "mpmath" not in _loaded(*argv)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -158,9 +174,10 @@ def test_package_names_resolve_on_first_access():
         subtree_poly_lab.no_such_name
 
 
-# the dependencies in pyproject.toml; scipy, sympy or networkx may be
-# installed beside them, but the package must not need them
-DEPENDENCIES = {"numpy", "mpmath"}
+# the dependencies in pyproject.toml; mpmath (the tests' reference),
+# scipy, sympy or networkx may be installed beside them, but the package
+# must not need them
+DEPENDENCIES = {"numpy"}
 
 
 def test_package_imports_only_the_standard_library_and_its_dependencies():
@@ -176,7 +193,7 @@ def test_package_imports_only_the_standard_library_and_its_dependencies():
                 continue
             for name in names:
                 imported.setdefault(name.partition(".")[0], path.name)
-    assert {"numpy", "mpmath", "math"} <= imported.keys()
+    assert {"numpy", "math"} <= imported.keys()
     foreign = {name: where for name, where in imported.items()
                if name not in sys.stdlib_module_names and name not in DEPENDENCIES}
     assert not foreign
