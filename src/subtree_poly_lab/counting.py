@@ -33,8 +33,6 @@ graphs, edge-subset brute force) live alongside the production path so
 they can disagree loudly.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from itertools import combinations, islice
@@ -112,23 +110,26 @@ def _bareiss_determinant(mat: list[list[int]]) -> int:
     size = len(mat)
     if size == 0:
         return 1
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for col in range(size - 1):
-        pivot_row = next((r for r in range(col, size) if mat[r][col] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            mat[col], mat[pivot_row] = mat[pivot_row], mat[col]
+        top = mat[col]
+        pivot = top[col]
+        if not pivot:
+            for r in range(col + 1, size):
+                if mat[r][col]:
+                    break
+            else:
+                return 0
+            mat[col], mat[r] = mat[r], top
+            top = mat[col]
+            pivot = top[col]
             sign = -sign
-        pivot = mat[col][col]
-        for r in range(col + 1, size):
+        rest = range(col + 1, size)
+        for r in rest:
             row = mat[r]
             head = row[col]
-            top = mat[col]
-            for c in range(col + 1, size):
+            for c in rest:
                 row[c] = (row[c] * pivot - head * top[c]) // prev
-            row[col] = 0
         prev = pivot
     return sign * mat[-1][-1]
 

@@ -19,8 +19,6 @@ licence: Copyright (c) 2005-2021 Fredrik Johansson and mpmath
 contributors, all rights reserved.
 """
 
-from __future__ import annotations
-
 import math
 
 _LOG2_10 = math.log(10, 2)  # as mpmath's to_digits_exp computes it

@@ -7,8 +7,6 @@ construction and safe to share across workers. Only the random
 generators import `rng`, and numpy with it.
 """
 
-from __future__ import annotations
-
 import heapq
 import re
 from fractions import Fraction

@@ -13,8 +13,6 @@ and a CLI flag take is defined here once, and read by both.
 This module loads neither numpy nor mpmath: the CLI's parser imports it.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from typing import Callable

@@ -71,8 +71,6 @@ Poisson-profile diagnostics (`exact_beta`, `poisson_deviation`) take the
 counts alone and live in `counting`.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from fractions import Fraction

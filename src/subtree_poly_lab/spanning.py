@@ -32,29 +32,27 @@ distinct pair, and workers merge by adding histograms. Rationals and
 floats appear only in final reports.
 
 Enumeration includes and excludes edges depth first with the tree
-degrees and each vertex's component label kept in step. Once the forest
-has four components, the trees below are the forest plus each triple of
-undecided edges that join distinct pairs of components and together
-touch all four: the walk tags each edge with the labels of its ends and
-yields that cut without further branching. ``enumerate_spanning_trees``
-tests each triple of a cut against that definition, in lexicographic
-edge order; it is the only code that lists triples. The identity check
-lists none: the trees below a cut are the forest plus a spanning tree of
-the quotient multigraph on its four components, so their number is the
-quotient's matrix-tree count over the six classes of crossing edges, and
-how many of them have a given vertex as a leaf follows in closed form by
-three cases on its forest degree. Degree 1: a leaf exactly when the tree
-takes none of its crossing edges, in as many trees as the quotient has
-without them. Degree 0: a component of its own, a leaf exactly when that
-component is a leaf of the quotient tree. Degree 2 or more: never a
-leaf. Each vertex's total over the cuts must be d(v) tau(G - v).
+degrees and each vertex's component label kept in step, down to a cut:
+a forest of a given number of components, below which the walk does
+not branch. The trees below a cut are the forest plus a spanning tree of
+the quotient multigraph Q on its components, whose edges are the
+undecided edges that join two of them. ``enumerate_spanning_trees``
+cuts at four components and tests each triple of crossing edges against
+the definition of a tree, in lexicographic edge order; it is the only
+code that lists the trees of a cut. The identity check cuts at
+min(K_MAX, n - 2) components and lists none: a cut has tau(Q) trees,
+Q's matrix-tree determinant, and how many of them have a given vertex
+as a leaf follows by three cases on its forest degree. Degree 1: a leaf
+exactly when the tree takes none of its crossing edges, in as many
+trees as Q has without them. Degree 0: a component X of its own, a leaf
+exactly when X is a leaf of the quotient tree, in deg(X) tau(Q - X)
+trees. Degree 2 or more: never a leaf. Each vertex's total over the
+cuts must be d(v) tau(G - v).
 A sampling run takes one chunk of samples per worker process, and one
 worker runs in-process.
 Only the sampling functions import numpy and the random streams, so
 enumeration and exact weights run without them.
 """
-
-from __future__ import annotations
 
 import math
 import os
@@ -64,7 +62,7 @@ from itertools import combinations, compress
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from . import params
-from .counting import _laplacian_minor, spanning_tree_count, subset_spanning_tree_count
+from .counting import _bareiss_determinant, _laplacian_minor, spanning_tree_count, subset_spanning_tree_count
 from .errors import CapacityError, ValidationError
 from .graphs import Graph, degree_profile, is_connected
 
@@ -139,7 +137,7 @@ def _parent_degrees(parent: list[int]) -> list[int]:
     return degree
 
 
-def wilson_sample(g: Graph, rng: RandomStream) -> SpanningTree:
+def wilson_sample(g: Graph, rng: "RandomStream") -> SpanningTree:
     """One exactly-uniform spanning tree via loop-erased random walks."""
     if not is_connected(g):
         raise ValidationError("Wilson sampling needs a connected host graph")
@@ -147,7 +145,7 @@ def wilson_sample(g: Graph, rng: RandomStream) -> SpanningTree:
     return _tree(g.n, [(v, parent[v]) for v in range(1, g.n)], _parent_degrees(parent))
 
 
-def _wilson_parents(g: Graph, rng: RandomStream) -> list[int]:
+def _wilson_parents(g: Graph, rng: "RandomStream") -> list[int]:
     """Wilson's walks from each vertex into the tree grown from root 0."""
     n = g.n
     parent = [-1] * n
@@ -205,7 +203,7 @@ def _expected_draws(g: Graph) -> int:
     return math.ceil(steps * draws_per_step)
 
 
-def _step_table(g: Graph) -> tuple[np.ndarray, int]:
+def _step_table(g: Graph) -> "tuple[np.ndarray, int]":
     """The walk's moves: row u, column j is where a walk at u goes on a word
     with low bits j, for j below `stride` = 2^ceil(log2 (max degree)).
 
@@ -230,7 +228,7 @@ def _step_table(g: Graph) -> tuple[np.ndarray, int]:
 _COMPACT_FLOOR = 1024
 
 
-def _wilson_batch(g: Graph, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _wilson_batch(g: Graph, words: "np.ndarray") -> "tuple[np.ndarray, np.ndarray]":
     """Wilson's walks of a block of samples in lockstep, one sample a row.
 
     Row b of `words` is the start of sample b's stream, of any unsigned
@@ -324,7 +322,7 @@ def _wilson_batch(g: Graph, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return parent[: count * n].reshape(count, n), used
 
 
-def _tree_pairs(parents: np.ndarray, scale: Sequence[int], lcm: int) -> Iterator[tuple[int, int]]:
+def _tree_pairs(parents: "np.ndarray", scale: Sequence[int], lcm: int) -> Iterator[tuple[int, int]]:
     """The (W, leaves) pair of each row of `(B, n)` parent arrays rooted at 0.
 
     Off the root a leaf is a vertex that is no vertex's parent; the root
@@ -613,26 +611,20 @@ def _guarded_tree_count(g: Graph, cap: int) -> int:
 
 
 def _spanning_cuts(
-    g: Graph,
+    g: Graph, stop: int
 ) -> Iterator[tuple[list, list[int], list[int], list[tuple[int, int, int]]]]:
     """Yield (forest edges, tree degrees, comp, crossing) for each cut of connected g.
 
     Edge inclusion/exclusion in depth-first order. An edge is excluded
     when it closes a cycle in the forest built so far, or when it is not
     a bridge of that forest plus the edges not yet decided, so every
-    branch holds a tree. The walk stops where the forest spans (n <= 3)
-    or has four components, and yields that cut: the forest, its tree
-    degrees, each vertex's component as bits, and the undecided edges
-    with ends in two components, in edge order, each tagged with the
-    bits of both components. The trees below a cut are the forest itself
-    when nothing crosses, and otherwise the forest plus each triple
-    e1 < e2 < e3 of crossing edges whose tags differ pairwise and
-    together cover every vertex: an edge inside a component closes a
-    cycle, three edges joining distinct pairs of four components form a
-    tree unless they form a triangle, and a triangle leaves the fourth
-    component apart. When e1 is a
-    bridge of the forest plus the undecided edges, no triple leaves it
-    out, so the triples need no bridge test.
+    branch holds a tree. The walk stops where the forest has `stop`
+    components, or spans (n < stop), and yields that cut: the forest,
+    its tree degrees, each vertex's component as bits, and the undecided
+    edges with ends in two components, in edge order, each tagged with
+    the bits of both components. The trees below a cut are the forest
+    plus each set of crossing edges, one fewer than the components, that
+    joins the components into one tree.
 
     The forest is kept as tree degrees and `comp`, each vertex's
     component as bits, rolled back in step: an include merges the two
@@ -688,7 +680,7 @@ def _spanning_cuts(
             if joined(u, v, suffix[idx + 1]):
                 todo.append((idx + 1, components, None))
             continue
-        if components == 4 or components == 1:  # a cut; one component only when n <= 3
+        if components == stop or components == 1:  # a cut; one component only when n < stop
             crossing = [
                 (u, v, comp[u] | comp[v]) for u, v in edges[idx:] if comp[u] != comp[v]
             ]
@@ -713,19 +705,24 @@ def enumerate_spanning_trees(
 ) -> Iterator[SpanningTree]:
     """Each spanning tree of connected g exactly once; host and cap checked on the call.
 
-    The trees come from the cuts of `_spanning_cuts`, in edge order: a
-    spanning forest as it is, and otherwise the forest plus each triple
-    e1 < e2 < e3 of crossing edges that join distinct pairs of the four
-    components and together touch all four, the definition of a tree on
-    them. The triples come in lexicographic order, the order an
-    include-first walk down to the last edge would take.
+    The trees come from the cuts of `_spanning_cuts` at four components,
+    in edge order: a spanning forest as it is (n <= 3), and otherwise the
+    forest plus each triple e1 < e2 < e3 of crossing edges whose tags
+    differ pairwise and together cover every vertex, the definition of a
+    tree on them: an edge inside a component closes a cycle, three edges
+    joining distinct pairs of four components form a tree unless they form
+    a triangle, and a triangle leaves the fourth component apart. When e1
+    is a bridge of the forest plus the undecided edges, no triple leaves
+    it out, so the triples need no bridge test. The triples come in
+    lexicographic order, the order an include-first walk down to the last
+    edge would take.
     """
     _guarded_tree_count(g, cap)
     n = g.n
     everyone = (1 << n) - 1
 
     def trees() -> Iterator[SpanningTree]:
-        for included, degree, _, crossing in _spanning_cuts(g):
+        for included, degree, _, crossing in _spanning_cuts(g, 4):
             if not crossing:  # the forest spans
                 yield _tree(n, included, degree)
             for (a, b, r), (c, d, s), (e, f, t) in combinations(crossing, 3):
@@ -738,72 +735,72 @@ def enumerate_spanning_trees(
     return trees()
 
 
-def _quotient_trees(xa: int, xb: int, xc: int, ya: int, yb: int, yc: int) -> int:
-    """Spanning trees of a multigraph on four vertices X, A, B, C.
-
-    xa, xb, xc edges join X to A, B, C, and ya, yb, yc edges join the pair
-    opposite each: B-C, A-C, A-B. A tree takes at most one edge of each
-    pair, so this is the 3x3 matrix-tree determinant expanded over K_4's
-    16 trees, grouped by the degree of X: the star at X, xa xb xc; X of
-    degree two, the third vertex hung on either neighbour, xa xb (ya + yb)
-    and its two turns; X a leaf on a tree of the other three,
-    (xa + xb + xc) (ya yb + yb yc + yc ya).
-    """
-    return (
-        xa * xb * (xc + ya + yb)
-        + xc * (xa * (yc + ya) + xb * (yb + yc))
-        + (xa + xb + xc) * (ya * yb + yb * yc + yc * ya)
-    )
-
-
 def _cut_leaf_sum(
     degree: list[int], comp: list[int], crossing: list[tuple[int, int, int]], leaf_sum: list[int]
 ) -> int:
     """The number of trees below one cut of `_spanning_cuts`; adds to
     leaf_sum[v], for each vertex v, the number of them that have v as a leaf.
 
-    A spanning forest F is its one tree. Otherwise the trees are F plus
-    a spanning tree of the quotient on F's four components, whose edges
-    are the crossing edges, in six classes, one per tag; there are tau
-    of them, the quotient's count (`_quotient_trees`). A vertex v of F with
+    The trees are the forest F plus a spanning tree of the quotient
+    multigraph Q on F's components, whose edges are the crossing edges,
+    so there are tau(Q) of them, the matrix-tree determinant of Q; a
+    spanning forest is Q on one vertex, and its one tree. A vertex v of F
+    with
     - degree 1 is a leaf of a tree exactly when the tree takes none of
-      v's crossing edges, in the quotient's tau without them: tau itself
-      when v has none;
+      v's crossing edges, in as many trees as Q has without them: the
+      determinant of Q's Laplacian without the row and column of v's
+      component, less v's crossing edges to each component on the
+      diagonal. Vertices of one component with the same crossing counts
+      share it;
     - degree 0 is a component X alone, and a leaf exactly when X is a
-      leaf of the quotient tree: one of X's crossing edges joins it to a
-      tree of the other three components;
+      leaf of the quotient tree, in deg_Q(X) tau(Q - X) trees;
     - degree 2 or more is never a leaf.
     """
-    count: dict[int, int] = {}  # crossing edges per class, by tag
-    reach: dict[int, int] = {}  # crossing neighbours, as bits, of each vertex of forest degree 1
-    for u, v, t in crossing:
-        count[t] = count.get(t, 0) + 1
-        if degree[u] == 1:
-            reach[u] = reach.get(u, 0) | 1 << v
-        if degree[v] == 1:
-            reach[v] = reach.get(v, 0) | 1 << u
-    trees, seen = 1, {}  # a spanning forest is its one tree
-    if crossing:
-        labels = set(comp)
-        for x in labels:  # per component X: the other three, and the six class counts from X
-            a, b, c = labels - {x}
-            seen[x] = (a, b, c, count.get(x | a, 0), count.get(x | b, 0), count.get(x | c, 0),
-                       count.get(b | c, 0), count.get(a | c, 0), count.get(a | b, 0))
-        trees = _quotient_trees(*seen[x][3:])  # the same from any component
+    index = {x: i for i, x in enumerate(dict.fromkeys(comp))}  # Q's vertices
+    size = len(index)
+    laplacian = [[0] * size for _ in range(size)]
+    reach = {v: [0] * size for v, d in enumerate(degree) if d == 1}  # crossing edges per component
+    for u, v, _ in crossing:
+        i, j = index[comp[u]], index[comp[v]]
+        laplacian[i][i] += 1
+        laplacian[j][j] += 1
+        laplacian[i][j] -= 1
+        laplacian[j][i] -= 1
+        if u in reach:
+            reach[u][j] += 1
+        if v in reach:
+            reach[v][i] += 1
+    trees = _bareiss_determinant([row[1:] for row in laplacian[1:]])
+
+    def minor(x: int, cut: list[int]) -> list[list[int]]:
+        """Q's Laplacian without row and column x, less cut[a] at each (a, a)."""
+        rows = [row[:x] + row[x + 1 :] for row in laplacian[:x] + laplacian[x + 1 :]]
+        for a, c in enumerate(cut[:x] + cut[x + 1 :]):
+            rows[a][a] -= c
+        return rows
+
+    memo: dict[tuple[int, ...], int] = {}  # by component and crossing counts
     for v, d in enumerate(degree):
-        if d == 1 and v not in reach:
-            leaf_sum[v] += trees
-        elif d < 2 and crossing:
-            a, b, c, xa, xb, xc, ya, yb, yc = seen[comp[v]]
-            if d:
-                bits = reach[v]
-                leaf_sum[v] += _quotient_trees(
-                    xa - (bits & a).bit_count(), xb - (bits & b).bit_count(),
-                    xc - (bits & c).bit_count(), ya, yb, yc,
-                )
-            else:
-                leaf_sum[v] += (xa + xb + xc) * (ya * yb + yb * yc + yc * ya)
+        if d == 1:
+            x, cut = index[comp[v]], reach[v]
+            key = (x, *cut)
+            if key not in memo:
+                memo[key] = _bareiss_determinant(minor(x, cut)) if any(cut) else trees
+            leaf_sum[v] += memo[key]
+        elif d == 0:  # X alone: tau(Q - X) on Q - X's Laplacian, 0 when n = 1
+            x = index[comp[v]]
+            rest = minor(x, [-e for e in laplacian[x]])
+            leaf_sum[v] += laplacian[x][x] * _bareiss_determinant([row[1:] for row in rest[1:]])
     return trees
+
+
+# verify's tree walk cuts at K_MAX components, or at n - 2 on smaller
+# hosts, so that every cut fixes at least two forest edges. A deeper cut
+# stands for more trees, on a larger quotient: dense hosts walk fastest
+# uncapped, long sparse ones at a few components. Of 4 to 16, 8 took the
+# least time over K_9, K_10 minus a perfect matching, cycle(80) and
+# path(80): the least that caps neither dense host
+K_MAX = 8
 
 
 class WeightIdentityReport(NamedTuple):
@@ -827,19 +824,20 @@ def verify_weight_identity(
     wrong vertex shows even where the sums, or the degrees, agree.
 
     The left side visits every spanning tree once, as a cut of
-    `_spanning_cuts` and a spanning tree of its four-component quotient,
-    and lists none: `_cut_leaf_sum` counts each cut's trees and, for each
-    vertex, those that have it as a leaf, in closed form by three cases
-    on its forest degree. `weight_sum` is the sum of N_v/d(v). The right
-    side takes each tau(G - v) as the matrix-tree count of the
-    vertex-deleted subgraph, a fully independent route, and
-    `s_n_minus_1` is their sum; a vertex whose deletion disconnects g
-    leaves no spanning tree, so a bitmask search skips its determinant.
+    `_spanning_cuts` at min(K_MAX, n - 2) components (at least one) and a
+    spanning tree of the cut's quotient, and lists none: `_cut_leaf_sum`
+    counts each cut's trees and, for each vertex, those that have it as a
+    leaf, by matrix-tree determinants of the quotient. `weight_sum` is the
+    sum of N_v/d(v). The right side takes each tau(G - v) as the
+    matrix-tree count of the vertex-deleted subgraph, a fully independent
+    route, and `s_n_minus_1` is their sum; a vertex whose deletion
+    disconnects g leaves no spanning tree, so a bitmask search skips its
+    determinant.
     """
     n = g.n
     matrix_tree_count = _guarded_tree_count(g, cap)
     leaf_sum, tree_count = [0] * n, 0  # leaf_sum[v]: N_v
-    for _, degree, comp, crossing in _spanning_cuts(g):
+    for _, degree, comp, crossing in _spanning_cuts(g, max(1, min(K_MAX, n - 2))):
         tree_count += _cut_leaf_sum(degree, comp, crossing, leaf_sum)
     everyone = (1 << n) - 1
     deleted = [  # tau(G - v): none where deleting v disconnects g; s_0 counts no subtree

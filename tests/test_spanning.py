@@ -42,7 +42,6 @@ from subtree_poly_lab.spanning import (
     _leaf_form,
     _leaf_scales,
     _parent_degrees,
-    _quotient_trees,
     _weight_chunk,
     _wilson_batch,
     _wilson_parents,
@@ -457,14 +456,42 @@ def test_identity_sum_matches_walk_and_brute_force_on_gnp_hosts(n, p, seed):
     _check_identity_sum(g)
 
 
+def _verify_cuts(g):
+    """The cuts `verify_weight_identity` reads on g, as copies, and the depth
+    it asked for; the cap is g's own tree count."""
+    original, cuts, stops = spanning._spanning_cuts, [], []
+
+    def recorded(host, stop):
+        stops.append(stop)
+        for included, degree, comp, crossing in original(host, stop):
+            cuts.append((list(included), list(degree), list(comp), list(crossing)))
+            yield included, degree, comp, crossing
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spanning, "_spanning_cuts", recorded)
+        assert verify_weight_identity(g, cap=max(1, spanning_tree_count(g))).equal
+    assert len(stops) == 1
+    return cuts, stops[0]
+
+
+# the cuts verify reads, at n - 2 components: six on K_8 minus a matching, five on K_7
+_VERIFY_CUTS = {"complete_minus_perfect_matching(8)": 51, "complete(7)": 45}
+
+
 @pytest.mark.parametrize(
     "spec, cuts", [("complete_minus_perfect_matching(8)", 2169), ("complete(7)", 290)]
 )
 def test_tree_walk_branches_to_pinned_cuts(monkeypatch, spec, cuts):
-    # the walk branches down to four components and expands each cut's
-    # triples without branching; a walk that branched further would yield
-    # more cuts, and both consumers read the same ones
+    # the oracle branches down to four components and expands each cut's
+    # triples without branching; verify branches down to n - 2 components
+    # and counts each cut's trees on its quotient. A walk that branched
+    # further would yield more cuts, one that stopped sooner fewer
     g = generate(spec)
+    verify_cuts, stop = _verify_cuts(g)
+    assert stop == g.n - 2
+    assert len(verify_cuts) == _VERIFY_CUTS[spec]
+    assert {len(set(comp)) for _, _, comp, _ in verify_cuts} == {g.n - 2}
+    assert all(len(included) >= min(2, g.n - 1) for included, *_ in verify_cuts)
     original, seen = spanning._spanning_cuts, []
 
     def counted(*args):
@@ -473,56 +500,97 @@ def test_tree_walk_branches_to_pinned_cuts(monkeypatch, spec, cuts):
             yield cut
 
     monkeypatch.setattr(spanning, "_spanning_cuts", counted)
-    assert verify_weight_identity(g).tree_count == spanning_tree_count(g)
-    assert len(seen) == cuts and set(seen) == {g.n - 4}
-    seen.clear()
     assert sum(1 for _ in enumerate_spanning_trees(g)) == spanning_tree_count(g)
-    assert len(seen) == cuts
+    assert len(seen) == cuts and set(seen) == {g.n - 4}
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(counts=st.lists(st.integers(0, 5), min_size=6, max_size=6))
-def test_quotient_trees_counts_the_trees_of_the_four_vertex_multigraph(counts):
-    # vertices X, A, B, C = 0, 1, 2, 3; each triple of the six pairs that
-    # connects all four is a tree, taking one edge of each of its pairs
-    pairs = [(0, 1), (0, 2), (0, 3), (2, 3), (1, 3), (1, 2)]
-    trees = 0
-    for triple in combinations(range(6), 3):
-        if is_connected(Graph.from_edges(4, [pairs[i] for i in triple])):
-            trees += math.prod(counts[i] for i in triple)
-    assert _quotient_trees(*counts) == trees
+@pytest.mark.parametrize("spec", [f"complete({n})" for n in range(1, 10)] + ["path(12)"])
+def test_verify_cuts_fix_two_forest_edges(spec):
+    # the depth is min(K_MAX, n - 2) components, and at least one, so every
+    # cut fixes at least two forest edges, or the whole tree below four
+    # vertices; on a path the one cut is the host's one tree, fixed down to
+    # K_MAX components, and the rest of its edges cross
+    g = generate(spec)
+    n = g.n
+    cuts, stop = _verify_cuts(g)
+    assert stop == max(1, min(spanning.K_MAX, n - 2))
+    assert all(len(included) >= min(2, n - 1) for included, *_ in cuts)
+    assert {len(set(comp)) for _, _, comp, _ in cuts} == {stop}
+
+
+def _spans(size, pairs):
+    """Whether the edges `pairs`, repeats allowed, connect vertices 0..size-1."""
+    reach, grown = 1, True
+    while grown:
+        grown = False
+        for a, b in pairs:
+            if (reach >> a ^ reach >> b) & 1:
+                reach |= 1 << a | 1 << b
+                grown = True
+    return reach == (1 << size) - 1
+
+
+@st.composite
+def _multigraphs(draw):
+    """A multigraph on 2 to 7 vertices with at most 12 edges, as a list of pairs."""
+    size = draw(st.integers(2, 7))
+    pairs = draw(st.lists(st.sampled_from(list(combinations(range(size), 2))), max_size=12))
+    return size, pairs
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(graph=_multigraphs())
+def test_cut_leaf_sum_counts_the_trees_of_a_quotient_multigraph(graph):
+    # a cut whose components are all single vertices: the quotient is the
+    # host, here a multigraph. Its trees are the (size - 1)-subsets of its
+    # edges that connect it, and a vertex is a leaf of one in which it has
+    # one edge
+    size, pairs = graph
+    trees, leaves = 0, [0] * size
+    for subset in combinations(pairs, size - 1):
+        if _spans(size, subset):
+            trees += 1
+            degree = Counter(x for pair in subset for x in pair)
+            for v in range(size):
+                leaves[v] += degree[v] == 1
+    crossing = [(a, b, 1 << a | 1 << b) for a, b in pairs]
+    leaf_sum = [0] * size
+    assert _cut_leaf_sum([0] * size, [1 << v for v in range(size)], crossing, leaf_sum) == trees
+    assert leaf_sum == leaves
 
 
 def _cut_sums_against_oracle(g):
-    """Each cut's tree count and per-vertex leaf counts from `_cut_leaf_sum`,
-    and from the `leaf_set`s of the trees that `enumerate_spanning_trees`
-    lists on that cut; and the cases of `_cut_leaf_sum` the cuts reach."""
-    formula, listed, cases = [], [], set()
-    original = spanning._spanning_cuts
-
-    def marked(*args):
-        for cut in original(*args):
-            _, degree, comp, crossing = cut
-            leaf_sum = [0] * g.n
-            formula.append([_cut_leaf_sum(degree, comp, crossing, leaf_sum), leaf_sum])
-            listed.append([0, [0] * g.n])
-            ends = {x for u, v, _ in crossing for x in (u, v)}
-            if not crossing:
-                cases.add("spans")
-            for v, d in enumerate(degree):
-                if d == 0:
-                    cases.add("alone")
-                elif d == 1:
-                    cases.add("leaf crossed" if v in ends else "leaf kept")
-            yield cut
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spanning, "_spanning_cuts", marked)
-        for tree in enumerate_spanning_trees(g):
-            listed[-1][0] += 1
-            for v in tree.leaf_set:
-                listed[-1][1][v] += 1
-    assert formula == listed
+    """Each cut of `verify_weight_identity`, at its own depth: the tree count
+    and per-vertex leaf counts of `_cut_leaf_sum` against the trees above
+    that cut, listed by the definition of a tree over the (c - 1)-subsets
+    of its crossing edges, c its number of components; and the cases of
+    `_cut_leaf_sum` the cuts reach."""
+    cases = set()
+    for _, degree, comp, crossing in _verify_cuts(g)[0]:
+        leaf_sum = [0] * g.n
+        trees = _cut_leaf_sum(degree, comp, crossing, leaf_sum)
+        label = {x: i for i, x in enumerate(set(comp))}
+        pairs = [(label[comp[u]], label[comp[v]]) for u, v, _ in crossing]
+        listed, leaves = 0, [0] * g.n
+        for subset in combinations(range(len(crossing)), len(label) - 1):
+            if _spans(len(label), [pairs[i] for i in subset]):
+                listed += 1
+                tree_degree = list(degree)
+                for i in subset:
+                    u, v, _ = crossing[i]
+                    tree_degree[u] += 1
+                    tree_degree[v] += 1
+                for v, d in enumerate(tree_degree):
+                    leaves[v] += d == 1
+        assert (trees, leaf_sum) == (listed, leaves)
+        ends = {x for u, v, _ in crossing for x in (u, v)}
+        if not crossing:
+            cases.add("spans")
+        for v, d in enumerate(degree):
+            if d == 0:
+                cases.add("alone")
+            elif d == 1:
+                cases.add("leaf crossed" if v in ends else "leaf kept")
     return cases
 
 
@@ -537,6 +605,10 @@ _CUT_HOSTS = {
     "cycle6": generate("cycle(6)"),
     "cmpm8": generate("complete_minus_perfect_matching(8)"),
     "gnp9": generate("gnp(9,0.6)", seed=2),
+    # hosts of 5, 6 and 7 vertices, where the depth is n - 2 components
+    "k5": generate("complete(5)"),
+    "k6": generate("complete(6)"),
+    "cycle7": generate("cycle(7)"),
 }
 
 
@@ -554,7 +626,7 @@ def test_cut_hosts_reach_every_case():
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(n=st.integers(4, 7), p=st.sampled_from([0.3, 0.5, 0.7]), seed=st.integers(0, 10**6))
+@given(n=st.integers(4, 9), p=st.sampled_from([0.3, 0.5, 0.7]), seed=st.integers(0, 10**6))
 def test_cut_leaf_sum_matches_the_trees_listed_on_gnp_cuts(n, p, seed):
     # n <= 3 is a spanning forest, which the fixed hosts cover
     g, _ = generate_connected(f"gnp({n},{p})", seed=seed)
@@ -567,7 +639,7 @@ def _check_leaf_sums(g):
     `verify_weight_identity` sums them, against the matrix-tree count of
     each vertex-deleted graph, built as a graph of its own."""
     leaf_sum = [0] * g.n
-    for _, degree, comp, crossing in spanning._spanning_cuts(g):
+    for _, degree, comp, crossing in _verify_cuts(g)[0]:
         _cut_leaf_sum(degree, comp, crossing, leaf_sum)
     expected = []
     for v, d in enumerate(g.degrees):

@@ -148,6 +148,33 @@ def test_counting_and_sampling_load_no_root_code_or_pool(argv, edge_list):
     assert not loaded & {"mpmath", "concurrent.futures"}
 
 
+# string annotations on a NamedTuple field (what `from __future__ import
+# annotations` makes of every annotation) are each compiled into a
+# typing.ForwardRef when the class is built, on every import
+_FORWARD_REFS = """
+import sys, typing
+built = []
+init = typing.ForwardRef.__init__
+def counted(self, *args, **kwargs):
+    built.append(args[0])
+    init(self, *args, **kwargs)
+typing.ForwardRef.__init__ = counted
+import subtree_poly_lab.cli, subtree_poly_lab.polyroots, subtree_poly_lab.spanning
+print(len(built))
+"""
+
+
+def test_importing_the_commands_compiles_no_forward_references():
+    package_root = str(Path(subtree_poly_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORWARD_REFS], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
 # the names the package exported when it imported every module eagerly
 _EXPORTED = """
 SubtreeCountVector brute_force_subtree_count check_ratio_inequalities
