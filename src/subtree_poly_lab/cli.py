@@ -31,7 +31,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from functools import partial
@@ -58,7 +57,6 @@ from .graphs import (
     parse_family,
 )
 
-THREADS_ENV = "SUBTREE_POLY_LAB_THREADS"
 WORST_ITERATES_SHOWN = 5
 
 _EPILOG = """\
@@ -69,9 +67,6 @@ graph sources:
 
 CSV columns (fixed per command):
 {columns}  sweep:      per inner command, see --help of sweep
-
-environment:
-  SUBTREE_POLY_LAB_THREADS sets the default --threads value.
 
 exit codes: 0 ok, 1 validation error, 2 capacity error, 3 assertion failure.
 """
@@ -112,13 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # no default, so that sweep can tell a request for JSON from no request;
     # every other command reads an absent --format as json
     common.add_argument("--format", choices=("json", "csv"))
-    # a string default goes through the type check only when the flag is absent
-    common.add_argument(
-        "--threads",
-        type=partial(checks.threads, name=f"--threads (default from {THREADS_ENV})"),
-        default=os.environ.get(THREADS_ENV, str(checks.DEFAULT_THREADS)),
-        help="cap on module parallelism (execution knob, results unchanged)",
-    )
+    _numeric(common, "--threads", checks.threads, checks.DEFAULT_THREADS,
+             help="cap on module parallelism (execution knob, results unchanged)")
 
     caps = argparse.ArgumentParser(add_help=False)
     _numeric(

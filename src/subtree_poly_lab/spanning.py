@@ -37,10 +37,9 @@ a forest of a given number of components, below which the walk does
 not branch. The trees below a cut are the forest plus a spanning tree of
 the quotient multigraph Q on its components, whose edges are the
 undecided edges that join two of them. ``enumerate_spanning_trees``
-cuts at four components and tests each triple of crossing edges against
-the definition of a tree, in lexicographic edge order; it is the only
-code that lists the trees of a cut. The identity check cuts at
-min(K_MAX, n - 2) components and lists none: a cut has tau(Q) trees,
+runs the walk to one component, where each cut is a spanning tree, in
+lexicographic edge order. The identity check cuts at
+min(K_MAX, n - 2) components and lists no tree: a cut has tau(Q) trees,
 Q's matrix-tree determinant, and how many of them have a given vertex
 as a leaf follows by three cases on its forest degree. Degree 1: a leaf
 exactly when the tree takes none of its crossing edges, in as many
@@ -58,7 +57,7 @@ import math
 import os
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import compress
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from . import params
@@ -612,19 +611,19 @@ def _guarded_tree_count(g: Graph, cap: int) -> int:
 
 def _spanning_cuts(
     g: Graph, stop: int
-) -> Iterator[tuple[list, list[int], list[int], list[tuple[int, int, int]]]]:
+) -> Iterator[tuple[list, list[int], list[int], list[tuple[int, int]]]]:
     """Yield (forest edges, tree degrees, comp, crossing) for each cut of connected g.
 
     Edge inclusion/exclusion in depth-first order. An edge is excluded
     when it closes a cycle in the forest built so far, or when it is not
     a bridge of that forest plus the edges not yet decided, so every
     branch holds a tree. The walk stops where the forest has `stop`
-    components, or spans (n < stop), and yields that cut: the forest,
-    its tree degrees, each vertex's component as bits, and the undecided
-    edges with ends in two components, in edge order, each tagged with
-    the bits of both components. The trees below a cut are the forest
-    plus each set of crossing edges, one fewer than the components, that
-    joins the components into one tree.
+    components, 1 <= stop <= n, and yields that cut: the forest, its
+    tree degrees, each vertex's component as bits, and the undecided
+    edges with ends in two components, in edge order. The trees below a
+    cut are the forest plus each set of crossing edges, one fewer than
+    the components, that joins the components into one tree; at one
+    component the forest is a spanning tree and no edge crosses.
 
     The forest is kept as tree degrees and `comp`, each vertex's
     component as bits, rolled back in step: an include merges the two
@@ -680,10 +679,8 @@ def _spanning_cuts(
             if joined(u, v, suffix[idx + 1]):
                 todo.append((idx + 1, components, None))
             continue
-        if components == stop or components == 1:  # a cut; one component only when n < stop
-            crossing = [
-                (u, v, comp[u] | comp[v]) for u, v in edges[idx:] if comp[u] != comp[v]
-            ]
+        if components == stop:
+            crossing = [(u, v) for u, v in edges[idx:] if comp[u] != comp[v]]
             yield included, tree_degree, comp, crossing
             continue
         u, v = edges[idx]
@@ -705,38 +702,16 @@ def enumerate_spanning_trees(
 ) -> Iterator[SpanningTree]:
     """Each spanning tree of connected g exactly once; host and cap checked on the call.
 
-    The trees come from the cuts of `_spanning_cuts` at four components,
-    in edge order: a spanning forest as it is (n <= 3), and otherwise the
-    forest plus each triple e1 < e2 < e3 of crossing edges whose tags
-    differ pairwise and together cover every vertex, the definition of a
-    tree on them: an edge inside a component closes a cycle, three edges
-    joining distinct pairs of four components form a tree unless they form
-    a triangle, and a triangle leaves the fourth component apart. When e1
-    is a bridge of the forest plus the undecided edges, no triple leaves
-    it out, so the triples need no bridge test. The triples come in
-    lexicographic order, the order an include-first walk down to the last
-    edge would take.
+    The trees are the forests of the cuts of `_spanning_cuts` at one
+    component, in the walk's include-first order, which is lexicographic
+    in the edges' indices.
     """
     _guarded_tree_count(g, cap)
-    n = g.n
-    everyone = (1 << n) - 1
-
-    def trees() -> Iterator[SpanningTree]:
-        for included, degree, _, crossing in _spanning_cuts(g, 4):
-            if not crossing:  # the forest spans
-                yield _tree(n, included, degree)
-            for (a, b, r), (c, d, s), (e, f, t) in combinations(crossing, 3):
-                if r != s != t != r and r | s | t == everyone:
-                    tree_degree = list(degree)
-                    for x in (a, b, c, d, e, f):
-                        tree_degree[x] += 1
-                    yield _tree(n, (*included, (a, b), (c, d), (e, f)), tree_degree)
-
-    return trees()
+    return (_tree(g.n, included, degree) for included, degree, _, _ in _spanning_cuts(g, 1))
 
 
 def _cut_leaf_sum(
-    degree: list[int], comp: list[int], crossing: list[tuple[int, int, int]], leaf_sum: list[int]
+    degree: list[int], comp: list[int], crossing: list[tuple[int, int]], leaf_sum: list[int]
 ) -> int:
     """The number of trees below one cut of `_spanning_cuts`; adds to
     leaf_sum[v], for each vertex v, the number of them that have v as a leaf.
@@ -760,7 +735,7 @@ def _cut_leaf_sum(
     size = len(index)
     laplacian = [[0] * size for _ in range(size)]
     reach = {v: [0] * size for v, d in enumerate(degree) if d == 1}  # crossing edges per component
-    for u, v, _ in crossing:
+    for u, v in crossing:
         i, j = index[comp[u]], index[comp[v]]
         laplacian[i][i] += 1
         laplacian[j][j] += 1

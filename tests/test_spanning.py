@@ -381,7 +381,6 @@ def _check_walk(g):
     ids=["n1", "n2", "tree", "cycle6", "k4", "cycle4", "path4"],
 )
 def test_tree_walk_matches_brute_force_on_small_hosts(host):
-    # on four vertices the first cut is the empty forest: every tree is a triple
     _check_walk(host)
 
 
@@ -482,16 +481,18 @@ _VERIFY_CUTS = {"complete_minus_perfect_matching(8)": 51, "complete(7)": 45}
     "spec, cuts", [("complete_minus_perfect_matching(8)", 2169), ("complete(7)", 290)]
 )
 def test_tree_walk_branches_to_pinned_cuts(monkeypatch, spec, cuts):
-    # the oracle branches down to four components and expands each cut's
-    # triples without branching; verify branches down to n - 2 components
-    # and counts each cut's trees on its quotient. A walk that branched
-    # further would yield more cuts, one that stopped sooner fewer
+    # verify branches down to n - 2 components and counts each cut's trees
+    # on its quotient; the oracle branches down to one component, so each
+    # of its cuts is one spanning tree of n - 1 forest edges; at four
+    # components the walk yields `cuts` cuts. A walk that branched further
+    # would yield more cuts, one that stopped sooner fewer
     g = generate(spec)
     verify_cuts, stop = _verify_cuts(g)
     assert stop == g.n - 2
     assert len(verify_cuts) == _VERIFY_CUTS[spec]
     assert {len(set(comp)) for _, _, comp, _ in verify_cuts} == {g.n - 2}
     assert all(len(included) >= min(2, g.n - 1) for included, *_ in verify_cuts)
+    assert [len(cut[0]) for cut in spanning._spanning_cuts(g, 4)] == [g.n - 4] * cuts
     original, seen = spanning._spanning_cuts, []
 
     def counted(*args):
@@ -501,7 +502,7 @@ def test_tree_walk_branches_to_pinned_cuts(monkeypatch, spec, cuts):
 
     monkeypatch.setattr(spanning, "_spanning_cuts", counted)
     assert sum(1 for _ in enumerate_spanning_trees(g)) == spanning_tree_count(g)
-    assert len(seen) == cuts and set(seen) == {g.n - 4}
+    assert seen == [g.n - 1] * spanning_tree_count(g)
 
 
 @pytest.mark.parametrize("spec", [f"complete({n})" for n in range(1, 10)] + ["path(12)"])
@@ -553,10 +554,51 @@ def test_cut_leaf_sum_counts_the_trees_of_a_quotient_multigraph(graph):
             degree = Counter(x for pair in subset for x in pair)
             for v in range(size):
                 leaves[v] += degree[v] == 1
-    crossing = [(a, b, 1 << a | 1 << b) for a, b in pairs]
     leaf_sum = [0] * size
-    assert _cut_leaf_sum([0] * size, [1 << v for v in range(size)], crossing, leaf_sum) == trees
+    assert _cut_leaf_sum([0] * size, [1 << v for v in range(size)], pairs, leaf_sum) == trees
     assert leaf_sum == leaves
+
+
+def _cut_trees(comp, crossing):
+    """The sets of a cut's crossing edges that join its c components into
+    one tree, by the definition of a tree over the (c - 1)-subsets of the
+    crossing edges, in lexicographic order."""
+    label = {x: i for i, x in enumerate(set(comp))}
+    pairs = [(label[comp[u]], label[comp[v]]) for u, v in crossing]
+    for subset in combinations(range(len(crossing)), len(label) - 1):
+        if _spans(len(label), [pairs[i] for i in subset]):
+            yield [crossing[i] for i in subset]
+
+
+_DEPTH_HOSTS = {
+    **{f"complete({n})": generate(f"complete({n})") for n in range(1, 7)},
+    "cycle(6)": generate("cycle(6)"),
+    "path(5)": generate("path(5)"),
+    "star(6)": star(6),
+    "gnp(7,0.6) seed 0": generate_connected("gnp(7,0.6)", seed=0)[0],
+    "gnp(7,0.6) seed 1": generate_connected("gnp(7,0.6)", seed=1)[0],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_DEPTH_HOSTS))
+def test_tree_walk_at_every_depth_expands_to_the_oracle_trees(spec):
+    # at each stop from 1 to n every cut is a forest of exactly `stop`
+    # components: n - stop edges, each component connected by its own
+    # edges. The trees above the cuts, listed cut by cut in walk order by
+    # the definition of a tree, are the oracle's trees in the oracle's order
+    g = _DEPTH_HOSTS[spec]
+    n = g.n
+    oracle = [t.edges for t in enumerate_spanning_trees(g)]
+    for stop in range(1, n + 1):
+        listed = []
+        for included, _, comp, crossing in spanning._spanning_cuts(g, stop):
+            forest = Graph.from_edges(n, included)
+            parts = set(comp)
+            assert len(parts) == stop and len(included) == n - stop
+            assert sorted(v for part in parts for v in range(n) if part >> v & 1) == list(range(n))
+            assert all(is_connected(forest, part) for part in parts)
+            listed += [frozenset(included + chosen) for chosen in _cut_trees(comp, crossing)]
+        assert listed == oracle, stop
 
 
 def _cut_sums_against_oracle(g):
@@ -569,21 +611,17 @@ def _cut_sums_against_oracle(g):
     for _, degree, comp, crossing in _verify_cuts(g)[0]:
         leaf_sum = [0] * g.n
         trees = _cut_leaf_sum(degree, comp, crossing, leaf_sum)
-        label = {x: i for i, x in enumerate(set(comp))}
-        pairs = [(label[comp[u]], label[comp[v]]) for u, v, _ in crossing]
         listed, leaves = 0, [0] * g.n
-        for subset in combinations(range(len(crossing)), len(label) - 1):
-            if _spans(len(label), [pairs[i] for i in subset]):
-                listed += 1
-                tree_degree = list(degree)
-                for i in subset:
-                    u, v, _ = crossing[i]
-                    tree_degree[u] += 1
-                    tree_degree[v] += 1
-                for v, d in enumerate(tree_degree):
-                    leaves[v] += d == 1
+        for chosen in _cut_trees(comp, crossing):
+            listed += 1
+            tree_degree = list(degree)
+            for u, v in chosen:
+                tree_degree[u] += 1
+                tree_degree[v] += 1
+            for v, d in enumerate(tree_degree):
+                leaves[v] += d == 1
         assert (trees, leaf_sum) == (listed, leaves)
-        ends = {x for u, v, _ in crossing for x in (u, v)}
+        ends = {x for edge in crossing for x in edge}
         if not crossing:
             cases.add("spans")
         for v, d in enumerate(degree):
