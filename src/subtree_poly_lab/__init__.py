@@ -4,7 +4,8 @@ Library layout:
     graphs     - graph type, generators, edge-list ingestion
     counting   - exact subtree-count vectors and their oracles
     subsets    - the numpy kernel of the counting enumeration
-    spanning   - Wilson sampling, leaf weights, identity verification
+    spanning   - spanning-tree enumeration, identity verification
+    sampling   - Wilson sampling and leaf weights, in numpy
     polyroots  - subtree polynomial, certified roots, margin diagnostics
     dyadic     - the root reports' roundings, decimal strings and series
     params     - the accepted range of each numeric parameter, one check per rule
@@ -51,15 +52,15 @@ _EXPORTS = {
     "tree_root_check": "polyroots",
     "RandomStream": "rng",
     "stream": "rng",
-    "BetaEstimate": "spanning",
+    "BetaEstimate": "sampling",
+    "WeightSample": "sampling",
+    "estimate_beta": "sampling",
+    "leaf_weight": "sampling",
+    "weight_experiment": "sampling",
+    "wilson_sample": "sampling",
     "SpanningTree": "spanning",
-    "WeightSample": "spanning",
     "enumerate_spanning_trees": "spanning",
-    "estimate_beta": "spanning",
-    "leaf_weight": "spanning",
     "verify_weight_identity": "spanning",
-    "weight_experiment": "spanning",
-    "wilson_sample": "spanning",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -281,7 +281,7 @@ def _cmd_counts(args, graph, family):
 
 
 def _beta(args, graph, family):
-    from .spanning import estimate_beta
+    from .sampling import estimate_beta
 
     return estimate_beta(graph, args.samples, args.seed, threads=args.threads)
 
@@ -303,7 +303,7 @@ def _cmd_beta(args, graph, family):
 
 def _cmd_sample(args, graph, family):
     from .rng import DOMAIN_SAMPLE, stream
-    from .spanning import leaf_weight, wilson_sample
+    from .sampling import leaf_weight, wilson_sample
 
     trees = []
     for i in range(args.samples):
@@ -430,7 +430,7 @@ def _cmd_tree_check(args, graph, family):
 
 
 def _cmd_experiment(args, graph, family):
-    from .spanning import weight_experiment
+    from .sampling import weight_experiment
 
     beta_report, leaf_report, tails = weight_experiment(
         graph, args.samples, args.seed, args.b_grid, args.epsilon, threads=args.threads

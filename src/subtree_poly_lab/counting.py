@@ -12,14 +12,14 @@ for a tree host (connected, m = n - 1, however it was given), else the
 enumeration of `subtree_counts`. The enumeration is bound by the cap,
 the tree recursion by MAX_TREE_VERTICES. The enumeration takes one of
 two routes by the host's size. A host of at most
-SMALL_HOST_VERTICES vertices is counted here on Python integers: its
-connected-subset levels are sets of bitmasks and each subset adds its
-exact Bareiss count. A larger host runs in the numpy kernel of the
-`subsets` module, which holds that algorithm (bitmask levels cut into
-chunks of vertex arrays; each chunk's minors eliminated exactly, in
-float64 under a proven Hadamard bound, else modulo a proven number of
-primes with each count rebuilt from its residues); `subtree_counts` loads
-it only for the larger hosts. `enumerate_connected_subsets` lists the
+SMALL_HOST_VERTICES vertices is counted here on Python integers: each
+of its vertex bitmasks that is connected adds its exact Bareiss count.
+A larger host runs in the numpy kernel of the `subsets` module, which
+holds that algorithm (bitmask levels cut into chunks of vertex arrays;
+each chunk's minors eliminated exactly, in float64 under a proven
+Hadamard bound, else modulo a proven number of primes with each count
+rebuilt from its residues); `subtree_counts` loads it only for the
+larger hosts. `enumerate_connected_subsets` lists the
 connected k-subsets of every host from the kernel's k-th level.
 
 The diagnostics of the Poisson profile take the counts alone and stay in
@@ -196,8 +196,8 @@ def subtree_counts(g: Graph, cap: int = params.DEFAULT_ENUMERATION_CAP) -> Subtr
     """Exact s_1..s_n by summing spanning-tree counts over connected subsets.
 
     A host of at most SMALL_HOST_VERTICES vertices takes `_small_host_counts`
-    (Python integers, no numpy import); a larger one the numpy kernel
-    `subsets.level_counts`. Both return the same exact integers.
+    (every connected vertex bitmask, on Python integers, no numpy import);
+    a larger one the numpy kernel `subsets.level_counts`. Both return the same exact integers.
     """
     cap = params.cap(cap, "cap")
     if g.n > cap:
@@ -214,29 +214,16 @@ def subtree_counts(g: Graph, cap: int = params.DEFAULT_ENUMERATION_CAP) -> Subtr
 
 
 def _small_host_counts(g: Graph) -> list[int]:
-    """s_1..s_n of g on Python integers: bitmask levels, one Bareiss count per subset.
+    """s_1..s_n of g on Python integers: one Bareiss count per connected subset.
 
-    Level k+1 is every connected k-subset grown by one vertex of its
-    neighbourhood; a set of bitmasks removes the repeats.
+    Every nonempty vertex bitmask is tested for connectivity; on at most
+    SMALL_HOST_VERTICES vertices there are at most 1,023 of them.
     """
     counts = [0] * g.n
-    level = {1 << v for v in range(g.n)}
-    for k in range(g.n):
-        if not level:
-            break
-        grown = set()
-        for mask in level:
+    for mask in range(1, 1 << g.n):
+        if is_connected(g, mask):
             vertices = [v for v in range(g.n) if mask >> v & 1]
-            counts[k] += subset_spanning_tree_count(g, vertices)
-            frontier = 0
-            for v in vertices:
-                frontier |= g.adjacency_bits[v]
-            frontier &= ~mask
-            while frontier:
-                low = frontier & -frontier
-                grown.add(mask | low)
-                frontier ^= low
-        level = grown
+            counts[len(vertices) - 1] += subset_spanning_tree_count(g, vertices)
     return counts
 
 

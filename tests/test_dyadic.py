@@ -39,6 +39,9 @@ def _dyadic(v):
 @example(mantissa=1, exponent=-3600, digits=25)
 @example(mantissa=-3, exponent=3600, digits=20)
 @example(mantissa=0, exponent=5, digits=25)
+# past 2^3500, a mantissa of more than about 2,390 bits takes the short
+# power of ten (3 n < 1000)
+@example(mantissa=2**3000 + 1, exponent=600, digits=25)
 def test_nstr_matches_mpmath(mantissa, exponent, digits):
     x = (mantissa, exponent)
     assert dyadic.nstr(x, digits) == mp.nstr(_mpf(x), digits)

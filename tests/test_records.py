@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from subtree_poly_lab import counting, graphs, polyroots, spanning
+from subtree_poly_lab import counting, graphs, polyroots, sampling, spanning
 from subtree_poly_lab.cli import _json
 
 # every record with its field names, in the order the documents print them
@@ -24,16 +24,16 @@ _RECORDS = [
     (polyroots.TreeRootReport,
      "n max_modulus bound tolerance within_bound annulus_inner annulus_outer annulus_ok analysis"),
     (spanning.SpanningTree, "n edges leaf_set"),
-    (spanning.WeightSample, "weight leaf_count"),
-    (spanning.BetaEstimate,
+    (sampling.WeightSample, "weight leaf_count"),
+    (sampling.BetaEstimate,
      "mean standard_error samples seed min_weight max_weight bound_violations"),
-    (spanning.LeafCountStats,
+    (sampling.LeafCountStats,
      "samples seed mean variance histogram epsilon threshold below_threshold_probability "
      "bound_violations"),
-    (spanning.ConcentrationRow,
+    (sampling.ConcentrationRow,
      "b tail_count empirical_tail bound_min_degree bound_alpha_form status_min_degree "
      "status_alpha_form"),
-    (spanning.ConcentrationReport, "samples seed mean rows bound_violations any_violation"),
+    (sampling.ConcentrationReport, "samples seed mean rows bound_violations any_violation"),
     (spanning.WeightIdentityReport,
      "n tree_count weight_sum s_n_minus_1 equal matrix_tree_count"),
 ]

@@ -33,11 +33,10 @@ from subtree_poly_lab import (
     weight_experiment,
     wilson_sample,
 )
-from subtree_poly_lab import spanning
+from subtree_poly_lab import sampling, spanning
 from subtree_poly_lab.graphs import is_connected
 from subtree_poly_lab.rng import DOMAIN_SAMPLE, RandomStream, StreamFamily, stream
-from subtree_poly_lab.spanning import (
-    _cut_leaf_sum,
+from subtree_poly_lab.sampling import (
     _expected_draws,
     _leaf_form,
     _leaf_scales,
@@ -46,6 +45,7 @@ from subtree_poly_lab.spanning import (
     _wilson_batch,
     _wilson_parents,
 )
+from subtree_poly_lab.spanning import _cut_leaf_sum
 
 
 def chi2_sf(stat, df):
@@ -809,7 +809,7 @@ def test_concentration_no_violations_k8():
 def test_tail_status_verdicts(tail, bound, status):
     # 16 samples at bound 1/2: se = sqrt(1/4 / 16) = 1/8 exactly, so the
     # inconclusive band ends at 1/2 + 3/8
-    assert spanning._tail_status(tail, bound, 16) == status
+    assert sampling._tail_status(tail, bound, 16) == status
 
 
 def test_concentration_validation():
@@ -938,7 +938,7 @@ def test_wilson_batch_matches_single_stream_walks(kind, n, seed, width, dtype):
     indices = range(seed, seed + 12)
     expected, draws = _single_stream_walks(g, seed, indices)
     words = StreamFamily(seed, DOMAIN_SAMPLE).fill(np.empty((12, width), dtype=dtype), indices)
-    with mock.patch.object(spanning, "_COMPACT_FLOOR", 2):  # compact as samples finish
+    with mock.patch.object(sampling, "_COMPACT_FLOOR", 2):  # compact as samples finish
         parents, used = _wilson_batch(g, words)
     for row, (parent, drawn) in enumerate(zip(expected, draws)):
         if drawn <= width:  # the same tree from the same words
@@ -956,10 +956,10 @@ def test_weight_chunk_matches_single_stream_walks(family, factor, expected):
     lcm, scale = _leaf_scales(g)
     parents, _ = _single_stream_walks(g, 2, range(5, 305))
     oracle = Counter(_leaf_form(_parent_degrees(p), scale) for p in parents)
-    with mock.patch.object(spanning, "_WIDTH_FACTOR", factor), \
-            mock.patch.object(spanning, "_BLOCK_ELEMENTS", 600), \
-            mock.patch.object(spanning, "_MIN_ROWS", 7), \
-            mock.patch.object(spanning, "_COMPACT_FLOOR", 5):
+    with mock.patch.object(sampling, "_WIDTH_FACTOR", factor), \
+            mock.patch.object(sampling, "_BLOCK_ELEMENTS", 600), \
+            mock.patch.object(sampling, "_MIN_ROWS", 7), \
+            mock.patch.object(sampling, "_COMPACT_FLOOR", 5):
         args = (g, 2, 5, 305, expected or _expected_draws(g))
         assert _weight_chunk(args) == oracle
 

@@ -20,8 +20,11 @@ HEAVY = ("numpy", "mpmath", "concurrent.futures", "hashlib")
 # `inspect`, about 10 ms per process
 RECORD_BUILDERS = ("dataclasses", "inspect")
 
-# runs the CLI as `python -m` would, then reports which HEAVY and
-# RECORD_BUILDERS modules it loaded
+# the Wilson sampler: only the sampling commands compile it
+SAMPLER = "subtree_poly_lab.sampling"
+
+# runs the CLI as `python -m` would, then reports which HEAVY,
+# RECORD_BUILDERS and SAMPLER modules it loaded
 _PROBE = """
 import json, runpy, sys
 sys.argv = ["subtree-poly-lab", *sys.argv[1:]]
@@ -30,7 +33,7 @@ try:
 except SystemExit as exc:
     status = exc.code
 print(json.dumps([status, [m for m in {heavy!r} if m in sys.modules]]))
-""".format(heavy=HEAVY + RECORD_BUILDERS)
+""".format(heavy=HEAVY + RECORD_BUILDERS + (SAMPLER,))
 
 
 def _loaded(*argv):
@@ -52,6 +55,19 @@ def edge_list(tmp_path_factory):
     # K_5 minus a perfect matching of two edges: not a tree, not a closed form
     path = tmp_path_factory.mktemp("graphs") / "host.txt"
     path.write_text("5 8\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 4\n3 4\n")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def dense_edge_list(tmp_path_factory):
+    # K_8 minus the perfect matching {2i, 2i + 1}, relabelled, like the benchmark's verify host
+    perm = [5, 2, 7, 0, 3, 6, 1, 4]
+    edges = sorted(
+        (min(perm[u], perm[v]), max(perm[u], perm[v]))
+        for u in range(8) for v in range(u + 1, 8) if not (u % 2 == 0 and v == u + 1)
+    )
+    path = tmp_path_factory.mktemp("graphs") / "dense.txt"
+    path.write_text(f"8 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
     return str(path)
 
 
@@ -77,10 +93,13 @@ def test_version_and_help_load_nothing_heavy(argv):
         ("verify", "--edge-list", "{edge_list}"),
         ("counts", "--edge-list", "{edge_list}"),
         ("poisson", "--graph", "cycle(9)"),
+        ("verify", "--edge-list", "{dense_edge_list}"),
     ],
 )
-def test_closed_form_and_tree_hosts_run_without_numpy(argv, edge_list):
-    assert "numpy" not in _loaded(*(a.format(edge_list=edge_list) for a in argv))
+def test_closed_form_and_tree_hosts_run_without_numpy(argv, edge_list, dense_edge_list):
+    # nor the sampler: verify compiles only the exact tree walk
+    loaded = _loaded(*(a.format(edge_list=edge_list, dense_edge_list=dense_edge_list) for a in argv))
+    assert not loaded & {"numpy", SAMPLER}
 
 
 # numpy imports inspect itself, so commands that load numpy are out of scope;
@@ -105,6 +124,10 @@ def test_records_load_no_dataclasses(argv, edge_list):
 )
 def test_root_commands_load_no_hashlib(argv):
     assert "hashlib" not in _loaded(*argv)
+
+
+def test_experiment_loads_the_sampler():
+    assert SAMPLER in _loaded("experiment", "--graph", "complete(6)", "--samples", "50", "--threads", "1")
 
 
 def test_hosts_above_the_small_bound_count_with_numpy(tmp_path):
@@ -159,7 +182,8 @@ def counted(self, *args, **kwargs):
     built.append(args[0])
     init(self, *args, **kwargs)
 typing.ForwardRef.__init__ = counted
-import subtree_poly_lab.cli, subtree_poly_lab.polyroots, subtree_poly_lab.spanning
+import subtree_poly_lab.cli, subtree_poly_lab.polyroots, subtree_poly_lab.sampling
+import subtree_poly_lab.spanning
 print(len(built))
 """
 
@@ -224,6 +248,26 @@ def test_package_imports_only_the_standard_library_and_its_dependencies():
     foreign = {name: where for name, where in imported.items()
                if name not in sys.stdlib_module_names and name not in DEPENDENCIES}
     assert not foreign
+
+
+def test_numpy_is_imported_at_module_level_by_its_kernels_only():
+    # the modules that run numpy import it at their top; every other module
+    # stays free of it, so a command that does not run them never loads it
+    package = Path(subtree_poly_lab.__file__).resolve().parent
+    importers = set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                assert node in tree.body, f"{path.name}:{node.lineno} imports numpy below module level"
+                importers.add(path.stem)
+    assert importers == {"rng", "subsets", "sampling"}
 
 
 def test_readme_python_example_holds():
